@@ -8,6 +8,7 @@ input-validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -273,6 +274,10 @@ def parse_config(argv, config_file: str = None) -> tuple:
                 "the chern method needs so(2k) with the so(2k-1) splitting "
                 "and the pfaffian polynomial")
 
+    corrupt = _parse_corrupt(merged.get("corrupt"))
+    if corrupt[:1] == ("aij",) and "johnson" not in methods:
+        raise UsageError("--corrupt aij perturbs only the johnson method")
+
     config = RunConfig(
         algebra=algebra_name,
         subalgebra=sub,
@@ -282,7 +287,7 @@ def parse_config(argv, config_file: str = None) -> tuple:
         output=str(merged.get("output", "text")),
         field=str(merged.get("field", "") or ""),
         seed=int(merged.get("seed", 0)),
-        corrupt=_parse_corrupt(merged.get("corrupt")),
+        corrupt=corrupt,
     )
     if config.output not in ("text", "json"):
         raise UsageError(f"unknown output format {config.output!r}")
@@ -306,6 +311,9 @@ def _resolve_algebra(config: RunConfig) -> LieAlgebra:
         raise UsageError(str(exc)) from None
     if config.corrupt and config.corrupt[0] == "structure":
         a, b, c = config.corrupt[1:]
+        if not all(0 <= idx < algebra.dim for idx in (a, b, c)):
+            raise UsageError(f"--corrupt structure indices {(a, b, c)} out of "
+                             f"range for dimension {algebra.dim}")
         structure = dict(algebra.structure)
         bumped = structure.get((a, b, c), Scalar(0)) + Scalar(1)
         structure[(a, b, c)] = bumped
@@ -413,14 +421,24 @@ def run(config: RunConfig) -> Report:
             results[method] = tp_integral(setup, P)
         elif method == "johnson":
             coefficient_fn = None
+            perturbed = []
             if config.corrupt and config.corrupt[0] == "aij":
                 ci, cj = config.corrupt[1:]
 
-                def coefficient_fn(k, i, j, _ci=ci, _cj=cj):
+                def coefficient_fn(k, i, j):
                     base = coefficient_A(k, i, j)
-                    return base + Scalar(1) if (i, j) == (_ci, _cj) else base
+                    if (i, j) != (ci, cj):
+                        return base
+                    perturbed.append((i, j))
+                    return base + Scalar(1)
 
             results[method] = tp_johnson(setup, P, coefficient_fn=coefficient_fn)
+            # tp_johnson asks only for the coefficients of nonzero terms
+            if coefficient_fn is not None and not perturbed:
+                raise UsageError(
+                    f"--corrupt aij={ci},{cj} perturbs nothing: the johnson "
+                    f"sum at degree {P.degree} has no nonzero term (i, j) = "
+                    f"({ci}, {cj})")
         else:
             results[method] = tp_chern_euler(setup, P)
         timing[f"tp[{method}]"] = round(time.perf_counter() - t0, 6)
@@ -512,20 +530,32 @@ def run(config: RunConfig) -> Report:
     return report
 
 
+@contextlib.contextmanager
+def _report_stream(path):
+    """The report's destination, opened before any computation so that an
+    unwritable path is a usage error rather than a late crash."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {path}: {exc}") from None
+    with fh:
+        yield fh
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         config, out_path = parse_config(argv)
-        report = run(config)
+        with _report_stream(out_path) as out:
+            report = run(config)
+            print(report.to_json() if config.output == "json" else report.to_text(),
+                  file=out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if config.output == "json" else report.to_text()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0 if report.passed else 1
 
 

@@ -73,20 +73,36 @@ class InvariantPolynomial:
 
     def ad_invariance_witness(self):
         """First (direction, tuple, residue) violating infinitesimal
-        ad-invariance, or None.  The check expands
-        sum_i P(a_1, ..., [e_x, e_{a_i}], ..., a_k) over the table."""
-        algebra, k = self.algebra, self.degree
+        ad-invariance, or None.  The residue at a sorted tuple is
+        sum_i P(a_1, ..., [e_x, e_{a_i}], ..., a_k).
+
+        Each stored entry is pushed forward through the preimages of
+        [e_x, -]: an entry at s feeds every tuple s - b + a for which
+        [e_x, e_a] has a component c on e_b, with weight c times the value
+        times the multiplicity of a in that tuple.  Only the tuples reached
+        can carry a residue, and the smallest one with a nonzero residue is
+        the first a scan of all sorted tuples in lexicographic order finds.
+        """
+        algebra = self.algebra
         for x in range(algebra.dim):
-            for tup in itertools.combinations_with_replacement(range(algebra.dim), k):
-                total = ZERO
-                for i in range(k):
-                    for b, coeff in algebra.bracket_on_basis(x, tup[i]):
-                        replaced = tup[:i] + (b,) + tup[i + 1:]
-                        v = self.value(replaced)
-                        if not v.is_zero:
-                            total = total + coeff * v
-                if not total.is_zero:
-                    return x, tup, total
+            preimages = {}
+            for a in range(algebra.dim):
+                for b, coeff in algebra.bracket_on_basis(x, a):
+                    preimages.setdefault(b, []).append((a, coeff))
+            residues = {}
+            for stup, v in self.values.items():
+                for b in set(stup):
+                    pre = preimages.get(b)
+                    if pre is None:
+                        continue
+                    rest = list(stup)
+                    rest.remove(b)
+                    for a, coeff in pre:
+                        tup = tuple(sorted(rest + [a]))
+                        _acc_add(residues, tup, coeff * v * (rest.count(a) + 1))
+            if residues:
+                tup = min(residues)
+                return x, tup, residues[tup]
         return None
 
     def __repr__(self) -> str:

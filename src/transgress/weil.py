@@ -31,6 +31,7 @@ from .algebra import (
     ONE,
     _acc_add,
 )
+from .invariants import InvariantPolynomial, evaluate
 from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, bracket, project
 
 __all__ = ["UniversalSetup"]
@@ -80,6 +81,7 @@ class UniversalSetup:
 
         self.sub_connection, self.tensor_form = project(split, self.connection)
         self._interior_cache = {}
+        self._difference_cache = {}
 
     # -- derived forms ------------------------------------------------------
 
@@ -134,6 +136,17 @@ class UniversalSetup:
         return (psi_c - psi_c.times_t(1)
                 - tb_half.times_t(1) + tb_half.times_t(2)
                 + self.curvature.times_t(1))
+
+    def curvature_difference(self, P: InvariantPolynomial) -> GradedElement:
+        """P(curvature) - P(sub-curvature), the d-image every transgression
+        form of P must have; computed once per polynomial object."""
+        cached = self._difference_cache.get(P)
+        if cached is None:
+            k = P.degree
+            cached = (evaluate(P, [self.curvature] * k)
+                      - evaluate(P, [self.sub_curvature] * k))
+            self._difference_cache[P] = cached
+        return cached
 
     # -- equivariant derivations --------------------------------------------
 

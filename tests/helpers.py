@@ -23,6 +23,43 @@ def naive_evaluate(P, args):
     return total.scale(P.prefactor)
 
 
+def dense_ad_invariance_witness(P):
+    """Reference ad-invariance gate: the residue at every sorted tuple, for
+    every direction, in lexicographic order.  Returns the first
+    (direction, tuple, residue) that is nonzero, or None."""
+    algebra, k = P.algebra, P.degree
+    for x in range(algebra.dim):
+        for tup in itertools.combinations_with_replacement(range(algebra.dim), k):
+            total = ZERO
+            for i in range(k):
+                for b, coeff in algebra.bracket_on_basis(x, tup[i]):
+                    replaced = tup[:i] + (b,) + tup[i + 1:]
+                    v = P.value(replaced)
+                    if not v.is_zero:
+                        total = total + coeff * v
+            if not total.is_zero:
+                return x, tup, total
+    return None
+
+
+def literal_basicness(setup, form):
+    """(horizontality, invariance) verdicts and witnesses from the literal
+    loops: iota_x(form) and L_x(form) = d(iota_x form) + iota_x(d form) for
+    every x in h, each stopping at the first nonzero image."""
+    verdicts = []
+    for name, label, op in (("horizontality", "iota", setup.interior),
+                            ("invariance", "L", setup.lie_derivative)):
+        verdict = (name, True, "")
+        for x in setup.split.h:
+            image = op(x)(form)
+            if not image.is_zero:
+                verdict = (name, False,
+                           f"{label}[{x}] -> {image.leading_term_str()}")
+                break
+        verdicts.append(verdict)
+    return verdicts
+
+
 def perm_sign_by_swaps(perm):
     """Permutation parity via explicit adjacent transpositions."""
     items = list(perm)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import transgress
+from transgress import cli
 from transgress.cli import (
     CHECK_NAMES,
     PRESETS,
@@ -229,3 +235,55 @@ class TestMain:
 
     def test_presets_exist(self):
         assert set(PRESETS) == {"paper-so4", "paper-so6", "paper-gl3"}
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    src = str(Path(transgress.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "transgress", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+SO4 = ("--algebra", "so4", "--sub", "so3", "--poly", "pfaffian")
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with a one-line error and no traceback."""
+
+    @pytest.mark.parametrize("args", [
+        # an unwritable report path
+        SO4 + ("--out", "/nonexistent/x"),
+        # i + j > k - 1: no coefficient A_ij at degree 2
+        SO4 + ("--method", "johnson", "--corrupt", "aij=1,1"),
+        SO4 + ("--method", "johnson", "--corrupt", "aij=9,9"),
+        # without johnson the coefficient hook touches nothing
+        SO4 + ("--method", "integral,chern", "--corrupt", "aij=0,0"),
+        # a structure index >= dim
+        SO4 + ("--corrupt", "structure=9,9,9"),
+        SO4 + ("--corrupt", "structure=0,1,6"),
+    ], ids=["out", "aij-range", "aij-far", "aij-no-johnson",
+            "structure-range", "structure-one-off"])
+    def test_exit_2_without_traceback(self, args):
+        code, err = run_cli(*args)
+        assert code == 2, err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_out_path_checked_before_computing(self, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("computed before the report path was opened")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert main(list(SO4) + ["--out", "/nonexistent/x"]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_aij_on_a_zero_term(self, capsys):
+        # with no subalgebra the sub-curvature vanishes, so every j >= 1
+        # term of the johnson sum is zero and A_01 perturbs nothing
+        assert main(["--algebra", "so4", "--sub", "none", "--poly", "pfaffian",
+                     "--method", "johnson", "--corrupt", "aij=0,1"]) == 2
+        assert "perturbs nothing" in capsys.readouterr().err

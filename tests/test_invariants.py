@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    dense_ad_invariance_witness,
     naive_evaluate,
     pfaffian_permutation_sum,
     skew_coordinates,
@@ -17,10 +21,12 @@ from transgress.invariants import (
     symmetrized_trace,
 )
 from transgress.lie import (
+    LieAlgebra,
     LieValuedForm,
     abelian_algebra,
     gl_algebra,
     make_matrix,
+    named_algebra,
     so_algebra,
     su2_algebra,
     u_algebra,
@@ -79,9 +85,13 @@ class TestBuilders:
         lambda: symmetrized_trace(su2_algebra(), 2),
         lambda: symmetrized_trace(gl_algebra(3), 2),
         lambda: symmetrized_trace(gl_algebra(3), 3),
+        lambda: symmetrized_trace(u_algebra(2), 2),
+        lambda: symmetrized_trace(u_algebra(3), 3),
     ])
     def test_shipped_polynomials_ad_invariant(self, poly_builder):
-        assert poly_builder().ad_invariance_witness() is None
+        P = poly_builder()
+        assert P.ad_invariance_witness() is None
+        assert dense_ad_invariance_witness(P) is None
 
     def test_rejects_unsorted_keys(self):
         algebra = abelian_algebra(2)
@@ -239,3 +249,83 @@ class TestEvaluate:
         s = gl3_setup
         args = [s.sub_curvature, s.tensor_form, s.sub_curvature]
         assert evaluate(P, args) == naive_evaluate(P, args)
+
+
+GATE_ALGEBRAS = ("so4", "so6", "gl3", "su2", "u2", "u3")
+
+
+@cache
+def gate_algebra(name):
+    return named_algebra(name)
+
+
+@cache
+def corrupted_so4(a, b, c):
+    """so4 with one structure constant bumped, as ``--corrupt structure``
+    does it."""
+    algebra = so_algebra(4)
+    structure = dict(algebra.structure)
+    bumped = structure.get((a, b, c), Scalar(0)) + Scalar(1)
+    structure[(a, b, c)] = bumped
+    structure[(a, c, b)] = -bumped
+    return LieAlgebra(algebra.dim, algebra.labels, structure, algebra.matrices,
+                      name="so4+corrupt", meta=algebra.meta)
+
+
+gate_scalars = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.one_of(st.just(0), st.integers(-2, 2)))
+
+
+@st.composite
+def sparse_tensors(draw, algebra):
+    k = draw(st.integers(1, 3))
+    keys = st.lists(st.integers(0, algebra.dim - 1), min_size=k, max_size=k)
+    entries = draw(st.lists(st.tuples(keys, gate_scalars), max_size=6))
+    return InvariantPolynomial(
+        algebra, k, {tuple(sorted(key)): v for key, v in entries})
+
+
+def assert_gates_agree(P):
+    assert P.ad_invariance_witness() == dense_ad_invariance_witness(P)
+
+
+class TestAdInvarianceGate:
+    """The sparse push-forward gate against the dense scan: the same first
+    (direction, tuple, residue), not only the same verdict."""
+
+    @given(st.sampled_from(GATE_ALGEBRAS).flatmap(
+        lambda name: sparse_tensors(gate_algebra(name))))
+    @settings(max_examples=120, deadline=None)
+    def test_random_sparse_tensors(self, P):
+        assert_gates_agree(P)
+
+    @given(st.sampled_from(("gl3", "u2", "u3")).flatmap(
+        lambda name: sparse_tensors(gate_algebra(name))))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_trace(self, perturbation):
+        # an invariant tensor plus a sparse perturbation: the witness sits
+        # wherever the perturbation first breaks invariance
+        base = symmetrized_trace(perturbation.algebra, perturbation.degree)
+        values = dict(base.values)
+        for key, v in perturbation.values.items():
+            values[key] = values.get(key, Scalar(0)) + v
+        assert_gates_agree(
+            InvariantPolynomial(base.algebra, base.degree, values))
+
+    @given(st.tuples(*[st.integers(0, 5)] * 3).flatmap(
+        lambda abc: st.tuples(st.just(abc),
+                              sparse_tensors(corrupted_so4(*abc)))))
+    @settings(max_examples=40, deadline=None)
+    def test_corrupted_structure(self, case):
+        abc, P = case
+        assert_gates_agree(P)
+        assert_gates_agree(pfaffian(corrupted_so4(*abc)))
+
+    def test_pinned_gl3_witness(self):
+        # E11 (x) E11 alone: ad E11 keeps it, ad E12 does not, since
+        # P(E11, [E12, E21]) = P(E11, E11 - E22) = 1
+        P = InvariantPolynomial(gl_algebra(3), 2, {(0, 0): Scalar(1)})
+        assert dense_ad_invariance_witness(P) == (1, (0, 3), Scalar(1))
+        assert P.ad_invariance_witness() == (1, (0, 3), Scalar(1))

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import literal_basicness
 from transgress.algebra import ContractError, Scalar
 from transgress.invariants import (
     InvariantPolynomial,
@@ -12,8 +14,10 @@ from transgress.invariants import (
 from transgress.lie import (
     ReductiveSplit,
     abelian_algebra,
+    named_split,
     so_algebra,
     trivial_split,
+    u_algebra,
 )
 from transgress.transgression import (
     ad_invariance_identity_check,
@@ -24,6 +28,7 @@ from transgress.transgression import (
     double_factorial,
     tp_chern_euler,
     tp_integral,
+    TransgressionResult,
     tp_johnson,
     verify_transgression,
 )
@@ -237,3 +242,65 @@ class TestBasicness:
         assert checks["horizontality"].passed
         assert checks["invariance"].passed
         assert result.checks == checks
+
+
+@pytest.fixture(scope="module")
+def u2_setup():
+    algebra = u_algebra(2)
+    return UniversalSetup(algebra, named_split(algebra, "0,1"))
+
+
+class TestNonBasicForms:
+    """verify_transgression certifies invariance through Cartan's formula on
+    the d(TP) it has already computed; its verdicts and witnesses must be
+    those of the literal interior-product and Lie-derivative loops, also on
+    forms that are not basic."""
+
+    @staticmethod
+    def perturbed(setup, P, extra):
+        # the extra term carries TP's (2pi) unit, so the sum is well formed
+        unit = Scalar(1, two_pi=P.prefactor.two_pi)
+        tp = tp_integral(setup, P)
+        return TransgressionResult(tp.form + extra.scale(unit), "integral", P)
+
+    @staticmethod
+    def basicness(checks):
+        return [(c.name, c.passed, c.witness)
+                for c in (checks["horizontality"], checks["invariance"])]
+
+    @pytest.fixture(params=["so4/so3", "u2/u1+u1"])
+    def case(self, request, so4_setup, pf_so4, u2_setup):
+        if request.param == "so4/so3":
+            return so4_setup, pf_so4
+        return u2_setup, symmetrized_trace(u2_setup.algebra, 2)
+
+    def test_not_horizontal(self, case):
+        setup, P = case
+        h0, p0 = setup.split.h[0], setup.split.p[0]
+        dim = setup.algebra.dim
+        extra = setup.context.from_word([h0, dim + p0])   # w[h0] W[p0]
+        result = self.perturbed(setup, P, extra)
+        checks = verify_transgression(result, setup)
+        assert not checks["horizontality"].passed
+        assert self.basicness(checks) == literal_basicness(setup, result.form)
+
+    def test_horizontal_but_not_invariant(self, case):
+        setup, P = case
+        p0, p1 = setup.split.p[:2]
+        dim = setup.algebra.dim
+        extra = setup.context.from_word([p0, dim + p1])   # w[p0] W[p1]
+        result = self.perturbed(setup, P, extra)
+        checks = verify_transgression(result, setup)
+        assert checks["horizontality"].passed
+        assert not checks["invariance"].passed
+        assert self.basicness(checks) == literal_basicness(setup, result.form)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_perturbations(self, case, seed):
+        setup, P = case
+        rng = random.Random(seed)
+        extra = setup.context.random_homogeneous(
+            rng, 2 * P.degree - 1, terms=rng.randint(1, 3))
+        result = self.perturbed(setup, P, extra)
+        checks = verify_transgression(result, setup)
+        assert self.basicness(checks) == literal_basicness(setup, result.form)

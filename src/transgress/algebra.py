@@ -202,6 +202,19 @@ class Scalar:
             raise ContractError(f"cannot parse scalar {text!r}: {exc}") from None
         return Scalar(re_total, im_total)
 
+    @staticmethod
+    def from_json(value) -> "Scalar":
+        """An exact scalar from a JSON value: a string for ``parse`` or an
+        integer.  Floats and booleans are refused, since a float is already
+        rounded and a boolean is no number."""
+        if isinstance(value, str):
+            return Scalar.parse(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Scalar(value)
+        raise ContractError(
+            f"scalar {value!r} must be an exact string such as \"1/10\" "
+            "or an integer")
+
     def render(self) -> str:
         """Exact string form; the (2*pi) unit renders as ``(2pi)^-k``."""
         if self.is_zero:
@@ -229,10 +242,23 @@ class Scalar:
         return self.render()
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, booleans and strings are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ContractError(f"{what} must be an integer, not {value!r}")
+
+
+def _json_list(value, what: str) -> list:
+    """A list read from JSON; any other JSON type is refused."""
+    if isinstance(value, list):
+        return value
+    raise ContractError(f"{what} must be a JSON list, not {value!r}")
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
-I_UNIT = Scalar(0, 1)
 
 
 # ---------------------------------------------------------------------------

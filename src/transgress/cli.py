@@ -188,6 +188,16 @@ def _parse_corrupt(spec) -> tuple:
     raise UsageError(f"bad corrupt spec: {spec!r}")
 
 
+def _parse_seed(value) -> int:
+    # an integer, or a string of one; a float or bool would be truncated
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"seed must be an integer, not {value!r}")
+
+
 def _standard_so_h(n: int) -> tuple:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return tuple(idx for idx, (i, j) in enumerate(pairs) if j < n - 1)
@@ -213,8 +223,10 @@ def parse_config(argv, config_file: str = None) -> tuple:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -286,7 +298,7 @@ def parse_config(argv, config_file: str = None) -> tuple:
         checks=checks,
         output=str(merged.get("output", "text")),
         field=str(merged.get("field", "") or ""),
-        seed=int(merged.get("seed", 0)),
+        seed=_parse_seed(merged.get("seed", 0)),
         corrupt=corrupt,
     )
     if config.output not in ("text", "json"):
@@ -334,7 +346,7 @@ def _resolve_polynomial(config: RunConfig, algebra: LieAlgebra):
         else:
             with open(poly, "r", encoding="utf-8") as fh:
                 P = invariant_from_dict(algebra, json.load(fh))
-    except (OSError, json.JSONDecodeError, ContractError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ContractError) as exc:
         raise UsageError(f"cannot build polynomial {poly!r}: {exc}") from None
     if config.corrupt and config.corrupt[0] == "prefactor":
         P = P.scaled(Scalar(2))
@@ -360,22 +372,50 @@ def _rendered_terms(form):
             for mono, coeff in form.sorted_terms()]
 
 
+def _run_method(config: RunConfig, setup, P, method: str):
+    """One transgression route; ``--corrupt aij`` perturbs the johnson one."""
+    if method == "integral":
+        return tp_integral(setup, P)
+    if method == "chern":
+        return tp_chern_euler(setup, P)
+    if config.corrupt[:1] != ("aij",):
+        return tp_johnson(setup, P)
+    ci, cj = config.corrupt[1:]
+    perturbed = []
+
+    def coefficient_fn(k, i, j):
+        base = coefficient_A(k, i, j)
+        if (i, j) != (ci, cj):
+            return base
+        perturbed.append((i, j))
+        return base + Scalar(1)
+
+    result = tp_johnson(setup, P, coefficient_fn=coefficient_fn)
+    # tp_johnson asks only for the coefficients of nonzero terms
+    if not perturbed:
+        raise UsageError(
+            f"--corrupt aij={ci},{cj} perturbs nothing: the johnson "
+            f"sum at degree {P.degree} has no nonzero term (i, j) = "
+            f"({ci}, {cj})")
+    return result
+
+
 def run(config: RunConfig) -> Report:
     """Execute the configured constructions and checks, deterministically."""
     t_start = time.perf_counter()
-    algebra = _resolve_algebra(config)
-
-    needs_gaussian = algebra.has_imaginary_data()
-    field_resolved = config.field or ("gaussian" if needs_gaussian else "rational")
-    if field_resolved == "rational" and needs_gaussian:
-        raise UsageError(
-            f"algebra {algebra.name!r} needs the gaussian field "
-            "(imaginary entries present)")
-
-    try:
-        split = named_split(algebra, config.subalgebra)
-    except ContractError as exc:
-        raise UsageError(str(exc)) from None
+    timing = {}
+    with _stage(timing, "algebra"):
+        algebra = _resolve_algebra(config)
+        needs_gaussian = algebra.has_imaginary_data()
+        field_resolved = config.field or ("gaussian" if needs_gaussian else "rational")
+        if field_resolved == "rational" and needs_gaussian:
+            raise UsageError(
+                f"algebra {algebra.name!r} needs the gaussian field "
+                "(imaginary entries present)")
+        try:
+            split = named_split(algebra, config.subalgebra)
+        except ContractError as exc:
+            raise UsageError(str(exc)) from None
 
     report = Report(config={
         "algebra": config.algebra,
@@ -391,135 +431,114 @@ def run(config: RunConfig) -> Report:
         "output": config.output,
     })
     entries = report.checks
-    timing = {}
 
-    algebra_report = validate(algebra)
-    entries.append(_entry_from_validation("algebra-valid", algebra_report))
-    split_report = validate_split(algebra, split)
-    entries.append(_entry_from_validation("split-valid", split_report))
+    with _stage(timing, "algebra-valid"):
+        algebra_report = validate(algebra)
+        entries.append(_entry_from_validation("algebra-valid", algebra_report))
+    with _stage(timing, "split-valid"):
+        split_report = validate_split(algebra, split)
+        entries.append(_entry_from_validation("split-valid", split_report))
 
     if not (algebra_report.passed and split_report.passed):
         for name in config.checks:
             entries.append(ReportEntry(
                 name, "fail", witness="not run: invalid algebra or split"))
-        report.stats = {"seed": config.seed, "term_counts": {},
-                        "timing": {"total": round(time.perf_counter() - t_start, 6)}}
+        timing["total"] = round(time.perf_counter() - t_start, 6)
+        report.stats = {"seed": config.seed, "term_counts": {}, "timing": timing}
         return report
 
-    setup = UniversalSetup(algebra, split)
-    P = _resolve_polynomial(config, algebra)
-    witness = P.ad_invariance_witness()
-    entries.append(ReportEntry(
-        "polynomial-ad-invariant", "pass" if witness is None else "fail",
-        witness="" if witness is None else
-        f"direction {witness[0]}, tuple {witness[1]}: {witness[2].render()}"))
+    with _stage(timing, "setup"):
+        setup = UniversalSetup(algebra, split)
+    with _stage(timing, "polynomial"):
+        P = _resolve_polynomial(config, algebra)
+    with _stage(timing, "polynomial-ad-invariant"):
+        witness = P.ad_invariance_witness()
+        entries.append(ReportEntry(
+            "polynomial-ad-invariant", "pass" if witness is None else "fail",
+            witness="" if witness is None else
+            f"direction {witness[0]}, tuple {witness[1]}: {witness[2].render()}"))
 
     results = {}
     for method in config.methods:
-        t0 = time.perf_counter()
-        if method == "integral":
-            results[method] = tp_integral(setup, P)
-        elif method == "johnson":
-            coefficient_fn = None
-            perturbed = []
-            if config.corrupt and config.corrupt[0] == "aij":
-                ci, cj = config.corrupt[1:]
-
-                def coefficient_fn(k, i, j):
-                    base = coefficient_A(k, i, j)
-                    if (i, j) != (ci, cj):
-                        return base
-                    perturbed.append((i, j))
-                    return base + Scalar(1)
-
-            results[method] = tp_johnson(setup, P, coefficient_fn=coefficient_fn)
-            # tp_johnson asks only for the coefficients of nonzero terms
-            if coefficient_fn is not None and not perturbed:
-                raise UsageError(
-                    f"--corrupt aij={ci},{cj} perturbs nothing: the johnson "
-                    f"sum at degree {P.degree} has no nonzero term (i, j) = "
-                    f"({ci}, {cj})")
-        else:
-            results[method] = tp_chern_euler(setup, P)
-        timing[f"tp[{method}]"] = round(time.perf_counter() - t0, 6)
-        form = results[method].form
-        report.forms[method] = {
-            "degree": form.degree() if not form.is_zero else None,
-            "term_count": form.term_count,
-            "terms": _rendered_terms(form),
-        }
+        with _stage(timing, f"tp[{method}]"):
+            results[method] = _run_method(config, setup, P, method)
+            form = results[method].form
+            report.forms[method] = {
+                "degree": form.degree() if not form.is_zero else None,
+                "term_count": form.term_count,
+                "terms": _rendered_terms(form),
+            }
 
     for name in config.checks:
-        t0 = time.perf_counter()
-        if name == "d2":
-            witness = setup.d_squared_witness()
-            if witness is None:
-                rng = random.Random(config.seed)
-                probe = None
-                for _ in range(20):
-                    x = setup.context.random_element(
-                        rng, terms=3, max_odd=3, max_even=1, max_t=1)
-                    out = setup.d(setup.d(x))
-                    if not out.is_zero:
-                        probe = out
-                        break
-                entries.append(ReportEntry(
-                    "d2", "pass" if probe is None else "fail",
-                    witness="" if probe is None else probe.leading_term_str()))
-            else:
-                label, residue = witness
-                entries.append(ReportEntry(
-                    "d2", "fail",
-                    witness=f"d(d({label})) = {residue.leading_term_str()}"))
-        elif name in ("transgression", "basicness"):
-            for method, result in results.items():
-                checks = result.checks or verify_transgression(result, setup, P)
-                if name == "transgression":
-                    c = checks["transgression"]
+        with _stage(timing, name):
+            if name == "d2":
+                witness = setup.d_squared_witness()
+                if witness is None:
+                    rng = random.Random(config.seed)
+                    probe = None
+                    for _ in range(20):
+                        x = setup.context.random_element(
+                            rng, terms=3, max_odd=3, max_even=1, max_t=1)
+                        out = setup.d(setup.d(x))
+                        if not out.is_zero:
+                            probe = out
+                            break
                     entries.append(ReportEntry(
-                        f"transgression[{method}]",
-                        "pass" if c.passed else "fail", witness=c.witness))
+                        "d2", "pass" if probe is None else "fail",
+                        witness="" if probe is None else probe.leading_term_str()))
                 else:
-                    hor, inv = checks["horizontality"], checks["invariance"]
-                    ok = hor.passed and inv.passed
+                    label, residue = witness
                     entries.append(ReportEntry(
-                        f"basicness[{method}]", "pass" if ok else "fail",
-                        witness=hor.witness or inv.witness))
-        elif name == "agreement":
-            methods = list(results)
-            status, witness_str = "pass", ""
-            for i in range(len(methods)):
-                for j in range(i + 1, len(methods)):
-                    diff = results[methods[i]].form - results[methods[j]].form
-                    if not diff.is_zero:
-                        status = "fail"
-                        witness_str = (f"{methods[i]} vs {methods[j]}: "
-                                       f"{diff.leading_term_str()}")
+                        "d2", "fail",
+                        witness=f"d(d({label})) = {residue.leading_term_str()}"))
+            elif name in ("transgression", "basicness"):
+                for method, result in results.items():
+                    checks = result.checks or verify_transgression(result, setup, P)
+                    if name == "transgression":
+                        c = checks["transgression"]
+                        entries.append(ReportEntry(
+                            f"transgression[{method}]",
+                            "pass" if c.passed else "fail", witness=c.witness))
+                    else:
+                        hor, inv = checks["horizontality"], checks["invariance"]
+                        ok = hor.passed and inv.passed
+                        entries.append(ReportEntry(
+                            f"basicness[{method}]", "pass" if ok else "fail",
+                            witness=hor.witness or inv.witness))
+            elif name == "agreement":
+                methods = list(results)
+                status, witness_str = "pass", ""
+                for i in range(len(methods)):
+                    for j in range(i + 1, len(methods)):
+                        diff = results[methods[i]].form - results[methods[j]].form
+                        if not diff.is_zero:
+                            status = "fail"
+                            witness_str = (f"{methods[i]} vs {methods[j]}: "
+                                           f"{diff.leading_term_str()}")
+                            break
+                    if status == "fail":
                         break
-                if status == "fail":
-                    break
-            entries.append(ReportEntry("agreement", status, witness=witness_str))
-        elif name == "coefficients":
-            k = P.degree
-            status, witness_str = "pass", ""
-            for i in range(k):
-                for j in range(k - i):
-                    closed = coefficient_A(k, i, j)
-                    integrated = coefficient_A_by_integration(k, i, j)
-                    if closed != integrated:
-                        status = "fail"
-                        witness_str = (f"(k,i,j)=({k},{i},{j}): "
-                                       f"{closed.render()} vs {integrated.render()}")
+                entries.append(ReportEntry("agreement", status, witness=witness_str))
+            elif name == "coefficients":
+                k = P.degree
+                status, witness_str = "pass", ""
+                for i in range(k):
+                    for j in range(k - i):
+                        closed = coefficient_A(k, i, j)
+                        integrated = coefficient_A_by_integration(k, i, j)
+                        if closed != integrated:
+                            status = "fail"
+                            witness_str = (f"(k,i,j)=({k},{i},{j}): "
+                                           f"{closed.render()} vs {integrated.render()}")
+                            break
+                    if status == "fail":
                         break
-                if status == "fail":
-                    break
-            entries.append(ReportEntry("coefficients", status, witness=witness_str))
-        elif name == "derivative-identity":
-            for check in (derivative_identity_check(setup, P),
-                          deformation_bianchi_check(setup),
-                          ad_invariance_identity_check(setup, P)):
-                entries.append(_entry_from_check(check))
-        timing[name] = round(time.perf_counter() - t0, 6)
+                entries.append(ReportEntry("coefficients", status, witness=witness_str))
+            elif name == "derivative-identity":
+                for check in (derivative_identity_check(setup, P),
+                              deformation_bianchi_check(setup),
+                              ad_invariance_identity_check(setup, P)):
+                    entries.append(_entry_from_check(check))
 
     timing["total"] = round(time.perf_counter() - t_start, 6)
     report.stats = {
@@ -528,6 +547,14 @@ def run(config: RunConfig) -> Report:
         "timing": timing,
     }
     return report
+
+
+@contextlib.contextmanager
+def _stage(timing: dict, name: str):
+    """Record the wall time of the block under ``name`` once it completes."""
+    t0 = time.perf_counter()
+    yield
+    timing[name] = round(time.perf_counter() - t0, 6)
 
 
 @contextlib.contextmanager

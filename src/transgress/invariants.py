@@ -22,9 +22,10 @@ from .algebra import (
     Scalar,
     ZERO,
     _acc_add,
-    permutation_sign,
+    _json_int,
+    _json_list,
 )
-from .lie import LieAlgebra, mat_mul, mat_trace
+from .lie import LieAlgebra, _sparse
 
 __all__ = [
     "InvariantPolynomial",
@@ -245,42 +246,62 @@ def apply_to_coordinates(P: InvariantPolynomial, coords) -> Scalar:
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:
-    """Average of trace(M_{a_sigma(1)} ... M_{a_sigma(k)}) over permutations."""
+    """Average of trace(M_{a_sigma(1)} ... M_{a_sigma(k)}) over permutations.
+
+    Each closed walk of length k through the nonzero matrix entries adds its
+    product to trace(M_word) for the word of matrices it steps through.  The
+    permutations of a sorted tuple give each distinct word prod m_i! times
+    among k!, so the average is the sum over words divided by the number of
+    distinct arrangements.
+    """
     if algebra.matrices is None:
         raise ContractError("symmetrized trace needs a matrix realization")
-    values = {}
-    inv_kfact = Scalar(Fraction(1, factorial(k)))
-    for tup in itertools.combinations_with_replacement(range(algebra.dim), k):
-        total = ZERO
-        for perm in itertools.permutations(tup):
-            prod = algebra.matrices[perm[0]]
-            for a in perm[1:]:
-                prod = mat_mul(prod, algebra.matrices[a])
-            total = total + mat_trace(prod)
-        v = total * inv_kfact
-        if not v.is_zero:
-            values[tup] = v
+    steps: dict = {}  # row -> [(column, matrix index, entry)]
+    for a, M in enumerate(algebra.matrices):
+        for (i, j), v in _sparse(M).items():
+            steps.setdefault(i, []).append((j, a, v))
+    sums: dict = {}
+
+    def walk(start, at, word, prod):
+        for j, a, v in steps.get(at, ()):
+            if len(word) + 1 < k:
+                walk(start, j, word + (a,), prod * v)
+            elif j == start:
+                _acc_add(sums, tuple(sorted(word + (a,))), prod * v)
+
+    if k >= 1:  # InvariantPolynomial refuses degree 0
+        for start in steps:
+            walk(start, start, (), ONE)
+    values = {
+        tup: sums[tup] * Scalar(Fraction(1, _orderings(tup)))
+        for tup in sorted(sums)
+    }
     return InvariantPolynomial(algebra, k, values)
 
 
 def invariant_from_dict(algebra: LieAlgebra, data: dict) -> InvariantPolynomial:
     """User-supplied polarized tensor: ``degree``, ``values`` as pairs of
-    [sorted index list, exact scalar string], optional ``prefactor``."""
+    [sorted integer index list, exact scalar string or integer], optional
+    ``prefactor``.  Anything of another JSON type is rejected with a
+    ContractError."""
+    if not isinstance(data, dict):
+        raise ContractError("a polynomial file must hold a JSON object")
     unknown = set(data) - {"degree", "values", "prefactor"}
     if unknown:
         raise ContractError(f"unknown keys in polynomial file: {sorted(unknown)}")
-    degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    degree = _json_int(data.get("degree"), "degree")
+    if degree < 1:
         raise ContractError("degree must be a positive integer")
     values = {}
-    for item in data.get("values", []):
-        if len(item) != 2:
+    for item in _json_list(data.get("values", []), "values"):
+        if not isinstance(item, list) or len(item) != 2:
             raise ContractError(f"value entry must be [indices, scalar]: {item!r}")
         key, raw = item
-        v = Scalar.parse(raw) if isinstance(raw, str) else Scalar(raw)
-        values[tuple(key)] = v
-    prefactor = data.get("prefactor", "1")
-    prefactor = Scalar.parse(prefactor) if isinstance(prefactor, str) else Scalar(prefactor)
+        key = tuple(_json_int(i, "tensor index") for i in _json_list(key, "indices"))
+        if key in values:
+            raise ContractError(f"duplicate value for {list(key)}")
+        values[key] = Scalar.from_json(raw)
+    prefactor = Scalar.from_json(data.get("prefactor", "1"))
     return InvariantPolynomial(algebra, degree, values, prefactor)
 
 
@@ -291,6 +312,13 @@ def pfaffian(algebra: LieAlgebra) -> InvariantPolynomial:
     eps(i) A_{i1 i2} ... A_{i_{n-1} i_n}, with prefactor
     (-1)^k / (2^k k!) and the unit (2*pi)^(-k).  The overcounting of the
     permutation sum is absorbed by the prefactor.
+
+    The sum is collected over the (n-1)!! perfect matchings instead: each
+    one arises from 2^k k! permutations, all of the sign (-1)^(crossings),
+    and spreads over the k! orderings of its pairs, so its polarized value
+    is 2^k times that sign.  Matchings are listed by pairing the smallest
+    unmatched point with each later one in turn, which is the order in which
+    the permutation sum first meets them.
     """
     if algebra.meta.get("family") != "so":
         raise ContractError("the Pfaffian builder needs a built-in so(n) algebra")
@@ -300,22 +328,20 @@ def pfaffian(algebra: LieAlgebra) -> InvariantPolynomial:
     k = n // 2
     pair_index = {pair: idx for idx, pair in enumerate(algebra.meta["pairs"])}
 
-    coef: dict = {}
-    for perm in itertools.permutations(range(n)):
-        sign = permutation_sign(perm)
-        idxs = []
-        for j in range(k):
-            r, s = perm[2 * j], perm[2 * j + 1]
-            if r < s:
-                idxs.append(pair_index[(r, s)])
-            else:
-                idxs.append(pair_index[(s, r)])
-                sign = -sign
-        key = tuple(sorted(idxs))
-        coef[key] = coef.get(key, 0) + sign
-    values = {
-        key: Scalar(Fraction(c, _orderings(key)))
-        for key, c in coef.items() if c
-    }
+    values = {}
+
+    def match(free, idxs, sign):
+        if not free:
+            values[tuple(sorted(idxs))] = Scalar(sign * 2 ** k)
+            return
+        i = free[0]
+        # the points skipped between i and j are matched later, each with
+        # a partner beyond j (a crossing) or between the two (no net sign)
+        for pos in range(1, len(free)):
+            rest = free[1:pos] + free[pos + 1:]
+            match(rest, idxs + [pair_index[(i, free[pos])]],
+                  -sign if pos % 2 == 0 else sign)
+
+    match(tuple(range(n)), [], 1)
     prefactor = Scalar(Fraction((-1) ** k, (2 ** k) * factorial(k)), two_pi=k)
     return InvariantPolynomial(algebra, k, values, prefactor)

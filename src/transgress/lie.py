@@ -9,6 +9,7 @@ can be cross-validated.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +20,12 @@ from .algebra import (
     ContextError,
     ContractError,
     GradedElement,
+    ONE,
     Scalar,
     ZERO,
+    _acc_add,
+    _json_int,
+    _json_list,
 )
 
 __all__ = [
@@ -38,7 +43,6 @@ __all__ = [
     "u_algebra",
     "su2_algebra",
     "abelian_algebra",
-    "split_from_h",
     "so_subalgebra_split",
     "gl_subalgebra_split",
     "su2_diagonal_split",
@@ -113,67 +117,83 @@ def mat_is_zero(A) -> bool:
     return all(v.is_zero for row in A for v in row)
 
 
-def _flatten(A):
-    return [v for row in A for v in row]
+def _sparse(A) -> dict:
+    """The nonzero entries of a matrix as {(i, j): value}, row by row."""
+    return {
+        (i, j): v
+        for i, row in enumerate(A) for j, v in enumerate(row) if not v.is_zero
+    }
 
 
-def _expand_in_basis(basis_vecs: Sequence[Sequence[Scalar]], targets):
-    """Express each target vector in the given independent basis, exactly.
+def _axpy(acc: dict, f: Scalar, vec: dict) -> None:
+    """acc += f * vec, in place, dropping entries that cancel."""
+    for key, v in vec.items():
+        _acc_add(acc, key, f * v)
 
-    Gaussian elimination over the Gaussian rationals; raises ContractError if
-    a target is outside the span or the basis is dependent.
-    """
-    d = len(basis_vecs)
-    m = len(basis_vecs[0])
-    n_t = len(targets)
-    rows = [
-        [basis_vecs[j][r] for j in range(d)] + [t[r] for t in targets]
-        for r in range(m)
-    ]
-    pivot_rows = []
-    cur = 0
-    for col in range(d):
-        pivot = None
-        for r in range(cur, m):
-            if not rows[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise ContractError("matrix basis is linearly dependent")
-        rows[cur], rows[pivot] = rows[pivot], rows[cur]
-        inv = rows[cur][col].inverse()
-        rows[cur] = [v * inv for v in rows[cur]]
-        for r in range(m):
-            if r == cur:
-                continue
-            f = rows[r][col]
-            if f.is_zero:
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[cur])]
-        pivot_rows.append(cur)
-        cur += 1
-    for r in range(cur, m):
-        if any(not rows[r][d + t].is_zero for t in range(n_t)):
-            raise ContractError("target is outside the span of the basis")
-    return [
-        [rows[pivot_rows[j]][d + t] for j in range(d)] for t in range(n_t)
-    ]
+
+def _sparse_mul(A: dict, B: dict) -> dict:
+    rows_b: dict = {}
+    for (k, j), v in B.items():
+        rows_b.setdefault(k, []).append((j, v))
+    out: dict = {}
+    for (i, k), a in A.items():
+        for j, b in rows_b.get(k, ()):
+            _acc_add(out, (i, j), a * b)
+    return out
+
+
+def _sparse_commutator(A: dict, B: dict) -> dict:
+    out = _sparse_mul(A, B)
+    for key, v in _sparse_mul(B, A).items():
+        _acc_add(out, key, -v)
+    return out
 
 
 def structure_from_matrices(matrices) -> dict:
-    """Structure constants of the span of independent matrices, exactly."""
-    d = len(matrices)
-    basis_vecs = [_flatten(M) for M in matrices]
-    pairs = [(b, c) for b in range(d) for c in range(b + 1, d)]
-    targets = [_flatten(mat_commutator(matrices[b], matrices[c])) for b, c in pairs]
-    coeff_rows = _expand_in_basis(basis_vecs, targets)
+    """Structure constants of the span of independent matrices, exactly.
+
+    The basis is reduced once to fully reduced pivots (pivot entry 1, zero
+    at every other pivot's entry), each carrying its combination of basis
+    indices.  A commutator's coefficient on a pivot is then its entry there,
+    and whatever the pivots leave over is outside the span.
+    """
+    sparse = [_sparse(M) for M in matrices]
+    pivots = []  # (entry, reduced matrix, {basis index: coefficient})
+    for b, M in enumerate(sparse):
+        vec, comb = dict(M), {b: ONE}
+        for entry, pvec, pcomb in pivots:
+            f = vec.get(entry)
+            if f is not None:
+                _axpy(vec, -f, pvec)
+                _axpy(comb, -f, pcomb)
+        if not vec:
+            raise ContractError("matrix basis is linearly dependent")
+        entry = min(vec)
+        inv = vec[entry].inverse()
+        vec = {key: v * inv for key, v in vec.items()}
+        comb = {key: v * inv for key, v in comb.items()}
+        for _, pvec, pcomb in pivots:
+            f = pvec.get(entry)
+            if f is not None:
+                _axpy(pvec, -f, vec)
+                _axpy(pcomb, -f, comb)
+        pivots.append((entry, vec, comb))
+
     structure = {}
-    for (b, c), coeffs in zip(pairs, coeff_rows):
-        for a, v in enumerate(coeffs):
-            if v.is_zero:
-                continue
-            structure[(a, b, c)] = v
-            structure[(a, c, b)] = -v
+    for b in range(len(matrices)):
+        for c in range(b + 1, len(matrices)):
+            residual = _sparse_commutator(sparse[b], sparse[c])
+            coeffs: dict = {}
+            for entry, pvec, pcomb in pivots:
+                f = residual.get(entry)
+                if f is not None:
+                    _axpy(coeffs, f, pcomb)
+                    _axpy(residual, -f, pvec)
+            if residual:
+                raise ContractError("target is outside the span of the basis")
+            for a in sorted(coeffs):
+                structure[(a, b, c)] = coeffs[a]
+                structure[(a, c, b)] = -coeffs[a]
     return structure
 
 
@@ -202,6 +222,13 @@ class LieAlgebra:
         self.labels = tuple(labels)
         self.structure = table
         self.matrices = tuple(make_matrix(M) for M in matrices) if matrices else None
+        if self.matrices:
+            n = len(self.matrices[0])
+            if len(self.matrices) != dim:
+                raise ContractError("need one matrix per basis element")
+            if n == 0 or any(len(M) != n or any(len(row) != n for row in M)
+                             for M in self.matrices):
+                raise ContractError("matrices must be square and of one size")
         self.name = name
         self.meta = dict(meta or {})
         by_bc: dict = {}
@@ -259,6 +286,57 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
+def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
+    """First (b, c, d) in lexicographic order with a nonzero cyclic sum
+    [[b,c],d] + [[c,d],b] + [[d,b],c], reported at its smallest component.
+
+    The sum is the same at all three rotations of (b, c, d), so it is taken
+    once, at the rotation that comes first.  It is empty unless [[b,c],d],
+    [c,d] or [d,b] is nonzero, so only the d that bracket nontrivially with
+    c, with b, or with a component of [b,c] are visited.
+    """
+    right: dict = {}
+    left: dict = {}
+    for (b, c) in algebra._by_bc:
+        right.setdefault(b, set()).add(c)
+        left.setdefault(c, set()).add(b)
+    for b in range(algebra.dim):
+        for c in range(b, algebra.dim):
+            ds = right.get(c, set()) | left.get(b, set())
+            for e, _ in algebra.bracket_on_basis(b, c):
+                ds |= right.get(e, set())
+            for d in sorted(ds):
+                if min((c, d, b), (d, b, c)) < (b, c, d):
+                    continue
+                acc: dict = {}
+                for (pair1, pair2) in (((b, c), d), ((c, d), b), ((d, b), c)):
+                    for e, k1 in algebra.bracket_on_basis(*pair1):
+                        for a, k2 in algebra.bracket_on_basis(e, pair2):
+                            _acc_add(acc, a, k1 * k2)
+                if acc:
+                    a = min(acc)
+                    return ValidationFailure(
+                        "jacobi", (a, b, c, d), f"cyclic sum = {acc[a].render()}")
+    return None
+
+
+def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
+    """First (b, c) whose matrix commutator differs from the table's
+    sum_a c[a,b,c] M_a."""
+    if algebra.matrices is None:
+        return None
+    mats = [_sparse(M) for M in algebra.matrices]
+    for b, c in itertools.product(range(algebra.dim), repeat=2):
+        residual = _sparse_commutator(mats[b], mats[c])
+        for a, v in algebra.bracket_on_basis(b, c):
+            _axpy(residual, -v, mats[a])
+        if residual:
+            return ValidationFailure(
+                "matrix-realization", (b, c),
+                "commutator does not match the table")
+    return None
+
+
 def validate(algebra: LieAlgebra) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity, and the matrix realization.
 
@@ -277,47 +355,10 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
                 f"{(algebra.c(a, b, c) + algebra.c(a, c, b)).render()}"))
             break
 
-    jac_done = False
-    for b in range(algebra.dim):
-        if jac_done:
-            break
-        for c in range(algebra.dim):
-            if jac_done:
-                break
-            for d in range(algebra.dim):
-                acc: dict = {}
-                for (pair1, pair2) in (((b, c), d), ((c, d), b), ((d, b), c)):
-                    for e, k1 in algebra.bracket_on_basis(*pair1):
-                        for a, k2 in algebra.bracket_on_basis(e, pair2):
-                            cur = acc.get(a, ZERO) + k1 * k2
-                            if cur.is_zero:
-                                acc.pop(a, None)
-                            else:
-                                acc[a] = cur
-                if acc:
-                    a = sorted(acc)[0]
-                    failures.append(ValidationFailure(
-                        "jacobi", (a, b, c, d),
-                        f"cyclic sum = {acc[a].render()}"))
-                    jac_done = True
-                    break
-
-    if algebra.matrices is not None:
-        done = False
-        for b in range(algebra.dim):
-            if done:
-                break
-            for c in range(algebra.dim):
-                expected = mat_commutator(algebra.matrices[b], algebra.matrices[c])
-                for a, v in algebra.bracket_on_basis(b, c):
-                    expected = mat_sub(expected, mat_scale(v, algebra.matrices[a]))
-                if not mat_is_zero(expected):
-                    failures.append(ValidationFailure(
-                        "matrix-realization", (b, c),
-                        "commutator does not match the table"))
-                    done = True
-                    break
-
+    for witness in (_jacobi_witness, _realization_witness):
+        failure = witness(algebra)
+        if failure is not None:
+            failures.append(failure)
     return ValidationReport(not failures, failures)
 
 
@@ -532,10 +573,6 @@ def abelian_algebra(d: int) -> LieAlgebra:
                       meta={"family": "abelian", "n": d})
 
 
-def split_from_h(algebra: LieAlgebra, h_indices: Sequence[int]) -> ReductiveSplit:
-    return ReductiveSplit.from_h(algebra.dim, h_indices)
-
-
 def so_subalgebra_split(algebra: LieAlgebra, m: int) -> ReductiveSplit:
     """so(m) inside so(n): pairs contained in the first m coordinates."""
     if algebra.meta.get("family") != "so":
@@ -596,32 +633,40 @@ def named_split(algebra: LieAlgebra, spec: Optional[str]) -> ReductiveSplit:
         indices = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
         raise ContractError(f"cannot resolve subalgebra {spec!r}") from None
-    return split_from_h(algebra, indices)
+    return ReductiveSplit.from_h(algebra.dim, indices)
 
 
 def algebra_from_dict(data: dict) -> LieAlgebra:
     """Build a custom algebra from the JSON-shaped table format.
 
-    Required: ``dim`` and ``entries`` (quadruples [a, b, c, value] with exact
-    rational strings, meaning c[a,b,c] = value).  A missing mirror entry
-    (a, c, b) is filled in antisymmetrically; a present one must already be
-    the negative, otherwise the table is rejected.  Optional: ``labels`` and
-    ``matrices`` (rational strings).
+    Required: ``dim`` and ``entries`` (quadruples [a, b, c, value] with
+    integer indices and an exact scalar string or integer, meaning
+    c[a,b,c] = value).  A missing mirror entry (a, c, b) is filled in
+    antisymmetrically; a present one must already be the negative, otherwise
+    the table is rejected.  Optional: ``labels`` and ``matrices`` (one per
+    basis element, square and all of one size, with exact scalar entries).  Anything of another JSON
+    type is rejected with a ContractError.
     """
+    if not isinstance(data, dict):
+        raise ContractError("an algebra file must hold a JSON object")
     unknown = set(data) - {"dim", "labels", "entries", "matrices", "name"}
     if unknown:
         raise ContractError(f"unknown keys in algebra file: {sorted(unknown)}")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim <= 0:
+    dim = _json_int(data.get("dim"), "dim")
+    if dim <= 0:
         raise ContractError("dim must be a positive integer")
     labels = data.get("labels") or [f"e[{a + 1}]" for a in range(dim)]
+    if any(not isinstance(label, str) for label in _json_list(labels, "labels")):
+        raise ContractError("labels must be strings")
+    name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise ContractError(f"name must be a string, not {name!r}")
     structure: dict = {}
-    for entry in data.get("entries", []):
-        if len(entry) != 4:
+    for entry in _json_list(data.get("entries", []), "entries"):
+        if not isinstance(entry, list) or len(entry) != 4:
             raise ContractError(f"entry must be [a, b, c, value]: {entry!r}")
-        a, b, c, value = entry
-        key = (int(a), int(b), int(c))
-        v = Scalar.parse(value) if isinstance(value, str) else Scalar(value)
+        key = tuple(_json_int(i, "structure index") for i in entry[:3])
+        v = Scalar.from_json(entry[3])
         if key in structure:
             raise ContractError(f"duplicate entry for {key}")
         structure[key] = v
@@ -640,20 +685,18 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
     matrices = None
     if data.get("matrices") is not None:
         matrices = [
-            [[Scalar.parse(v) if isinstance(v, str) else Scalar(v) for v in row]
-             for row in M]
-            for M in data["matrices"]
+            [[Scalar.from_json(v) for v in _json_list(row, "matrix row")]
+             for row in _json_list(M, "matrix")]
+            for M in _json_list(data["matrices"], "matrices")
         ]
-        if len(matrices) != dim:
-            raise ContractError("need one matrix per basis element")
     return LieAlgebra(dim, labels, structure, matrices,
-                      name=data.get("name", "custom"), meta={"family": "custom"})
+                      name=name, meta={"family": "custom"})
 
 
 def algebra_from_file(path: str) -> LieAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ContractError(f"cannot parse {path}: {exc}") from None
     return algebra_from_dict(data)

@@ -59,6 +59,14 @@ class TestScalar:
     def test_zero_normalizes_unit(self):
         assert Scalar(0, 0, two_pi=5) == ZERO
 
+    def test_from_json_is_exact(self):
+        assert Scalar.from_json("1/10") == Scalar(Fraction(1, 10))
+        assert Scalar.from_json("1/2+i") == Scalar(Fraction(1, 2), 1)
+        assert Scalar.from_json(-3) == Scalar(-3)
+        for value in (0.1, 1.0, True, None, [1], {"re": 1}):
+            with pytest.raises(ContractError):
+                Scalar.from_json(value)
+
     def test_add_requires_matching_two_pi(self):
         a = Scalar(1, two_pi=1)
         b = Scalar(1, two_pi=2)

@@ -132,6 +132,14 @@ class TestRun:
             for coeff, mono in info["terms"]:
                 assert isinstance(coeff, str) and isinstance(mono, str)
 
+    def test_stage_timings_cover_the_run(self):
+        timing = run(parse(["--preset", "paper-so4"])).stats["timing"]
+        for stage in ("algebra", "algebra-valid", "split-valid", "setup",
+                      "polynomial", "polynomial-ad-invariant"):
+            assert stage in timing
+        staged = sum(v for name, v in timing.items() if name != "total")
+        assert staged >= 0.95 * timing["total"], timing
+
     def test_rendered_two_pi_convention(self):
         config = parse(["--algebra", "so2", "--sub", "none",
                         "--poly", "pfaffian"])
@@ -271,6 +279,38 @@ class TestUsageErrors:
         code, err = run_cli(*args)
         assert code == 2, err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, payload, names", [
+        ("--algebra", {"dim": 2, "entries": 5}, "entries"),
+        ("--algebra", {"dim": 2, "entries": [[0, 0, 1, 0.1]]}, "0.1"),
+        ("--algebra", {"dim": 2, "entries": [[0, 0, 1, True]]}, "True"),
+        ("--algebra", {"dim": 1, "entries": [], "matrices": [[[0.5]]]}, "0.5"),
+        ("--algebra", {"dim": 2, "entries": [],
+                       "matrices": [[["1"]], [["1", "0"], ["0", "1"]]]}, "square"),
+        ("--algebra", [1, 2], "JSON object"),
+        ("--poly", {"degree": 2, "values": [[[0, 0], 0.1]]}, "0.1"),
+        ("--poly", {"degree": 2, "values": [[[0, 0], "1"]], "prefactor": 0.5},
+         "0.5"),
+        ("--poly", {"degree": 2, "values": [[[False, 0], "1"]]}, "False"),
+        ("--poly", {"degree": 1, "values": [[[0], "1"], [[0], "5"]]}, "duplicate"),
+        ("--config", {"algebra": "so4", "seed": "x"}, "seed"),
+        ("--config", {"algebra": "so4", "seed": 1.5}, "seed"),
+        ("--config", ["so4"], "JSON object"),
+    ], ids=["entries-int", "entry-float", "entry-bool", "matrix-float",
+            "matrix-ragged", "algebra-list", "value-float", "prefactor-float", "index-bool",
+            "value-duplicate", "seed-str", "seed-float", "config-list"])
+    def test_bad_input_file(self, tmp_path, flag, payload, names):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        args = {"--algebra": ("--algebra", str(path), "--sub", "none"),
+                "--poly": ("--algebra", "gl2", "--sub", "none",
+                           "--poly", str(path)),
+                "--config": ("--config", str(path))}[flag]
+        code, err = run_cli(*args)
+        assert code == 2, err
+        assert err.startswith("error: ")
+        assert names in err
         assert "Traceback" not in err
 
     def test_out_path_checked_before_computing(self, monkeypatch, capsys):

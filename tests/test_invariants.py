@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bareiss_determinant,
     dense_ad_invariance_witness,
     naive_evaluate,
+    pfaffian_by_permutations,
+    perm_sign_by_swaps,
     pfaffian_permutation_sum,
     skew_coordinates,
+    symmetrized_trace_permutation_sum,
 )
 from transgress.algebra import Context, ContractError, Generator, Scalar
 from transgress.invariants import (
@@ -147,6 +152,75 @@ class TestPfaffianValues:
         P = pfaffian(setup.algebra)
         k = P.degree
         assert evaluate(P, [setup.sub_curvature] * k).is_zero
+
+
+# The largest degree per algebra at which the permutation-sum oracle stays
+# well under a second.
+TRACE_ORACLE_DEGREES = {
+    "so4": 4, "so5": 3, "so6": 2, "gl2": 4, "gl3": 3, "gl4": 2,
+    "u2": 4, "u3": 3, "su2": 4, "abelian3": 4,
+}
+
+
+def random_skew(rng, n):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+class TestSparseTensorOracles:
+    """The closed-walk trace and the matching Pfaffian against the
+    permutation sums they replace: the same items in the same order."""
+
+    @pytest.mark.parametrize("name, k", [
+        (name, k) for name, top in TRACE_ORACLE_DEGREES.items()
+        for k in range(1, top + 1)])
+    def test_symmetrized_trace(self, name, k):
+        algebra = named_algebra(name)
+        got = symmetrized_trace(algebra, k)
+        want = symmetrized_trace_permutation_sum(algebra, k)
+        assert list(got.values.items()) == list(want.values.items())
+        assert got.prefactor == want.prefactor
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_pfaffian(self, n):
+        algebra = so_algebra(n)
+        got, want = pfaffian(algebra), pfaffian_by_permutations(algebra)
+        assert list(got.values.items()) == list(want.values.items())
+        assert got.prefactor == want.prefactor
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_pfaffian_squared_is_determinant(self, n):
+        algebra = so_algebra(n)
+        P = pfaffian(algebra)
+        k = n // 2
+        # apply_to_coordinates gives (-1)^k Pf(A) (2pi)^-k
+        unscale = Scalar((-1) ** k, 0, -k)
+        rng = random.Random(2000 + n)
+        for _ in range(5):
+            rows = random_skew(rng, n)
+            coords = skew_coordinates(algebra, make_matrix(rows))
+            pf = apply_to_coordinates(P, coords) * unscale
+            assert pf.im == 0 and pf.two_pi == 0
+            assert pf.re ** 2 == bareiss_determinant(rows)
+
+    def test_bareiss_matches_leibniz(self):
+        rng = random.Random(7)
+        for n in (1, 2, 3, 4):
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(n)] for _ in range(n)]
+            leibniz = Fraction(0)
+            for perm in itertools.permutations(range(n)):
+                term = Fraction(perm_sign_by_swaps(perm))
+                for i, j in enumerate(perm):
+                    term *= rows[i][j]
+                leibniz += term
+            assert bareiss_determinant(rows) == leibniz
+        assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+        assert bareiss_determinant([[1, 2], [2, 4]]) == 0
 
 
 class TestEvaluate:

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import dense_structure_from_matrices, dense_validate
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
 from transgress.lie import (
     LieAlgebra,
@@ -14,6 +17,7 @@ from transgress.lie import (
     bracket,
     gl_algebra,
     gl_subalgebra_split,
+    make_matrix,
     mat_commutator,
     mat_is_zero,
     mat_sub,
@@ -129,6 +133,117 @@ class TestValidate:
                 tr = mat_trace(mat_mul(algebra.matrices[a], algebra.matrices[b]))
                 want = Scalar(Fraction(-1, 2)) if a == b else Scalar(0)
                 assert tr == want
+
+
+# The built-in algebras up to dimension 16.
+BUILTINS_UP_TO_16 = (
+    ["so2", "so3", "so4", "so5", "so6", "gl1", "gl2", "gl3", "gl4",
+     "u1", "u2", "u3", "u4", "su2", "abelian1", "abelian4"])
+
+
+def elementary(n, i, j, value=1):
+    rows = [[0] * n for _ in range(n)]
+    rows[i][j] = value
+    return make_matrix(rows)
+
+
+def bumped_table(name, *bumps):
+    """A built-in algebra with each c[a,b,c] of the bumps (a, b, c, value,
+    mirror) raised by value; with mirror, the (a, c, b) entry is set to its
+    negative, as ``--corrupt structure`` does."""
+    algebra = named_algebra(name)
+    structure = dict(algebra.structure)
+    for a, b, c, value, mirror in bumps:
+        bumped = structure.get((a, b, c), Scalar(0)) + value
+        structure[(a, b, c)] = bumped
+        if mirror:
+            structure[(a, c, b)] = -bumped
+    return LieAlgebra(algebra.dim, algebra.labels, structure, algebra.matrices,
+                      name=name + "+corrupt", meta=algebra.meta)
+
+
+def perturbed_matrix(name, m, i, j, value):
+    """A built-in algebra whose m-th matrix has entry (i, j) raised by value."""
+    algebra = named_algebra(name)
+    mats = [[list(row) for row in M] for M in algebra.matrices]
+    mats[m][i][j] = mats[m][i][j] + value
+    return LieAlgebra(algebra.dim, algebra.labels, algebra.structure, mats,
+                      name=name + "+perturbed", meta=algebra.meta)
+
+
+oracle_scalars = st.sampled_from(
+    [Scalar(1), Scalar(-1), Scalar(Fraction(1, 2)), Scalar(0, 1), Scalar(2, -1)])
+
+
+@st.composite
+def corrupted_tables(draw):
+    name = draw(st.sampled_from(["so4", "gl3", "u2"]))
+    index = st.integers(0, named_algebra(name).dim - 1)
+    bumps = draw(st.lists(
+        st.tuples(index, index, index, oracle_scalars, st.booleans()),
+        min_size=1, max_size=3))
+    return bumped_table(name, *bumps)
+
+
+@st.composite
+def perturbed_realizations(draw):
+    name = draw(st.sampled_from(["so4", "gl3", "u2"]))
+    algebra = named_algebra(name)
+    n = len(algebra.matrices[0])
+    m = draw(st.integers(0, algebra.dim - 1))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return perturbed_matrix(name, m, i, j, draw(oracle_scalars))
+
+
+class TestSparseSetupOracles:
+    """Structure constants and validation from the nonzero matrix entries
+    against the dense elimination and the full dim^3 scan: the same items
+    in the same order, the same report and the same errors."""
+
+    @pytest.mark.parametrize("name", BUILTINS_UP_TO_16)
+    def test_structure_items_in_order(self, name):
+        mats = named_algebra(name).matrices
+        got = structure_from_matrices(mats)
+        assert list(got.items()) == list(dense_structure_from_matrices(mats).items())
+
+    @pytest.mark.parametrize("mats, message", [
+        ([elementary(2, 0, 0), elementary(2, 0, 0, 2)], "linearly dependent"),
+        ([elementary(2, 0, 1), elementary(2, 1, 0)], "outside the span"),
+        # dependence is reported before any commutator is expressed
+        ([elementary(2, 0, 1), elementary(2, 1, 0), elementary(2, 0, 1, -3)],
+         "linearly dependent"),
+    ], ids=["dependent", "outside-span", "both"])
+    def test_contract_errors(self, mats, message):
+        for build in (structure_from_matrices, dense_structure_from_matrices):
+            with pytest.raises(ContractError, match=message):
+                build(mats)
+
+    @pytest.mark.parametrize("name", ["so4", "so6", "gl3", "u3", "su2", "abelian3"])
+    def test_builtin_reports(self, name):
+        algebra = named_algebra(name)
+        assert validate(algebra) == dense_validate(algebra)
+
+    @given(corrupted_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_tables(self, algebra):
+        assert validate(algebra) == dense_validate(algebra)
+
+    @given(perturbed_realizations())
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_matrix(self, algebra):
+        assert validate(algebra) == dense_validate(algebra)
+
+    @pytest.mark.parametrize("algebra", [
+        bumped_table("so4", (0, 1, 2, Scalar(1), True)),
+        bumped_table("gl3", (4, 0, 1, Scalar(1), True)),
+        bumped_table("u2", (1, 2, 3, Scalar(1), True)),
+        bumped_table("so4", (3, 2, 5, Scalar(0, 1), False)),
+        perturbed_matrix("so4", 2, 0, 3, Scalar(1)),
+    ], ids=["so4", "gl3", "u2", "so4-one-sided", "so4-matrix"])
+    def test_pinned_failures(self, algebra):
+        report = validate(algebra)
+        assert not report.passed
+        assert report == dense_validate(algebra)
 
 
 class TestSplits:
@@ -358,6 +473,14 @@ class TestNamedAndFiles:
         assert algebra.c(0, 0, 1) == Scalar(Fraction(-1, 2))
         assert algebra.c(0, 1, 0) == Scalar(Fraction(1, 2))
         assert validate(algebra).passed
+
+    def test_matrices_must_match_the_basis(self):
+        algebra = so_algebra(3)
+        with pytest.raises(ContractError, match="one matrix per basis"):
+            LieAlgebra(3, algebra.labels, algebra.structure, algebra.matrices[:2])
+        ragged = [algebra.matrices[0], algebra.matrices[1], [[Scalar(0)]]]
+        with pytest.raises(ContractError, match="square"):
+            LieAlgebra(3, algebra.labels, algebra.structure, ragged)
 
     def test_gaussian_detection(self):
         assert su2_algebra().has_imaginary_data()

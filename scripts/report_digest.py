@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per configuration of its JSON report, timings
+removed, so that two checkouts can be compared in one command.
+
+Each configuration goes through ``cli.parse_config`` and ``cli.run``; the
+digest covers ``Report.to_dict()`` without ``stats.timing``.  Run it on both
+checkouts from the root of the repository (one config names a file by a
+relative path) and compare the outputs:
+
+    PYTHONPATH=<checkout>/src python3 scripts/report_digest.py [--large]
+
+``--large`` adds so10/so9 with three routes, which takes about 20 s.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+
+from transgress.cli import parse_config, run
+
+SO_ROUTES = ("--poly", "pfaffian", "--method", "integral,johnson,chern")
+TRACE_ROUTES = ("--method", "integral,johnson")
+
+CONFIGS = [
+    ("paper-gl3", ("--preset", "paper-gl3")),
+    ("paper-so4", ("--preset", "paper-so4")),
+    ("paper-so6", ("--preset", "paper-so6")),
+    ("so8/so7", ("--algebra", "so8", "--sub", "so7") + SO_ROUTES),
+    ("u3:trace^4", ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4")
+     + TRACE_ROUTES),
+    ("gl4/gl3:trace^3", ("--algebra", "gl4", "--sub", "gl3", "--poly", "trace^3")
+     + TRACE_ROUTES),
+    ("su2/u1", ("--algebra", "su2", "--sub", "u1", "--poly", "trace^2")
+     + TRACE_ROUTES),
+    ("so4:structure=0,1,2", ("--algebra", "so4", "--sub", "so3",
+                             "--corrupt", "structure=0,1,2") + SO_ROUTES),
+    ("so4:structure=5,3,4", ("--algebra", "so4", "--sub", "so3",
+                             "--corrupt", "structure=5,3,4") + SO_ROUTES),
+    ("gl3:structure=0,1,3", ("--algebra", "gl3", "--sub", "gl2", "--poly",
+                             "trace^2", "--corrupt", "structure=0,1,3")
+     + TRACE_ROUTES),
+    ("u2:structure=1,2,3", ("--algebra", "u2", "--sub", "0,1", "--poly",
+                            "trace^2", "--corrupt", "structure=1,2,3")
+     + TRACE_ROUTES),
+    ("gl3:noninvariant", ("--algebra", "gl3", "--sub", "gl2", "--poly",
+                          "perfbench/noninvariant_gl3.json") + TRACE_ROUTES),
+]
+
+LARGE = [
+    ("so10/so9", ("--algebra", "so10", "--sub", "so9") + SO_ROUTES),
+]
+
+
+def digest(argv) -> str:
+    config, _ = parse_config(list(argv) + ["--check", "all", "--output", "json"])
+    report = run(config).to_dict()
+    del report["stats"]["timing"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--large", action="store_true",
+                        help="also run so10/so9 with three routes")
+    args = parser.parse_args()
+    for label, argv in CONFIGS + (LARGE if args.large else []):
+        print(label, digest(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd as _gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -64,57 +65,97 @@ class Scalar:
     ``two_pi`` is the exponent of the unit (2*pi)^(-1), so a scalar with
     ``two_pi == k`` stands for ``(re + im*i) / (2*pi)**k``.  Addition demands
     equal unit powers (except against exact zero), multiplication adds them.
-    Fractions are kept in lowest terms with positive denominators by the
-    Fraction type itself.
+
+    The value is held as Python ints ``(_re + _im*i) / _den`` with
+    ``_den > 0`` and ``gcd(_re, _im, _den) == 1``, and zero is
+    ``(0, 0, 1, 0)``.  That form is unique, so equal scalars have equal
+    fields and arithmetic never builds a Fraction; ``re`` and ``im`` give
+    the parts as Fractions.
     """
 
-    __slots__ = ("re", "im", "two_pi")
+    __slots__ = ("_re", "_im", "_den", "two_pi")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0, two_pi: int = 0):
-        re = re if isinstance(re, Fraction) else Fraction(re)
-        im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            den = 1
+        else:
+            re = re if isinstance(re, Fraction) else Fraction(re)
+            im = im if isinstance(im, Fraction) else Fraction(im)
+            # both parts are in lowest terms, so over the lcm of their
+            # denominators the three-way gcd is already 1
+            rd, id_ = re.denominator, im.denominator
+            den = rd * id_ // _gcd(rd, id_)
+            re = re.numerator * (den // rd)
+            im = im.numerator * (den // id_)
         if not re and not im:
             two_pi = 0
-        self.re = re
-        self.im = im
+        self._re = re
+        self._im = im
+        self._den = den
         self.two_pi = two_pi
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._re and not self._im
 
     @property
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im and not self.two_pi
+        return (self._re == 1 and self._den == 1 and not self._im
+                and not self.two_pi)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._re or self._im)
 
     @staticmethod
     def _coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1, 0)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator, 0)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     def __add__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if self.is_zero:
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+        ar, ai = self._re, self._im
+        if not ar and not ai:
             return other
-        if other.is_zero:
+        br, bi = other._re, other._im
+        if not br and not bi:
             return self
-        if self.two_pi != other.two_pi:
+        two_pi = self.two_pi
+        if two_pi != other.two_pi:
             raise ContractError(
                 f"cannot add scalars with different (2pi) powers: "
-                f"{self.two_pi} vs {other.two_pi}"
+                f"{two_pi} vs {other.two_pi}"
             )
-        return Scalar(self.re + other.re, self.im + other.im, self.two_pi)
+        ad, bd = self._den, other._den
+        if ad == bd:
+            re, im, den = ar + br, ai + bi, ad
+        else:
+            re, im, den = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
+        if not re and not im:
+            return ZERO
+        if den != 1:
+            g = _gcd(re, im, den)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        return _make(re, im, den, two_pi)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im, self.two_pi)
+        return _make(-self._re, -self._im, self._den, self.two_pi)
 
     def __sub__(self, other) -> "Scalar":
         return self + (-self._coerce(other))
@@ -123,26 +164,41 @@ class Scalar:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        if not ai and not bi:
+            re = ar * br
+            if not re:
+                return ZERO
+            den = self._den * other._den
+            if den != 1:
+                g = _gcd(re, den)
+                if g != 1:
+                    re, den = re // g, den // g
+            return _make(re, 0, den, self.two_pi + other.two_pi)
+        re = ar * br - ai * bi
+        im = ar * bi + ai * br
+        if not re and not im:
             return ZERO
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re, 0, self.two_pi + other.two_pi)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.two_pi + other.two_pi,
-        )
+        den = self._den * other._den
+        g = _gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        return _make(re, im, den, self.two_pi + other.two_pi)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero:
+        re, im, den = self._re, self._im, self._den
+        if not re and not im:
             raise ZeroDivisionError("scalar is zero")
-        if not self.im:
-            return Scalar(1 / self.re, 0, -self.two_pi)
-        norm = self.re * self.re + self.im * self.im
-        return Scalar(self.re / norm, -self.im / norm, -self.two_pi)
+        # 1 / ((re + im*i) / den) = den * (re - im*i) / (re^2 + im^2)
+        if not im:
+            return _make(den if re > 0 else -den, 0, abs(re), -self.two_pi)
+        re, im, norm = den * re, -den * im, re * re + im * im
+        g = _gcd(re, im, norm)
+        return _make(re // g, im // g, norm // g, -self.two_pi)
 
     def __truediv__(self, other) -> "Scalar":
         return self * self._coerce(other).inverse()
@@ -162,12 +218,13 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
-                other = Scalar(other)
+                other = Scalar._coerce(other)
             else:
                 return NotImplemented
         return (
-            self.re == other.re
-            and self.im == other.im
+            self._re == other._re
+            and self._im == other._im
+            and self._den == other._den
             and self.two_pi == other.two_pi
         )
 
@@ -219,13 +276,14 @@ class Scalar:
         """Exact string form; the (2*pi) unit renders as ``(2pi)^-k``."""
         if self.is_zero:
             return "0"
-        if not self.im:
-            core = str(self.re)
-        elif not self.re:
-            core = self._imag_str(self.im)
+        re, im = self.re, self.im
+        if not im:
+            core = str(re)
+        elif not re:
+            core = self._imag_str(im)
         else:
-            sign = "+" if self.im > 0 else "-"
-            core = f"({self.re}{sign}{self._imag_str(abs(self.im))})"
+            sign = "+" if im > 0 else "-"
+            core = f"({re}{sign}{self._imag_str(abs(im))})"
         if self.two_pi:
             core += f"*(2pi)^{-self.two_pi}"
         return core
@@ -240,6 +298,19 @@ class Scalar:
 
     def __repr__(self) -> str:
         return self.render()
+
+
+_new = object.__new__
+
+
+def _make(re: int, im: int, den: int, two_pi: int) -> Scalar:
+    """A Scalar from fields already in canonical form, skipping coercion."""
+    s = _new(Scalar)
+    s._re = re
+    s._im = im
+    s._den = den
+    s.two_pi = two_pi
+    return s
 
 
 def _json_int(value, what: str) -> int:

@@ -305,6 +305,28 @@ def invariant_from_dict(algebra: LieAlgebra, data: dict) -> InvariantPolynomial:
     return InvariantPolynomial(algebra, degree, values, prefactor)
 
 
+def _perfect_matchings(points: tuple):
+    """Signed perfect matchings of an ascending tuple of points.
+
+    Yields (pairs, sign): ``pairs`` lists each pair (smaller, larger) in the
+    order the points were matched, and ``sign`` is the sign of the
+    permutation that lists the pairs one after the other, which is
+    (-1)^(crossings).  The smallest unmatched point is paired with each
+    later one in turn; the points skipped between the two are matched later,
+    each with a partner beyond the pair (a crossing) or inside it (no net
+    sign).
+    """
+    if not points:
+        yield (), 1
+        return
+    first = points[0]
+    for pos in range(1, len(points)):
+        flip = -1 if pos % 2 == 0 else 1
+        rest = points[1:pos] + points[pos + 1:]
+        for pairs, sign in _perfect_matchings(rest):
+            yield ((first, points[pos]),) + pairs, flip * sign
+
+
 def pfaffian(algebra: LieAlgebra) -> InvariantPolynomial:
     """The scaled Pfaffian on so(2k), polarized over the pair basis.
 
@@ -316,9 +338,8 @@ def pfaffian(algebra: LieAlgebra) -> InvariantPolynomial:
     The sum is collected over the (n-1)!! perfect matchings instead: each
     one arises from 2^k k! permutations, all of the sign (-1)^(crossings),
     and spreads over the k! orderings of its pairs, so its polarized value
-    is 2^k times that sign.  Matchings are listed by pairing the smallest
-    unmatched point with each later one in turn, which is the order in which
-    the permutation sum first meets them.
+    is 2^k times that sign.  ``_perfect_matchings`` lists them in the order
+    in which the permutation sum first meets them.
     """
     if algebra.meta.get("family") != "so":
         raise ContractError("the Pfaffian builder needs a built-in so(n) algebra")
@@ -329,19 +350,7 @@ def pfaffian(algebra: LieAlgebra) -> InvariantPolynomial:
     pair_index = {pair: idx for idx, pair in enumerate(algebra.meta["pairs"])}
 
     values = {}
-
-    def match(free, idxs, sign):
-        if not free:
-            values[tuple(sorted(idxs))] = Scalar(sign * 2 ** k)
-            return
-        i = free[0]
-        # the points skipped between i and j are matched later, each with
-        # a partner beyond j (a crossing) or between the two (no net sign)
-        for pos in range(1, len(free)):
-            rest = free[1:pos] + free[pos + 1:]
-            match(rest, idxs + [pair_index[(i, free[pos])]],
-                  -sign if pos % 2 == 0 else sign)
-
-    match(tuple(range(n)), [], 1)
+    for pairs, sign in _perfect_matchings(tuple(range(n))):
+        values[tuple(sorted(pair_index[p] for p in pairs))] = Scalar(sign * 2 ** k)
     prefactor = Scalar(Fraction((-1) ** k, (2 ** k) * factorial(k)), two_pi=k)
     return InvariantPolynomial(algebra, k, values, prefactor)

@@ -33,7 +33,7 @@ from .algebra import (
     t_derivative,
     _acc_add,
 )
-from .invariants import InvariantPolynomial, evaluate
+from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
 from .lie import bracket
 from .weil import UniversalSetup
 
@@ -96,10 +96,8 @@ def _finish(form: GradedElement, method: str,
 def tp_integral(setup: UniversalSetup, P: InvariantPolynomial) -> TransgressionResult:
     """k * integral over [0,1] of P(tensor part, family, ..., family)."""
     _check_poly_setup(setup, P)
-    k = P.degree
-    args = [setup.tensor_form] + [setup.deformed_curvature] * (k - 1)
-    integrand = evaluate(P, args)
-    form = integrate_unit_interval(integrand).scale(Scalar(k))
+    integrand = setup.transgression_integrand(P)
+    form = integrate_unit_interval(integrand).scale(Scalar(P.degree))
     return _finish(form, "integral", P)
 
 
@@ -178,6 +176,15 @@ def tp_chern_euler(setup: UniversalSetup, P: InvariantPolynomial = None) -> Tran
 
     with alpha running over permutations of the first n-1 coordinates and
     the matrix entries read off the generator components.
+
+    The permutations are collected by the 2j points they pair up and the
+    matching of those points.  With the pairs ascending and the other points
+    in ascending order, the permutation ``pairs + complement`` has the sign
+    of the matching times the shuffle sign of ``subset + complement``.  The
+    2^j j! (2k-2j-1)! permutations that reorder the pairs, flip a pair or
+    reorder the complement all give this same signed monomial, so the
+    weight of each (subset, matching) is the integer
+    (-1)^(j+1) (2^j j! (2k-2j-1)!) / (2^j j! (2k-2j-1)!!) = (-1)^(j+1) (2k-2j-2)!!.
     """
     algebra = setup.algebra
     if algebra.meta.get("family") != "so":
@@ -194,33 +201,24 @@ def tp_chern_euler(setup: UniversalSetup, P: InvariantPolynomial = None) -> Tran
 
     dim = algebra.dim
     last = n - 1
-    acc = {}
+    terms = {}
     for j in range(k):
         # Classical alternating sign (-1)^(j+1), with one extra flip per
         # paired connection factor: in this engine's wedge convention the
         # half-bracket block entry is minus the product of the two
         # connection entries, and the j-term carries k-j-1 such pairs.
-        weight = Scalar(Fraction(
-            (-1) ** (j + 1) * (-1) ** (k - j - 1),
-            (2 ** j) * factorial(j) * double_factorial(2 * k - 2 * j - 1)))
-        for alpha in itertools.permutations(range(last)):
-            sign = permutation_sign(alpha)
-            even_part = []
-            for m in range(j):
-                r, s = alpha[2 * m], alpha[2 * m + 1]
-                if r < s:
-                    even_part.append(dim + pair_index[(r, s)])
-                else:
-                    even_part.append(dim + pair_index[(s, r)])
-                    sign = -sign
-            odd_word = []
-            for m in range(2 * j, last):
-                odd_word.append(pair_index[(alpha[m], last)])
-            sort_sign = permutation_sign(odd_word)
-            mono = Monomial(tuple(sorted(odd_word)), tuple(sorted(even_part)), 0)
-            coeff = weight * Scalar(sign * sort_sign)
-            _acc_add(acc, mono, coeff)
-    form = GradedElement(setup.context, acc).scale(Scalar(1, two_pi=k))
+        weight = ((-1) ** (j + 1) * (-1) ** (k - j - 1)
+                  * double_factorial(2 * k - 2 * j - 2))
+        for subset in itertools.combinations(range(last), 2 * j):
+            complement = tuple(p for p in range(last) if p not in subset)
+            shuffle = permutation_sign(subset + complement)
+            # pairs are ordered lexicographically, so the odd word is sorted
+            odd = tuple(pair_index[(p, last)] for p in complement)
+            # distinct (subset, matching) give distinct monomials
+            for matched, sign in _perfect_matchings(subset):
+                even = tuple(sorted(dim + pair_index[p] for p in matched))
+                terms[Monomial(odd, even, 0)] = Scalar(weight * shuffle * sign)
+    form = GradedElement(setup.context, terms).scale(Scalar(1, two_pi=k))
     return _finish(form, "chern", P or _pfaffian_for(setup))
 
 
@@ -294,7 +292,7 @@ def derivative_identity_check(setup: UniversalSetup,
     k = P.degree
     family = setup.deformed_curvature
     lhs = t_derivative(evaluate(P, [family] * k))
-    rhs = setup.d(evaluate(P, [setup.tensor_form] + [family] * (k - 1))).scale(Scalar(k))
+    rhs = setup.d(setup.transgression_integrand(P)).scale(Scalar(k))
     return _zero_check("derivative-identity", lhs - rhs)
 
 

@@ -82,6 +82,7 @@ class UniversalSetup:
         self.sub_connection, self.tensor_form = project(split, self.connection)
         self._interior_cache = {}
         self._difference_cache = {}
+        self._integrand_cache = {}
 
     # -- derived forms ------------------------------------------------------
 
@@ -146,6 +147,17 @@ class UniversalSetup:
             cached = (evaluate(P, [self.curvature] * k)
                       - evaluate(P, [self.sub_curvature] * k))
             self._difference_cache[P] = cached
+        return cached
+
+    def transgression_integrand(self, P: InvariantPolynomial) -> GradedElement:
+        """P(tensor part, family, ..., family), the t-polynomial that the
+        integral route integrates and the derivative identity differentiates;
+        computed once per polynomial object."""
+        cached = self._integrand_cache.get(P)
+        if cached is None:
+            args = [self.tensor_form] + [self.deformed_curvature] * (P.degree - 1)
+            cached = evaluate(P, args)
+            self._integrand_cache[P] = cached
         return cached
 
     # -- equivariant derivations --------------------------------------------

@@ -1,11 +1,21 @@
 """Independent reference implementations used as test oracles."""
 
 import itertools
+import re as re_module
 from fractions import Fraction
 from math import factorial
+from typing import Union
 
-from transgress.algebra import ContractError, Scalar, ZERO, permutation_sign
-from transgress.invariants import InvariantPolynomial, _orderings
+from transgress.algebra import (
+    ContractError,
+    GradedElement,
+    Monomial,
+    Scalar,
+    ZERO,
+    _acc_add,
+    permutation_sign,
+)
+from transgress.invariants import InvariantPolynomial, _orderings, pfaffian
 from transgress.lie import (
     ValidationFailure,
     ValidationReport,
@@ -16,6 +26,7 @@ from transgress.lie import (
     mat_sub,
     mat_trace,
 )
+from transgress.transgression import _finish, double_factorial
 
 
 def naive_evaluate(P, args):
@@ -322,3 +333,252 @@ def bareiss_determinant(matrix) -> Fraction:
             rows[r][col] = Fraction(0)
         prev = p
     return sign * rows[n - 1][n - 1]
+
+
+# The Scalar of Fraction parts that the integer-numerator Scalar replaced,
+# kept as the oracle it is compared with field by field.
+RationalLike = Union[int, Fraction]
+
+
+class FractionScalar:
+    """A Gaussian rational times a formal power of (2*pi)^(-1).
+
+    ``two_pi`` is the exponent of the unit (2*pi)^(-1), so a scalar with
+    ``two_pi == k`` stands for ``(re + im*i) / (2*pi)**k``.  Addition demands
+    equal unit powers (except against exact zero), multiplication adds them.
+    Fractions are kept in lowest terms with positive denominators by the
+    Fraction type itself.
+    """
+
+    __slots__ = ("re", "im", "two_pi")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0, two_pi: int = 0):
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        if not re and not im:
+            two_pi = 0
+        self.re = re
+        self.im = im
+        self.two_pi = two_pi
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    @property
+    def is_one(self) -> bool:
+        return self.re == 1 and not self.im and not self.two_pi
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    @staticmethod
+    def _coerce(value) -> "FractionScalar":
+        if isinstance(value, FractionScalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionScalar(value)
+        raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+    def __add__(self, other) -> "FractionScalar":
+        other = self._coerce(other)
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.two_pi != other.two_pi:
+            raise ContractError(
+                f"cannot add scalars with different (2pi) powers: "
+                f"{self.two_pi} vs {other.two_pi}"
+            )
+        return FractionScalar(self.re + other.re, self.im + other.im, self.two_pi)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionScalar":
+        return FractionScalar(-self.re, -self.im, self.two_pi)
+
+    def __sub__(self, other) -> "FractionScalar":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "FractionScalar":
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other) -> "FractionScalar":
+        other = self._coerce(other)
+        if self.is_zero or other.is_zero:
+            return FRACTION_ZERO
+        if not self.im and not other.im:
+            return FractionScalar(self.re * other.re, 0, self.two_pi + other.two_pi)
+        return FractionScalar(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+            self.two_pi + other.two_pi,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionScalar":
+        if self.is_zero:
+            raise ZeroDivisionError("scalar is zero")
+        if not self.im:
+            return FractionScalar(1 / self.re, 0, -self.two_pi)
+        norm = self.re * self.re + self.im * self.im
+        return FractionScalar(self.re / norm, -self.im / norm, -self.two_pi)
+
+    def __truediv__(self, other) -> "FractionScalar":
+        return self * self._coerce(other).inverse()
+
+    def __pow__(self, n: int) -> "FractionScalar":
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FRACTION_ONE
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FractionScalar):
+            if isinstance(other, (int, Fraction)):
+                other = FractionScalar(other)
+            else:
+                return NotImplemented
+        return (
+            self.re == other.re
+            and self.im == other.im
+            and self.two_pi == other.two_pi
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im, self.two_pi))
+
+    @staticmethod
+    def parse(text: str) -> "FractionScalar":
+        """Parse an exact rational or Gaussian-rational string.
+
+        Accepts forms like ``"3"``, ``"-1/2"``, ``"i"``, ``"3/4i"``,
+        ``"1/2+3/4i"``; a unicode minus is tolerated.
+        """
+        s = text.strip().replace("−", "-").replace(" ", "")
+        if not s:
+            raise ContractError("empty scalar string")
+        parts = re_module.findall(r"[+-]?[^+-]+", s)
+        if "".join(parts) != s:
+            raise ContractError(f"cannot parse scalar {text!r}")
+        re_total = Fraction(0)
+        im_total = Fraction(0)
+        try:
+            for part in parts:
+                if part.lower().endswith("i"):
+                    body = part[:-1]
+                    if body in ("", "+", "-"):
+                        body += "1"
+                    im_total += Fraction(body)
+                else:
+                    re_total += Fraction(part)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ContractError(f"cannot parse scalar {text!r}: {exc}") from None
+        return FractionScalar(re_total, im_total)
+
+    @staticmethod
+    def from_json(value) -> "FractionScalar":
+        """An exact scalar from a JSON value: a string for ``parse`` or an
+        integer.  Floats and booleans are refused, since a float is already
+        rounded and a boolean is no number."""
+        if isinstance(value, str):
+            return FractionScalar.parse(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return FractionScalar(value)
+        raise ContractError(
+            f"scalar {value!r} must be an exact string such as \"1/10\" "
+            "or an integer")
+
+    def render(self) -> str:
+        """Exact string form; the (2*pi) unit renders as ``(2pi)^-k``."""
+        if self.is_zero:
+            return "0"
+        if not self.im:
+            core = str(self.re)
+        elif not self.re:
+            core = self._imag_str(self.im)
+        else:
+            sign = "+" if self.im > 0 else "-"
+            core = f"({self.re}{sign}{self._imag_str(abs(self.im))})"
+        if self.two_pi:
+            core += f"*(2pi)^{-self.two_pi}"
+        return core
+
+    @staticmethod
+    def _imag_str(q: Fraction) -> str:
+        if q == 1:
+            return "i"
+        if q == -1:
+            return "-i"
+        return f"{q}i"
+
+    def __repr__(self) -> str:
+        return self.render()
+
+
+FRACTION_ZERO = FractionScalar(0)
+FRACTION_ONE = FractionScalar(1)
+
+
+def tp_chern_euler_by_permutations(setup, P=None):
+    """The classical Euler-form transgression on so(2k) over so(2k-1):
+
+        (2pi)^-k  sum_j  (-1)^(j+1) / (2^j j! (2k-2j-1)!!)
+                  sum_alpha eps(alpha)
+                  W_{a1 a2} ... W_{a_{2j-1} a_{2j}}
+                  w_{a_{2j+1} n} ... w_{a_{n-1} n}
+
+    with alpha running over permutations of the first n-1 coordinates and
+    the matrix entries read off the generator components.
+    """
+    algebra = setup.algebra
+    if algebra.meta.get("family") != "so":
+        raise ContractError("the Euler transgression needs a built-in so(n)")
+    n = algebra.meta["n"]
+    if n % 2:
+        raise ContractError("the Euler transgression needs even n")
+    k = n // 2
+    pairs = algebra.meta["pairs"]
+    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
+    expected_h = tuple(idx for idx, (i, j) in enumerate(pairs) if j < n - 1)
+    if setup.split.h != expected_h:
+        raise ContractError("the splitting must be the standard so(n-1) block")
+
+    dim = algebra.dim
+    last = n - 1
+    acc = {}
+    for j in range(k):
+        # Classical alternating sign (-1)^(j+1), with one extra flip per
+        # paired connection factor: in this engine's wedge convention the
+        # half-bracket block entry is minus the product of the two
+        # connection entries, and the j-term carries k-j-1 such pairs.
+        weight = Scalar(Fraction(
+            (-1) ** (j + 1) * (-1) ** (k - j - 1),
+            (2 ** j) * factorial(j) * double_factorial(2 * k - 2 * j - 1)))
+        for alpha in itertools.permutations(range(last)):
+            sign = permutation_sign(alpha)
+            even_part = []
+            for m in range(j):
+                r, s = alpha[2 * m], alpha[2 * m + 1]
+                if r < s:
+                    even_part.append(dim + pair_index[(r, s)])
+                else:
+                    even_part.append(dim + pair_index[(s, r)])
+                    sign = -sign
+            odd_word = []
+            for m in range(2 * j, last):
+                odd_word.append(pair_index[(alpha[m], last)])
+            sort_sign = permutation_sign(odd_word)
+            mono = Monomial(tuple(sorted(odd_word)), tuple(sorted(even_part)), 0)
+            coeff = weight * Scalar(sign * sort_sign)
+            _acc_add(acc, mono, coeff)
+    form = GradedElement(setup.context, acc).scale(Scalar(1, two_pi=k))
+    return _finish(form, "chern", P or pfaffian(setup.algebra))

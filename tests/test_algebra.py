@@ -1,9 +1,13 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import FractionScalar
 
 from transgress.algebra import (
     HALF,
@@ -127,6 +131,97 @@ class TestScalar:
 # ---------------------------------------------------------------------------
 # Monomial signs and products
 # ---------------------------------------------------------------------------
+
+class TestScalarOracle:
+    """The integer-numerator Scalar against the Fraction-pair Scalar it
+    replaced (``helpers.FractionScalar``): every operation gives the same
+    parts, the same unit power or the same exception."""
+
+    parts = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-40, 40, max_denominator=36))
+    triples = st.tuples(parts, parts, st.integers(0, 3))
+
+    @staticmethod
+    def outcome(fn, *args):
+        """(parts, unit power) of fn(*args), or the exception type raised."""
+        try:
+            out = fn(*args)
+        except (ContractError, ZeroDivisionError, TypeError) as exc:
+            return type(exc)
+        if isinstance(out, (Scalar, FractionScalar)):
+            return (out.re, out.im, out.two_pi)
+        return out
+
+    @staticmethod
+    def assert_canonical(s):
+        assert s._den > 0 and gcd(s._re, s._im, s._den) == 1
+        assert isinstance(s._re, int) and isinstance(s._im, int)
+        if not s._re and not s._im:
+            assert (s._den, s.two_pi) == (1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples, triples, st.integers(-3, 3))
+    def test_operations_match_fraction_oracle(self, x, y, n):
+        a, b = Scalar(*x), Scalar(*y)
+        fa, fb = FractionScalar(*x), FractionScalar(*y)
+        for s in (a, b):
+            self.assert_canonical(s)
+        assert (a.re, a.im, a.two_pi) == (fa.re, fa.im, fa.two_pi)
+        binary = (operator.add, operator.sub, operator.mul, operator.truediv)
+        for op in binary:
+            want = self.outcome(op, fa, fb)
+            assert self.outcome(op, a, b) == want
+            if not isinstance(want, type):
+                self.assert_canonical(op(a, b))
+        for op in (operator.neg, lambda s: s.inverse(), lambda s: s ** n):
+            want = self.outcome(op, fa)
+            assert self.outcome(op, a) == want
+            if not isinstance(want, type):
+                self.assert_canonical(op(a))
+        assert (a == b) == (fa == fb)
+        assert hash(a) == hash(fa)
+        assert a.render() == fa.render() and repr(a) == repr(fa)
+        assert (a.is_zero, a.is_one, bool(a)) == (fa.is_zero, fa.is_one, bool(fa))
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples, st.one_of(st.integers(-9, 9), parts))
+    def test_plain_numbers_match_fraction_oracle(self, x, q):
+        a, fa = Scalar(*x), FractionScalar(*x)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert self.outcome(op, a, q) == self.outcome(op, fa, q)
+            assert self.outcome(op, q, a) == self.outcome(op, q, fa)
+        assert (a == q) == (fa == q)
+        assert (Scalar(q) == q) and hash(Scalar(q)) == hash(FractionScalar(q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples)
+    def test_parse_and_render_match_fraction_oracle(self, x):
+        re_, im, _ = x
+        texts = [Scalar(re_, im).render(), f"{re_}+{im}i", f"{re_}-{im}i",
+                 f"{im}i", f" {re_} ", f"{re_}i{im}", f"{re_}\u2212{im}i"]
+        for text in texts:
+            assert (self.outcome(Scalar.parse, text)
+                    == self.outcome(FractionScalar.parse, text))
+
+    @pytest.mark.parametrize("value", [
+        "1/2+3/4i", "-i", "7", 5, -3, 0, True, 1.5, None, [1], "x"])
+    def test_from_json_matches_fraction_oracle(self, value):
+        assert (self.outcome(Scalar.from_json, value)
+                == self.outcome(FractionScalar.from_json, value))
+
+    @settings(max_examples=100, deadline=None)
+    @given(triples, st.integers(0, 3))
+    def test_zero_and_unit_rules(self, x, other_unit):
+        re_, im, unit = x
+        assert Scalar(0, 0, unit).two_pi == 0
+        assert (Scalar(re_, im, unit) * ZERO).two_pi == 0
+        a, b = Scalar(re_, im, unit), Scalar(1, 1, other_unit)
+        fa, fb = FractionScalar(re_, im, unit), FractionScalar(1, 1, other_unit)
+        assert self.outcome(operator.add, a, b) == self.outcome(operator.add, fa, fb)
+        if a and unit != other_unit:
+            with pytest.raises(ContractError):
+                a + b
+
 
 class TestProducts:
     def test_odd_anticommute(self):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transgress
 from transgress import cli
@@ -327,3 +332,152 @@ class TestUsageErrors:
         assert main(["--algebra", "so4", "--sub", "none", "--poly", "pfaffian",
                      "--method", "johnson", "--corrupt", "aij=0,1"]) == 2
         assert "perturbs nothing" in capsys.readouterr().err
+
+
+# Fuzzed input files: mostly well-formed, with any field, item or leaf
+# replaced by JSON junk now and then, fields left out, junk keys added and
+# keys repeated.  Text is drawn from an alphabet without "/" or ".", so that
+# no junk string names a file, and every algebra stays small, so that each
+# run is cheap.
+_TEXT = st.text(alphabet="xyz01,^-= ", max_size=4)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(width=16) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=6)
+
+
+_RARELY = st.sampled_from((False,) * 5 + (True,))  # True one time in six
+
+
+def _mostly(valid):
+    """The valid strategy, or JSON junk one time in six."""
+    return _RARELY.flatmap(lambda junk: _JUNK if junk else valid)
+
+
+_SCALAR = _RARELY.flatmap(lambda bad: (
+    st.sampled_from(["1/0", "x", "", "2.5", "1e3"]) | _JUNK if bad
+    else st.sampled_from([0, 1, -2, "1", "-1/2", "i", "1/2+3/4i"])))
+
+
+def _object(required: dict, optional: dict):
+    """A JSON object's (key, value) pairs: the required fields, some of the
+    optional ones and, one time in six each, a key left out, a key repeated
+    (the decoder keeps the last) or a junk key."""
+    fields = {**required, **optional}
+    field = st.sampled_from(sorted(fields)).flatmap(
+        lambda key: st.tuples(st.just(key), fields[key]))
+    return st.tuples(
+        st.fixed_dictionaries(required, optional=optional).map(
+            lambda d: list(d.items())),
+        _RARELY.flatmap(lambda drop: st.integers(0, 9) if drop else st.none()),
+        _RARELY.flatmap(lambda twice: st.lists(field, min_size=1, max_size=1)
+                        if twice else st.just([])),
+        _RARELY.flatmap(lambda junk: st.lists(st.tuples(_TEXT, _JUNK),
+                                              min_size=1, max_size=1)
+                        if junk else st.just([])),
+    ).map(lambda t: [kv for i, kv in enumerate(t[0]) if i != t[1]] + t[2] + t[3])
+
+
+def _object_text(pairs) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                           for k, v in pairs) + "}"
+
+
+def _matrices(dim):
+    return st.integers(1, 2).flatmap(lambda m: st.lists(
+        _mostly(st.lists(_mostly(st.lists(_SCALAR, min_size=m, max_size=m)),
+                         min_size=m, max_size=m)),
+        min_size=dim, max_size=dim))
+
+
+_FILE_TEXT = {
+    "--algebra": st.integers(1, 3).flatmap(lambda dim: _object(
+        {"dim": _mostly(st.just(dim)),
+         "entries": _mostly(st.lists(
+             _mostly(st.tuples(*[_mostly(st.integers(0, dim - 1))] * 3,
+                               _SCALAR).map(list)),
+             max_size=4)),
+         "matrices": _mostly(_matrices(dim))},
+        {"labels": _mostly(st.lists(_TEXT, min_size=dim, max_size=dim)),
+         "name": _mostly(_TEXT)})),
+    "--poly": st.integers(1, 3).flatmap(lambda degree: _object(
+        {"degree": _mostly(st.just(degree)),
+         "values": _mostly(st.lists(
+             _mostly(st.tuples(
+                 _mostly(st.lists(st.integers(0, 3), min_size=degree,
+                                  max_size=degree).map(sorted)),
+                 _SCALAR).map(list)),
+             max_size=4))},
+        {"prefactor": _SCALAR})),
+    "--config": _object(
+        {"algebra": _mostly(st.sampled_from(
+            ["so3", "so4", "gl2", "su2", "u1", "abelian2", "bogus"]))},
+        {"subalgebra": _mostly(st.sampled_from(
+            ["none", "so3", "gl1", "u1", "0", "0,1", "9"])),
+         "polynomial": _mostly(st.sampled_from(
+             ["pfaffian", "trace^1", "trace^2", "trace^0", "trace^x"])),
+         "methods": _mostly(st.sampled_from(
+             ["integral", "johnson", "chern", "integral,johnson,chern", ""])),
+         "checks": _mostly(st.sampled_from(["all", "d2", "agreement", "bogus"])),
+         "output": _mostly(st.sampled_from(["json", "text"])),
+         "field": _mostly(st.sampled_from(["rational", "gaussian", ""])),
+         "seed": _mostly(st.integers(-2, 2)),
+         "corrupt": _mostly(st.sampled_from(
+             ["prefactor", "aij=0,0", "aij=x", "structure=0,1,2",
+              "structure=9,9,9"]))}),
+}
+
+
+class TestLoaderFuzz:
+    """Random algebra, polynomial and config files never crash the CLI:
+    the exit code is 0, 1 or 2, stderr has no traceback, and exit 1 comes
+    only with a failed check that carries a witness."""
+
+    @staticmethod
+    def run_main(flag, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "report.json")
+            args = {"--algebra": ["--algebra", path, "--sub", "none"],
+                    "--poly": ["--algebra", "gl2", "--sub", "none",
+                               "--poly", path],
+                    "--config": ["--config", path]}[flag]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(args + ["--output", "json", "--out", out])
+            report = None
+            if code != 2:
+                with open(out, encoding="utf-8") as fh:
+                    report = json.load(fh)
+        return code, err.getvalue(), report
+
+    def check(self, flag, text):
+        code, err, report = self.run_main(flag, text)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ")
+            return
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        if code == 1:
+            assert failed and all(c.get("witness") for c in failed)
+        else:
+            assert not failed
+
+    @pytest.mark.parametrize("flag", sorted(_FILE_TEXT))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_file(self, flag, data):
+        text = _object_text(data.draw(_FILE_TEXT[flag]))
+        if data.draw(_RARELY):
+            text = text[:data.draw(st.integers(0, len(text)))]  # malformed JSON
+        self.check(flag, text)
+
+    @pytest.mark.parametrize("flag", sorted(_FILE_TEXT))
+    @settings(max_examples=15, deadline=None)
+    @given(value=_JUNK)
+    def test_junk_document(self, flag, value):
+        self.check(flag, json.dumps(value))

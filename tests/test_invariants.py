@@ -20,6 +20,7 @@ from helpers import (
 from transgress.algebra import Context, ContractError, Generator, Scalar
 from transgress.invariants import (
     InvariantPolynomial,
+    _perfect_matchings,
     apply_to_coordinates,
     evaluate,
     pfaffian,
@@ -36,6 +37,7 @@ from transgress.lie import (
     su2_algebra,
     u_algebra,
 )
+from transgress.transgression import double_factorial
 
 def form_context(dim, n_even=0):
     gens = [Generator(a, 1, f"w[{a}]") for a in range(dim)]
@@ -191,6 +193,30 @@ class TestSparseTensorOracles:
         got, want = pfaffian(algebra), pfaffian_by_permutations(algebra)
         assert list(got.values.items()) == list(want.values.items())
         assert got.prefactor == want.prefactor
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_perfect_matchings(self, n):
+        # Permutations are enumerated lexicographically, so the permutation
+        # sum first meets a matching as its canonical listing (pairs by first
+        # point, each pair ascending), and meets the matchings in the
+        # lexicographic order of those listings.
+        listed = [(sum(pairs, ()), sign)
+                  for pairs, sign in _perfect_matchings(tuple(range(n)))]
+        flat = [word for word, _ in listed]
+        assert len(flat) == double_factorial(n - 1)
+        assert flat == sorted(set(flat))
+        for word, sign in listed:
+            firsts = word[0::2]
+            assert sorted(word) == list(range(n))
+            assert list(firsts) == sorted(firsts)
+            assert all(a < b for a, b in zip(word[0::2], word[1::2]))
+            assert sign == perm_sign_by_swaps(word)
+        algebra = so_algebra(n)
+        index = {pair: idx for idx, pair in enumerate(algebra.meta["pairs"])}
+        k = n // 2
+        assert list(pfaffian(algebra).values.items()) == [
+            (tuple(sorted(index[p] for p in pairs)), Scalar(sign * 2 ** k))
+            for pairs, sign in _perfect_matchings(tuple(range(n)))]
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_pfaffian_squared_is_determinant(self, n):

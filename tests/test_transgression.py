@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import literal_basicness
+from helpers import literal_basicness, tp_chern_euler_by_permutations
 from transgress.algebra import ContractError, Scalar
 from transgress.invariants import (
     InvariantPolynomial,
@@ -16,6 +16,7 @@ from transgress.lie import (
     abelian_algebra,
     named_split,
     so_algebra,
+    so_subalgebra_split,
     trivial_split,
     u_algebra,
 )
@@ -193,6 +194,22 @@ class TestChernEulerRoute:
         assert tp_chern_euler(setup, P).form == a.form
         checks = verify_transgression(a, setup)
         assert all(c.passed for c in checks.values())
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_permutation_sum(self, n):
+        algebra = so_algebra(n)
+        setup = UniversalSetup(algebra, so_subalgebra_split(algebra, n - 1))
+        got = tp_chern_euler(setup).form
+        want = tp_chern_euler_by_permutations(setup).form
+        assert got.sorted_terms() == want.sorted_terms()
+
+    def test_n10_matches_integral(self):
+        algebra = so_algebra(10)
+        setup = UniversalSetup(algebra, so_subalgebra_split(algebra, 9))
+        P = pfaffian(algebra)
+        chern = tp_chern_euler(setup, P).form
+        assert chern.term_count == 2620
+        assert chern == tp_integral(setup, P).form
 
     def test_rejects_wrong_shape(self, so4_setup, gl3_setup):
         algebra = so_algebra(4)

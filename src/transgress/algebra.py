@@ -349,57 +349,49 @@ class Generator(NamedTuple):
 class Monomial(NamedTuple):
     """Canonical product of generators times a power of t.
 
-    ``odd`` is strictly increasing (odd generators square to zero), ``even``
-    is a sorted multiset.  ``t_deg`` does not count toward the form degree.
+    Bit g of ``odd_mask`` is set for each odd factor g (odd generators square
+    to zero), and ``odd`` lists those ids ascending.  ``even`` is a sorted
+    multiset.  ``t_deg`` does not count toward the form degree.
     """
 
-    odd: tuple
+    odd_mask: int
     even: tuple
     t_deg: int = 0
 
     @property
+    def odd(self) -> tuple:
+        mask = self.odd_mask
+        return tuple(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+    @property
     def degree(self) -> int:
-        return len(self.odd) + 2 * len(self.even)
+        return self.odd_mask.bit_count() + 2 * len(self.even)
 
 
-UNIT_MONO = Monomial((), (), 0)
+UNIT_MONO = Monomial(0, (), 0)
 
-
-def _merge_odd(o1: tuple, o2: tuple):
-    """Merge two ascending odd-id tuples; returns (sign, merged) or (0, None)."""
-    if not o1:
-        return 1, o2
-    if not o2:
-        return 1, o1
-    i = j = inv = 0
-    n1, n2 = len(o1), len(o2)
-    out = []
-    while i < n1 and j < n2:
-        a, b = o1[i], o2[j]
-        if a == b:
-            return 0, None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            inv += n1 - i
-    out.extend(o1[i:])
-    out.extend(o2[j:])
-    return (-1 if inv & 1 else 1), tuple(out)
+# builds a Monomial from a field tuple without the keyword-aware constructor
+_tuple_new = tuple.__new__
 
 
 def mono_mul(m1: Monomial, m2: Monomial):
-    """Product of canonical monomials; returns (sign, Monomial) or (0, None)."""
-    sign, odd = _merge_odd(m1.odd, m2.odd)
-    if odd is None:
+    """Product of canonical monomials; returns (sign, Monomial) or (0, None).
+
+    The sign counts, for each odd factor b of m2, the odd factors of m1 above
+    b that it moves past; ``o1 & -low`` keeps those, since b is not in m1."""
+    o1, e1, t1 = m1
+    o2, e2, t2 = m2
+    if o1 & o2:
         return 0, None
-    if m1.even and m2.even:
-        even = tuple(sorted(m1.even + m2.even))
-    else:
-        even = m1.even or m2.even
-    return sign, Monomial(odd, even, m1.t_deg + m2.t_deg)
+    inv = 0
+    # no factor moves when all of m1 lies below the lowest odd factor of m2
+    bits = o2 if o1 > (o2 & -o2) else 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        inv += (o1 & -low).bit_count()
+    even = tuple(sorted(e1 + e2)) if e1 and e2 else e1 or e2
+    return (-1 if inv & 1 else 1), _tuple_new(Monomial, (o1 | o2, even, t1 + t2))
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -442,6 +434,8 @@ class Context:
                 g = Generator(*g)
             if g.degree not in (1, 2):
                 raise ContractError(f"generator degree must be 1 or 2, got {g.degree}")
+            if g.is_odd and not (type(g.gid) is int and g.gid >= 0):
+                raise ContractError(f"odd generator id {g.gid!r} must be an int >= 0")
             if g.gid in gens:
                 raise ContractError(f"duplicate generator id {g.gid}")
             gens[g.gid] = g
@@ -477,7 +471,7 @@ class Context:
 
     def gen(self, gid: int) -> "GradedElement":
         g = self._gens[gid]
-        mono = Monomial((gid,), (), 0) if g.is_odd else Monomial((), (gid,), 0)
+        mono = Monomial(1 << gid, (), 0) if g.is_odd else Monomial(0, (gid,), 0)
         return GradedElement(self, {mono: ONE}, _canonical=True)
 
     def from_word(self, word: Sequence[int], coeff=ONE, t_power: int = 0) -> "GradedElement":
@@ -493,7 +487,7 @@ class Context:
             return self.zero()
         if sign < 0:
             coeff = -coeff
-        mono = Monomial(odd, tuple(sorted(evens)), t_power)
+        mono = Monomial(sum(1 << g for g in odd), tuple(sorted(evens)), t_power)
         return GradedElement(self, {mono: coeff}, _canonical=True)
 
     # Randomized elements for property tests and self-checks.
@@ -503,31 +497,12 @@ class Context:
         acc = {}
         for _ in range(terms):
             n_odd = rng.randint(0, min(max_odd, len(odd_ids)))
-            odd = tuple(sorted(rng.sample(odd_ids, n_odd))) if n_odd else ()
+            odd = sum(1 << g for g in rng.sample(odd_ids, n_odd)) if n_odd else 0
             n_even = rng.randint(0, max_even) if even_ids else 0
             even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
             coeff = Scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
             mono = Monomial(odd, even, rng.randint(0, max_t))
             _acc_add(acc, mono, coeff)
-        return GradedElement(self, acc)
-
-    def random_homogeneous(self, rng, degree: int, terms: int = 2,
-                           max_t: int = 0) -> "GradedElement":
-        odd_ids, even_ids = self.odd_ids, self.even_ids
-        feasible = [
-            n_even for n_even in range(degree // 2 + 1)
-            if degree - 2 * n_even <= len(odd_ids) and (n_even == 0 or even_ids)
-        ]
-        if not feasible:
-            raise ContractError(f"no degree-{degree} monomials in this context")
-        acc = {}
-        for _ in range(terms):
-            n_even = rng.choice(feasible)
-            n_odd = degree - 2 * n_even
-            odd = tuple(sorted(rng.sample(odd_ids, n_odd))) if n_odd else ()
-            even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
-            coeff = Scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
-            _acc_add(acc, Monomial(odd, even, rng.randint(0, max_t)), coeff)
         return GradedElement(self, acc)
 
     def __repr__(self) -> str:
@@ -662,7 +637,8 @@ class GradedElement:
             raise ContractError("negative t powers are not representable")
         return GradedElement(
             self.ctx,
-            {Monomial(m.odd, m.even, m.t_deg + power): c for m, c in self.terms.items()},
+            {Monomial(m.odd_mask, m.even, m.t_deg + power): c
+             for m, c in self.terms.items()},
             _canonical=True,
         )
 
@@ -755,44 +731,59 @@ class Derivation:
         self.images = checked
 
     def __call__(self, x: GradedElement) -> GradedElement:
+        """Apply the Leibniz rule in one pass per image term.
+
+        A slot is one factor with an image: ``(image, rest_odd, rest_even,
+        pos)``, with ``pos`` the number of odd factors before it.  The
+        operator moves past those ``pos`` factors, then each odd factor b of
+        the image term moves to its place in ``rest_odd``, which takes
+        ``pos + popcount(rest_odd below b)`` transpositions modulo 2.
+        """
         if x.ctx is not self.ctx:
             raise ContextError("element over a different context")
         acc = {}
         images = self.images
-        for mono, coeff in x.terms.items():
-            odd, even, t_deg = mono
-            n_odd = len(odd)
-            for pos in range(n_odd):
-                img = images.get(odd[pos])
-                if img is None:
-                    continue
-                prefix = Monomial(odd[:pos], (), 0)
-                suffix = Monomial(odd[pos + 1:], even, t_deg)
-                sign0 = -1 if pos & 1 else 1
-                self._acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
-            sign0 = -1 if n_odd & 1 else 1
-            for pos in range(len(even)):
-                img = images.get(even[pos])
-                if img is None:
-                    continue
-                prefix = Monomial(odd, even[:pos], 0)
-                suffix = Monomial((), even[pos + 1:], t_deg)
-                self._acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
+        for (odd, even, t_deg), coeff in x.terms.items():
+            slots = []
+            pos = 0
+            bits = odd
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                img = images.get(low.bit_length() - 1)
+                if img is not None:
+                    slots.append((img, odd ^ low, even, pos))
+                pos += 1
+            for i, gid in enumerate(even):
+                img = images.get(gid)
+                if img is not None:
+                    slots.append((img, odd, even[:i] + even[i + 1:], pos))
+            for img, rest_odd, rest_even, pos in slots:
+                for (io, ie, it), c2 in img.terms.items():
+                    if io & rest_odd:
+                        continue
+                    mono = _tuple_new(Monomial, (
+                        rest_odd | io, tuple(sorted(rest_even + ie))
+                        if rest_even and ie else rest_even or ie, t_deg + it))
+                    parity = pos
+                    while io:
+                        low = io & -io
+                        io ^= low
+                        parity += pos + (rest_odd & (low - 1)).bit_count()
+                    c = coeff * c2
+                    if parity & 1:
+                        c = -c
+                    # coefficients of canonical terms are nonzero, so c is
+                    cur = acc.get(mono)
+                    if cur is None:
+                        acc[mono] = c
+                    else:
+                        c = cur + c
+                        if c._re or c._im:
+                            acc[mono] = c
+                        else:
+                            del acc[mono]
         return GradedElement(self.ctx, acc, _canonical=True)
-
-    @staticmethod
-    def _acc_sandwich(prefix, img, suffix, coeff, sign0, acc) -> None:
-        for m2, c2 in img.terms.items():
-            s1, ma = mono_mul(prefix, m2)
-            if ma is None:
-                continue
-            s2, mb = mono_mul(ma, suffix)
-            if mb is None:
-                continue
-            c = coeff * c2
-            if sign0 * s1 * s2 < 0:
-                c = -c
-            _acc_add(acc, mb, c)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +794,7 @@ def integrate_unit_interval(x: GradedElement) -> GradedElement:
     """Integrate every coefficient polynomial in t over [0, 1], exactly."""
     acc = {}
     for mono, coeff in x.terms.items():
-        _acc_add(acc, Monomial(mono.odd, mono.even, 0), coeff / (mono.t_deg + 1))
+        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff / (mono.t_deg + 1))
     return GradedElement(x.ctx, acc, _canonical=True)
 
 
@@ -812,7 +803,7 @@ def substitute_t(x: GradedElement, value: Scalar) -> GradedElement:
     value = Scalar._coerce(value)
     acc = {}
     for mono, coeff in x.terms.items():
-        _acc_add(acc, Monomial(mono.odd, mono.even, 0), coeff * value ** mono.t_deg)
+        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * value ** mono.t_deg)
     return GradedElement(x.ctx, acc, _canonical=True)
 
 
@@ -822,5 +813,5 @@ def t_derivative(x: GradedElement) -> GradedElement:
     for mono, coeff in x.terms.items():
         if mono.t_deg == 0:
             continue
-        _acc_add(acc, Monomial(mono.odd, mono.even, mono.t_deg - 1), coeff * mono.t_deg)
+        _acc_add(acc, Monomial(mono.odd_mask, mono.even, mono.t_deg - 1), coeff * mono.t_deg)
     return GradedElement(x.ctx, acc, _canonical=True)

@@ -22,6 +22,7 @@ from .lie import (
     algebra_from_file,
     named_algebra,
     named_split,
+    so_block,
     validate,
     validate_split,
 )
@@ -198,11 +199,6 @@ def _parse_seed(value) -> int:
     raise UsageError(f"seed must be an integer, not {value!r}")
 
 
-def _standard_so_h(n: int) -> tuple:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return tuple(idx for idx, (i, j) in enumerate(pairs) if j < n - 1)
-
-
 def _is_file_ref(name: str) -> bool:
     return name.endswith(".json") or "/" in name
 
@@ -272,15 +268,16 @@ def parse_config(argv, config_file: str = None) -> tuple:
               and poly == "pfaffian")
         if ok:
             n = int(algebra_name[2:])
-            want = _standard_so_h(n)
-            if sub == f"so{n - 1}" or (sub in ("none", "") and not want):
-                pass
+            if sub.startswith("so") and sub[2:].isdigit():
+                given = so_block(n, int(sub[2:]))
+            elif sub in ("none", ""):
+                given = ()
             else:
                 try:
                     given = tuple(sorted(int(t) for t in sub.split(",")))
                 except ValueError:
                     given = None
-                ok = given == want
+            ok = given == so_block(n, n - 1)
         if not ok:
             raise UsageError(
                 "the chern method needs so(2k) with the so(2k-1) splitting "

@@ -43,6 +43,7 @@ __all__ = [
     "u_algebra",
     "su2_algebra",
     "abelian_algebra",
+    "so_block",
     "so_subalgebra_split",
     "gl_subalgebra_split",
     "su2_diagonal_split",
@@ -573,13 +574,18 @@ def abelian_algebra(d: int) -> LieAlgebra:
                       meta={"family": "abelian", "n": d})
 
 
+def so_block(n: int, m: int) -> tuple:
+    """Indices of the basis of ``so_algebra(n)`` that span so(m): the pairs
+    contained in the first m coordinates."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple(idx for idx, (i, j) in enumerate(pairs) if j < m)
+
+
 def so_subalgebra_split(algebra: LieAlgebra, m: int) -> ReductiveSplit:
     """so(m) inside so(n): pairs contained in the first m coordinates."""
     if algebra.meta.get("family") != "so":
         raise ContractError("so subalgebra split needs an so(n) algebra")
-    pairs = algebra.meta["pairs"]
-    h = [idx for idx, (i, j) in enumerate(pairs) if j < m]
-    return ReductiveSplit.from_h(algebra.dim, h)
+    return ReductiveSplit.from_h(algebra.dim, so_block(algebra.meta["n"], m))
 
 
 def gl_subalgebra_split(algebra: LieAlgebra, m: int) -> ReductiveSplit:

@@ -34,7 +34,7 @@ from .algebra import (
     _acc_add,
 )
 from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
-from .lie import bracket
+from .lie import bracket, so_block
 from .weil import UniversalSetup
 
 __all__ = [
@@ -128,7 +128,7 @@ def coefficient_A_by_integration(k: int, i: int, j: int) -> Scalar:
     for r in range(m + 1):
         binom = Fraction(factorial(m), factorial(r) * factorial(m - r))
         coeff = Scalar(binom * (-1) ** r)
-        _acc_add(poly, Monomial((), (), base_power + r), coeff)
+        _acc_add(poly, Monomial(0, (), base_power + r), coeff)
     integral = Scalar(0)
     for mono, coeff in poly.items():
         integral = integral + coeff / (mono.t_deg + 1)
@@ -195,8 +195,7 @@ def tp_chern_euler(setup: UniversalSetup, P: InvariantPolynomial = None) -> Tran
     k = n // 2
     pairs = algebra.meta["pairs"]
     pair_index = {pair: idx for idx, pair in enumerate(pairs)}
-    expected_h = tuple(idx for idx, (i, j) in enumerate(pairs) if j < n - 1)
-    if setup.split.h != expected_h:
+    if setup.split.h != so_block(n, n - 1):
         raise ContractError("the splitting must be the standard so(n-1) block")
 
     dim = algebra.dim
@@ -212,8 +211,7 @@ def tp_chern_euler(setup: UniversalSetup, P: InvariantPolynomial = None) -> Tran
         for subset in itertools.combinations(range(last), 2 * j):
             complement = tuple(p for p in range(last) if p not in subset)
             shuffle = permutation_sign(subset + complement)
-            # pairs are ordered lexicographically, so the odd word is sorted
-            odd = tuple(pair_index[(p, last)] for p in complement)
+            odd = sum(1 << pair_index[(p, last)] for p in complement)
             # distinct (subset, matching) give distinct monomials
             for matched, sign in _perfect_matchings(subset):
                 even = tuple(sorted(dim + pair_index[p] for p in matched))

@@ -65,15 +65,14 @@ class UniversalSetup:
             algebra, ctx, tuple(ctx.gen(dim + a) for a in range(dim)), 2)
 
         images = {}
-        acc_odd = [{Monomial((), (dim + a,), 0): ONE} for a in range(dim)]
+        acc_odd = [{Monomial(0, (dim + a,), 0): ONE} for a in range(dim)]
         acc_even = [dict() for _ in range(dim)]
         for (a, b, c), v in algebra.structure.items():
             if b != c:
-                if b < c:
-                    _acc_add(acc_odd[a], Monomial((b, c), (), 0), -(v * HALF))
-                else:
-                    _acc_add(acc_odd[a], Monomial((c, b), (), 0), v * HALF)
-            _acc_add(acc_even[a], Monomial((c,), (dim + b,), 0), v)
+                half = v * HALF
+                _acc_add(acc_odd[a], Monomial(1 << b | 1 << c, (), 0),
+                         -half if b < c else half)
+            _acc_add(acc_even[a], Monomial(1 << c, (dim + b,), 0), v)
         for a in range(dim):
             images[a] = GradedElement(ctx, acc_odd[a])
             images[dim + a] = GradedElement(ctx, acc_even[a])

@@ -4,7 +4,7 @@ import itertools
 import re as re_module
 from fractions import Fraction
 from math import factorial
-from typing import Union
+from typing import NamedTuple, Union
 
 from transgress.algebra import (
     ContractError,
@@ -577,8 +577,146 @@ def tp_chern_euler_by_permutations(setup, P=None):
             for m in range(2 * j, last):
                 odd_word.append(pair_index[(alpha[m], last)])
             sort_sign = permutation_sign(odd_word)
-            mono = Monomial(tuple(sorted(odd_word)), tuple(sorted(even_part)), 0)
+            mono = Monomial(sum(1 << g for g in odd_word), tuple(sorted(even_part)), 0)
             coeff = weight * Scalar(sign * sort_sign)
             _acc_add(acc, mono, coeff)
     form = GradedElement(setup.context, acc).scale(Scalar(1, two_pi=k))
     return _finish(form, "chern", P or pfaffian(setup.algebra))
+
+
+def random_homogeneous(ctx, rng, degree: int, terms: int = 2,
+                       max_t: int = 0) -> GradedElement:
+    """A random element of one form degree over ``ctx``, for property tests."""
+    odd_ids, even_ids = ctx.odd_ids, ctx.even_ids
+    feasible = [
+        n_even for n_even in range(degree // 2 + 1)
+        if degree - 2 * n_even <= len(odd_ids) and (n_even == 0 or even_ids)
+    ]
+    if not feasible:
+        raise ContractError(f"no degree-{degree} monomials in this context")
+    acc = {}
+    for _ in range(terms):
+        n_even = rng.choice(feasible)
+        n_odd = degree - 2 * n_even
+        odd = sum(1 << g for g in rng.sample(odd_ids, n_odd)) if n_odd else 0
+        even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
+        coeff = Scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        _acc_add(acc, Monomial(odd, even, rng.randint(0, max_t)), coeff)
+    return GradedElement(ctx, acc)
+
+
+# ---------------------------------------------------------------------------
+# Tuple monomials: the odd part as an ascending id tuple.  The product and
+# the derivation below are the engine's code from before the bitmask
+# encoding, on term dicts keyed by ``TupleMonomial``.
+# ---------------------------------------------------------------------------
+
+class TupleMonomial(NamedTuple):
+    odd: tuple
+    even: tuple
+    t_deg: int = 0
+
+
+def to_tuple_mono(m: Monomial) -> TupleMonomial:
+    return TupleMonomial(m.odd, m.even, m.t_deg)
+
+
+def from_tuple_mono(m: TupleMonomial) -> Monomial:
+    return Monomial(sum(1 << g for g in m.odd), m.even, m.t_deg)
+
+
+def tuple_terms(x: GradedElement) -> dict:
+    """The terms of x keyed by tuple monomials, in the same order."""
+    return {to_tuple_mono(m): c for m, c in x.terms.items()}
+
+
+def _merge_odd(o1: tuple, o2: tuple):
+    """Merge two ascending odd-id tuples; returns (sign, merged) or (0, None)."""
+    if not o1:
+        return 1, o2
+    if not o2:
+        return 1, o1
+    i = j = inv = 0
+    n1, n2 = len(o1), len(o2)
+    out = []
+    while i < n1 and j < n2:
+        a, b = o1[i], o2[j]
+        if a == b:
+            return 0, None
+        if a < b:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+            inv += n1 - i
+    out.extend(o1[i:])
+    out.extend(o2[j:])
+    return (-1 if inv & 1 else 1), tuple(out)
+
+
+def tuple_mono_mul(m1: TupleMonomial, m2: TupleMonomial):
+    """Product of canonical monomials; returns (sign, Monomial) or (0, None)."""
+    sign, odd = _merge_odd(m1.odd, m2.odd)
+    if odd is None:
+        return 0, None
+    if m1.even and m2.even:
+        even = tuple(sorted(m1.even + m2.even))
+    else:
+        even = m1.even or m2.even
+    return sign, TupleMonomial(odd, even, m1.t_deg + m2.t_deg)
+
+
+def tuple_product(a: dict, b: dict) -> dict:
+    """The product loop of ``GradedElement.__mul__`` on term dicts."""
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign, mono = tuple_mono_mul(m1, m2)
+            if mono is None:
+                continue
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            _acc_add(acc, mono, c)
+    return acc
+
+
+def tuple_derivation_apply(images: dict, x: dict) -> dict:
+    """``Derivation.__call__`` on term dicts; ``images`` maps a generator id
+    to the term dict of its image."""
+    acc = {}
+    for mono, coeff in x.items():
+        odd, even, t_deg = mono
+        n_odd = len(odd)
+        for pos in range(n_odd):
+            img = images.get(odd[pos])
+            if img is None:
+                continue
+            prefix = TupleMonomial(odd[:pos], (), 0)
+            suffix = TupleMonomial(odd[pos + 1:], even, t_deg)
+            sign0 = -1 if pos & 1 else 1
+            _acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
+        sign0 = -1 if n_odd & 1 else 1
+        for pos in range(len(even)):
+            img = images.get(even[pos])
+            if img is None:
+                continue
+            prefix = TupleMonomial(odd, even[:pos], 0)
+            suffix = TupleMonomial((), even[pos + 1:], t_deg)
+            _acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
+    return acc
+
+
+def _acc_sandwich(prefix, img, suffix, coeff, sign0, acc) -> None:
+    for m2, c2 in img.items():
+        s1, ma = tuple_mono_mul(prefix, m2)
+        if ma is None:
+            continue
+        s2, mb = tuple_mono_mul(ma, suffix)
+        if mb is None:
+            continue
+        c = coeff * c2
+        if sign0 * s1 * s2 < 0:
+            c = -c
+        _acc_add(acc, mb, c)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FractionScalar
+from helpers import (
+    FractionScalar,
+    from_tuple_mono,
+    random_homogeneous,
+    to_tuple_mono,
+    tuple_derivation_apply,
+    tuple_mono_mul,
+    tuple_product,
+    tuple_terms,
+)
 
 from transgress.algebra import (
     HALF,
@@ -21,6 +30,7 @@ from transgress.algebra import (
     Monomial,
     Scalar,
     integrate_unit_interval,
+    mono_mul,
     permutation_sign,
     sort_word_with_sign,
     substitute_t,
@@ -275,8 +285,8 @@ class TestProducts:
         ctx = make_ctx(6, 4)
         da = rng.randint(0, 4)
         db = rng.randint(0, 4)
-        a = ctx.random_homogeneous(rng, da)
-        b = ctx.random_homogeneous(rng, db)
+        a = random_homogeneous(ctx, rng, da)
+        b = random_homogeneous(ctx, rng, db)
         lhs = a * b
         rhs = (b * a).scale(Scalar((-1) ** (da * db)))
         assert lhs == rhs
@@ -353,7 +363,7 @@ class TestDerivation:
         rng = random.Random(20240817)
         for _ in range(200):
             deg = rng.randint(0, 3)
-            a = ctx.random_homogeneous(rng, deg, terms=2, max_t=1)
+            a = random_homogeneous(ctx, rng, deg, terms=2, max_t=1)
             b = ctx.random_element(rng, terms=2, max_t=1)
             lhs = D(a * b)
             rhs = D(a) * b + a.scale(Scalar((-1) ** deg)) * D(b)
@@ -379,6 +389,116 @@ class TestDerivation:
         ctx = make_ctx()
         with pytest.raises(ContractError):
             Derivation(ctx, {0: ctx.gen(1)}, +1)  # needs degree 2, got 1
+
+
+# ---------------------------------------------------------------------------
+# Bitmask monomials against the tuple-monomial oracles
+# ---------------------------------------------------------------------------
+
+# odd ids up to 130, so masks pass 64 bits; even ids sit above them
+ODD_ID = st.integers(0, 130)
+EVEN_IDS = tuple(range(200, 204))
+PARTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+COEFF = st.builds(Scalar, PARTS, PARTS).filter(bool)
+
+
+@st.composite
+def monomials(draw, odd_ids=None, even_ids=EVEN_IDS):
+    ids = st.sampled_from(odd_ids) if odd_ids else ODD_ID
+    odd = draw(st.lists(ids, max_size=6, unique=True))
+    even = draw(st.lists(st.sampled_from(even_ids), max_size=3)) if even_ids else []
+    return Monomial(sum(1 << g for g in odd), tuple(sorted(even)),
+                    draw(st.integers(0, 3)))
+
+
+@st.composite
+def homogeneous_monomials(draw, ctx, degree):
+    """A monomial of one form degree, or None if the context has none."""
+    odd_ids, even_ids = ctx.odd_ids, ctx.even_ids
+    feasible = [n_even for n_even in range(degree // 2 + 1)
+                if degree - 2 * n_even <= len(odd_ids) and (n_even == 0 or even_ids)]
+    if not feasible:
+        return None
+    n_even = draw(st.sampled_from(feasible))
+    odd = draw(st.lists(st.sampled_from(odd_ids), min_size=degree - 2 * n_even,
+                        max_size=degree - 2 * n_even, unique=True))
+    even = draw(st.lists(st.sampled_from(even_ids), min_size=n_even,
+                         max_size=n_even)) if n_even else []
+    return Monomial(sum(1 << g for g in odd), tuple(sorted(even)),
+                    draw(st.integers(0, 2)))
+
+
+@st.composite
+def contexts(draw):
+    odd_ids = draw(st.lists(ODD_ID, min_size=1, max_size=8, unique=True))
+    even_ids = EVEN_IDS[:draw(st.integers(0, len(EVEN_IDS)))]
+    return Context([Generator(g, 1, f"x{g}") for g in odd_ids]
+                   + [Generator(g, 2, f"y{g}") for g in even_ids])
+
+
+@st.composite
+def elements(draw, ctx, max_terms=5):
+    terms = draw(st.dictionaries(monomials(ctx.odd_ids, ctx.even_ids), COEFF,
+                                 max_size=max_terms))
+    return GradedElement(ctx, terms)
+
+
+@st.composite
+def derivations(draw, ctx):
+    """A degree +1 or -1 derivation with images of 1-4 terms on up to five
+    generators."""
+    degree = draw(st.sampled_from((1, -1)))
+    images = {}
+    for gen in draw(st.lists(st.sampled_from(ctx.generators), max_size=5,
+                             unique=True)):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            mono = draw(homogeneous_monomials(ctx, gen.degree + degree))
+            if mono is not None:
+                terms[mono] = draw(COEFF)
+        images[gen.gid] = GradedElement(ctx, terms)
+    return Derivation(ctx, images, degree)
+
+
+class TestBitmaskOracles:
+    """Bitmask monomials, ``mono_mul``, products and derivations against
+    the tuple-monomial code in ``helpers``: the same signs, monomials and
+    coefficients, in the same insertion order."""
+
+    @given(monomials(), monomials())
+    @settings(max_examples=200, deadline=None)
+    def test_mono_mul(self, m1, m2):
+        t1, t2 = to_tuple_mono(m1), to_tuple_mono(m2)
+        assert from_tuple_mono(t1) == m1
+        assert m1.degree == len(t1.odd) + 2 * len(t1.even)
+        assert list(m1.odd) == sorted(g for g in range(131) if m1.odd_mask >> g & 1)
+        sign, mono = mono_mul(m1, m2)
+        want_sign, want = tuple_mono_mul(t1, t2)
+        assert sign == want_sign
+        assert (mono is None and want is None) or to_tuple_mono(mono) == want
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_product(self, data):
+        ctx = data.draw(contexts())
+        a, b = data.draw(elements(ctx)), data.draw(elements(ctx))
+        want = tuple_product(tuple_terms(a), tuple_terms(b))
+        assert list(tuple_terms(a * b).items()) == list(want.items())
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_derivation(self, data):
+        ctx = data.draw(contexts())
+        D = data.draw(derivations(ctx))
+        x = data.draw(elements(ctx, max_terms=6))
+        images = {gid: tuple_terms(img) for gid, img in D.images.items()}
+        want = tuple_derivation_apply(images, tuple_terms(x))
+        assert list(tuple_terms(D(x)).items()) == list(want.items())
+
+    @pytest.mark.parametrize("gid", [-1, True, False, "3", 2.0, None])
+    def test_context_rejects_bad_odd_ids(self, gid):
+        with pytest.raises(ContractError, match="odd generator id"):
+            Context([Generator(gid, 1, "x")])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +570,7 @@ class TestIntegration:
             x = ctx.random_element(rng, terms=4, max_t=4)
             anti = {}
             for mono, coeff in x.terms.items():
-                anti[Monomial(mono.odd, mono.even, mono.t_deg + 1)] = coeff / (
+                anti[mono._replace(t_deg=mono.t_deg + 1)] = coeff / (
                     mono.t_deg + 1
                 )
             F = GradedElement(ctx, anti)

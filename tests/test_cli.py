@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import transgress
 from transgress import cli
+from transgress.algebra import ContractError
 from transgress.cli import (
     CHECK_NAMES,
     PRESETS,
@@ -21,6 +23,9 @@ from transgress.cli import (
     parse_config,
     run,
 )
+from transgress.lie import named_split, so_algebra, so_block
+from transgress.transgression import tp_chern_euler
+from transgress.weil import UniversalSetup
 
 
 def parse(args):
@@ -53,6 +58,33 @@ class TestParseConfig:
         config = parse(["--algebra", "so4", "--sub", "0,1,3",
                         "--poly", "pfaffian", "--method", "chern"])
         assert config.methods == ("chern",)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_chern_split_rule_matches_route(self, n):
+        # parse_config admits a split for chern exactly when tp_chern_euler
+        # accepts it, and it admits the standard block for every even n
+        algebra = so_algebra(n)
+        block = so_block(n, n - 1)
+        # the last basis element, E[n-1,n], lies outside the so(n-1) block
+        subs = [f"so{n - 1}", ",".join(map(str, block)), f"so{n - 2}", "none",
+                ",".join(map(str, block[:-1])),
+                ",".join(map(str, block + (algebra.dim - 1,))),
+                ",".join(map(str, block + block[-1:]))]
+        for sub in subs:
+            try:
+                parse(["--algebra", f"so{n}", "--sub", sub,
+                       "--poly", "pfaffian", "--method", "chern"])
+                parsed = True
+            except UsageError:
+                parsed = False
+            try:
+                tp_chern_euler(UniversalSetup(algebra, named_split(algebra, sub)))
+                routed = True
+            except ContractError:
+                routed = False
+            assert parsed == routed, sub
+            if sub == f"so{n - 1}":
+                assert parsed == (n % 2 == 0)
 
     def test_custom_file_passthrough(self):
         config = parse(["--algebra", "my.json", "--sub", "0,1,2",
@@ -223,6 +255,42 @@ class TestRun:
                         "--poly", "trace^2", "--field", "rational"])
         with pytest.raises(UsageError):
             run(config)
+
+
+class TestSameReports:
+    """SHA-256 of the JSON report without ``stats.timing``, computed as
+    ``scripts/report_digest.py`` does.  A change that alters a form, a
+    verdict, a witness or the order of terms changes a digest."""
+
+    SO_ROUTES = ("--poly", "pfaffian", "--method", "integral,johnson,chern")
+    DIGESTS = {
+        "paper-so4": (
+            ("--preset", "paper-so4"),
+            "ff42e65733d9fd4549fef7d917af576abb0caeb5dceda0c6ad7235f8327df6b1"),
+        "paper-so6": (
+            ("--preset", "paper-so6"),
+            "5f60fb62c57185d8e40649b577f5d02970869097c9545b602f45b904a81e204d"),
+        "paper-gl3": (
+            ("--preset", "paper-gl3"),
+            "b823001adaf725fca73d7df1492599efedd5faeb1b6e5464d781bcb23f277049"),
+        "so4:structure=0,1,2": (
+            ("--algebra", "so4", "--sub", "so3", "--corrupt", "structure=0,1,2")
+            + SO_ROUTES,
+            "28ef242b6eb6a34a978c623ee00ef011ab57fa93b53a7c27ece4fe17383c098f"),
+        "u2:structure=1,2,3": (
+            ("--algebra", "u2", "--sub", "0,1", "--poly", "trace^2",
+             "--corrupt", "structure=1,2,3", "--method", "integral,johnson"),
+            "e5a6900ddeae7d17a1786d264ac7afbbf43a5bdbdaefc919240e7a50b53cb499"),
+    }
+
+    @pytest.mark.parametrize("label", DIGESTS)
+    def test_report_digest(self, label):
+        argv, digest = self.DIGESTS[label]
+        config = parse(list(argv) + ["--check", "all", "--output", "json"])
+        report = run(config).to_dict()
+        del report["stats"]["timing"]
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestMain:

@@ -14,6 +14,7 @@ from helpers import (
     pfaffian_by_permutations,
     perm_sign_by_swaps,
     pfaffian_permutation_sum,
+    random_homogeneous,
     skew_coordinates,
     symmetrized_trace_permutation_sum,
 )
@@ -51,7 +52,7 @@ def random_lvf(algebra, ctx, rng, degree):
         if rng.random() < 0.35:
             comps.append(ctx.zero())
         else:
-            comps.append(ctx.random_homogeneous(rng, degree, terms=2))
+            comps.append(random_homogeneous(ctx, rng, degree, terms=2))
     return LieValuedForm(algebra, ctx, comps, degree)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_structure_from_matrices, dense_validate
+from helpers import dense_structure_from_matrices, dense_validate, random_homogeneous
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
 from transgress.lie import (
     LieAlgebra,
@@ -62,7 +62,7 @@ def random_lvf(algebra, ctx, rng, degree, terms=1):
         if rng.random() < 0.4:
             comps.append(ctx.zero())
         else:
-            comps.append(ctx.random_homogeneous(rng, degree, terms=terms))
+            comps.append(random_homogeneous(ctx, rng, degree, terms=terms))
     return LieValuedForm(algebra, ctx, comps, degree)
 
 

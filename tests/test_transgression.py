@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import literal_basicness, tp_chern_euler_by_permutations
+from helpers import (
+    literal_basicness,
+    random_homogeneous,
+    tp_chern_euler_by_permutations,
+)
 from transgress.algebra import ContractError, Scalar
 from transgress.invariants import (
     InvariantPolynomial,
@@ -316,8 +320,8 @@ class TestNonBasicForms:
     def test_random_perturbations(self, case, seed):
         setup, P = case
         rng = random.Random(seed)
-        extra = setup.context.random_homogeneous(
-            rng, 2 * P.degree - 1, terms=rng.randint(1, 3))
+        extra = random_homogeneous(
+            setup.context, rng, 2 * P.degree - 1, terms=rng.randint(1, 3))
         result = self.perturbed(setup, P, extra)
         checks = verify_transgression(result, setup)
         assert self.basicness(checks) == literal_basicness(setup, result.form)

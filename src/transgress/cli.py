@@ -466,6 +466,8 @@ def run(config: RunConfig) -> Report:
                 "terms": _rendered_terms(form),
             }
 
+    certified = []  # (form, checks): routes with equal forms share them
+
     for name in config.checks:
         with _stage(timing, name):
             if name == "d2":
@@ -490,7 +492,10 @@ def run(config: RunConfig) -> Report:
                         witness=f"d(d({label})) = {residue.leading_term_str()}"))
             elif name in ("transgression", "basicness"):
                 for method, result in results.items():
-                    checks = result.checks or verify_transgression(result, setup, P)
+                    checks = next((c for f, c in certified if f == result.form), None)
+                    if checks is None:
+                        checks = verify_transgression(result, setup, P)
+                        certified.append((result.form, checks))
                     if name == "transgression":
                         c = checks["transgression"]
                         entries.append(ReportEntry(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (
     ContextError,
@@ -24,13 +24,13 @@ from .algebra import (
     _acc_add,
     _json_int,
     _json_list,
+    mono_mul,
 )
 from .lie import LieAlgebra, _sparse
 
 __all__ = [
     "InvariantPolynomial",
     "evaluate",
-    "apply_to_coordinates",
     "symmetrized_trace",
     "pfaffian",
     "invariant_from_dict",
@@ -119,63 +119,57 @@ def _orderings(part) -> int:
     return n
 
 
-def _multiset_splits(items, sizes, supports):
-    """Distinct ways to split the sorted tuple into parts of the given sizes,
-    each part drawn from the corresponding support set.  Yields tuples of
-    sorted tuples."""
-    distinct = sorted(set(items))
-    counts = [sum(1 for x in items if x == v) for v in distinct]
-    r = len(sizes)
-    parts = [[] for _ in range(r)]
-    remaining = list(sizes)
+# Split plans by shape: (group sizes, run lengths of the sorted tuple, the
+# groups each run may go to) -> ((parts, weight), ...).  They depend on
+# nothing else, so all calls share them.
+_PLANS: dict = {}
 
-    def distribute(vi):
-        if vi == len(distinct):
-            yield tuple(tuple(p) for p in parts)
-            return
-        v, cnt = distinct[vi], counts[vi]
 
-        def assign(gi, left):
-            if gi == r - 1:
-                if left <= remaining[gi] and (left == 0 or v in supports[gi]):
-                    parts[gi].extend([v] * left)
-                    remaining[gi] -= left
-                    yield from distribute(vi + 1)
-                    remaining[gi] += left
-                    if left:
-                        del parts[gi][-left:]
-                return
-            top = min(left, remaining[gi])
-            for take in range(top + 1):
-                if take and v not in supports[gi]:
-                    continue
-                parts[gi].extend([v] * take)
-                remaining[gi] -= take
-                yield from assign(gi + 1, left - take)
-                remaining[gi] += take
-                if take:
-                    del parts[gi][len(parts[gi]) - take:]
+def _split_plan(sizes, runs, masks) -> tuple:
+    """Distinct ways to deal the runs of a sorted tuple out to groups of the
+    given sizes, run r going only to the groups set in ``masks[r]``.
 
-        yield from assign(0, cnt)
-
-    yield from distribute(0)
+    Each split is (parts, weight): part g lists the run index of each of its
+    entries in ascending order, and weight counts the distinct orderings of
+    the entries within every group, prod_g sizes[g]! / prod_r taken[g][r]!.
+    """
+    # (parts, room left per group, weight)
+    splits = [(((),) * len(sizes), sizes, prod(map(factorial, sizes)))]
+    for r, (count, mask) in enumerate(zip(runs, masks)):
+        grown = []
+        for parts, room, weight in splits:
+            caps = [n if mask >> g & 1 else 0 for g, n in enumerate(room)]
+            later = sum(caps)
+            deals = [((), count)]
+            for cap in caps:  # leave no more than the later groups can take
+                later -= cap
+                deals = [(deal + (t,), left - t) for deal, left in deals
+                         for t in range(max(0, left - later), min(cap, left) + 1)]
+            grown += [(tuple(p + (r,) * t for p, t in zip(parts, deal)),
+                       tuple(n - t for n, t in zip(room, deal)),
+                       weight // prod(map(factorial, deal))) for deal, _ in deals]
+        splits = grown
+    return tuple((parts, weight) for parts, _, weight in splits)
 
 
 def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     """Polarized evaluation: sum over basis multi-indices of
     P(e_{a_1}, ..., e_{a_k}) args_1^{a_1} wedge ... wedge args_k^{a_k},
-    times the prefactor."""
+    times the prefactor.
+
+    Each stored tuple is split over the argument groups by the plan of its
+    shape.  One call builds each group product, and each product of the
+    groups before the last, once; the last factor goes straight into the sum.
+    """
     args = list(args)
     if len(args) != P.degree:
         raise ContractError(
             f"polynomial of degree {P.degree} applied to {len(args)} arguments")
-    for f in args:
-        if f.algebra is not P.algebra:
-            raise ContextError("argument over a different Lie algebra")
+    if any(f.algebra is not P.algebra for f in args):
+        raise ContextError("argument over a different Lie algebra")
     ctx = args[0].ctx
-    for f in args:
-        if f.ctx is not ctx:
-            raise ContextError("arguments over different generator contexts")
+    if any(f.ctx is not ctx for f in args):
+        raise ContextError("arguments over different generator contexts")
 
     # Group repeated even-degree arguments (they commute with everything);
     # odd-degree arguments stay as singleton slots in their original order.
@@ -190,59 +184,74 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                 group_of[id(f)] = len(groups)
             groups.append([f, 1])
 
-    supports = [set(f.support()) for f, _ in groups]
-    if any(not s for s in supports):
-        return ctx.zero()
-    sizes = [cnt for _, cnt in groups]
-    memos = [dict() for _ in groups]
+    mask_of = {}  # basis index -> the groups whose form is nonzero there
+    products = []  # per group: part -> product of its components over part
+    for gi, (f, _) in enumerate(groups):
+        products.append({(a,): f.components[a] for a in f.support()})
+        if not products[-1]:
+            return ctx.zero()
+        for (a,) in products[-1]:
+            mask_of[a] = mask_of.get(a, 0) | 1 << gi
+    sizes = tuple(cnt for _, cnt in groups)
+    prefixes = {}  # (id(prefix), group, part) -> prefix * group product
 
     def group_product(gi, part):
-        memo = memos[gi]
+        memo = products[gi]
         elem = memo.get(part)
         if elem is None:
+            # extend the longest product already built, one factor a step
+            cut = len(part) - 1
+            while cut > 1 and part[:cut] not in memo:
+                cut -= 1
+            elem = memo[part[:cut]]
             comps = groups[gi][0].components
-            if len(part) == 1:
-                elem = comps[part[0]]
-            else:
-                elem = group_product(gi, part[:-1]) * comps[part[-1]]
-            memo[part] = elem
+            for end in range(cut, len(part)):
+                elem = memo[part[:end + 1]] = elem * comps[part[end]]
         return elem
 
+    last = len(groups) - 1
     acc = {}
     for stup, val in P.values.items():
-        for parts in _multiset_splits(stup, sizes, supports):
-            count = 1
-            for part in parts:
-                count *= _orderings(part)
-            elem = None
-            for gi, part in enumerate(parts):
-                piece = group_product(gi, part)
-                elem = piece if elem is None else elem * piece
-            if elem.is_zero:
-                continue
-            coeff = val * count
-            for mono, c in elem.terms.items():
-                _acc_add(acc, mono, c * coeff)
+        vals = sorted(set(stup))
+        masks = tuple(mask_of.get(a, 0) for a in vals)
+        if not all(masks):
+            continue
+        shape = (sizes, tuple(map(stup.count, vals)), masks)
+        plan = _PLANS.get(shape)
+        if plan is None:
+            plan = _PLANS[shape] = _split_plan(*shape)
+        value_at = vals.__getitem__
+        for parts, weight in plan:
+            prefix = None
+            for gi in range(last):
+                part = tuple(map(value_at, parts[gi]))
+                if prefix is None:
+                    prefix = group_product(gi, part)
+                else:
+                    key = (id(prefix), gi, part)
+                    piece = prefixes.get(key)
+                    if piece is None:
+                        piece = prefixes[key] = prefix * group_product(gi, part)
+                    prefix = piece
+                if prefix.is_zero:
+                    break
+            else:
+                piece = group_product(last, tuple(map(value_at, parts[last])))
+                coeff = val * weight
+                if prefix is None:
+                    for mono, c in piece.terms.items():
+                        _acc_add(acc, mono, c * coeff)
+                    continue
+                for m1, c1 in prefix.terms.items():
+                    c1 = c1 * coeff
+                    for m2, c2 in piece.terms.items():
+                        sign, mono = mono_mul(m1, m2)
+                        if mono is not None:
+                            _acc_add(acc, mono, -(c1 * c2) if sign < 0 else c1 * c2)
     result = GradedElement(ctx, acc, _canonical=True)
     if not P.prefactor.is_one:
         result = result.scale(P.prefactor)
     return result
-
-
-def apply_to_coordinates(P: InvariantPolynomial, coords) -> Scalar:
-    """P(A, ..., A) for an algebra element with the given basis coordinates."""
-    coords = [c if isinstance(c, Scalar) else Scalar(c) for c in coords]
-    total = ZERO
-    for stup, val in P.values.items():
-        prod = Scalar(_orderings(stup))
-        for a in stup:
-            prod = prod * coords[a]
-            if prod.is_zero:
-                break
-        if prod.is_zero:
-            continue
-        total = total + val * prod
-    return total * P.prefactor
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:
@@ -261,17 +270,17 @@ def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:
         for (i, j), v in _sparse(M).items():
             steps.setdefault(i, []).append((j, a, v))
     sums: dict = {}
-
-    def walk(start, at, word, prod):
-        for j, a, v in steps.get(at, ()):
-            if len(word) + 1 < k:
-                walk(start, j, word + (a,), prod * v)
-            elif j == start:
-                _acc_add(sums, tuple(sorted(word + (a,))), prod * v)
-
-    if k >= 1:  # InvariantPolynomial refuses degree 0
-        for start in steps:
-            walk(start, start, (), ONE)
+    # depth first, with the walks still to extend on a stack
+    for start in steps if k >= 1 else ():  # InvariantPolynomial refuses 0
+        stack = [(start, (), ONE)]
+        while stack:
+            at, word, prod = stack.pop()
+            closing = len(word) + 1 == k
+            for j, a, v in steps.get(at, ()):
+                if not closing:
+                    stack.append((j, word + (a,), prod * v))
+                elif j == start:
+                    _acc_add(sums, tuple(sorted(word + (a,))), prod * v)
     values = {
         tup: sums[tup] * Scalar(Fraction(1, _orderings(tup)))
         for tup in sorted(sums)

@@ -121,22 +121,6 @@ class UniversalSetup:
         w_t = self.deformed_connection
         return self.d_form(w_t) + bracket(w_t, w_t).scale(HALF)
 
-    def deformed_curvature_expanded(self) -> LieValuedForm:
-        """Same family assembled from the split pieces:
-        sub-curvature + t * covariant-d + (t^2/2) [tensor, tensor]."""
-        return (self.sub_curvature
-                + self.covariant_d_tensor.times_t(1)
-                + self.tensor_bracket.scale(HALF).times_t(2))
-
-    def deformed_curvature_interpolated(self) -> LieValuedForm:
-        """Same family as a straight-line interpolation:
-        (1-t) * sub-curvature - (t(1-t)/2) [tensor, tensor] + t * curvature."""
-        psi_c = self.sub_curvature
-        tb_half = self.tensor_bracket.scale(HALF)
-        return (psi_c - psi_c.times_t(1)
-                - tb_half.times_t(1) + tb_half.times_t(2)
-                + self.curvature.times_t(1))
-
     def curvature_difference(self, P: InvariantPolynomial) -> GradedElement:
         """P(curvature) - P(sub-curvature), the d-image every transgression
         form of P must have; computed once per polynomial object."""

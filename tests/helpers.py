@@ -7,8 +7,10 @@ from math import factorial
 from typing import NamedTuple, Union
 
 from transgress.algebra import (
+    ContextError,
     ContractError,
     GradedElement,
+    HALF,
     Monomial,
     Scalar,
     ZERO,
@@ -45,6 +47,154 @@ def naive_evaluate(P, args):
                 break
         total = total + prod
     return total.scale(P.prefactor)
+
+
+# ---------------------------------------------------------------------------
+# Polarized evaluation by recursive multiset splits, the reference for the
+# plan-driven ``evaluate``, and P(A) on the coordinates of one element
+# ---------------------------------------------------------------------------
+
+def _multiset_splits(items, sizes, supports):
+    """Distinct ways to split the sorted tuple into parts of the given sizes,
+    each part drawn from the corresponding support set.  Yields tuples of
+    sorted tuples."""
+    distinct = sorted(set(items))
+    counts = [sum(1 for x in items if x == v) for v in distinct]
+    r = len(sizes)
+    parts = [[] for _ in range(r)]
+    remaining = list(sizes)
+
+    def distribute(vi):
+        if vi == len(distinct):
+            yield tuple(tuple(p) for p in parts)
+            return
+        v, cnt = distinct[vi], counts[vi]
+
+        def assign(gi, left):
+            if gi == r - 1:
+                if left <= remaining[gi] and (left == 0 or v in supports[gi]):
+                    parts[gi].extend([v] * left)
+                    remaining[gi] -= left
+                    yield from distribute(vi + 1)
+                    remaining[gi] += left
+                    if left:
+                        del parts[gi][-left:]
+                return
+            top = min(left, remaining[gi])
+            for take in range(top + 1):
+                if take and v not in supports[gi]:
+                    continue
+                parts[gi].extend([v] * take)
+                remaining[gi] -= take
+                yield from assign(gi + 1, left - take)
+                remaining[gi] += take
+                if take:
+                    del parts[gi][len(parts[gi]) - take:]
+
+        yield from assign(0, cnt)
+
+    yield from distribute(0)
+
+
+def split_evaluate(P, args):
+    """Polarized evaluation with every split of every stored tuple enumerated
+    by ``_multiset_splits`` and a recursive group-product memo per call."""
+    args = list(args)
+    if len(args) != P.degree:
+        raise ContractError(
+            f"polynomial of degree {P.degree} applied to {len(args)} arguments")
+    for f in args:
+        if f.algebra is not P.algebra:
+            raise ContextError("argument over a different Lie algebra")
+    ctx = args[0].ctx
+    for f in args:
+        if f.ctx is not ctx:
+            raise ContextError("arguments over different generator contexts")
+
+    # Group repeated even-degree arguments (they commute with everything);
+    # odd-degree arguments stay as singleton slots in their original order.
+    groups = []  # [form, count]
+    group_of = {}
+    for f in args:
+        gi = group_of.get(id(f))
+        if gi is not None:
+            groups[gi][1] += 1
+        else:
+            if f.degree % 2 == 0:
+                group_of[id(f)] = len(groups)
+            groups.append([f, 1])
+
+    supports = [set(f.support()) for f, _ in groups]
+    if any(not s for s in supports):
+        return ctx.zero()
+    sizes = [cnt for _, cnt in groups]
+    memos = [dict() for _ in groups]
+
+    def group_product(gi, part):
+        memo = memos[gi]
+        elem = memo.get(part)
+        if elem is None:
+            comps = groups[gi][0].components
+            if len(part) == 1:
+                elem = comps[part[0]]
+            else:
+                elem = group_product(gi, part[:-1]) * comps[part[-1]]
+            memo[part] = elem
+        return elem
+
+    acc = {}
+    for stup, val in P.values.items():
+        for parts in _multiset_splits(stup, sizes, supports):
+            count = 1
+            for part in parts:
+                count *= _orderings(part)
+            elem = None
+            for gi, part in enumerate(parts):
+                piece = group_product(gi, part)
+                elem = piece if elem is None else elem * piece
+            if elem.is_zero:
+                continue
+            coeff = val * count
+            for mono, c in elem.terms.items():
+                _acc_add(acc, mono, c * coeff)
+    result = GradedElement(ctx, acc, _canonical=True)
+    if not P.prefactor.is_one:
+        result = result.scale(P.prefactor)
+    return result
+
+
+def apply_to_coordinates(P, coords):
+    """P(A, ..., A) for an algebra element with the given basis coordinates."""
+    coords = [c if isinstance(c, Scalar) else Scalar(c) for c in coords]
+    total = ZERO
+    for stup, val in P.values.items():
+        prod = Scalar(_orderings(stup))
+        for a in stup:
+            prod = prod * coords[a]
+            if prod.is_zero:
+                break
+        if prod.is_zero:
+            continue
+        total = total + val * prod
+    return total * P.prefactor
+
+
+def deformed_curvature_expanded(setup):
+    """The curvature family assembled from the split pieces:
+    sub-curvature + t * covariant-d + (t^2/2) [tensor, tensor]."""
+    return (setup.sub_curvature
+            + setup.covariant_d_tensor.times_t(1)
+            + setup.tensor_bracket.scale(HALF).times_t(2))
+
+
+def deformed_curvature_interpolated(setup):
+    """The curvature family as a straight-line interpolation:
+    (1-t) * sub-curvature - (t(1-t)/2) [tensor, tensor] + t * curvature."""
+    psi_c = setup.sub_curvature
+    tb_half = setup.tensor_bracket.scale(HALF)
+    return (psi_c - psi_c.times_t(1)
+            - tb_half.times_t(1) + tb_half.times_t(2)
+            + setup.curvature.times_t(1))
 
 
 def dense_ad_invariance_witness(P):

@@ -10,9 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import pfaffian_permutation_sum, skew_coordinates
+from helpers import (
+    apply_to_coordinates,
+    deformed_curvature_expanded,
+    deformed_curvature_interpolated,
+    pfaffian_permutation_sum,
+    skew_coordinates,
+)
 from transgress.algebra import Scalar, ZERO, ONE, substitute_t
-from transgress.invariants import apply_to_coordinates, evaluate, pfaffian
+from transgress.invariants import evaluate, pfaffian
 from transgress.lie import (
     LieAlgebra,
     abelian_algebra,
@@ -100,8 +106,8 @@ def test_03_deformation_family(shipped_setups):
             tuple(substitute_t(c, value) for c in form.components), form.degree)
 
     for name, setup in shipped_setups.items():
-        expanded = setup.deformed_curvature_expanded()
-        interpolated = setup.deformed_curvature_interpolated()
+        expanded = deformed_curvature_expanded(setup)
+        interpolated = deformed_curvature_interpolated(setup)
         assert expanded == interpolated, name
         assert expanded == setup.deformed_curvature, name
         assert at(expanded, ONE) == setup.curvature, name

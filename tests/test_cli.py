@@ -24,7 +24,7 @@ from transgress.cli import (
     run,
 )
 from transgress.lie import named_split, so_algebra, so_block
-from transgress.transgression import tp_chern_euler
+from transgress.transgression import tp_chern_euler, verify_transgression
 from transgress.weil import UniversalSetup
 
 
@@ -281,6 +281,22 @@ class TestSameReports:
             ("--algebra", "u2", "--sub", "0,1", "--poly", "trace^2",
              "--corrupt", "structure=1,2,3", "--method", "integral,johnson"),
             "e5a6900ddeae7d17a1786d264ac7afbbf43a5bdbdaefc919240e7a50b53cb499"),
+        "so8/so7": (
+            ("--algebra", "so8", "--sub", "so7") + SO_ROUTES,
+            "6f094bfe6cc65f3f9fd7874c8cbdfae1f6d6ae5534b367ec1b25566266f42a33"),
+        "u3:trace^4": (
+            ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4",
+             "--method", "integral,johnson"),
+            "4df4e76c4047e42cdbee3979a1ca0ca9bd9b77018a915f4d581b33629a10f892"),
+        # two routes agree and one does not, so there are two certificates
+        "so6:aij=0,0": (
+            ("--algebra", "so6", "--sub", "so5", "--corrupt", "aij=0,0")
+            + SO_ROUTES,
+            "f969bad0a7cf54407411e3a49a8b52325c84f192c75bd75c86e5a87d7975cb2b"),
+        "so6:prefactor": (
+            ("--algebra", "so6", "--sub", "so5", "--corrupt", "prefactor")
+            + SO_ROUTES,
+            "73047cc55e4a7a375c7a3b56c4ae39696019cbe6ac81cf08e28b03a56d9269c0"),
     }
 
     @pytest.mark.parametrize("label", DIGESTS)
@@ -291,6 +307,64 @@ class TestSameReports:
         del report["stats"]["timing"]
         text = json.dumps(report, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+class TestCertifyOnce:
+    """Routes whose forms are equal share one certificate; a route whose form
+    differs gets its own, with its own witness."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        forms = []
+
+        def counting(result, setup, P=None):
+            forms.append(result.method)
+            return verify_transgression(result, setup, P)
+
+        monkeypatch.setattr(cli, "verify_transgression", counting)
+        return forms
+
+    def run_so6(self, *extra):
+        return run(parse(["--algebra", "so6", "--sub", "so5",
+                          "--poly", "pfaffian",
+                          "--method", "integral,johnson,chern",
+                          "--check", "transgression,basicness", *extra]))
+
+    @staticmethod
+    def verdicts(report):
+        return [(e.name, e.status, bool(e.witness)) for e in report.checks[3:]]
+
+    def test_three_equal_forms_certified_once(self, certified):
+        report = self.run_so6()
+        assert report.passed
+        assert certified == ["integral"]
+        assert [e.name for e in report.checks[3:]] == [
+            f"{check}[{m}]" for check in ("transgression", "basicness")
+            for m in ("integral", "johnson", "chern")]
+
+    def test_corrupt_aij_certified_apart(self, certified):
+        report = self.run_so6("--corrupt", "aij=0,0")
+        assert certified == ["integral", "johnson"]
+        assert self.verdicts(report) == [
+            ("transgression[integral]", "pass", False),
+            ("transgression[johnson]", "fail", True),
+            ("transgression[chern]", "pass", False),
+            ("basicness[integral]", "pass", False),
+            ("basicness[johnson]", "pass", False),
+            ("basicness[chern]", "pass", False)]
+
+    def test_corrupt_prefactor_certified_apart(self, certified):
+        # the doubled polynomial doubles the integral and johnson forms and
+        # the d-image they are checked against; the chern form stays put
+        report = self.run_so6("--corrupt", "prefactor")
+        assert certified == ["integral", "chern"]
+        assert self.verdicts(report) == [
+            ("transgression[integral]", "pass", False),
+            ("transgression[johnson]", "pass", False),
+            ("transgression[chern]", "fail", True),
+            ("basicness[integral]", "pass", False),
+            ("basicness[johnson]", "pass", False),
+            ("basicness[chern]", "pass", False)]
 
 
 class TestMain:
@@ -313,6 +387,15 @@ class TestMain:
         data = json.loads(out.read_text())
         assert data["config"]["field"] == "gaussian"
         assert all(e["status"] == "pass" for e in data["checks"])
+
+    def test_high_degree_trace(self):
+        # deep enough to overflow the interpreter stack if the trace walk or
+        # a group product recursed once per factor
+        code, err = run_cli("--algebra", "u1", "--poly", "trace^1500",
+                            "--method", "integral",
+                            "--check", "transgression,basicness")
+        assert code == 0, err
+        assert "Traceback" not in err
 
     def test_presets_exist(self):
         assert set(PRESETS) == {"paper-so4", "paper-so6", "paper-gl3"}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_to_coordinates,
     bareiss_determinant,
     dense_ad_invariance_witness,
     naive_evaluate,
@@ -16,13 +17,14 @@ from helpers import (
     pfaffian_permutation_sum,
     random_homogeneous,
     skew_coordinates,
+    split_evaluate,
     symmetrized_trace_permutation_sum,
 )
+from transgress import invariants
 from transgress.algebra import Context, ContractError, Generator, Scalar
 from transgress.invariants import (
     InvariantPolynomial,
     _perfect_matchings,
-    apply_to_coordinates,
     evaluate,
     pfaffian,
     symmetrized_trace,
@@ -430,3 +432,75 @@ class TestAdInvarianceGate:
         P = InvariantPolynomial(gl_algebra(3), 2, {(0, 0): Scalar(1)})
         assert dense_ad_invariance_witness(P) == (1, (0, 3), Scalar(1))
         assert P.ad_invariance_witness() == (1, (0, 3), Scalar(1))
+
+
+EVAL_ALGEBRAS = ("su2", "gl2", "u2", "so4")
+
+
+@cache
+def eval_context(name):
+    algebra = gate_algebra(name)
+    return algebra, form_context(algebra.dim, n_even=algebra.dim)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A sparse tensor whose keys repeat indices, with Gaussian values and
+    prefactor, and an argument list drawn from a pool of forms of degree 1
+    to 3.  A form may fill several slots, adjacent or not, and may vanish."""
+    algebra, ctx = eval_context(draw(st.sampled_from(EVAL_ALGEBRAS)))
+    k = draw(st.integers(1, 4))
+    key = st.lists(st.integers(0, algebra.dim - 1), min_size=k, max_size=k)
+    entries = draw(st.lists(st.tuples(key, gate_scalars), min_size=1, max_size=8))
+    prefactor = draw(st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2),
+                               st.integers(0, 2)))
+    P = InvariantPolynomial(
+        algebra, k, {tuple(sorted(key)): v for key, v in entries}, prefactor)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = []
+    for degree in draw(st.lists(st.sampled_from((1, 2, 2, 3)),
+                                min_size=1, max_size=3)):
+        if draw(st.integers(0, 5)) == 0:
+            pool.append(LieValuedForm.zero(algebra, ctx, degree))
+        else:
+            pool.append(random_lvf(algebra, ctx, rng, degree))
+    slots = draw(st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k))
+    return P, [pool[i] for i in slots]
+
+
+class TestPlanDrivenEvaluate:
+    """``evaluate`` against the split-enumerating evaluator it replaced and,
+    where the full sum over basis multi-indices is small, the naive one."""
+
+    @given(evaluation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracles(self, case):
+        P, args = case
+        got = evaluate(P, args)
+        assert got == split_evaluate(P, args)
+        if P.algebra.dim ** P.degree <= 256:
+            assert got == naive_evaluate(P, args)
+
+    @given(evaluation_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_same_shape_other_support(self, case, rnd):
+        # the tensor with its basis indices permuted keeps the run lengths of
+        # every key but meets other supports, so the second call looks up
+        # plans of the same group sizes and runs on other values
+        P, args = case
+        perm = list(range(P.algebra.dim))
+        rnd.shuffle(perm)
+        Q = InvariantPolynomial(
+            P.algebra, P.degree,
+            {tuple(sorted(perm[a] for a in key)): v for key, v in P.values.items()},
+            P.prefactor)
+        for T in (P, Q):
+            assert evaluate(T, args) == split_evaluate(T, args)
+
+    def test_plans_built_once(self, gl3_setup, tr3_gl3):
+        s = gl3_setup
+        args = [s.tensor_form, s.sub_curvature, s.tensor_bracket]
+        first = evaluate(tr3_gl3, args)
+        plans = dict(invariants._PLANS)
+        assert evaluate(tr3_gl3, args) == first == split_evaluate(tr3_gl3, args)
+        assert invariants._PLANS == plans

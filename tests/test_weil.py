@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import deformed_curvature_expanded, deformed_curvature_interpolated
 from transgress.algebra import Scalar, ZERO, ONE, substitute_t
 from transgress.lie import (
     LieValuedForm,
@@ -148,8 +149,8 @@ class TestDeformationFamily:
     def test_three_constructions_agree(self, shipped_setups):
         for name, setup in shipped_setups.items():
             by_definition = setup.deformed_curvature
-            assert by_definition == setup.deformed_curvature_expanded(), name
-            assert by_definition == setup.deformed_curvature_interpolated(), name
+            assert by_definition == deformed_curvature_expanded(setup), name
+            assert by_definition == deformed_curvature_interpolated(setup), name
 
     def test_endpoints(self, shipped_setups):
         for name, setup in shipped_setups.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, lcm as _lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -527,6 +527,96 @@ def _mono_sort_key(m: Monomial):
 
 
 # ---------------------------------------------------------------------------
+# Integer numerators for the kernels
+# ---------------------------------------------------------------------------
+
+class _Numerators:
+    """The coefficients of some elements as integer numerators over their
+    common denominator ``den``, for kernels that make one int product and one
+    dict update per term operation and one Scalar per output term.
+
+    ``encode`` gives each element as {Monomial: int}.  Gaussian data is
+    packed as re + (im << shift), with ``shift`` past the bit length of any
+    part a call can reach: the packing is linear, so sums and products with a
+    real int act on both parts, and the int is 0 exactly when both parts are
+    (``_gmul`` multiplies two packed numbers).  When the (2pi) powers differ,
+    each power above ``low`` goes into the t-degree in multiples of ``unit``,
+    past any t-degree a call can reach; products add t-degrees as they add
+    powers, and ``_decode`` splits the two again.  ``_encoding`` picks
+    ``shift`` and ``unit``.
+    """
+
+    __slots__ = ("elements", "den", "imag", "low", "high")
+
+    def __init__(self, elements: dict):
+        coeffs = [c for terms in elements.values() for c in terms.values()]
+        powers = {c.two_pi for c in coeffs} or {0}
+        self.elements = elements
+        self.den = _lcm(*{c._den for c in coeffs})
+        self.imag = any(c._im for c in coeffs)
+        self.low, self.high = min(powers), max(powers)
+
+    def encode(self, shift: int = 0, unit: int = 0) -> dict:
+        den, low = self.den, self.low
+        out = {}
+        for key, terms in self.elements.items():
+            nums = out[key] = {}
+            for m, c in terms.items():
+                f = den // c._den
+                if c.two_pi != low:
+                    m = _tuple_new(Monomial, (m[0], m[1], m[2] + (c.two_pi - low) * unit))
+                nums[m] = c._re * f + (c._im * f << shift)
+        return out
+
+
+def _encoding(factors, scale: int = 1) -> tuple:
+    """(shift, unit) for sums of at most ``scale`` products that take one
+    element of each of ``factors``; 0 where no packing or shifting is needed."""
+    shift = unit = 0
+    if any(f.imag for f in factors):
+        bound = scale  # times the largest |re| + |im| sum of each factor
+        for f in factors:
+            bound *= max((sum((abs(c._re) + abs(c._im)) * (f.den // c._den)
+                              for c in terms.values()) for terms in f.elements.values()),
+                         default=0)
+        shift = bound.bit_length() + 1
+    if any(f.low != f.high for f in factors):
+        unit = 1 + sum(max((m[2] for terms in f.elements.values() for m in terms), default=0)
+                       for f in factors)
+    return shift, unit
+
+
+def _gmul(a: int, b: int, shift: int) -> int:
+    """The product of two packed Gaussian integers."""
+    half = 1 << shift - 1
+    ai, bi = (a + half) >> shift, (b + half) >> shift
+    ar, br = a - (ai << shift), b - (bi << shift)
+    return ar * br - ai * bi + ((ar * bi + ai * br) << shift)
+
+
+def _decode(acc: dict, den: int, power: int, shift: int = 0, unit: int = 0) -> dict:
+    """{Monomial: Scalar} from numerators over ``den`` at (2pi) power
+    ``power``, in the order of ``acc``.  Terms that differ only in their power
+    would be a sum of scalars with different powers, which is refused."""
+    half = 1 << shift - 1 if shift else 0
+    out = {}
+    for mono, v in acc.items():
+        p = power
+        if unit:
+            q, t = divmod(mono[2], unit)
+            p += q
+            mono = _tuple_new(Monomial, (mono[0], mono[1], t))
+            if mono in out:
+                raise ContractError(f"cannot add scalars with different (2pi) "
+                                    f"powers: {out[mono].two_pi} vs {p}")
+        im = (v + half) >> shift if shift else 0
+        re = v - (im << shift)
+        g = _gcd(re, im, den)
+        out[mono] = _make(re // g, im // g, den // g, p)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
 
@@ -708,7 +798,7 @@ class Derivation:
     ``D(ab) = D(a) b + (-1)^(degree*|a|) a D(b)`` fixes the extension.
     """
 
-    __slots__ = ("ctx", "degree", "images")
+    __slots__ = ("ctx", "degree", "images", "_table")
 
     def __init__(self, ctx: Context, images: Mapping[int, GradedElement], degree: int):
         if degree not in (1, -1):
@@ -729,6 +819,7 @@ class Derivation:
         self.ctx = ctx
         self.degree = degree
         self.images = checked
+        self._table = None  # numerators of the images, and their plain encoding if any
 
     def __call__(self, x: GradedElement) -> GradedElement:
         """Apply the Leibniz rule in one pass per image term.
@@ -738,12 +829,26 @@ class Derivation:
         operator moves past those ``pos`` factors, then each odd factor b of
         the image term moves to its place in ``rest_odd``, which takes
         ``pos + popcount(rest_odd below b)`` transpositions modulo 2.
+
+        Coefficients are integer numerators (``_Numerators``); those of the
+        images are read on the first call.
         """
         if x.ctx is not self.ctx:
             raise ContextError("element over a different context")
+        if self._table is None:
+            table = _Numerators({gid: img.terms for gid, img in self.images.items()})
+            plain = not table.imag and table.low == table.high  # needs no encoding
+            self._table = table, table.encode() if plain else None
+        table, images = self._table
+        source = _Numerators({0: x.terms})
+        # a term has one slot per factor at most, so at most ``degree`` slots
+        most = max((m.degree for m in x.terms), default=0) if source.imag or table.imag else 1
+        shift, unit = _encoding((source, table), most)
+        if images is None or shift or unit:
+            images = table.encode(shift, unit)
+        both = shift if source.imag and table.imag else 0  # Gaussian products
         acc = {}
-        images = self.images
-        for (odd, even, t_deg), coeff in x.terms.items():
+        for (odd, even, t_deg), coeff in source.encode(shift, unit)[0].items():
             slots = []
             pos = 0
             bits = odd
@@ -759,7 +864,11 @@ class Derivation:
                 if img is not None:
                     slots.append((img, odd, even[:i] + even[i + 1:], pos))
             for img, rest_odd, rest_even, pos in slots:
-                for (io, ie, it), c2 in img.terms.items():
+                if both:
+                    pairs, mult = [(m, _gmul(coeff, c, both)) for m, c in img.items()], 1
+                else:
+                    pairs, mult = img.items(), coeff
+                for (io, ie, it), c2 in pairs:
                     if io & rest_odd:
                         continue
                     mono = _tuple_new(Monomial, (
@@ -770,20 +879,14 @@ class Derivation:
                         low = io & -io
                         io ^= low
                         parity += pos + (rest_odd & (low - 1)).bit_count()
-                    c = coeff * c2
-                    if parity & 1:
-                        c = -c
-                    # coefficients of canonical terms are nonzero, so c is
-                    cur = acc.get(mono)
-                    if cur is None:
+                    # the product is nonzero, so a new monomial gets a nonzero entry
+                    c = (-mult if parity & 1 else mult) * c2 + acc.get(mono, 0)
+                    if c:
                         acc[mono] = c
                     else:
-                        c = cur + c
-                        if c._re or c._im:
-                            acc[mono] = c
-                        else:
-                            del acc[mono]
-        return GradedElement(self.ctx, acc, _canonical=True)
+                        del acc[mono]
+        out = _decode(acc, source.den * table.den, source.low + table.low, shift, unit)
+        return GradedElement(self.ctx, out, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,16 @@ from .algebra import (
     ContextError,
     ContractError,
     GradedElement,
+    Monomial,
     ONE,
     Scalar,
     ZERO,
+    UNIT_MONO,
+    _Numerators,
     _acc_add,
+    _decode,
+    _encoding,
+    _gmul,
     _json_int,
     _json_list,
     mono_mul,
@@ -152,6 +158,30 @@ def _split_plan(sizes, runs, masks) -> tuple:
     return tuple((parts, weight) for parts, _, weight in splits)
 
 
+def _product(a: dict, b: dict, both: int, acc: dict = None, scale: int = 1) -> dict:
+    """scale * a * b on numerator dicts, summed into ``acc`` (a new dict by
+    default), with the signs from ``mono_mul``.  ``both`` is the packing
+    shift when both sides hold Gaussian numbers, whose products need
+    ``_gmul``, and 0 otherwise."""
+    if acc is None:
+        acc = {}
+    for m1, c1 in a.items():
+        if both:
+            c1 = _gmul(c1, scale, both)
+            pairs, c1 = [(m2, _gmul(c1, c2, both)) for m2, c2 in b.items()], 1
+        else:
+            pairs, c1 = b.items(), c1 * scale
+        for m2, c2 in pairs:
+            sign, mono = mono_mul(m1, m2)
+            if mono is not None:
+                c = (c1 if sign > 0 else -c1) * c2 + acc.get(mono, 0)
+                if c:
+                    acc[mono] = c
+                else:
+                    del acc[mono]
+    return acc
+
+
 def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     """Polarized evaluation: sum over basis multi-indices of
     P(e_{a_1}, ..., e_{a_k}) args_1^{a_1} wedge ... wedge args_k^{a_k},
@@ -160,6 +190,11 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     Each stored tuple is split over the argument groups by the plan of its
     shape.  One call builds each group product, and each product of the
     groups before the last, once; the last factor goes straight into the sum.
+
+    The components of group g are integer numerators over a denominator D_g,
+    and the values times the prefactor over D_P.  Every split gives group g
+    exactly size_g factors, so every term has the denominator
+    D_P * prod_g D_g^size_g and the numerators simply add.
     """
     args = list(args)
     if len(args) != P.degree:
@@ -183,16 +218,25 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
             if f.degree % 2 == 0:
                 group_of[id(f)] = len(groups)
             groups.append([f, 1])
+    sizes = tuple(cnt for _, cnt in groups)
+    forms = [_Numerators({a: f.components[a].terms for a in f.support()})
+             for f, _ in groups]
+    pre = P.prefactor
+    if pre.is_zero or not all(f.elements for f in forms):
+        return ctx.zero()
+    values = _Numerators({stup: {UNIT_MONO: v if pre.is_one else v * pre}
+                          for stup, v in P.values.items()})
+    # a tuple's splits take at most k! orderings, each once
+    factors = [values] + [f for f, n in zip(forms, sizes) for _ in range(n)]
+    shift, unit = _encoding(factors, factorial(P.degree) * len(P.values))
+    both = shift if any(f.imag for f in forms) else 0  # Gaussian products
 
     mask_of = {}  # basis index -> the groups whose form is nonzero there
     products = []  # per group: part -> product of its components over part
-    for gi, (f, _) in enumerate(groups):
-        products.append({(a,): f.components[a] for a in f.support()})
-        if not products[-1]:
-            return ctx.zero()
-        for (a,) in products[-1]:
+    for gi, f in enumerate(forms):
+        products.append({(a,): nums for a, nums in f.encode(shift, unit).items()})
+        for a in f.elements:
             mask_of[a] = mask_of.get(a, 0) | 1 << gi
-    sizes = tuple(cnt for _, cnt in groups)
     prefixes = {}  # (id(prefix), group, part) -> prefix * group product
 
     def group_product(gi, part):
@@ -204,14 +248,13 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
             while cut > 1 and part[:cut] not in memo:
                 cut -= 1
             elem = memo[part[:cut]]
-            comps = groups[gi][0].components
             for end in range(cut, len(part)):
-                elem = memo[part[:end + 1]] = elem * comps[part[end]]
+                elem = memo[part[:end + 1]] = _product(elem, memo[(part[end],)], both)
         return elem
 
     last = len(groups) - 1
     acc = {}
-    for stup, val in P.values.items():
+    for stup, value in values.encode(shift, unit).items():
         vals = sorted(set(stup))
         masks = tuple(mask_of.get(a, 0) for a in vals)
         if not all(masks):
@@ -221,6 +264,8 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         if plan is None:
             plan = _PLANS[shape] = _split_plan(*shape)
         value_at = vals.__getitem__
+        # the value's (2pi) power above the lowest, as a t-degree
+        ((_, _, step), val), = value.items()
         for parts, weight in plan:
             prefix = None
             for gi in range(last):
@@ -231,27 +276,29 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                     key = (id(prefix), gi, part)
                     piece = prefixes.get(key)
                     if piece is None:
-                        piece = prefixes[key] = prefix * group_product(gi, part)
+                        piece = prefixes[key] = _product(
+                            prefix, group_product(gi, part), both)
                     prefix = piece
-                if prefix.is_zero:
+                if not prefix:
                     break
             else:
                 piece = group_product(last, tuple(map(value_at, parts[last])))
+                if step:
+                    piece = {Monomial(o, e, t + step): c for (o, e, t), c in piece.items()}
                 coeff = val * weight
-                if prefix is None:
-                    for mono, c in piece.terms.items():
-                        _acc_add(acc, mono, c * coeff)
+                if prefix is not None:
+                    _product(prefix, piece, both, acc, coeff)
                     continue
-                for m1, c1 in prefix.terms.items():
-                    c1 = c1 * coeff
-                    for m2, c2 in piece.terms.items():
-                        sign, mono = mono_mul(m1, m2)
-                        if mono is not None:
-                            _acc_add(acc, mono, -(c1 * c2) if sign < 0 else c1 * c2)
-    result = GradedElement(ctx, acc, _canonical=True)
-    if not P.prefactor.is_one:
-        result = result.scale(P.prefactor)
-    return result
+                for mono, c in piece.items():
+                    c = (_gmul(c, coeff, both) if both else c * coeff) + acc.get(mono, 0)
+                    if c:
+                        acc[mono] = c
+                    else:
+                        del acc[mono]
+    den, power = values.den, values.low
+    for f, n in zip(forms, sizes):
+        den, power = den * f.den ** n, power + f.low * n
+    return GradedElement(ctx, _decode(acc, den, power, shift, unit), _canonical=True)
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

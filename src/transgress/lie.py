@@ -67,26 +67,6 @@ def make_matrix(rows) -> tuple:
     return tuple(tuple(_as_scalar(v) for v in row) for row in rows)
 
 
-def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            s = ZERO
-            for k in range(m):
-                a = A[i][k]
-                if a.is_zero:
-                    continue
-                b = B[k][j]
-                if b.is_zero:
-                    continue
-                s = s + a * b
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_sub(A, B):
     return tuple(
         tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
@@ -97,25 +77,6 @@ def mat_add(A, B):
     return tuple(
         tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
     )
-
-
-def mat_scale(s: Scalar, A):
-    return tuple(tuple(s * a for a in row) for row in A)
-
-
-def mat_commutator(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
-def mat_trace(A) -> Scalar:
-    s = ZERO
-    for i in range(len(A)):
-        s = s + A[i][i]
-    return s
-
-
-def mat_is_zero(A) -> bool:
-    return all(v.is_zero for row in A for v in row)
 
 
 def _sparse(A) -> dict:

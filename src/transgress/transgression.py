@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from .algebra import (
     ContractError,
@@ -31,7 +31,6 @@ from .algebra import (
     integrate_unit_interval,
     permutation_sign,
     t_derivative,
-    _acc_add,
 )
 from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
 from .lie import bracket, so_block
@@ -113,26 +112,19 @@ def coefficient_A(k: int, i: int, j: int) -> Scalar:
 
 
 def coefficient_A_by_integration(k: int, i: int, j: int) -> Scalar:
-    """The same coefficient derived the long way: expand the interpolated
-    family, pick the multinomial weight, and integrate the t-polynomial
-    exactly.  Kept independent of the closed form as a cross-check."""
+    """The same coefficient derived the long way, kept independent of the
+    closed form as a cross-check: k times the multinomial weight of the
+    pattern times (-1/2)^i times the integral over [0, 1] of
+    t^(k-j-1) (1-t)^(i+j), expanded binomially and integrated termwise.
+    The sum over r of (-1)^r C(m, r) / (b+r+1) is taken over the lcm L of
+    its denominators, in integers, with one Fraction at the end."""
     if i < 0 or j < 0 or i + j > k - 1:
         raise ContractError(f"indices ({i}, {j}) out of range for degree {k}")
-    multinomial = Fraction(
-        factorial(k - 1),
-        factorial(i) * factorial(j) * factorial(k - i - j - 1))
-    # integrand t^(k-j-1) (1-t)^(i+j), expanded binomially
-    poly = {}
-    m = i + j
-    base_power = k - j - 1
-    for r in range(m + 1):
-        binom = Fraction(factorial(m), factorial(r) * factorial(m - r))
-        coeff = Scalar(binom * (-1) ** r)
-        _acc_add(poly, Monomial(0, (), base_power + r), coeff)
-    integral = Scalar(0)
-    for mono, coeff in poly.items():
-        integral = integral + coeff / (mono.t_deg + 1)
-    return Scalar(k) * Scalar(multinomial) * Scalar(Fraction(-1, 2)) ** i * integral
+    multinomial = factorial(k - 1) // (factorial(i) * factorial(j) * factorial(k - i - j - 1))
+    m, b = i + j, k - j - 1
+    L = lcm(*range(b + 1, b + m + 2))
+    integral = sum((-1) ** r * comb(m, r) * (L // (b + r + 1)) for r in range(m + 1))
+    return Scalar(Fraction((-1) ** i * k * multinomial * integral, 2 ** i * L))
 
 
 def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,

@@ -102,11 +102,6 @@ class UniversalSetup:
         return self.d_form(psi) + bracket(psi, psi).scale(HALF)
 
     @cached_property
-    def covariant_d_tensor(self) -> LieValuedForm:
-        """Covariant derivative of the tangential part of the connection."""
-        return self.sub_covariant_d(self.tensor_form)
-
-    @cached_property
     def tensor_bracket(self) -> LieValuedForm:
         return bracket(self.tensor_form, self.tensor_form)
 

@@ -18,17 +18,51 @@ from transgress.algebra import (
     permutation_sign,
 )
 from transgress.invariants import InvariantPolynomial, _orderings, pfaffian
-from transgress.lie import (
-    ValidationFailure,
-    ValidationReport,
-    mat_commutator,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_trace,
-)
+from transgress.lie import ValidationFailure, ValidationReport, mat_sub
 from transgress.transgression import _finish, double_factorial
+
+
+# ---------------------------------------------------------------------------
+# Dense exact matrices (tuples of tuples of Scalar), for the oracles below
+# ---------------------------------------------------------------------------
+
+def mat_mul(A, B):
+    n, m, p = len(A), len(B), len(B[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            s = ZERO
+            for k in range(m):
+                a = A[i][k]
+                if a.is_zero:
+                    continue
+                b = B[k][j]
+                if b.is_zero:
+                    continue
+                s = s + a * b
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_scale(s: Scalar, A):
+    return tuple(tuple(s * a for a in row) for row in A)
+
+
+def mat_commutator(A, B):
+    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+
+
+def mat_trace(A) -> Scalar:
+    s = ZERO
+    for i in range(len(A)):
+        s = s + A[i][i]
+    return s
+
+
+def mat_is_zero(A) -> bool:
+    return all(v.is_zero for row in A for v in row)
 
 
 def naive_evaluate(P, args):
@@ -179,11 +213,16 @@ def apply_to_coordinates(P, coords):
     return total * P.prefactor
 
 
+def covariant_d_tensor(setup):
+    """Covariant derivative of the tangential part of the connection."""
+    return setup.sub_covariant_d(setup.tensor_form)
+
+
 def deformed_curvature_expanded(setup):
     """The curvature family assembled from the split pieces:
     sub-curvature + t * covariant-d + (t^2/2) [tensor, tensor]."""
     return (setup.sub_curvature
-            + setup.covariant_d_tensor.times_t(1)
+            + covariant_d_tensor(setup).times_t(1)
             + setup.tensor_bracket.scale(HALF).times_t(2))
 
 
@@ -735,8 +774,9 @@ def tp_chern_euler_by_permutations(setup, P=None):
 
 
 def random_homogeneous(ctx, rng, degree: int, terms: int = 2,
-                       max_t: int = 0) -> GradedElement:
-    """A random element of one form degree over ``ctx``, for property tests."""
+                       max_t: int = 0, gaussian: bool = False) -> GradedElement:
+    """A random element of one form degree over ``ctx``, for property tests;
+    ``gaussian`` adds imaginary parts over denominators up to 12."""
     odd_ids, even_ids = ctx.odd_ids, ctx.even_ids
     feasible = [
         n_even for n_even in range(degree // 2 + 1)
@@ -751,8 +791,33 @@ def random_homogeneous(ctx, rng, degree: int, terms: int = 2,
         odd = sum(1 << g for g in rng.sample(odd_ids, n_odd)) if n_odd else 0
         even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
         coeff = Scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        if gaussian:
+            coeff = coeff + Scalar(0, Fraction(rng.randint(-3, 3), rng.randint(1, 12)))
         _acc_add(acc, Monomial(odd, even, rng.randint(0, max_t)), coeff)
     return GradedElement(ctx, acc)
+
+
+def coefficient_A_by_scalars(k: int, i: int, j: int) -> Scalar:
+    """``coefficient_A_by_integration`` as it was written on Scalars and
+    monomials: expand t^(k-j-1) (1-t)^(i+j) binomially into a t-polynomial,
+    integrate it term by term and apply the multinomial weight."""
+    if i < 0 or j < 0 or i + j > k - 1:
+        raise ContractError(f"indices ({i}, {j}) out of range for degree {k}")
+    multinomial = Fraction(
+        factorial(k - 1),
+        factorial(i) * factorial(j) * factorial(k - i - j - 1))
+    # integrand t^(k-j-1) (1-t)^(i+j), expanded binomially
+    poly = {}
+    m = i + j
+    base_power = k - j - 1
+    for r in range(m + 1):
+        binom = Fraction(factorial(m), factorial(r) * factorial(m - r))
+        coeff = Scalar(binom * (-1) ** r)
+        _acc_add(poly, Monomial(0, (), base_power + r), coeff)
+    integral = Scalar(0)
+    for mono, coeff in poly.items():
+        integral = integral + coeff / (mono.t_deg + 1)
+    return Scalar(k) * Scalar(multinomial) * Scalar(Fraction(-1, 2)) ** i * integral
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -398,7 +398,7 @@ class TestDerivation:
 # odd ids up to 130, so masks pass 64 bits; even ids sit above them
 ODD_ID = st.integers(0, 130)
 EVEN_IDS = tuple(range(200, 204))
-PARTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+PARTS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 COEFF = st.builds(Scalar, PARTS, PARTS).filter(bool)
 
 
@@ -499,6 +499,88 @@ class TestBitmaskOracles:
     def test_context_rejects_bad_odd_ids(self, gid):
         with pytest.raises(ContractError, match="odd generator id"):
             Context([Generator(gid, 1, "x")])
+
+
+def with_powers(x: GradedElement, power_of) -> GradedElement:
+    """x with each coefficient carrying the (2pi) power ``power_of(mono)``."""
+    return GradedElement(x.ctx, {m: Scalar(c.re, c.im, two_pi=power_of(m))
+                                 for m, c in x.terms.items()})
+
+
+def oracle_apply(D: Derivation, x: GradedElement) -> list:
+    images = {gid: tuple_terms(img) for gid, img in D.images.items()}
+    return list(tuple_derivation_apply(images, tuple_terms(x)).items())
+
+
+@st.composite
+def image_collisions(draw):
+    """A context, two odd generators g and h, and a nonzero element E of the
+    degree their images need under a derivation of the drawn degree."""
+    ctx = draw(contexts())
+    assume(len(ctx.odd_ids) >= 2)
+    g, h = draw(st.lists(st.sampled_from(ctx.odd_ids), min_size=2, max_size=2,
+                         unique=True))
+    degree = draw(st.sampled_from((1, -1)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        mono = draw(homogeneous_monomials(ctx, 1 + degree))
+        assume(mono is not None)
+        terms[mono] = draw(COEFF)
+    return ctx, g, h, degree, GradedElement(ctx, terms)
+
+
+class TestDerivationCoefficients:
+    """Derivations whose coefficients carry (2pi) powers or cancel, against
+    the tuple-monomial oracle: the same terms in the same insertion order."""
+
+    @given(st.data(), st.integers(-2, 3), st.integers(-2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_powers(self, data, p, q):
+        ctx = data.draw(contexts())
+        D = data.draw(derivations(ctx))
+        D = Derivation(ctx, {gid: with_powers(img, lambda m: q)
+                             for gid, img in D.images.items()}, D.degree)
+        x = with_powers(data.draw(elements(ctx, max_terms=6)), lambda m: p)
+        assert list(tuple_terms(D(x)).items()) == oracle_apply(D, x)
+
+    @given(st.data(), st.integers(-2, 3), st.integers(-2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_powers_on_distinct_monomials(self, data, p, q):
+        # the power of every term follows its t-degree, so two terms that
+        # meet on one monomial carry the same power
+        ctx = data.draw(contexts())
+        D = data.draw(derivations(ctx))
+        D = Derivation(ctx, {gid: with_powers(img, lambda m: q + m.t_deg)
+                             for gid, img in D.images.items()}, D.degree)
+        x = with_powers(data.draw(elements(ctx, max_terms=6)), lambda m: p + m.t_deg)
+        assert list(tuple_terms(D(x)).items()) == oracle_apply(D, x)
+
+    @given(image_collisions(), COEFF, COEFF, st.integers(-2, 3), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_powers_on_one_monomial_raise(self, case, a, b, p, gap):
+        # D(a g + b h) = a E + b E, at powers p and p + gap on every term of E
+        ctx, g, h, degree, image = case
+        D = Derivation(ctx, {g: image, h: image}, degree)
+        x = GradedElement(ctx, {Monomial(1 << g, (), 0): Scalar(a.re, a.im, p),
+                                Monomial(1 << h, (), 0): Scalar(b.re, b.im, p + gap)})
+        with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
+            oracle_apply(D, x)
+        with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
+            D(x)
+
+    @given(st.data(), image_collisions(), COEFF)
+    @settings(max_examples=60, deadline=None)
+    def test_terms_that_cancel(self, data, case, q):
+        # D(q g + h) = q E - q E: every term of the pair cancels
+        ctx, g, h, degree, image = case
+        drawn = data.draw(derivations(ctx))
+        images = dict(drawn.images) if drawn.degree == degree else {}
+        images[g], images[h] = image, image.scale(-q)
+        D = Derivation(ctx, images, degree)
+        pair = ctx.gen(g).scale(q) + ctx.gen(h)
+        assert D(pair).is_zero
+        x = data.draw(elements(ctx, max_terms=4)) + pair
+        assert list(tuple_terms(D(x)).items()) == oracle_apply(D, x)
 
 
 # ---------------------------------------------------------------------------

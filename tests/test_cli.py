@@ -288,6 +288,11 @@ class TestSameReports:
             ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4",
              "--method", "integral,johnson"),
             "4df4e76c4047e42cdbee3979a1ca0ca9bd9b77018a915f4d581b33629a10f892"),
+        # all 19 tensor values are imaginary: the Gaussian evaluate path
+        "u3:trace^3": (
+            ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^3",
+             "--method", "integral,johnson"),
+            "8b2bf61a4b8582bf41f4e3cb7b5e49c01e2fc1bfaebcb617f099fb21623331e1"),
         # two routes agree and one does not, so there are two certificates
         "so6:aij=0,0": (
             ("--algebra", "so6", "--sub", "so5", "--corrupt", "aij=0,0")

@@ -21,7 +21,7 @@ from helpers import (
     symmetrized_trace_permutation_sum,
 )
 from transgress import invariants
-from transgress.algebra import Context, ContractError, Generator, Scalar
+from transgress.algebra import Context, ContractError, Generator, GradedElement, Scalar
 from transgress.invariants import (
     InvariantPolynomial,
     _perfect_matchings,
@@ -48,14 +48,23 @@ def form_context(dim, n_even=0):
     return Context(gens)
 
 
-def random_lvf(algebra, ctx, rng, degree):
+def random_lvf(algebra, ctx, rng, degree, **options):
     comps = []
     for _ in range(algebra.dim):
         if rng.random() < 0.35:
             comps.append(ctx.zero())
         else:
-            comps.append(random_homogeneous(ctx, rng, degree, terms=2))
+            comps.append(random_homogeneous(ctx, rng, degree, terms=2, **options))
     return LieValuedForm(algebra, ctx, comps, degree)
+
+
+def with_powers(form, power_of):
+    """The form with each coefficient carrying the (2pi) power
+    ``power_of(mono)``."""
+    comps = [GradedElement(form.ctx, {m: Scalar(c.re, c.im, two_pi=power_of(m))
+                                      for m, c in comp.terms.items()})
+             for comp in form.components]
+    return LieValuedForm(form.algebra, form.ctx, comps, form.degree)
 
 
 class TestBuilders:
@@ -444,14 +453,21 @@ def eval_context(name):
 
 
 @st.composite
-def evaluation_cases(draw):
+def evaluation_cases(draw, gaussian=False, powers=False):
     """A sparse tensor whose keys repeat indices, with Gaussian values and
     prefactor, and an argument list drawn from a pool of forms of degree 1
-    to 3.  A form may fill several slots, adjacent or not, and may vanish."""
+    to 3.  A form may fill several slots, adjacent or not, and may vanish.
+
+    ``gaussian`` gives the forms imaginary parts.  ``powers`` gives the
+    values one (2pi) power and each term of a form its t-degree plus a power
+    drawn for the form, so that terms meeting on one monomial agree."""
     algebra, ctx = eval_context(draw(st.sampled_from(EVAL_ALGEBRAS)))
     k = draw(st.integers(1, 4))
     key = st.lists(st.integers(0, algebra.dim - 1), min_size=k, max_size=k)
     entries = draw(st.lists(st.tuples(key, gate_scalars), min_size=1, max_size=8))
+    if powers:
+        power = draw(st.integers(-2, 2))
+        entries = [(key, Scalar(v.re, v.im, power)) for key, v in entries]
     prefactor = draw(st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2),
                                st.integers(0, 2)))
     P = InvariantPolynomial(
@@ -462,8 +478,12 @@ def evaluation_cases(draw):
                                 min_size=1, max_size=3)):
         if draw(st.integers(0, 5)) == 0:
             pool.append(LieValuedForm.zero(algebra, ctx, degree))
+        elif powers:
+            offset = draw(st.integers(-1, 2))
+            form = random_lvf(algebra, ctx, rng, degree, max_t=2, gaussian=gaussian)
+            pool.append(with_powers(form, lambda m: offset + m.t_deg))
         else:
-            pool.append(random_lvf(algebra, ctx, rng, degree))
+            pool.append(random_lvf(algebra, ctx, rng, degree, gaussian=gaussian))
     slots = draw(st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k))
     return P, [pool[i] for i in slots]
 
@@ -472,14 +492,44 @@ class TestPlanDrivenEvaluate:
     """``evaluate`` against the split-enumerating evaluator it replaced and,
     where the full sum over basis multi-indices is small, the naive one."""
 
-    @given(evaluation_cases())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_oracles(self, case):
-        P, args = case
+    @staticmethod
+    def assert_matches_oracles(P, args):
         got = evaluate(P, args)
         assert got == split_evaluate(P, args)
         if P.algebra.dim ** P.degree <= 256:
             assert got == naive_evaluate(P, args)
+
+    @given(evaluation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracles(self, case):
+        self.assert_matches_oracles(*case)
+
+    @given(evaluation_cases(gaussian=True))
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_forms(self, case):
+        self.assert_matches_oracles(*case)
+
+    @given(st.booleans().flatmap(
+        lambda gaussian: evaluation_cases(gaussian=gaussian, powers=True)))
+    @settings(max_examples=80, deadline=None)
+    def test_two_pi_powers(self, case):
+        self.assert_matches_oracles(*case)
+
+    def test_values_with_mixed_powers(self):
+        algebra, ctx = eval_context("su2")
+        curvature = LieValuedForm(algebra, ctx, [ctx.gen(3 + a) for a in range(3)], 2)
+        P = InvariantPolynomial(algebra, 2, {
+            (0, 0): Scalar(1, two_pi=1), (0, 1): Scalar(Fraction(1, 2), two_pi=2),
+            (2, 2): Scalar(0, 3)}, Scalar(Fraction(-1, 4), 1, two_pi=1))
+        args = [curvature, curvature]
+        got = evaluate(P, args)
+        assert got == naive_evaluate(P, args) == split_evaluate(P, args)
+        assert {c.two_pi for c in got.terms.values()} == {1, 2, 3}
+        # with every component W[0], all three values land on W[0]^2
+        collapsed = LieValuedForm(algebra, ctx, [ctx.gen(3)] * 3, 2)
+        for evaluator in (evaluate, naive_evaluate, split_evaluate):
+            with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
+                evaluator(P, [collapsed, collapsed])
 
     @given(evaluation_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_structure_from_matrices, dense_validate, random_homogeneous
+from helpers import (
+    dense_structure_from_matrices,
+    dense_validate,
+    mat_commutator,
+    mat_is_zero,
+    mat_mul,
+    mat_trace,
+    random_homogeneous,
+)
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
 from transgress.lie import (
     LieAlgebra,
@@ -18,11 +26,7 @@ from transgress.lie import (
     gl_algebra,
     gl_subalgebra_split,
     make_matrix,
-    mat_commutator,
-    mat_is_zero,
     mat_sub,
-    mat_trace,
-    mat_mul,
     named_algebra,
     named_split,
     project,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    coefficient_A_by_scalars,
     literal_basicness,
     random_homogeneous,
     tp_chern_euler_by_permutations,
@@ -57,12 +58,28 @@ class TestCoefficients:
                 assert coefficient_A(k, i, j) == \
                     coefficient_A_by_integration(k, i, j), (k, i, j)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_integer_integration_matches_scalar_one(self, k):
+        for i in range(k):
+            for j in range(k - i):
+                assert coefficient_A_by_integration(k, i, j) == \
+                    coefficient_A_by_scalars(k, i, j), (k, i, j)
+
+    def test_closed_form_matches_integration_up_to_k40(self):
+        for k in range(1, 41):
+            for i in range(k):
+                for j in range(k - i):
+                    assert coefficient_A(k, i, j) == \
+                        coefficient_A_by_integration(k, i, j), (k, i, j)
+
     def test_out_of_range_rejected(self):
         for bad in [(2, -1, 0), (2, 0, -1), (2, 1, 1), (1, 1, 0)]:
             with pytest.raises(ContractError):
                 coefficient_A(*bad)
             with pytest.raises(ContractError):
                 coefficient_A_by_integration(*bad)
+            with pytest.raises(ContractError):
+                coefficient_A_by_scalars(*bad)
 
     def test_double_factorial(self):
         assert [double_factorial(n) for n in (-1, 0, 1, 2, 3, 5, 6)] == \

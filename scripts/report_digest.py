@@ -31,6 +31,8 @@ CONFIGS = [
      + TRACE_ROUTES),
     ("gl4/gl3:trace^3", ("--algebra", "gl4", "--sub", "gl3", "--poly", "trace^3")
      + TRACE_ROUTES),
+    ("u4:trace^2", ("--algebra", "u4", "--sub", "0,1,2,3", "--poly", "trace^2")
+     + TRACE_ROUTES),
     ("su2/u1", ("--algebra", "su2", "--sub", "u1", "--poly", "trace^2")
      + TRACE_ROUTES),
     ("so4:structure=0,1,2", ("--algebra", "so4", "--sub", "so3",

@@ -441,6 +441,13 @@ class Context:
             gens[g.gid] = g
         self._gens = gens
         self._order = tuple(sorted(gens.values(), key=lambda g: (g.degree, g.gid)))
+        self._layouts = {}  # width -> _Layout
+
+    def _layout(self, width: int) -> "_Layout":
+        layout = self._layouts.get(width)
+        if layout is None:
+            layout = self._layouts[width] = _Layout(self, width)
+        return layout
 
     @property
     def generators(self) -> tuple:
@@ -530,23 +537,61 @@ def _mono_sort_key(m: Monomial):
 # Integer numerators for the kernels
 # ---------------------------------------------------------------------------
 
+class _Layout:
+    """Monomials of one context packed into one int, called a key.
+
+    Bit g holds odd generator g, as in ``odd_mask``.  Above the odd bits sit
+    one exponent field of ``width`` bits per even generator, in
+    ``ctx.even_ids`` order, and the t-degree on top.  The product of two
+    monomials with disjoint odd parts is then the sum of their keys, as long
+    as no exponent passes 2**width - 1, so each kernel picks the width from
+    the largest even count it can reach (``_encoding``).  ``Context`` keeps
+    one layout per width.
+    """
+
+    __slots__ = ("width", "odd", "even_mask", "units", "ids", "tshift")
+
+    def __init__(self, ctx: "Context", width: int):
+        n_odd = max(ctx.odd_ids, default=-1) + 1
+        ids = ctx.even_ids
+        self.width = width
+        self.odd = (1 << n_odd) - 1
+        self.tshift = n_odd + len(ids) * width
+        self.even_mask = (1 << self.tshift) - 1 ^ self.odd
+        self.units = {g: 1 << n_odd + i * width for i, g in enumerate(ids)}
+        self.ids = ids
+
+    def even(self, fields: int) -> tuple:
+        """The sorted even multiset of the even fields of a key."""
+        width, ids = self.width, self.ids
+        one = (1 << width) - 1
+        fields >>= self.odd.bit_length()
+        even = ()
+        while fields:
+            i = ((fields & -fields).bit_length() - 1) // width
+            n = fields >> i * width & one
+            fields ^= n << i * width
+            even += (ids[i],) * n
+        return even
+
+
 class _Numerators:
     """The coefficients of some elements as integer numerators over their
     common denominator ``den``, for kernels that make one int product and one
     dict update per term operation and one Scalar per output term.
 
-    ``encode`` gives each element as {Monomial: int}.  Gaussian data is
-    packed as re + (im << shift), with ``shift`` past the bit length of any
-    part a call can reach: the packing is linear, so sums and products with a
-    real int act on both parts, and the int is 0 exactly when both parts are
-    (``_gmul`` multiplies two packed numbers).  When the (2pi) powers differ,
-    each power above ``low`` goes into the t-degree in multiples of ``unit``,
-    past any t-degree a call can reach; products add t-degrees as they add
-    powers, and ``_decode`` splits the two again.  ``_encoding`` picks
-    ``shift`` and ``unit``.
+    ``encode`` gives each element as {key: int}, with the monomial packed
+    by a ``_Layout``.  Gaussian data is packed as re + (im << shift), with
+    ``shift`` past the bit length of any part a call can reach: the packing
+    is linear, so sums and products with a real int act on both parts, and
+    the int is 0 exactly when both parts are (``_gmul`` multiplies two packed
+    numbers).  When the (2pi) powers differ, each power above ``low`` goes
+    into the t-degree in multiples of ``unit``, past any t-degree a call can
+    reach; products add t-degrees as they add powers, and ``_decode`` splits
+    the two again.  ``_encoding`` picks the layout, ``shift`` and ``unit``.
     """
 
-    __slots__ = ("elements", "den", "imag", "low", "high")
+    __slots__ = ("elements", "den", "imag", "low", "high", "even")
 
     def __init__(self, elements: dict):
         coeffs = [c for terms in elements.values() for c in terms.values()]
@@ -555,23 +600,38 @@ class _Numerators:
         self.den = _lcm(*{c._den for c in coeffs})
         self.imag = any(c._im for c in coeffs)
         self.low, self.high = min(powers), max(powers)
+        # the largest number of even factors of one term
+        self.even = max((len(m[1]) for terms in elements.values() for m in terms),
+                        default=0)
 
-    def encode(self, shift: int = 0, unit: int = 0) -> dict:
+    def encode(self, layout: _Layout, shift: int = 0, unit: int = 0) -> dict:
         den, low = self.den, self.low
+        odd, units, tshift = layout.odd, layout.units, layout.tshift
+        evens = {(): 0}  # even multiset -> its fields
         out = {}
-        for key, terms in self.elements.items():
-            nums = out[key] = {}
-            for m, c in terms.items():
-                f = den // c._den
+        for name, terms in self.elements.items():
+            nums = out[name] = {}
+            for (o, e, t), c in terms.items():
+                fields = evens.get(e)
+                if fields is None:
+                    try:
+                        fields = evens[e] = sum(map(units.__getitem__, e))
+                    except KeyError:
+                        raise ContextError(f"monomial with even factors {e} "
+                                           "outside its context") from None
+                if o > odd:
+                    raise ContextError("monomial with odd factors outside its context")
                 if c.two_pi != low:
-                    m = _tuple_new(Monomial, (m[0], m[1], m[2] + (c.two_pi - low) * unit))
-                nums[m] = c._re * f + (c._im * f << shift)
+                    t += (c.two_pi - low) * unit
+                f = den // c._den
+                nums[o | fields | t << tshift] = c._re * f + (c._im * f << shift)
         return out
 
 
-def _encoding(factors, scale: int = 1) -> tuple:
-    """(shift, unit) for sums of at most ``scale`` products that take one
-    element of each of ``factors``; 0 where no packing or shifting is needed."""
+def _encoding(ctx: "Context", factors, scale: int = 1) -> tuple:
+    """(layout, shift, unit) for sums of at most ``scale`` products that
+    take one element of each of ``factors``; ``shift`` and ``unit`` are 0
+    where no packing or shifting is needed."""
     shift = unit = 0
     if any(f.imag for f in factors):
         bound = scale  # times the largest |re| + |im| sum of each factor
@@ -583,7 +643,7 @@ def _encoding(factors, scale: int = 1) -> tuple:
     if any(f.low != f.high for f in factors):
         unit = 1 + sum(max((m[2] for terms in f.elements.values() for m in terms), default=0)
                        for f in factors)
-    return shift, unit
+    return ctx._layout(sum(f.even for f in factors).bit_length()), shift, unit
 
 
 def _gmul(a: int, b: int, shift: int) -> int:
@@ -594,21 +654,68 @@ def _gmul(a: int, b: int, shift: int) -> int:
     return ar * br - ai * bi + ((ar * bi + ai * br) << shift)
 
 
-def _decode(acc: dict, den: int, power: int, shift: int = 0, unit: int = 0) -> dict:
-    """{Monomial: Scalar} from numerators over ``den`` at (2pi) power
+def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
+             scale: int = 1) -> dict:
+    """scale * a * b on {key: numerator} dicts, summed into ``acc`` (a new
+    dict by default) pair by pair, the terms of ``a`` outermost.
+    ``both`` is the packing shift when both sides hold Gaussian numbers,
+    whose products need ``_gmul``, and 0 otherwise.
+
+    The sign of a pair counts the odd factors of the second key below each
+    odd factor of the first.  Modulo 2 that is the popcount of the second
+    key against the xor of the masks below each odd factor of the first,
+    which is worked out once per term of ``a``.
+    """
+    if acc is None:
+        acc = {}
+    odd = layout.odd
+    for k1, c1 in a.items():
+        o1 = bits = k1 & odd
+        below = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            below ^= low - 1
+        if both:
+            c1 = _gmul(c1, scale, both)
+            pairs, c1 = [(k2, _gmul(c1, c2, both)) for k2, c2 in b.items()], 1
+        else:
+            pairs, c1 = b.items(), c1 * scale
+        for k2, c2 in pairs:
+            if k2 & o1:
+                continue
+            key = k1 + k2
+            c = (-c1 if (k2 & below).bit_count() & 1 else c1) * c2 + acc.get(key, 0)
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+    return acc
+
+
+def _decode(layout: _Layout, acc: dict, den: int, power: int, shift: int = 0,
+            unit: int = 0) -> dict:
+    """{Monomial: Scalar} from {key: numerator over ``den``} at (2pi) power
     ``power``, in the order of ``acc``.  Terms that differ only in their power
     would be a sum of scalars with different powers, which is refused."""
     half = 1 << shift - 1 if shift else 0
+    odd, even_mask, tshift, even_of = layout.odd, layout.even_mask, layout.tshift, layout.even
+    evens = {0: ()}  # even fields -> even multiset
     out = {}
-    for mono, v in acc.items():
+    for key, v in acc.items():
+        fields = key & even_mask
+        even = evens.get(fields)
+        if even is None:
+            even = evens[fields] = even_of(fields)
         p = power
+        t = key >> tshift
         if unit:
-            q, t = divmod(mono[2], unit)
+            q, t = divmod(t, unit)
             p += q
-            mono = _tuple_new(Monomial, (mono[0], mono[1], t))
-            if mono in out:
-                raise ContractError(f"cannot add scalars with different (2pi) "
-                                    f"powers: {out[mono].two_pi} vs {p}")
+        mono = _tuple_new(Monomial, (key & odd, even, t))
+        if unit and mono in out:
+            raise ContractError(f"cannot add scalars with different (2pi) "
+                                f"powers: {out[mono].two_pi} vs {p}")
         im = (v + half) >> shift if shift else 0
         re = v - (im << shift)
         g = _gcd(re, im, den)
@@ -697,22 +804,21 @@ class GradedElement:
         )
 
     def __mul__(self, other):
+        """The wedge product, or the scalar multiple by a number.
+
+        Terms that meet on one monomial with different (2pi) powers are
+        refused only when both powers survive in the product."""
         if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ctx.zero()
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mono = mono_mul(m1, m2)
-                if mono is None:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                _acc_add(acc, mono, c)
-        return GradedElement(self.ctx, acc, _canonical=True)
+        a, b = _Numerators({0: self.terms}), _Numerators({0: other.terms})
+        layout, shift, unit = _encoding(self.ctx, (a, b))
+        acc = _product(a.encode(layout, shift, unit)[0], b.encode(layout, shift, unit)[0],
+                       layout, shift if a.imag and b.imag else 0)
+        out = _decode(layout, acc, a.den * b.den, a.low + b.low, shift, unit)
+        return GradedElement(self.ctx, out, _canonical=True)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -798,7 +904,7 @@ class Derivation:
     ``D(ab) = D(a) b + (-1)^(degree*|a|) a D(b)`` fixes the extension.
     """
 
-    __slots__ = ("ctx", "degree", "images", "_table")
+    __slots__ = ("ctx", "degree", "images", "_table", "_plain", "_only")
 
     def __init__(self, ctx: Context, images: Mapping[int, GradedElement], degree: int):
         if degree not in (1, -1):
@@ -819,16 +925,46 @@ class Derivation:
         self.ctx = ctx
         self.degree = degree
         self.images = checked
-        self._table = None  # numerators of the images, and their plain encoding if any
+        self._table = None  # numerators of the images
+        self._plain = {}  # layout width -> images encoded without packing
+        self._only = None  # (odd mask, even ids) with images, unless all have one
+
+    def _images(self, layout: _Layout, shift: int, unit: int) -> dict:
+        """gid -> (unit of its even field or None, image terms), each term
+        (key, odd part, xor of the masks below its odd factors, 1 if it has
+        an even number of odd factors, numerator)."""
+        images = self._plain.get(layout.width) if not (shift or unit) else None
+        if images is None:
+            images = {}
+            odd, units = layout.odd, layout.units
+            for gid, terms in self._table.encode(layout, shift, unit).items():
+                slot = []
+                for key, c in terms.items():
+                    o = bits = key & odd
+                    below = 0
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        below ^= low - 1
+                    slot.append((key, o, below, ~o.bit_count() & 1, c))
+                images[gid] = units.get(gid), slot
+            if not (shift or unit):
+                self._plain[layout.width] = images
+        return images
 
     def __call__(self, x: GradedElement) -> GradedElement:
         """Apply the Leibniz rule in one pass per image term.
 
-        A slot is one factor with an image: ``(image, rest_odd, rest_even,
-        pos)``, with ``pos`` the number of odd factors before it.  The
-        operator moves past those ``pos`` factors, then each odd factor b of
-        the image term moves to its place in ``rest_odd``, which takes
-        ``pos + popcount(rest_odd below b)`` transpositions modulo 2.
+        A slot is one factor with an image: ``(image, rest, pos)``, with
+        ``rest`` the key of the monomial without that factor and ``pos`` the
+        number of odd factors before it.  The operator moves past those
+        ``pos`` factors, then each odd factor b of the image term moves to
+        its place in the rest, which takes ``pos + popcount(rest below b)``
+        transpositions.  Modulo 2 the ``pos`` terms cancel for an image term
+        with an odd number of odd factors, and the popcounts add up to one
+        against the xor of the masks below each b, worked out once per image
+        term.  The product of the rest and an image term is the sum of their
+        keys.
 
         Coefficients are integer numerators (``_Numerators``); those of the
         images are read on the first call.
@@ -836,19 +972,25 @@ class Derivation:
         if x.ctx is not self.ctx:
             raise ContextError("element over a different context")
         if self._table is None:
-            table = _Numerators({gid: img.terms for gid, img in self.images.items()})
-            plain = not table.imag and table.low == table.high  # needs no encoding
-            self._table = table, table.encode() if plain else None
-        table, images = self._table
-        source = _Numerators({0: x.terms})
+            self._table = _Numerators({gid: img.terms for gid, img in self.images.items()})
+            ctx = self.ctx
+            if len(self.images) < len(ctx.generators):
+                odd = {g for g in self.images if ctx.generator(g).is_odd}
+                self._only = sum(1 << g for g in odd), frozenset(self.images) - odd
+        table = self._table
+        terms = x.terms
+        if self._only is not None:  # the terms with a factor that has an image
+            odd, even = self._only
+            terms = {m: c for m, c in terms.items()
+                     if m[0] & odd or not even.isdisjoint(m[1])}
+        source = _Numerators({0: terms})
         # a term has one slot per factor at most, so at most ``degree`` slots
-        most = max((m.degree for m in x.terms), default=0) if source.imag or table.imag else 1
-        shift, unit = _encoding((source, table), most)
-        if images is None or shift or unit:
-            images = table.encode(shift, unit)
+        most = max((m.degree for m in terms), default=0) if source.imag or table.imag else 1
+        layout, shift, unit = _encoding(self.ctx, (source, table), most)
+        images = self._images(layout, shift, unit)
         both = shift if source.imag and table.imag else 0  # Gaussian products
         acc = {}
-        for (odd, even, t_deg), coeff in source.encode(shift, unit)[0].items():
+        for (odd, even, _), (key, coeff) in zip(terms, source.encode(layout, shift, unit)[0].items()):
             slots = []
             pos = 0
             bits = odd
@@ -857,35 +999,30 @@ class Derivation:
                 bits ^= low
                 img = images.get(low.bit_length() - 1)
                 if img is not None:
-                    slots.append((img, odd ^ low, even, pos))
+                    slots.append((img[1], key ^ low, pos))
                 pos += 1
-            for i, gid in enumerate(even):
+            for gid in even:
                 img = images.get(gid)
                 if img is not None:
-                    slots.append((img, odd, even[:i] + even[i + 1:], pos))
-            for img, rest_odd, rest_even, pos in slots:
+                    slots.append((img[1], key - img[0], pos))
+            for img, rest, pos in slots:
                 if both:
-                    pairs, mult = [(m, _gmul(coeff, c, both)) for m, c in img.items()], 1
+                    pairs, mult = [(k, o, b, n, _gmul(coeff, c, both))
+                                   for k, o, b, n, c in img], 1
                 else:
-                    pairs, mult = img.items(), coeff
-                for (io, ie, it), c2 in pairs:
-                    if io & rest_odd:
+                    pairs, mult = img, coeff
+                for k2, o2, below, moves, c2 in pairs:
+                    if o2 & rest:
                         continue
-                    mono = _tuple_new(Monomial, (
-                        rest_odd | io, tuple(sorted(rest_even + ie))
-                        if rest_even and ie else rest_even or ie, t_deg + it))
-                    parity = pos
-                    while io:
-                        low = io & -io
-                        io ^= low
-                        parity += pos + (rest_odd & (low - 1)).bit_count()
-                    # the product is nonzero, so a new monomial gets a nonzero entry
-                    c = (-mult if parity & 1 else mult) * c2 + acc.get(mono, 0)
+                    k2 += rest
+                    # the product is nonzero, so a new key gets a nonzero entry
+                    c = ((-mult if (pos & moves) + (rest & below).bit_count() & 1 else mult)
+                         * c2 + acc.get(k2, 0))
                     if c:
-                        acc[mono] = c
+                        acc[k2] = c
                     else:
-                        del acc[mono]
-        out = _decode(acc, source.den * table.den, source.low + table.low, shift, unit)
+                        del acc[k2]
+        out = _decode(layout, acc, source.den * table.den, source.low + table.low, shift, unit)
         return GradedElement(self.ctx, out, _canonical=True)
 
 

@@ -172,6 +172,15 @@ def _csv(value) -> tuple:
     return tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
 
 
+def _unique(tokens: tuple, what: str) -> tuple:
+    """The tokens, refused if one repeats: it would run twice and keep only
+    the second run's time."""
+    for i, tok in enumerate(tokens):
+        if tok in tokens[:i]:
+            raise UsageError(f"{what} {tok!r} given more than once")
+    return tokens
+
+
 def _parse_corrupt(spec) -> tuple:
     if not spec:
         return ()
@@ -235,7 +244,7 @@ def parse_config(argv, config_file: str = None) -> tuple:
     if not merged.get("algebra"):
         raise UsageError("an algebra is required (--algebra or --preset)")
 
-    methods = _csv(merged.get("methods", "integral"))
+    methods = _unique(_csv(merged.get("methods", "integral")), "method")
     for m in methods:
         if m not in METHOD_NAMES:
             raise UsageError(f"unknown method {m!r}")
@@ -243,7 +252,7 @@ def parse_config(argv, config_file: str = None) -> tuple:
         raise UsageError("at least one method is required")
 
     checks_raw = merged.get("checks", "all")
-    checks = _csv(checks_raw)
+    checks = _unique(_csv(checks_raw), "check")
     if checks == ("all",):
         checks = CHECK_NAMES
     for c in checks:

@@ -18,7 +18,6 @@ from .algebra import (
     ContextError,
     ContractError,
     GradedElement,
-    Monomial,
     ONE,
     Scalar,
     ZERO,
@@ -30,7 +29,7 @@ from .algebra import (
     _gmul,
     _json_int,
     _json_list,
-    mono_mul,
+    _product,
 )
 from .lie import LieAlgebra, _sparse
 
@@ -158,30 +157,6 @@ def _split_plan(sizes, runs, masks) -> tuple:
     return tuple((parts, weight) for parts, _, weight in splits)
 
 
-def _product(a: dict, b: dict, both: int, acc: dict = None, scale: int = 1) -> dict:
-    """scale * a * b on numerator dicts, summed into ``acc`` (a new dict by
-    default), with the signs from ``mono_mul``.  ``both`` is the packing
-    shift when both sides hold Gaussian numbers, whose products need
-    ``_gmul``, and 0 otherwise."""
-    if acc is None:
-        acc = {}
-    for m1, c1 in a.items():
-        if both:
-            c1 = _gmul(c1, scale, both)
-            pairs, c1 = [(m2, _gmul(c1, c2, both)) for m2, c2 in b.items()], 1
-        else:
-            pairs, c1 = b.items(), c1 * scale
-        for m2, c2 in pairs:
-            sign, mono = mono_mul(m1, m2)
-            if mono is not None:
-                c = (c1 if sign > 0 else -c1) * c2 + acc.get(mono, 0)
-                if c:
-                    acc[mono] = c
-                else:
-                    del acc[mono]
-    return acc
-
-
 def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     """Polarized evaluation: sum over basis multi-indices of
     P(e_{a_1}, ..., e_{a_k}) args_1^{a_1} wedge ... wedge args_k^{a_k},
@@ -228,13 +203,13 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                           for stup, v in P.values.items()})
     # a tuple's splits take at most k! orderings, each once
     factors = [values] + [f for f, n in zip(forms, sizes) for _ in range(n)]
-    shift, unit = _encoding(factors, factorial(P.degree) * len(P.values))
+    layout, shift, unit = _encoding(ctx, factors, factorial(P.degree) * len(P.values))
     both = shift if any(f.imag for f in forms) else 0  # Gaussian products
 
     mask_of = {}  # basis index -> the groups whose form is nonzero there
     products = []  # per group: part -> product of its components over part
     for gi, f in enumerate(forms):
-        products.append({(a,): nums for a, nums in f.encode(shift, unit).items()})
+        products.append({(a,): nums for a, nums in f.encode(layout, shift, unit).items()})
         for a in f.elements:
             mask_of[a] = mask_of.get(a, 0) | 1 << gi
     prefixes = {}  # (id(prefix), group, part) -> prefix * group product
@@ -249,12 +224,13 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                 cut -= 1
             elem = memo[part[:cut]]
             for end in range(cut, len(part)):
-                elem = memo[part[:end + 1]] = _product(elem, memo[(part[end],)], both)
+                elem = memo[part[:end + 1]] = _product(elem, memo[(part[end],)], layout,
+                                                       both)
         return elem
 
     last = len(groups) - 1
     acc = {}
-    for stup, value in values.encode(shift, unit).items():
+    for stup, value in values.encode(layout, shift, unit).items():
         vals = sorted(set(stup))
         masks = tuple(mask_of.get(a, 0) for a in vals)
         if not all(masks):
@@ -264,8 +240,8 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         if plan is None:
             plan = _PLANS[shape] = _split_plan(*shape)
         value_at = vals.__getitem__
-        # the value's (2pi) power above the lowest, as a t-degree
-        ((_, _, step), val), = value.items()
+        # the key of the value's (2pi) power above the lowest, as a t-degree
+        (step, val), = value.items()
         for parts, weight in plan:
             prefix = None
             for gi in range(last):
@@ -277,28 +253,29 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                     piece = prefixes.get(key)
                     if piece is None:
                         piece = prefixes[key] = _product(
-                            prefix, group_product(gi, part), both)
+                            prefix, group_product(gi, part), layout, both)
                     prefix = piece
                 if not prefix:
                     break
             else:
                 piece = group_product(last, tuple(map(value_at, parts[last])))
                 if step:
-                    piece = {Monomial(o, e, t + step): c for (o, e, t), c in piece.items()}
+                    piece = {k + step: c for k, c in piece.items()}
                 coeff = val * weight
                 if prefix is not None:
-                    _product(prefix, piece, both, acc, coeff)
+                    _product(prefix, piece, layout, both, acc, coeff)
                     continue
-                for mono, c in piece.items():
-                    c = (_gmul(c, coeff, both) if both else c * coeff) + acc.get(mono, 0)
+                for k, c in piece.items():
+                    c = (_gmul(c, coeff, both) if both else c * coeff) + acc.get(k, 0)
                     if c:
-                        acc[mono] = c
+                        acc[k] = c
                     else:
-                        del acc[mono]
+                        del acc[k]
     den, power = values.den, values.low
     for f, n in zip(forms, sizes):
         den, power = den * f.den ** n, power + f.low * n
-    return GradedElement(ctx, _decode(acc, den, power, shift, unit), _canonical=True)
+    return GradedElement(ctx, _decode(layout, acc, den, power, shift, unit),
+                         _canonical=True)
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

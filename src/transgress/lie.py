@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -22,10 +23,15 @@ from .algebra import (
     GradedElement,
     ONE,
     Scalar,
+    UNIT_MONO,
     ZERO,
+    _Numerators,
     _acc_add,
+    _decode,
+    _encoding,
     _json_int,
     _json_list,
+    _product,
 )
 
 __all__ = [
@@ -197,6 +203,29 @@ class LieAlgebra:
         for (a, b, c), v in table.items():
             by_bc.setdefault((b, c), []).append((a, v))
         self._by_bc = {k: tuple(v) for k, v in by_bc.items()}
+        self._plain = None  # the bracket table without packing
+
+    @cached_property
+    def _constants(self) -> _Numerators:
+        """The structure constants as numerators, one element per (b, c, a)
+        in the order of ``_by_bc``."""
+        return _Numerators({(b, c, a): {UNIT_MONO: k} for (b, c), entries in self._by_bc.items()
+                            for a, k in entries})
+
+    def _bracket_table(self, layout, shift: int, unit: int) -> tuple:
+        """The constants of each nonzero [e_b, e_c] as numerators in the
+        order of ``_by_bc``: ((b, c), ((a, {key: numerator}), ...)) per pair.
+        The numerators are read once, and the table without packing (the
+        same for every layout) is kept."""
+        if not (shift or unit) and self._plain is not None:
+            return self._plain
+        by_bc: dict = {}
+        for (b, c, a), k in self._constants.encode(layout, shift, unit).items():
+            by_bc.setdefault((b, c), []).append((a, k))
+        table = tuple(by_bc.items())
+        if not (shift or unit):
+            self._plain = table
+        return table
 
     def c(self, a: int, b: int, c: int) -> Scalar:
         return self.structure.get((a, b, c), ZERO)
@@ -432,23 +461,42 @@ class LieValuedForm:
 
 
 def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
-    """[x, y]^a = sum c[a,b,c] x^b /\\ y^c; degrees add."""
+    """[x, y]^a = sum c[a,b,c] x^b /\\ y^c; degrees add.
+
+    The components of x and y and the structure constants are integer
+    numerators (``_Numerators``), read once per call, so every term of the
+    result has the denominator D_c * D_x * D_y.  Each x^b /\\ y^c is taken
+    once and added, times each constant on it, into the one dict of its
+    component.
+    """
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
-    acc = [ctx.zero() for _ in range(algebra.dim)]
-    for (b, c), entries in algebra._by_bc.items():
-        xb = x.components[b]
-        if xb.is_zero:
+    xs = _Numerators({b: x.components[b].terms for b in x.support()})
+    ys = _Numerators({c: y.components[c].terms for c in y.support()})
+    constants = algebra._constants
+    layout, shift, unit = _encoding(ctx, (constants, xs, ys), len(algebra.structure))
+    xe, ye = xs.encode(layout, shift, unit), ys.encode(layout, shift, unit)
+    both = shift if xs.imag and ys.imag else 0  # Gaussian products
+    scale_both = shift if constants.imag and (xs.imag or ys.imag) else 0  # and constants
+    acc: dict = {}
+    for (b, c), entries in algebra._bracket_table(layout, shift, unit):
+        xb = xe.get(b)
+        if xb is None:
             continue
-        yc = y.components[c]
-        if yc.is_zero:
+        yc = ye.get(c)
+        if yc is None:
             continue
-        prod = xb * yc
-        if prod.is_zero:
+        prod = _product(xb, yc, layout, both)
+        if not prod:
             continue
         for a, k in entries:
-            acc[a] = acc[a] + prod.scale(k)
-    return LieValuedForm(algebra, ctx, acc, x.degree + y.degree)
+            _product(prod, k, layout, scale_both, acc.setdefault(a, {}))
+    den = constants.den * xs.den * ys.den
+    power = constants.low + xs.low + ys.low
+    zero = ctx.zero()
+    comps = [GradedElement(ctx, _decode(layout, acc[a], den, power, shift, unit), _canonical=True)
+             if acc.get(a) else zero for a in range(algebra.dim)]
+    return LieValuedForm(algebra, ctx, comps, x.degree + y.degree)
 
 
 def project(split: ReductiveSplit, x: LieValuedForm):

@@ -33,7 +33,7 @@ from .algebra import (
     t_derivative,
 )
 from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
-from .lie import bracket, so_block
+from .lie import so_block
 from .weil import UniversalSetup
 
 __all__ = [
@@ -306,6 +306,6 @@ def ad_invariance_identity_check(setup: UniversalSetup,
     x = setup.tensor_form
     total = evaluate(P, [setup.tensor_bracket] + [family] * (k - 1))
     if k >= 2:
-        second = evaluate(P, [x, bracket(family, x)] + [family] * (k - 2))
+        second = evaluate(P, [x, setup.family_tensor_bracket] + [family] * (k - 2))
         total = total + second.scale(Scalar(k - 1))
     return _zero_check("ad-invariance-identity", total)

@@ -106,6 +106,13 @@ class UniversalSetup:
         return bracket(self.tensor_form, self.tensor_form)
 
     @cached_property
+    def family_tensor_bracket(self) -> LieValuedForm:
+        """[F_t, x]: the curvature family bracketed with the tensor part, as
+        the deformation Bianchi identity and the ad-invariance identity use
+        it."""
+        return bracket(self.deformed_curvature, self.tensor_form)
+
+    @cached_property
     def deformed_connection(self) -> LieValuedForm:
         """The 1-form family: sub-connection plus t times the tangential part."""
         return self.sub_connection + self.tensor_form.times_t(1)
@@ -175,7 +182,7 @@ class UniversalSetup:
         """Nonzero part of d_H Omega(t) - t [Omega(t), tensor], if any."""
         omega_t = self.deformed_curvature
         diff = (self.sub_covariant_d(omega_t)
-                - bracket(omega_t, self.tensor_form).times_t(1))
+                - self.family_tensor_bracket.times_t(1))
         if diff.is_zero:
             return None
         return diff.first_nonzero()

@@ -18,7 +18,7 @@ from transgress.algebra import (
     permutation_sign,
 )
 from transgress.invariants import InvariantPolynomial, _orderings, pfaffian
-from transgress.lie import ValidationFailure, ValidationReport, mat_sub
+from transgress.lie import LieValuedForm, ValidationFailure, ValidationReport, mat_sub
 from transgress.transgression import _finish, double_factorial
 
 
@@ -935,3 +935,26 @@ def _acc_sandwich(prefix, img, suffix, coeff, sign0, acc) -> None:
         if sign0 * s1 * s2 < 0:
             c = -c
         _acc_add(acc, mb, c)
+
+
+def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
+    """``lie.bracket`` before the integer-numerator kernels, with its
+    products taken by ``tuple_product``: each constant is added by
+    rebuilding the component."""
+    x._check(y)
+    algebra, ctx = x.algebra, x.ctx
+    acc = [ctx.zero() for _ in range(algebra.dim)]
+    for (b, c), entries in algebra._by_bc.items():
+        xb = x.components[b]
+        if xb.is_zero:
+            continue
+        yc = y.components[c]
+        if yc.is_zero:
+            continue
+        prod = GradedElement(ctx, {from_tuple_mono(m): v for m, v in
+                                   tuple_product(tuple_terms(xb), tuple_terms(yc)).items()})
+        if prod.is_zero:
+            continue
+        for a, k in entries:
+            acc[a] = acc[a] + prod.scale(k)
+    return LieValuedForm(algebra, ctx, acc, x.degree + y.degree)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -22,7 +22,9 @@ from transgress.algebra import (
     HALF,
     ONE,
     ZERO,
+    UNIT_MONO,
     Context,
+    ContextError,
     ContractError,
     Derivation,
     Generator,
@@ -35,6 +37,10 @@ from transgress.algebra import (
     sort_word_with_sign,
     substitute_t,
     t_derivative,
+    _Numerators,
+    _decode,
+    _encoding,
+    _product,
 )
 
 
@@ -581,6 +587,122 @@ class TestDerivationCoefficients:
         assert D(pair).is_zero
         x = data.draw(elements(ctx, max_terms=4)) + pair
         assert list(tuple_terms(D(x)).items()) == oracle_apply(D, x)
+
+
+# ---------------------------------------------------------------------------
+# One-int monomial keys against the tuple-monomial oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def key_contexts(draw):
+    """Odd ids up to 130 and sparse, non-contiguous even ids above them."""
+    odd_ids = draw(st.lists(ODD_ID, min_size=1, max_size=8, unique=True))
+    even_ids = draw(st.lists(st.integers(131, 5000), min_size=1, max_size=5, unique=True))
+    return Context([Generator(g, 1, f"x{g}") for g in odd_ids]
+                   + [Generator(g, 2, f"y{g}") for g in even_ids])
+
+
+def powered(x: GradedElement, p: int, by_t: bool) -> GradedElement:
+    """x at the (2pi) power p, or at p plus the t-degree of each term; when
+    both factors of a product grow with the t-degree, the terms that meet on
+    one monomial share a power."""
+    return with_powers(x, lambda m: p + m.t_deg if by_t else p)
+
+
+def kernel_product(a: GradedElement, b: GradedElement, scale: int) -> dict:
+    """scale * a * b through ``_product`` on keys, decoded."""
+    A, B = _Numerators({0: a.terms}), _Numerators({0: b.terms})
+    layout, shift, unit = _encoding(a.ctx, (A, B), abs(scale))
+    acc = _product(A.encode(layout, shift, unit)[0], B.encode(layout, shift, unit)[0],
+                   layout, shift if A.imag and B.imag else 0, scale=scale)
+    return _decode(layout, acc, A.den * B.den, A.low + B.low, shift, unit)
+
+
+LIMIT_CTX = Context([Generator(3, 1, "x3"), Generator(130, 1, "x130"),
+                     Generator(200, 2, "y200"), Generator(977, 2, "y977")])
+
+
+class TestKeyOracles:
+    """Products on one-int keys against ``tuple_product``: the same
+    monomials, signs and coefficients in the same insertion order."""
+
+    @given(st.data(), st.integers(-3, 3).filter(bool), st.integers(-2, 3),
+           st.integers(-2, 3), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_product_and_mul(self, data, scale, p, q, by_t):
+        ctx = data.draw(key_contexts())
+        a = powered(data.draw(elements(ctx, max_terms=6)), p, by_t)
+        b = powered(data.draw(elements(ctx, max_terms=6)), q, by_t)
+        want = tuple_product(tuple_terms(a), tuple_terms(b))
+        assert list(tuple_terms(a * b).items()) == list(want.items())
+        got = GradedElement(ctx, kernel_product(a, b, scale))
+        want = tuple_product(tuple_terms(a.scale(scale)), tuple_terms(b))
+        assert list(tuple_terms(got).items()) == list(want.items())
+
+    @given(key_contexts(), st.integers(0, 9), st.integers(0, 9), COEFF, COEFF)
+    @example(LIMIT_CTX, 3, 4, Scalar(1), Scalar(Fraction(-1, 2), 1))  # 7 = 2**3 - 1
+    @example(LIMIT_CTX, 4, 4, Scalar(1), Scalar(1))  # 8 would carry past 2**3 - 1
+    @example(LIMIT_CTX, 1, 0, Scalar(2), Scalar(3))
+    @settings(max_examples=60, deadline=None)
+    def test_exponent_fields(self, ctx, e1, e2, c1, c2):
+        # the largest even count of each side sits on one generator, so one
+        # product term reaches e1 + e2 in a field of exactly that many bits
+        x, y, z = ctx.odd_ids[0], ctx.even_ids[0], ctx.even_ids[-1]
+        a = {Monomial(0, (y,) * e1, 1): c1}
+        b = {Monomial(1 << x, (y,) * e2, 0): c2, Monomial(0, (z,) * e2, 2): c1}
+        if e1:
+            a[Monomial(1 << x, (y,) * (e1 - 1) + (z,) * (y != z), 0)] = c2
+        a, b = GradedElement(ctx, a), GradedElement(ctx, b)
+        A, B = _Numerators({0: a.terms}), _Numerators({0: b.terms})
+        assert _encoding(ctx, (A, B))[0].width == (e1 + e2).bit_length()
+        want = tuple_product(tuple_terms(a), tuple_terms(b))
+        assert list(tuple_terms(a * b).items()) == list(want.items())
+
+    @given(key_contexts(), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_layout_round_trip(self, ctx, width, data):
+        # every exponent up to 2**width - 1 comes back from its field
+        most = (1 << width) - 1
+        terms = {}
+        for _ in range(data.draw(st.integers(1, 5))):
+            odd = data.draw(st.lists(st.sampled_from(ctx.odd_ids), unique=True))
+            counts = data.draw(st.lists(st.integers(0, most), min_size=len(ctx.even_ids),
+                                        max_size=len(ctx.even_ids)))
+            even = sum(((g,) * n for g, n in zip(ctx.even_ids, counts)), ())
+            terms[Monomial(sum(1 << g for g in odd), even, data.draw(st.integers(0, 3)))] = ONE
+        layout = ctx._layout(width)
+        nums = _Numerators({0: terms}).encode(layout)[0]
+        assert list(_decode(layout, nums, 1, 0)) == list(terms)
+
+    def test_mul_keeps_a_power_whose_terms_cancel(self):
+        # XY gets c at power 1, then 1 at power 0, then -c at power 1
+        ctx = make_ctx()
+        X, Y = (Monomial(0, (g,), 0) for g in ctx.even_ids[:2])
+        XY = Monomial(0, X.even + Y.even, 0)
+        c = Scalar(1, two_pi=1)
+        a = GradedElement(ctx, {X: c, UNIT_MONO: ONE, Y: c})
+        b = GradedElement(ctx, {Y: ONE, X: Scalar(-1), XY: ONE})
+        with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
+            tuple_product(tuple_terms(a), tuple_terms(b))
+        a0 = GradedElement(ctx, {UNIT_MONO: ONE})
+        a1 = GradedElement(ctx, {X: c, Y: c})
+        assert a * b == a0 * b + a1 * b
+        assert (a * b).coefficient(XY) == ONE
+
+    def test_mul_refuses_two_surviving_powers(self):
+        ctx = make_ctx()
+        X, Y = (Monomial(0, (g,), 0) for g in ctx.even_ids[:2])
+        a = GradedElement(ctx, {X: Scalar(1, two_pi=1), UNIT_MONO: ONE})
+        b = GradedElement(ctx, {Y: ONE, Monomial(0, X.even + Y.even, 0): ONE})
+        with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
+            a * b
+
+    @pytest.mark.parametrize("mono", [Monomial(1 << 4, (), 0), Monomial(0, (99,), 0)])
+    def test_generators_outside_the_context(self, mono):
+        ctx = make_ctx()  # odd ids 0-3, even ids 100-102
+        x = GradedElement(ctx, {mono: ONE})
+        with pytest.raises(ContextError, match="outside its context"):
+            x * ctx.gen(0)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,15 @@ class TestSameReports:
             ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^3",
              "--method", "integral,johnson"),
             "8b2bf61a4b8582bf41f4e3cb7b5e49c01e2fc1bfaebcb617f099fb21623331e1"),
+        # dim 16 over the Gaussian field: the heaviest config on brackets
+        "u4:trace^2": (
+            ("--algebra", "u4", "--sub", "0,1,2,3", "--poly", "trace^2",
+             "--method", "integral,johnson"),
+            "ff0925c6094a97cb35046813ee7d2a8b88e6c2b0fb85ad8f857bbbc15afa43e3"),
+        "gl4/gl3:trace^3": (
+            ("--algebra", "gl4", "--sub", "gl3", "--poly", "trace^3",
+             "--method", "integral,johnson"),
+            "d3633dfd38a91a2a3817f578f07d7c9f92f53dd396fcb9e793098391d05c035c"),
         # two routes agree and one does not, so there are two certificates
         "so6:aij=0,0": (
             ("--algebra", "so6", "--sub", "so5", "--corrupt", "aij=0,0")
@@ -434,8 +443,12 @@ class TestUsageErrors:
         # a structure index >= dim
         SO4 + ("--corrupt", "structure=9,9,9"),
         SO4 + ("--corrupt", "structure=0,1,6"),
+        # a repeated token would run twice, and its timing would keep one run
+        SO4 + ("--check", "d2,d2"),
+        SO4 + ("--method", "integral,integral"),
     ], ids=["out", "aij-range", "aij-far", "aij-no-johnson",
-            "structure-range", "structure-one-off"])
+            "structure-range", "structure-one-off", "check-repeated",
+            "method-repeated"])
     def test_exit_2_without_traceback(self, args):
         code, err = run_cli(*args)
         assert code == 2, err

@@ -13,6 +13,8 @@ from helpers import (
     mat_mul,
     mat_trace,
     random_homogeneous,
+    tuple_bracket,
+    tuple_terms,
 )
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
 from transgress.lie import (
@@ -382,6 +384,66 @@ class TestBracket:
                  for a in range(algebra.dim)]
         phi = LieValuedForm(algebra, ctx, comps, 1)
         assert set(bracket(phi, phi).support()) <= set(split.h)
+
+
+def corrupted(algebra, a, b, c, bump):
+    """The algebra with c[a,b,c] raised by ``bump`` and c[a,c,b] set to its
+    negative, as ``--corrupt structure=a,b,c`` does with a bump of 1."""
+    structure = dict(algebra.structure)
+    bumped = structure.get((a, b, c), Scalar(0)) + bump
+    structure[(a, b, c)] = bumped
+    structure[(a, c, b)] = -bumped
+    return LieAlgebra(algebra.dim, algebra.labels, structure, algebra.matrices)
+
+
+def sparse_lvf(algebra, ctx, rng, degree, power):
+    """A form with about half of its components zero, Gaussian coefficients,
+    t-degrees up to 2 and every coefficient at the (2pi) power ``power``."""
+    comps = []
+    for _ in range(algebra.dim):
+        if rng.random() < 0.5:
+            comps.append(ctx.zero())
+            continue
+        x = random_homogeneous(ctx, rng, degree, terms=rng.randint(1, 4), max_t=2,
+                               gaussian=rng.random() < 0.5)
+        comps.append(x.scale(Scalar(1, two_pi=power)))
+    return LieValuedForm(algebra, ctx, comps, degree)
+
+
+class TestBracketOracle:
+    """``bracket`` against ``helpers.tuple_bracket``: the same components,
+    terms and insertion order, on sparse forms over built-in algebras and
+    over tables with one corrupted constant, real or imaginary."""
+
+    @given(st.sampled_from(["so4", "gl3", "u2", "u3"]), st.randoms(use_true_random=False),
+           st.booleans(), st.sampled_from([Scalar(1), Scalar(0, 1)]),
+           st.integers(1, 2), st.integers(1, 2), st.integers(-1, 2), st.integers(-1, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tuple_bracket(self, name, rng, corrupt, bump, dx, dy, px, py):
+        algebra = named_algebra(name)
+        ctx = form_context(algebra.dim, n_even=algebra.dim)
+        x = sparse_lvf(algebra, ctx, rng, dx, px)
+        y = sparse_lvf(algebra, ctx, rng, dy, py)
+        if corrupt and x.support() and y.support():
+            # a constant the forms reach
+            b, c = rng.choice(x.support()), rng.choice(y.support())
+            algebra = corrupted(algebra, rng.randrange(algebra.dim), b, c, bump)
+            x, y = (LieValuedForm(algebra, ctx, f.components, f.degree) for f in (x, y))
+        got, want = bracket(x, y), tuple_bracket(x, y)
+        assert got.degree == want.degree
+        for g, w in zip(got.components, want.components):
+            assert list(tuple_terms(g).items()) == list(tuple_terms(w).items())
+
+    def test_constants_read_once(self):
+        algebra = so_algebra(4)
+        ctx = form_context(algebra.dim)
+        rng = random.Random(5)
+        x = random_lvf(algebra, ctx, rng, 1)
+        bracket(x, x)
+        table = algebra._plain
+        assert table is not None
+        bracket(x, random_lvf(algebra, ctx, rng, 1))
+        assert algebra._plain is table
 
 
 class TestProject:

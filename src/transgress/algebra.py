@@ -36,7 +36,6 @@ __all__ = [
     "substitute_t",
     "t_derivative",
     "permutation_sign",
-    "sort_word_with_sign",
 ]
 
 
@@ -406,24 +405,6 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return -1 if inv & 1 else 1
 
 
-def sort_word_with_sign(word: Sequence[int]):
-    """Sort a word of odd generator ids, tracking the transposition parity.
-
-    Returns (sign, sorted tuple), or (0, None) when an id repeats.
-    """
-    items = list(word)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return 0, None
-    return sign, tuple(items)
-
-
 class Context:
     """A finite family of graded generators; elements live over one context."""
 
@@ -480,22 +461,6 @@ class Context:
         g = self._gens[gid]
         mono = Monomial(1 << gid, (), 0) if g.is_odd else Monomial(0, (gid,), 0)
         return GradedElement(self, {mono: ONE}, _canonical=True)
-
-    def from_word(self, word: Sequence[int], coeff=ONE, t_power: int = 0) -> "GradedElement":
-        """Element from an arbitrary generator word, recording the odd sign."""
-        coeff = Scalar._coerce(coeff)
-        odd_word = []
-        evens = []
-        for gid in word:
-            g = self._gens[gid]
-            (odd_word if g.is_odd else evens).append(gid)
-        sign, odd = sort_word_with_sign(odd_word)
-        if odd is None or coeff.is_zero:
-            return self.zero()
-        if sign < 0:
-            coeff = -coeff
-        mono = Monomial(sum(1 << g for g in odd), tuple(sorted(evens)), t_power)
-        return GradedElement(self, {mono: coeff}, _canonical=True)
 
     # Randomized elements for property tests and self-checks.
     def random_element(self, rng, terms: int = 3, max_odd: int = 2,

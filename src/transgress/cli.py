@@ -465,14 +465,19 @@ def run(config: RunConfig) -> Report:
             f"direction {witness[0]}, tuple {witness[1]}: {witness[2].render()}"))
 
     results = {}
+    rendered = []  # (form, terms): routes with equal forms share them
     for method in config.methods:
         with _stage(timing, f"tp[{method}]"):
             results[method] = _run_method(config, setup, P, method)
             form = results[method].form
+            terms = next((t for f, t in rendered if f == form), None)
+            if terms is None:
+                terms = _rendered_terms(form)
+                rendered.append((form, terms))
             report.forms[method] = {
                 "degree": form.degree() if not form.is_zero else None,
                 "term_count": form.term_count,
-                "terms": _rendered_terms(form),
+                "terms": terms,
             }
 
     certified = []  # (form, checks): routes with equal forms share them

@@ -31,7 +31,7 @@ from .algebra import (
     _json_list,
     _product,
 )
-from .lie import LieAlgebra, _sparse
+from .lie import LieAlgebra, _GeneratedSpan, _sparse
 
 __all__ = [
     "InvariantPolynomial",
@@ -82,38 +82,63 @@ class InvariantPolynomial:
         ad-invariance, or None.  The residue at a sorted tuple is
         sum_i P(a_1, ..., [e_x, e_{a_i}], ..., a_k).
 
-        Each stored entry is pushed forward through the preimages of
-        [e_x, -]: an entry at s feeds every tuple s - b + a for which
-        [e_x, e_a] has a component c on e_b, with weight c times the value
-        times the multiplicity of a in that tuple.  Only the tuples reached
-        can carry a residue, and the smallest one with a nonzero residue is
-        the first a scan of all sorted tuples in lexicographic order finds.
+        The directions are walked in basis order.  When the table is a Lie
+        bracket (``LieAlgebra._bracket_failures`` is empty), x -> x.P is a
+        representation, so the directions that leave P invariant form a
+        subalgebra.  A direction in the span of the subalgebra generated by
+        the directions already passed cannot fail and is skipped, and the
+        walk stops once that span is the whole algebra.  The first failing
+        direction, and so the witness, is the one a walk over every
+        direction finds.
         """
         algebra = self.algebra
+        span = None if algebra._bracket_failures else _GeneratedSpan(algebra)
         for x in range(algebra.dim):
-            preimages = {}
-            for a in range(algebra.dim):
-                for b, coeff in algebra.bracket_on_basis(x, a):
-                    preimages.setdefault(b, []).append((a, coeff))
-            residues = {}
-            for stup, v in self.values.items():
-                for b in set(stup):
-                    pre = preimages.get(b)
-                    if pre is None:
-                        continue
-                    rest = list(stup)
-                    rest.remove(b)
-                    for a, coeff in pre:
-                        tup = tuple(sorted(rest + [a]))
-                        _acc_add(residues, tup, coeff * v * (rest.count(a) + 1))
+            if span is not None:
+                if span.full:
+                    break
+                if x in span:
+                    continue
+            residues = _direction_residues(self, x)
             if residues:
                 tup = min(residues)
                 return x, tup, residues[tup]
+            if span is not None:
+                span.add(x)
         return None
 
     def __repr__(self) -> str:
         return (f"InvariantPolynomial(degree={self.degree}, "
                 f"{len(self.values)} entries)")
+
+
+def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
+    """The nonzero residues of the direction e_x, {sorted tuple: residue}.
+
+    Each stored entry is pushed forward through the preimages of [e_x, -]:
+    an entry at s feeds every tuple s - b + a for which [e_x, e_a] has a
+    component c on e_b, with weight c times the value times the
+    multiplicity of a in that tuple.  Only the tuples reached can carry a
+    residue, and the smallest one with a nonzero residue is the first a scan
+    of all sorted tuples in lexicographic order finds.
+    """
+    algebra = P.algebra
+    preimages = {}
+    for a in range(algebra.dim):
+        for b, coeff in algebra.bracket_on_basis(x, a):
+            preimages.setdefault(b, []).append((a, coeff))
+    residues = {}
+    for stup, v in P.values.items():
+        for b in set(stup):
+            pre = preimages.get(b)
+            if pre is None:
+                continue
+            rest = list(stup)
+            rest.remove(b)
+            for a, coeff in pre:
+                tup = tuple(sorted(rest + [a]))
+                _acc_add(residues, tup, coeff * v * (rest.count(a) + 1))
+    return residues
 
 
 def _orderings(part) -> int:
@@ -160,11 +185,24 @@ def _split_plan(sizes, runs, masks) -> tuple:
 def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     """Polarized evaluation: sum over basis multi-indices of
     P(e_{a_1}, ..., e_{a_k}) args_1^{a_1} wedge ... wedge args_k^{a_k},
-    times the prefactor.
+    times the prefactor (see ``_polarized``)."""
+    ctx, layout, acc, den, power, shift, unit = _polarized(P, args)
+    if not acc:
+        return ctx.zero()
+    return GradedElement(ctx, _decode(layout, acc, den, power, shift, unit),
+                         _canonical=True)
+
+
+def _polarized(P: InvariantPolynomial, args) -> tuple:
+    """The numerators of ``evaluate(P, args)``: (context, layout, {key:
+    numerator}, denominator, (2pi) power, shift, unit), as ``_decode``
+    takes them; a zero result may come without a layout.
 
     Each stored tuple is split over the argument groups by the plan of its
     shape.  One call builds each group product, and each product of the
-    groups before the last, once; the last factor goes straight into the sum.
+    groups before the last, once, except a whole part of the last group:
+    each tuple has its own in most calls, so the last factor goes straight
+    into the sum and no such product is kept.
 
     The components of group g are integer numerators over a denominator D_g,
     and the values times the prefactor over D_P.  Every split gives group g
@@ -198,7 +236,7 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
              for f, _ in groups]
     pre = P.prefactor
     if pre.is_zero or not all(f.elements for f in forms):
-        return ctx.zero()
+        return ctx, None, {}, 1, 0, 0, 0
     values = _Numerators({stup: {UNIT_MONO: v if pre.is_one else v * pre}
                           for stup, v in P.values.items()})
     # a tuple's splits take at most k! orderings, each once
@@ -258,9 +296,13 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                 if not prefix:
                     break
             else:
-                piece = group_product(last, tuple(map(value_at, parts[last])))
+                part = tuple(map(value_at, parts[last]))
+                piece = products[last][part[-1:]]
                 if step:
                     piece = {k + step: c for k, c in piece.items()}
+                if len(part) > 1:
+                    head = group_product(last, part[:-1])
+                    prefix = head if prefix is None else _product(prefix, head, layout, both)
                 coeff = val * weight
                 if prefix is not None:
                     _product(prefix, piece, layout, both, acc, coeff)
@@ -274,8 +316,7 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     den, power = values.den, values.low
     for f, n in zip(forms, sizes):
         den, power = den * f.den ** n, power + f.low * n
-    return GradedElement(ctx, _decode(layout, acc, den, power, shift, unit),
-                         _canonical=True)
+    return ctx, layout, acc, den, power, shift, unit
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

@@ -29,6 +29,7 @@ from .algebra import (
     _acc_add,
     _decode,
     _encoding,
+    _gmul,
     _json_int,
     _json_list,
     _product,
@@ -212,6 +213,15 @@ class LieAlgebra:
         return _Numerators({(b, c, a): {UNIT_MONO: k} for (b, c), entries in self._by_bc.items()
                             for a, k in entries})
 
+    @cached_property
+    def _bracket_failures(self) -> tuple:
+        """The first antisymmetry and the first Jacobi failure of the table,
+        each only if there is one.  ``validate`` reports them, and the
+        ad-invariance gate prunes its directions only when there are none,
+        so the scan runs once per algebra."""
+        return tuple(failure for failure in (_antisymmetry_witness(self), _jacobi_witness(self))
+                     if failure is not None)
+
     def _bracket_table(self, layout, shift: int, unit: int) -> tuple:
         """The constants of each nonzero [e_b, e_c] as numerators in the
         order of ``_by_bc``: ((b, c), ((a, {key: numerator}), ...)) per pair.
@@ -277,6 +287,20 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
+def _antisymmetry_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
+    """First sorted (a, b, c) with c[a,b,c] + c[a,c,b] nonzero."""
+    keys = set(algebra.structure)
+    keys |= {(a, c, b) for (a, b, c) in algebra.structure}
+    for key in sorted(keys):
+        a, b, c = key
+        total = algebra.c(a, b, c) + algebra.c(a, c, b)
+        if not total.is_zero:
+            return ValidationFailure(
+                "antisymmetry", key,
+                f"c[{a},{b},{c}] + c[{a},{c},{b}] = {total.render()}")
+    return None
+
+
 def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     """First (b, c, d) in lexicographic order with a nonzero cyclic sum
     [[b,c],d] + [[c,d],b] + [[d,b],c], reported at its smallest component.
@@ -285,39 +309,71 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     once, at the rotation that comes first.  It is empty unless [[b,c],d],
     [c,d] or [d,b] is nonzero, so only the d that bracket nontrivially with
     c, with b, or with a component of [b,c] are visited.
+
+    The constants are the numerators of ``_constants``, so every product
+    has the denominator D_c^2.  A product of two constants is summed into
+    the slot ``a + dim * key``: its component a, and the sum of the two
+    keys, which is nonzero only for constants of different (2pi) powers.
     """
+    constants, dim = algebra._constants, algebra.dim
+    # a sum takes at most dim products for each of the three rotations
+    layout, shift, unit = _encoding(Context(()), (constants, constants), 3 * dim)
+    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * key, numerator)]
+    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * key, numerator)]
+    for (b, c, a), nums in constants.encode(layout, shift, unit).items():
+        (key, k), = nums.items()
+        first[b * dim + c].append((a * dim, dim * key, k))
+        second[b * dim + c].append((a + dim * key, k))
     right: dict = {}
     left: dict = {}
     for (b, c) in algebra._by_bc:
         right.setdefault(b, set()).add(c)
         left.setdefault(c, set()).add(b)
-    for b in range(algebra.dim):
-        for c in range(b, algebra.dim):
+    for b in range(dim):
+        for c in range(b, dim):
             ds = right.get(c, set()) | left.get(b, set())
             for e, _ in algebra.bracket_on_basis(b, c):
                 ds |= right.get(e, set())
             for d in sorted(ds):
-                if min((c, d, b), (d, b, c)) < (b, c, d):
+                # (b, c, d) comes first among its rotations, as b <= c
+                if d < b or d == b < c:
                     continue
                 acc: dict = {}
-                for (pair1, pair2) in (((b, c), d), ((c, d), b), ((d, b), c)):
-                    for e, k1 in algebra.bracket_on_basis(*pair1):
-                        for a, k2 in algebra.bracket_on_basis(e, pair2):
-                            _acc_add(acc, a, k1 * k2)
+                for pair1, pair2 in ((b * dim + c, d), (c * dim + d, b), (d * dim + b, c)):
+                    for ed, shifted, k1 in first[pair1]:
+                        for slot, k2 in second[ed + pair2]:
+                            slot += shifted
+                            k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
+                            if k:
+                                acc[slot] = k
+                            else:
+                                del acc[slot]
                 if acc:
-                    a = min(acc)
+                    a = min(slot % dim for slot in acc)
+                    value, = _decode(layout, {slot // dim: k for slot, k in acc.items()
+                                              if slot % dim == a},
+                                     constants.den ** 2, 2 * constants.low, shift,
+                                     unit).values()
                     return ValidationFailure(
-                        "jacobi", (a, b, c, d), f"cyclic sum = {acc[a].render()}")
+                        "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None
 
 
 def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     """First (b, c) whose matrix commutator differs from the table's
-    sum_a c[a,b,c] M_a."""
+    sum_a c[a,b,c] M_a.
+
+    For an antisymmetric table both sides are antisymmetric in (b, c), so
+    (c, b) fails exactly when (b, c) does and (b, b) never fails: the pairs
+    with b < c find the same first witness."""
     if algebra.matrices is None:
         return None
     mats = [_sparse(M) for M in algebra.matrices]
-    for b, c in itertools.product(range(algebra.dim), repeat=2):
+    if any(failure.invariant == "antisymmetry" for failure in algebra._bracket_failures):
+        pairs = itertools.product(range(algebra.dim), repeat=2)
+    else:
+        pairs = itertools.combinations(range(algebra.dim), 2)
+    for b, c in pairs:
         residual = _sparse_commutator(mats[b], mats[c])
         for a, v in algebra.bracket_on_basis(b, c):
             _axpy(residual, -v, mats[a])
@@ -333,23 +389,10 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 
     Each invariant reports at most its first violating index tuple.
     """
-    failures = []
-
-    keys = set(algebra.structure)
-    keys |= {(a, c, b) for (a, b, c) in algebra.structure}
-    for key in sorted(keys):
-        a, b, c = key
-        if not (algebra.c(a, b, c) + algebra.c(a, c, b)).is_zero:
-            failures.append(ValidationFailure(
-                "antisymmetry", key,
-                f"c[{a},{b},{c}] + c[{a},{c},{b}] = "
-                f"{(algebra.c(a, b, c) + algebra.c(a, c, b)).render()}"))
-            break
-
-    for witness in (_jacobi_witness, _realization_witness):
-        failure = witness(algebra)
-        if failure is not None:
-            failures.append(failure)
+    failures = list(algebra._bracket_failures)
+    failure = _realization_witness(algebra)
+    if failure is not None:
+        failures.append(failure)
     return ValidationReport(not failures, failures)
 
 
@@ -376,6 +419,61 @@ def validate_split(algebra: LieAlgebra, split: ReductiveSplit) -> ValidationRepo
                 f"c[{a},{b},{c}] = {v.render()} breaks ad-invariance of the complement"))
             break
     return ValidationReport(not failures, failures)
+
+
+class _GeneratedSpan:
+    """The span of the subalgebra generated by the basis directions added so
+    far, for an antisymmetric table that satisfies the Jacobi identity.
+
+    The span is held as fully reduced pivots (pivot entry 1, zero at every
+    other pivot's entry), so a vector reduces to zero exactly when it lies in
+    the span.  Each added vector is bracketed with every one added before it,
+    which closes the span under brackets.
+    """
+
+    def __init__(self, algebra: LieAlgebra):
+        self.algebra = algebra
+        self.pivots = {}  # entry -> reduced vector {basis index: Scalar}
+        self.added = []  # the vectors as added, each bracketed with the later ones
+
+    def _reduce(self, vec: dict) -> dict:
+        # a pivot is zero at the other pivots' entries, so one pass suffices
+        for entry in [e for e in vec if e in self.pivots]:
+            _axpy(vec, -vec[entry], self.pivots[entry])
+        return vec
+
+    def __contains__(self, x: int) -> bool:
+        return not self._reduce({x: ONE})
+
+    @property
+    def full(self) -> bool:
+        return len(self.pivots) == self.algebra.dim
+
+    def add(self, x: int) -> None:
+        """Add e_x and close the span under brackets."""
+        todo = [{x: ONE}]
+        while todo and not self.full:
+            vec = self._reduce(todo.pop())
+            if not vec:
+                continue
+            self.added.append(dict(vec))
+            todo += [self._bracket(vec, u) for u in self.added[:-1]]
+            entry = min(vec)
+            inv = vec[entry].inverse()
+            vec = {key: v * inv for key, v in vec.items()}
+            for pvec in self.pivots.values():
+                f = pvec.get(entry)
+                if f is not None:
+                    _axpy(pvec, -f, vec)
+            self.pivots[entry] = vec
+
+    def _bracket(self, u: dict, v: dict) -> dict:
+        out: dict = {}
+        for b, ub in u.items():
+            for c, vc in v.items():
+                for a, k in self.algebra.bracket_on_basis(b, c):
+                    _acc_add(out, a, ub * vc * k)
+        return out
 
 
 class LieValuedForm:

@@ -6,8 +6,8 @@ Three routes to the same degree-(2k-1) form:
     polarized polynomial applied to the tangential part and k-1 copies of
     the one-parameter curvature family.
   * ``tp_johnson``: the closed-form double sum with coefficients
-    ``coefficient_A``; the multinomial bookkeeping lives entirely inside the
-    coefficients, the polynomial slots are plain repetitions.
+    ``coefficient_A``, over the slot patterns of [tensor, tensor], the
+    sub-curvature and the curvature, all read off one polarized evaluation.
   * ``tp_chern_euler``: the classical double sum for the Euler form on
     so(2k) over so(2k-1), read off the generator matrix entries.
 
@@ -28,11 +28,12 @@ from .algebra import (
     GradedElement,
     Monomial,
     Scalar,
+    _decode,
     integrate_unit_interval,
     permutation_sign,
     t_derivative,
 )
-from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
+from .invariants import InvariantPolynomial, _perfect_matchings, _polarized, evaluate
 from .lie import so_block
 from .weil import UniversalSetup
 
@@ -130,23 +131,73 @@ def coefficient_A_by_integration(k: int, i: int, j: int) -> Scalar:
 def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
                coefficient_fn=None) -> TransgressionResult:
     """The explicit double sum: sum over (i, j) of
-    A_ij P(tensor, [tensor,tensor]^i, sub-curv^j, curv^(k-i-j-1))."""
+    A_ij P(tensor, [tensor,tensor]^i, sub-curv^j, curv^(k-i-j-1)).
+
+    All terms come from one polarized evaluation.  With
+    Y = t [tensor,tensor] + t^k sub-curv + curv, P is symmetric and
+    multilinear, so P(tensor, Y, ..., Y) holds the pattern (i, j) at
+    t-degree i + k j (as i < k), times multinomial(k-1; i, j, k-1-i-j).
+    Each t-degree is weighted by A_ij over that multinomial on the integer
+    numerators, and t is dropped before the terms are decoded.
+    ``coefficient_fn`` is asked only for the patterns with a nonzero term,
+    in the order of (i, j).
+    """
     _check_poly_setup(setup, P)
     if coefficient_fn is None:
         coefficient_fn = coefficient_A
     k = P.degree
-    tensor_sq = setup.tensor_bracket
-    sub_curv = setup.sub_curvature
-    curv = setup.curvature
-    form = setup.context.zero()
-    for i in range(k):
-        for j in range(k - i):
-            args = ([setup.tensor_form] + [tensor_sq] * i
-                    + [sub_curv] * j + [curv] * (k - 1 - i - j))
-            term = evaluate(P, args)
-            if term.is_zero:
-                continue
-            form = form + term.scale(coefficient_fn(k, i, j))
+    generating = (setup.tensor_bracket.times_t(1) + setup.sub_curvature.times_t(k)
+                  + setup.curvature)
+    ctx, layout, acc, den, power, shift, unit = _polarized(
+        P, [setup.tensor_form] + [generating] * (k - 1))
+    # the t field of a key is q * unit + d: q its (2pi) power above
+    # ``power`` and d = i + k j its t-degree
+    fields = {key >> layout.tshift for key in acc}
+    weights = {}  # d -> A_ij over the multinomial
+    for d in sorted({t % unit for t in fields} if unit else fields,
+                    key=lambda d: (d % k, d // k)):
+        i, j = d % k, d // k
+        multinomial = factorial(k - 1) // (
+            factorial(i) * factorial(j) * factorial(k - 1 - i - j))
+        w = Scalar._coerce(coefficient_fn(k, i, j)) / multinomial
+        if w:
+            weights[d] = w
+    if not weights:
+        return _finish(ctx.zero(), "johnson", P)
+    # the weights over one denominator, their powers as offsets above the lowest
+    wden = lcm(*(w._den for w in weights.values()))
+    low = min(w.two_pi for w in weights.values())
+    table = {d: (w._re * (wden // w._den), w._im * (wden // w._den), w.two_pi - low)
+             for d, w in weights.items()}
+    folded_shift = 0
+    if shift or any(wi for _, wi, _ in table.values()):
+        # past every part of a sum of weighted numerators
+        bits = shift or max(map(abs, acc.values())).bit_length()
+        folded_shift = bits + sum(abs(wr) + abs(wi) for wr, wi, _ in table.values()
+                                  ).bit_length() + 1
+    half = 1 << shift - 1 if shift else 0
+    tshift = layout.tshift
+    monomial = (1 << tshift) - 1
+    folded = {}
+    for key, v in acc.items():
+        q, d = divmod(key >> tshift, unit) if unit else (0, key >> tshift)
+        w = table.get(d)
+        if w is None:
+            continue
+        wr, wi, offset = w
+        im = (v + half) >> shift if shift else 0
+        v -= im << shift
+        key = key & monomial | q + offset << tshift
+        c = v * wr - im * wi + ((v * wi + im * wr) << folded_shift) + folded.get(key, 0)
+        if c:
+            folded[key] = c
+        else:
+            del folded[key]
+    # t is dropped, so the t field of a key holds its power offset alone
+    offsets = unit or any(offset for _, _, offset in table.values())
+    form = GradedElement(ctx, _decode(layout, folded, den * wden, power + low,
+                                      folded_shift, 1 if offsets else 0),
+                         _canonical=True)
     return _finish(form, "johnson", P)
 
 

@@ -12,14 +12,59 @@ from transgress.algebra import (
     GradedElement,
     HALF,
     Monomial,
+    ONE,
     Scalar,
     ZERO,
     _acc_add,
     permutation_sign,
 )
-from transgress.invariants import InvariantPolynomial, _orderings, pfaffian
+from transgress.invariants import InvariantPolynomial, _orderings, evaluate, pfaffian
 from transgress.lie import LieValuedForm, ValidationFailure, ValidationReport, mat_sub
-from transgress.transgression import _finish, double_factorial
+from transgress.transgression import (
+    _check_poly_setup,
+    _finish,
+    coefficient_A,
+    double_factorial,
+)
+
+
+# ---------------------------------------------------------------------------
+# Elements from generator words
+# ---------------------------------------------------------------------------
+
+def sort_word_with_sign(word):
+    """Sort a word of odd generator ids, tracking the transposition parity.
+
+    Returns (sign, sorted tuple), or (0, None) when an id repeats.
+    """
+    items = list(word)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and items[j - 1] == items[j]:
+            return 0, None
+    return sign, tuple(items)
+
+
+def from_word(ctx, word, coeff=ONE, t_power: int = 0) -> GradedElement:
+    """Element of ``ctx`` from an arbitrary generator word, recording the
+    odd sign."""
+    coeff = Scalar._coerce(coeff)
+    odd_word = []
+    evens = []
+    for gid in word:
+        (odd_word if ctx.generator(gid).is_odd else evens).append(gid)
+    sign, odd = sort_word_with_sign(odd_word)
+    if odd is None or coeff.is_zero:
+        return ctx.zero()
+    if sign < 0:
+        coeff = -coeff
+    mono = Monomial(sum(1 << g for g in odd), tuple(sorted(evens)), t_power)
+    return GradedElement(ctx, {mono: coeff}, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +760,29 @@ class FractionScalar:
 
 FRACTION_ZERO = FractionScalar(0)
 FRACTION_ONE = FractionScalar(1)
+
+
+def tp_johnson_by_slots(setup, P, coefficient_fn=None):
+    """The explicit double sum with one polarized evaluation per slot
+    pattern (i, j): sum of A_ij P(tensor, [tensor,tensor]^i, sub-curv^j,
+    curv^(k-i-j-1)), asking ``coefficient_fn`` only for nonzero terms."""
+    _check_poly_setup(setup, P)
+    if coefficient_fn is None:
+        coefficient_fn = coefficient_A
+    k = P.degree
+    tensor_sq = setup.tensor_bracket
+    sub_curv = setup.sub_curvature
+    curv = setup.curvature
+    form = setup.context.zero()
+    for i in range(k):
+        for j in range(k - i):
+            args = ([setup.tensor_form] + [tensor_sq] * i
+                    + [sub_curv] * j + [curv] * (k - 1 - i - j))
+            term = evaluate(P, args)
+            if term.is_zero:
+                continue
+            form = form + term.scale(coefficient_fn(k, i, j))
+    return _finish(form, "johnson", P)
 
 
 def tp_chern_euler_by_permutations(setup, P=None):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from helpers import (
     FractionScalar,
     from_tuple_mono,
+    from_word,
     random_homogeneous,
+    sort_word_with_sign,
     to_tuple_mono,
     tuple_derivation_apply,
     tuple_mono_mul,
@@ -34,7 +36,6 @@ from transgress.algebra import (
     integrate_unit_interval,
     mono_mul,
     permutation_sign,
-    sort_word_with_sign,
     substitute_t,
     t_derivative,
     _Numerators,
@@ -244,7 +245,7 @@ class TestProducts:
         ctx = make_ctx()
         x, y = ctx.gen(0), ctx.gen(1)
         xy = x * y
-        assert xy == ctx.from_word([0, 1])
+        assert xy == from_word(ctx, [0, 1])
         assert y * x == -xy
 
     def test_odd_square_zero(self):
@@ -256,7 +257,7 @@ class TestProducts:
         # ids ordered x < u < y < v; product (x y)(u v)
         ctx = make_ctx()
         x, u, y, v = 0, 1, 2, 3
-        prod = ctx.from_word([x, y]) * ctx.from_word([u, v])
+        prod = from_word(ctx, [x, y]) * from_word(ctx, [u, v])
         sign, sorted_word = bubble_sign_oracle([x, y, u, v])
         assert sorted_word == (0, 1, 2, 3)
         [(mono, coeff)] = prod.terms.items()
@@ -267,7 +268,7 @@ class TestProducts:
     @settings(max_examples=200, deadline=None)
     def test_from_word_matches_bubble_oracle(self, word):
         ctx = make_ctx(n_odd=6)
-        elem = ctx.from_word(word)
+        elem = from_word(ctx, word)
         sign, sorted_word = bubble_sign_oracle(word)
         if sign == 0:
             assert elem.is_zero
@@ -324,7 +325,7 @@ class TestProducts:
 
     def test_degree_bookkeeping(self):
         ctx = make_ctx()
-        e = ctx.from_word([0, 1, 100], t_power=3)
+        e = from_word(ctx, [0, 1, 100], t_power=3)
         assert e.degree() == 4  # two odds + one even; t does not count
         mixed = e + ctx.gen(0)
         assert not mixed.is_homogeneous
@@ -346,7 +347,7 @@ def d_like(ctx):
         images[gid] = ctx.gen(even[i % len(even)])
     for j, gid in enumerate(even):
         a, b, c = odd[j % len(odd)], odd[(j + 1) % len(odd)], odd[(j + 2) % len(odd)]
-        images[gid] = ctx.from_word([a, b, c])
+        images[gid] = from_word(ctx, [a, b, c])
     return Derivation(ctx, images, +1)
 
 
@@ -382,8 +383,8 @@ class TestDerivation:
         assert iota(ctx.gen(0)) == ctx.one()
         assert iota(ctx.gen(1)).is_zero
         # contraction anti-derivation on a two-factor monomial
-        assert iota(ctx.from_word([0, 1])) == ctx.gen(1)
-        assert iota(ctx.from_word([1, 0])) == -ctx.gen(1)
+        assert iota(from_word(ctx, [0, 1])) == ctx.gen(1)
+        assert iota(from_word(ctx, [1, 0])) == -ctx.gen(1)
 
     def test_rejects_non_homogeneous_image(self):
         ctx = make_ctx()

@@ -338,6 +338,18 @@ class TestCertifyOnce:
         monkeypatch.setattr(cli, "verify_transgression", counting)
         return forms
 
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        forms = []
+        render = cli._rendered_terms
+
+        def counting(form):
+            forms.append(form)
+            return render(form)
+
+        monkeypatch.setattr(cli, "_rendered_terms", counting)
+        return forms
+
     def run_so6(self, *extra):
         return run(parse(["--algebra", "so6", "--sub", "so5",
                           "--poly", "pfaffian",
@@ -366,6 +378,17 @@ class TestCertifyOnce:
             ("basicness[integral]", "pass", False),
             ("basicness[johnson]", "pass", False),
             ("basicness[chern]", "pass", False)]
+
+    @pytest.mark.parametrize("extra, apart", [
+        ((), None), (("--corrupt", "aij=0,0"), "johnson"),
+        (("--corrupt", "prefactor"), "chern")], ids=["equal", "aij", "prefactor"])
+    def test_equal_forms_rendered_once(self, rendered, extra, apart):
+        report = self.run_so6(*extra)
+        assert len(rendered) == (1 if apart is None else 2)
+        terms = {m: info["terms"] for m, info in report.forms.items()}
+        assert all(terms.values())
+        for method in terms:
+            assert (terms[method] == terms["integral"]) == (method != apart)
 
     def test_corrupt_prefactor_certified_apart(self, certified):
         # the doubled polynomial doubles the integral and johnson forms and

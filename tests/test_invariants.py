@@ -403,6 +403,19 @@ def assert_gates_agree(P):
     assert P.ad_invariance_witness() == dense_ad_invariance_witness(P)
 
 
+def walked_directions(monkeypatch) -> list:
+    """The directions the gate pushes the tensor through, in order."""
+    walked = []
+    push = invariants._direction_residues
+
+    def spy(P, x):
+        walked.append(x)
+        return push(P, x)
+
+    monkeypatch.setattr(invariants, "_direction_residues", spy)
+    return walked
+
+
 class TestAdInvarianceGate:
     """The sparse push-forward gate against the dense scan: the same first
     (direction, tuple, residue), not only the same verdict."""
@@ -441,6 +454,65 @@ class TestAdInvarianceGate:
         P = InvariantPolynomial(gl_algebra(3), 2, {(0, 0): Scalar(1)})
         assert dense_ad_invariance_witness(P) == (1, (0, 3), Scalar(1))
         assert P.ad_invariance_witness() == (1, (0, 3), Scalar(1))
+
+    @pytest.mark.parametrize("name", GATE_ALGEBRAS)
+    def test_pruned_against_dense(self, name):
+        # invariant tensors, and each with one diagonal entry bumped
+        algebra = gate_algebra(name)
+        tensors = [symmetrized_trace(algebra, k) for k in (1, 2, 3)]
+        if name.startswith("so"):
+            tensors.append(pfaffian(algebra))
+        for P in tensors:
+            assert_gates_agree(P)
+            for a in range(algebra.dim):
+                values = dict(P.values)
+                key = (a,) * P.degree
+                values[key] = values.get(key, Scalar(0)) + Scalar(1)
+                assert_gates_agree(InvariantPolynomial(algebra, P.degree, values))
+
+    def test_pinned_witness_after_a_skip(self, monkeypatch):
+        # the dual of iE33 is invariant under u(2) + u(1): the torus (0, 1, 2)
+        # and A12 (3) pass, S12 (4) lies in the subalgebra they generate and
+        # is skipped, and A13 (5) is the first direction that fails
+        P = InvariantPolynomial(named_algebra("u3"), 1, {(2,): Scalar(1)})
+        walked = walked_directions(monkeypatch)
+        assert P.ad_invariance_witness() == (5, (6,), Scalar(-2))
+        assert walked == [0, 1, 2, 3, 5]
+        assert dense_ad_invariance_witness(P) == (5, (6,), Scalar(-2))
+
+    @pytest.mark.parametrize("name, poly, walk", [
+        ("so8", "pfaffian", [0, 1, 2, 3, 4, 5, 6]),
+        ("gl3", "trace^2", [0, 1, 2, 3, 6]),
+    ])
+    def test_pinned_walks(self, monkeypatch, name, poly, walk):
+        # so8: E[1,2] ... E[1,8] generate so8; gl3: E11, E12, E13 and E21
+        # generate the matrices with third row zero, and E31 the rest
+        algebra = named_algebra(name)
+        P = pfaffian(algebra) if poly == "pfaffian" else symmetrized_trace(algebra, 2)
+        walked = walked_directions(monkeypatch)
+        assert P.ad_invariance_witness() is None
+        assert walked == walk
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["antisymmetry", "jacobi"])
+    def test_broken_bracket_walks_every_direction(self, monkeypatch, mirror):
+        # without a Lie bracket the annihilator need not be a subalgebra, so
+        # the zero tensor, which every direction passes, is walked in full
+        algebra = so_algebra(4)
+        structure = dict(algebra.structure)
+        structure[(0, 1, 3)] = structure.get((0, 1, 3), Scalar(0)) + Scalar(1)
+        if mirror:
+            structure[(0, 3, 1)] = -structure[(0, 1, 3)]
+        broken = LieAlgebra(algebra.dim, algebra.labels, structure, algebra.matrices,
+                            meta=algebra.meta)
+        assert broken._bracket_failures[0].invariant == (
+            "jacobi" if mirror else "antisymmetry")
+        walked = walked_directions(monkeypatch)
+        assert InvariantPolynomial(broken, 2, {}).ad_invariance_witness() is None
+        assert walked == list(range(algebra.dim))
+        walked.clear()
+        assert InvariantPolynomial(algebra, 2, {}).ad_invariance_witness() is None
+        assert walked == [0, 1, 2]
+        assert_gates_agree(pfaffian(broken))
 
 
 EVAL_ALGEBRAS = ("su2", "gl2", "u2", "so4")

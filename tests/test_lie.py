@@ -16,7 +16,9 @@ from helpers import (
     tuple_bracket,
     tuple_terms,
 )
+from transgress import lie
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
+from transgress.invariants import symmetrized_trace
 from transgress.lie import (
     LieAlgebra,
     LieValuedForm,
@@ -250,6 +252,22 @@ class TestSparseSetupOracles:
         report = validate(algebra)
         assert not report.passed
         assert report == dense_validate(algebra)
+
+    def test_jacobi_scan_runs_once(self, monkeypatch):
+        # validate and the ad-invariance gate read one cached verdict
+        calls = []
+        scan = lie._jacobi_witness
+
+        def spy(algebra):
+            calls.append(algebra)
+            return scan(algebra)
+
+        monkeypatch.setattr(lie, "_jacobi_witness", spy)
+        algebra = named_algebra("gl3")
+        assert validate(algebra).passed
+        assert symmetrized_trace(algebra, 2).ad_invariance_witness() is None
+        assert validate(algebra).passed
+        assert calls == [algebra]
 
 
 class TestSplits:

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     coefficient_A_by_scalars,
+    from_word,
     literal_basicness,
     random_homogeneous,
     tp_chern_euler_by_permutations,
+    tp_johnson_by_slots,
 )
 from transgress.algebra import ContractError, Scalar
 from transgress.invariants import (
@@ -19,6 +24,7 @@ from transgress.invariants import (
 from transgress.lie import (
     ReductiveSplit,
     abelian_algebra,
+    named_algebra,
     named_split,
     so_algebra,
     so_subalgebra_split,
@@ -181,6 +187,122 @@ class TestJohnsonRoute:
         assert checks["transgression"].witness  # a nonzero term is reported
 
 
+@cache
+def johnson_setup(algebra, sub):
+    algebra = named_algebra(algebra)
+    return UniversalSetup(algebra, named_split(algebra, sub))
+
+
+@cache
+def johnson_polynomial(algebra, sub, poly):
+    algebra = johnson_setup(algebra, sub).algebra
+    if poly == "pfaffian":
+        return pfaffian(algebra)
+    return symmetrized_trace(algebra, int(poly[len("trace^"):]))
+
+
+JOHNSON_CONFIGS = (
+    [(f"so{n}", f"so{n - 1}", "pfaffian") for n in (4, 6, 8, 10)]
+    + [("gl3", "gl2", f"trace^{k}") for k in (1, 2, 3, 4)]
+    + [("gl4", "gl3", f"trace^{k}") for k in (2, 3)]
+    + [("su2", "u1", f"trace^{k}") for k in (2, 4)]
+    + [("u3", "0,1,2", f"trace^{k}") for k in (3, 4)])
+
+johnson_values = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-2, 2))
+johnson_powered_values = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-2, 2),
+    st.integers(0, 2))
+
+
+@st.composite
+def johnson_tensors(draw, values):
+    """A sparse tensor of degree 1 to 3 on a small split algebra."""
+    setup = johnson_setup(*draw(st.sampled_from(
+        [("su2", "u1"), ("so4", "so3"), ("u2", "0,1"), ("gl2", "gl1")])))
+    dim = setup.algebra.dim
+    k = draw(st.integers(1, 3))
+    keys = st.lists(st.integers(0, dim - 1), min_size=k, max_size=k)
+    entries = draw(st.lists(st.tuples(keys, values), min_size=1, max_size=8))
+    prefactor = draw(values)
+    P = InvariantPolynomial(setup.algebra, k,
+                            {tuple(sorted(key)): v for key, v in entries}, prefactor)
+    return setup, P
+
+
+def assert_johnson_matches_slots(setup, P):
+    try:
+        want = tp_johnson_by_slots(setup, P)
+    except ContractError:
+        with pytest.raises(ContractError):
+            tp_johnson(setup, P)
+        return
+    assert tp_johnson(setup, P).form == want.form
+
+
+class TestJohnsonOneWalk:
+    """The one polarized evaluation against one evaluation per slot pattern
+    (``helpers.tp_johnson_by_slots``): the same form, the same errors, and
+    the same coefficients asked for."""
+
+    @pytest.mark.parametrize("config", JOHNSON_CONFIGS, ids="/".join)
+    def test_pinned_configs(self, config):
+        setup, P = johnson_setup(*config[:2]), johnson_polynomial(*config)
+        got = tp_johnson(setup, P)
+        assert not got.form.is_zero
+        assert got.form == tp_johnson_by_slots(setup, P).form
+
+    @given(johnson_tensors(johnson_values))
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_tensors(self, case):
+        assert_johnson_matches_slots(*case)
+
+    @given(johnson_tensors(johnson_powered_values))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_power_tensors(self, case):
+        assert_johnson_matches_slots(*case)
+
+    @pytest.mark.parametrize("config", [
+        ("so6", "so5", "pfaffian"), ("gl3", "gl2", "trace^3"),
+        ("u3", "0,1,2", "trace^4"), ("su2", "u1", "trace^2"),
+    ], ids="/".join)
+    @pytest.mark.parametrize("bump", [Scalar(1), Scalar(0, 1), Scalar(1, two_pi=1)],
+                             ids=["real", "imaginary", "powered"])
+    def test_corrupted_coefficient_fn(self, config, bump):
+        # every nonzero pattern in turn gets a bumped coefficient; both routes
+        # ask for the same patterns in the same order and agree on the form
+        setup, P = johnson_setup(*config[:2]), johnson_polynomial(*config)
+        patterns = []
+        tp_johnson_by_slots(setup, P, lambda k, i, j: patterns.append((i, j)) or 1)
+        assert patterns
+        for target in patterns:
+            asked = {"slots": [], "walk": []}
+
+            def corrupted(k, i, j, route):
+                asked[route].append((i, j))
+                base = coefficient_A(k, i, j)
+                return base + bump if (i, j) == target else base
+
+            try:
+                want = tp_johnson_by_slots(
+                    setup, P, lambda k, i, j: corrupted(k, i, j, "slots")).form
+            except ContractError:  # a powered bump next to unpowered terms
+                with pytest.raises(ContractError):
+                    tp_johnson(setup, P, lambda k, i, j: corrupted(k, i, j, "walk"))
+                continue
+            got = tp_johnson(setup, P, lambda k, i, j: corrupted(k, i, j, "walk")).form
+            assert asked["walk"] == asked["slots"] == patterns
+            assert got == want
+            assert got != tp_johnson(setup, P).form
+
+    def test_zero_coefficients(self, so4_setup, pf_so4):
+        assert tp_johnson(so4_setup, pf_so4, lambda k, i, j: 0).form.is_zero
+
+
 class TestChernEulerRoute:
     def test_n2_matches_integral(self):
         algebra = so_algebra(2)
@@ -316,7 +438,7 @@ class TestNonBasicForms:
         setup, P = case
         h0, p0 = setup.split.h[0], setup.split.p[0]
         dim = setup.algebra.dim
-        extra = setup.context.from_word([h0, dim + p0])   # w[h0] W[p0]
+        extra = from_word(setup.context, [h0, dim + p0])   # w[h0] W[p0]
         result = self.perturbed(setup, P, extra)
         checks = verify_transgression(result, setup)
         assert not checks["horizontality"].passed
@@ -326,7 +448,7 @@ class TestNonBasicForms:
         setup, P = case
         p0, p1 = setup.split.p[:2]
         dim = setup.algebra.dim
-        extra = setup.context.from_word([p0, dim + p1])   # w[p0] W[p1]
+        extra = from_word(setup.context, [p0, dim + p1])   # w[p0] W[p1]
         result = self.perturbed(setup, P, extra)
         checks = verify_transgression(result, setup)
         assert checks["horizontality"].passed

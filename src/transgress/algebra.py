@@ -14,9 +14,11 @@ anywhere in this package.
 from __future__ import annotations
 
 import re as _re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from sys import getsizeof as _sizeof
+from typing import NamedTuple, Sequence, Union
 
 __all__ = [
     "AlgebraError",
@@ -446,21 +448,19 @@ class Context:
         return self._gens[gid]
 
     def zero(self) -> "GradedElement":
-        return GradedElement(self, {}, _canonical=True)
+        return _element(self, self._layout(0), {}, 1, 0)
 
     def one(self) -> "GradedElement":
-        return GradedElement(self, {UNIT_MONO: ONE}, _canonical=True)
+        return _element(self, self._layout(0), {0: 1}, 1, 0, deg=0)
 
     def scalar(self, value) -> "GradedElement":
-        value = Scalar._coerce(value)
-        if value.is_zero:
-            return self.zero()
-        return GradedElement(self, {UNIT_MONO: value}, _canonical=True)
+        return GradedElement(self, {UNIT_MONO: Scalar._coerce(value)})
 
     def gen(self, gid: int) -> "GradedElement":
-        g = self._gens[gid]
-        mono = Monomial(1 << gid, (), 0) if g.is_odd else Monomial(0, (gid,), 0)
-        return GradedElement(self, {mono: ONE}, _canonical=True)
+        if self._gens[gid].is_odd:
+            return _element(self, self._layout(0), {1 << gid: 1}, 1, 0, deg=1)
+        layout = self._layout(1)
+        return _element(self, layout, {layout.units[gid]: 1}, 1, 0, most=1, deg=2)
 
     # Randomized elements for property tests and self-checks.
     def random_element(self, rng, terms: int = 3, max_odd: int = 2,
@@ -472,9 +472,10 @@ class Context:
             odd = sum(1 << g for g in rng.sample(odd_ids, n_odd)) if n_odd else 0
             n_even = rng.randint(0, max_even) if even_ids else 0
             even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
-            coeff = Scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            num, den = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)
+            g = _gcd(num, den)
             mono = Monomial(odd, even, rng.randint(0, max_t))
-            _acc_add(acc, mono, coeff)
+            _acc_add(acc, mono, _make(num // g, 0, den // g, 0))
         return GradedElement(self, acc)
 
     def __repr__(self) -> str:
@@ -499,7 +500,7 @@ def _mono_sort_key(m: Monomial):
 
 
 # ---------------------------------------------------------------------------
-# Integer numerators for the kernels
+# The stored form: packed keys and integer numerators
 # ---------------------------------------------------------------------------
 
 class _Layout:
@@ -507,29 +508,38 @@ class _Layout:
 
     Bit g holds odd generator g, as in ``odd_mask``.  Above the odd bits sit
     one exponent field of ``width`` bits per even generator, in
-    ``ctx.even_ids`` order, and the t-degree on top.  The product of two
-    monomials with disjoint odd parts is then the sum of their keys, as long
-    as no exponent passes 2**width - 1, so each kernel picks the width from
-    the largest even count it can reach (``_encoding``).  ``Context`` keeps
-    one layout per width.
+    ``ctx.even_ids`` order, then a field of the same width for the (2pi)
+    power of the term above the lowest power of its element, and the
+    t-degree on top.  The product of two monomials with disjoint odd parts
+    is then the sum of their keys, as long as no field passes
+    2**width - 1.  ``Context`` keeps one layout per width.
     """
 
-    __slots__ = ("width", "odd", "even_mask", "units", "ids", "tshift")
+    __slots__ = ("width", "odd", "even_mask", "units", "ids", "pshift", "pmask", "tshift")
 
     def __init__(self, ctx: "Context", width: int):
         n_odd = max(ctx.odd_ids, default=-1) + 1
         ids = ctx.even_ids
         self.width = width
         self.odd = (1 << n_odd) - 1
-        self.tshift = n_odd + len(ids) * width
-        self.even_mask = (1 << self.tshift) - 1 ^ self.odd
+        self.pshift = n_odd + len(ids) * width
+        self.pmask = (1 << width) - 1
+        self.tshift = self.pshift + width
+        self.even_mask = (1 << self.pshift) - 1 ^ self.odd
         self.units = {g: 1 << n_odd + i * width for i, g in enumerate(ids)}
         self.ids = ids
 
+    def fields(self, even: tuple) -> int:
+        """The even fields of an even multiset."""
+        try:
+            return sum(map(self.units.__getitem__, even))
+        except KeyError:
+            raise ContextError(f"monomial with even factors {even} "
+                               "outside its context") from None
+
     def even(self, fields: int) -> tuple:
         """The sorted even multiset of the even fields of a key."""
-        width, ids = self.width, self.ids
-        one = (1 << width) - 1
+        width, ids, one = self.width, self.ids, self.pmask
         fields >>= self.odd.bit_length()
         even = ()
         while fields:
@@ -540,75 +550,19 @@ class _Layout:
         return even
 
 
-class _Numerators:
-    """The coefficients of some elements as integer numerators over their
-    common denominator ``den``, for kernels that make one int product and one
-    dict update per term operation and one Scalar per output term.
-
-    ``encode`` gives each element as {key: int}, with the monomial packed
-    by a ``_Layout``.  Gaussian data is packed as re + (im << shift), with
-    ``shift`` past the bit length of any part a call can reach: the packing
-    is linear, so sums and products with a real int act on both parts, and
-    the int is 0 exactly when both parts are (``_gmul`` multiplies two packed
-    numbers).  When the (2pi) powers differ, each power above ``low`` goes
-    into the t-degree in multiples of ``unit``, past any t-degree a call can
-    reach; products add t-degrees as they add powers, and ``_decode`` splits
-    the two again.  ``_encoding`` picks the layout, ``shift`` and ``unit``.
-    """
-
-    __slots__ = ("elements", "den", "imag", "low", "high", "even")
-
-    def __init__(self, elements: dict):
-        coeffs = [c for terms in elements.values() for c in terms.values()]
-        powers = {c.two_pi for c in coeffs} or {0}
-        self.elements = elements
-        self.den = _lcm(*{c._den for c in coeffs})
-        self.imag = any(c._im for c in coeffs)
-        self.low, self.high = min(powers), max(powers)
-        # the largest number of even factors of one term
-        self.even = max((len(m[1]) for terms in elements.values() for m in terms),
-                        default=0)
-
-    def encode(self, layout: _Layout, shift: int = 0, unit: int = 0) -> dict:
-        den, low = self.den, self.low
-        odd, units, tshift = layout.odd, layout.units, layout.tshift
-        evens = {(): 0}  # even multiset -> its fields
-        out = {}
-        for name, terms in self.elements.items():
-            nums = out[name] = {}
-            for (o, e, t), c in terms.items():
-                fields = evens.get(e)
-                if fields is None:
-                    try:
-                        fields = evens[e] = sum(map(units.__getitem__, e))
-                    except KeyError:
-                        raise ContextError(f"monomial with even factors {e} "
-                                           "outside its context") from None
-                if o > odd:
-                    raise ContextError("monomial with odd factors outside its context")
-                if c.two_pi != low:
-                    t += (c.two_pi - low) * unit
-                f = den // c._den
-                nums[o | fields | t << tshift] = c._re * f + (c._im * f << shift)
-        return out
+def _parts(v: int, shift: int) -> tuple:
+    """(re, im) of a numerator packed with ``shift``."""
+    if not shift:
+        return v, 0
+    im = (v + (1 << shift - 1)) >> shift
+    return v - (im << shift), im
 
 
-def _encoding(ctx: "Context", factors, scale: int = 1) -> tuple:
-    """(layout, shift, unit) for sums of at most ``scale`` products that
-    take one element of each of ``factors``; ``shift`` and ``unit`` are 0
-    where no packing or shifting is needed."""
-    shift = unit = 0
-    if any(f.imag for f in factors):
-        bound = scale  # times the largest |re| + |im| sum of each factor
-        for f in factors:
-            bound *= max((sum((abs(c._re) + abs(c._im)) * (f.den // c._den)
-                              for c in terms.values()) for terms in f.elements.values()),
-                         default=0)
-        shift = bound.bit_length() + 1
-    if any(f.low != f.high for f in factors):
-        unit = 1 + sum(max((m[2] for terms in f.elements.values() for m in terms), default=0)
-                       for f in factors)
-    return ctx._layout(sum(f.even for f in factors).bit_length()), shift, unit
+def _scalar(v: int, den: int, shift: int, power: int) -> Scalar:
+    """The Scalar of a numerator over ``den`` packed with ``shift``."""
+    re, im = _parts(v, shift)
+    g = _gcd(re, im, den)
+    return _make(re // g, im // g, den // g, power)
 
 
 def _gmul(a: int, b: int, shift: int) -> int:
@@ -617,6 +571,164 @@ def _gmul(a: int, b: int, shift: int) -> int:
     ai, bi = (a + half) >> shift, (b + half) >> shift
     ar, br = a - (ai << shift), b - (bi << shift)
     return ar * br - ai * bi + ((ar * bi + ai * br) << shift)
+
+
+def _power_clash(layout: _Layout, low: int, first: int, key: int) -> ContractError:
+    ps, pm = layout.pshift, layout.pmask
+    return ContractError(f"cannot add scalars with different (2pi) powers: "
+                         f"{low + (first >> ps & pm)} vs {low + (key >> ps & pm)}")
+
+
+def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, low: int,
+             high: int = 0, most: int = 0, shift: int = 0, norm: int = None,
+             deg: int = None) -> "GradedElement":
+    """A GradedElement from its stored form (see ``GradedElement``).  A
+    monomial held at two (2pi) powers would be a sum of scalars with
+    different powers, which is refused."""
+    if high:
+        held = {}  # monomial part -> its key
+        for key in nums:
+            first = held.setdefault(key & ~(layout.pmask << layout.pshift), key)
+            if first != key:
+                raise _power_clash(layout, low, first, key)
+    x = _new(GradedElement)
+    x.ctx, x._layout, x._nums, x._den, x._low = ctx, layout, nums, den, low
+    x._high, x._most, x._shift, x._norm, x._deg, x._terms = high, most, shift, norm, deg, None
+    return x
+
+
+def _reduce(x: "GradedElement") -> "GradedElement":
+    """x with the common factor of its numerators and its denominator taken
+    out, in place: for a new element, before it is shared.  A table that
+    many cancelled terms left larger than its terms need is copied small."""
+    nums, g, shift = x._nums, x._den, x._shift
+    if g == 1 and len(nums) < 16:
+        return x
+    if g != 1 and not shift:
+        g = _gcd(g, *nums.values())
+    for v in nums.values() if shift else ():
+        if g == 1:
+            break
+        g = _gcd(g, *_parts(v, shift))
+    if _sizeof(nums) > 64 * len(nums) + 256:
+        x._nums = {k: v // g for k, v in nums.items()}
+    elif g != 1:
+        for k, v in nums.items():
+            nums[k] = v // g
+    x._den //= g
+    if x._norm is not None:
+        x._norm //= g
+    return x
+
+
+def _norm(x: "GradedElement") -> int:
+    """A bound on the sum of |re| + |im| over the numerators of x."""
+    if x._norm is None:
+        x._norm = sum(abs(re) + abs(im) for re, im in (_parts(v, x._shift)
+                                                      for v in x._nums.values()))
+    return x._norm
+
+
+def _packing(bound: int, elements) -> int:
+    """The packing shift for Gaussian parts up to ``bound`` in absolute
+    value, and no narrower than that of any of ``elements``."""
+    return max([bound.bit_length() + 1, *(x._shift for x in elements)])
+
+
+def _frame(xs) -> tuple:
+    """(lowest power, denominator, highest power above it, most even
+    factors, Gaussian) over the nonzero elements ``xs``."""
+    low = min(x._low for x in xs)
+    return (low, _lcm(*(x._den for x in xs)), max(x._high + x._low for x in xs) - low,
+            max(x._most for x in xs), any(x._shift for x in xs))
+
+
+def _layout_for(ctx: "Context", xs, most: int, high: int) -> _Layout:
+    """The layout for terms with up to ``most`` even factors at up to
+    ``high`` powers above the lowest: the widest of those of the elements
+    ``xs`` unless they need a wider one."""
+    return ctx._layout(max(max(most, high).bit_length(), *(x._layout.width for x in xs)))
+
+
+def _aligned(x: "GradedElement", layout: _Layout, shift: int = 0, low: int = None,
+             den: int = None) -> dict:
+    """The numerators of x keyed by ``layout`` and packed with ``shift``
+    (when x is Gaussian), with power fields counted from ``low`` and over
+    ``den``; x's own dict when nothing changes.  The caller picks a layout,
+    shift, lowest power and denominator that hold x."""
+    nums, src, s = x._nums, x._layout, x._shift
+    f = den // x._den if den else 1
+    dq = x._low - low if low is not None else 0
+    repack = s and s != shift
+    if src is layout and not dq and not repack:
+        return nums if f == 1 else {k: v * f for k, v in nums.items()}
+    half = 1 << s - 1 if s else 0
+    odd, emask, ps, pm, ts = src.odd, src.even_mask, src.pshift, src.pmask, src.tshift
+    moved = {0: 0}  # even fields in src -> in layout
+    out = {}
+    for key, v in nums.items():
+        if src is layout:
+            key += dq << ps
+        else:
+            e = key & emask
+            fields = moved.get(e)
+            if fields is None:
+                fields = moved[e] = layout.fields(src.even(e))
+            key = (key & odd | fields | ((key >> ps & pm) + dq) << layout.pshift
+                   | (key >> ts) << layout.tshift)
+        if repack:
+            im = (v + half) >> s
+            v += (im << shift) - (im << s)
+        out[key] = v * f
+    return out
+
+
+def _combine(ctx: "Context", signed) -> "GradedElement":
+    """The sum of sign * x over the (x, sign) pairs, sign 1 or -1: the terms
+    of each in order after those of the ones before."""
+    signed = [(x, sign) for x, sign in signed if x._nums]
+    if not signed:
+        return ctx.zero()
+    if len(signed) == 1 and signed[0][1] == 1:
+        return signed[0][0]
+    xs = [x for x, _ in signed]
+    low, den, high, most, imag = _frame(xs)
+    shift, norm = 0, None
+    if imag:
+        norm = sum(_norm(x) * (den // x._den) for x in xs)
+        shift = _packing(norm, xs)
+    layout = _layout_for(ctx, xs, most, high)
+    acc = None
+    for x, sign in signed:
+        nums = _aligned(x, layout, shift, low, den)
+        if acc is None:
+            acc = dict(nums) if sign > 0 else {k: -v for k, v in nums.items()}
+            continue
+        for k, v in nums.items():
+            c = acc.get(k, 0) + (v if sign > 0 else -v)
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+    if not acc:
+        return ctx.zero()
+    degs = {x._deg for x in xs}
+    return _element(ctx, layout, acc, den, low, high, most, shift, norm,
+                    degs.pop() if len(degs) == 1 else None)
+
+
+def _t_block(x: "GradedElement", spacing: int):
+    """(i, part) for the lowest i with terms of t-degree in
+    [spacing * i, spacing * (i + 1)), the part being those terms with t
+    lowered by spacing * i; None for zero."""
+    if not x._nums:
+        return None
+    ts = x._layout.tshift
+    i = (min(x._nums) >> ts) // spacing  # t is the top field
+    start, stop = spacing * i << ts, spacing * (i + 1) << ts
+    part = {k - start: v for k, v in x._nums.items() if start <= k < stop}
+    return i, _element(x.ctx, x._layout, part, x._den, x._low, x._high, x._most,
+                       x._shift, x._norm, x._deg)
 
 
 def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
@@ -658,34 +770,47 @@ def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
     return acc
 
 
-def _decode(layout: _Layout, acc: dict, den: int, power: int, shift: int = 0,
-            unit: int = 0) -> dict:
-    """{Monomial: Scalar} from {key: numerator over ``den``} at (2pi) power
-    ``power``, in the order of ``acc``.  Terms that differ only in their power
-    would be a sum of scalars with different powers, which is refused."""
-    half = 1 << shift - 1 if shift else 0
-    odd, even_mask, tshift, even_of = layout.odd, layout.even_mask, layout.tshift, layout.even
+def _decode(x: "GradedElement") -> dict:
+    """{Monomial: Scalar} of the stored form of x, in the order of its keys."""
+    layout, den, low, shift = x._layout, x._den, x._low, x._shift
+    odd, emask, ps, pm, ts = layout.odd, layout.even_mask, layout.pshift, layout.pmask, layout.tshift
     evens = {0: ()}  # even fields -> even multiset
     out = {}
-    for key, v in acc.items():
-        fields = key & even_mask
+    for key, v in x._nums.items():
+        fields = key & emask
         even = evens.get(fields)
         if even is None:
-            even = evens[fields] = even_of(fields)
-        p = power
-        t = key >> tshift
-        if unit:
-            q, t = divmod(t, unit)
-            p += q
-        mono = _tuple_new(Monomial, (key & odd, even, t))
-        if unit and mono in out:
-            raise ContractError(f"cannot add scalars with different (2pi) "
-                                f"powers: {out[mono].two_pi} vs {p}")
-        im = (v + half) >> shift if shift else 0
-        re = v - (im << shift)
-        g = _gcd(re, im, den)
-        out[mono] = _make(re // g, im // g, den // g, p)
+            even = evens[fields] = layout.even(fields)
+        out[_tuple_new(Monomial, (key & odd, even, key >> ts))] = _scalar(
+            v, den, shift, low + (key >> ps & pm))
     return out
+
+
+class _Terms(Mapping):
+    """The terms of an element as {Monomial: Scalar}, in the order of its
+    keys: decoded on first use and kept, while ``len`` counts the keys."""
+
+    __slots__ = ("_x", "_dict")
+
+    def __init__(self, x: "GradedElement"):
+        self._x, self._dict = x, None
+
+    def _decoded(self) -> dict:
+        if self._dict is None:
+            self._dict = _decode(self._x)
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._x._nums)
+
+    def __getitem__(self, mono):
+        return self._decoded()[mono]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def items(self):
+        return self._decoded().items()
 
 
 # ---------------------------------------------------------------------------
@@ -695,18 +820,54 @@ def _decode(layout: _Layout, acc: dict, den: int, power: int, shift: int = 0,
 class GradedElement:
     """Sparse sum of signed monomials with Scalar coefficients.
 
-    Values are immutable by convention: no method mutates ``terms`` after
-    construction, so elements are safe to share.
+    The stored form is the one the kernels read.  ``_nums`` maps the key of
+    each monomial (``_Layout``) to an integer numerator over the one
+    denominator ``_den``.  The (2pi) power of a term is ``_low`` plus the
+    power field of its key, which is at most ``_high``, so ``_high == 0``
+    means one power throughout.  ``_most`` bounds the even factors of a
+    term, and the layout's field width holds ``max(_most, _high)``.
+    Gaussian numerators are packed as re + (im << _shift), both parts below
+    2**(_shift - 1) in absolute value; real elements have ``_shift == 0``.
+    ``_norm`` bounds the sum of |re| + |im| over the terms once known, and
+    ``_deg`` is the form degree once known to be one.
+
+    ``terms`` is the decoded view {Monomial: Scalar}, for rendering,
+    witnesses and tests.  Values are immutable by convention, so elements
+    are safe to share.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_layout", "_nums", "_den", "_low", "_high", "_most", "_shift",
+                 "_norm", "_deg", "_terms")
 
-    def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar],
-                 _canonical: bool = False):
-        if not _canonical:
-            terms = {m: c for m, c in terms.items() if not c.is_zero}
-        self.ctx = ctx
-        self.terms = dict(terms) if not isinstance(terms, dict) else terms
+    def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
+        items = [(m, c) for m, c in terms.items() if c._re or c._im]
+        den = _lcm(*{c._den for _, c in items})
+        powers = {c.two_pi for _, c in items} or {0}
+        low, high = min(powers), max(powers) - min(powers)
+        most = max((len(m[1]) for m, _ in items), default=0)
+        degs = {m[0].bit_count() + 2 * len(m[1]) for m, _ in items}
+        shift = 0
+        if any(c._im for _, c in items):
+            shift = _packing(max((abs(c._re) + abs(c._im)) * (den // c._den)
+                                 for _, c in items), ())
+        layout = ctx._layout(max(most, high).bit_length())
+        nums = {}
+        for (o, e, t), c in items:
+            fields = layout.fields(e)
+            if o > layout.odd:
+                raise ContextError("monomial with odd factors outside its context")
+            f = den // c._den
+            nums[o | fields | c.two_pi - low << layout.pshift | t << layout.tshift] = (
+                c._re * f + (c._im * f << shift))
+        self.ctx, self._layout, self._nums, self._den, self._low = ctx, layout, nums, den, low
+        self._high, self._most, self._shift, self._norm = high, most, shift, None
+        self._deg, self._terms = degs.pop() if len(degs) == 1 else None, None
+
+    @property
+    def terms(self) -> Mapping:
+        if self._terms is None:
+            self._terms = _Terms(self)
+        return self._terms
 
     def _check(self, other: "GradedElement") -> None:
         if self.ctx is not other.ctx:
@@ -714,10 +875,21 @@ class GradedElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
+
+    @property
+    def t_free(self) -> bool:
+        return not self._nums or not max(self._nums) >> self._layout.tshift
 
     def degrees(self) -> set:
-        return {m.degree for m in self.terms}
+        if self._deg is not None and self._nums:
+            return {self._deg}
+        layout = self._layout
+        degs = {(key & layout.odd).bit_count() + 2 * len(layout.even(key & layout.even_mask))
+                for key in self._nums}
+        if len(degs) == 1:
+            self._deg = next(iter(degs))
+        return degs
 
     @property
     def is_homogeneous(self) -> bool:
@@ -734,29 +906,21 @@ class GradedElement:
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self._nums)
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self.terms.get(mono, ZERO)
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc_add(acc, m, c)
-        return GradedElement(self.ctx, acc, _canonical=True)
+        return _combine(self.ctx, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
+        self._check(other)
+        return _combine(self.ctx, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(
-            self.ctx, {m: -c for m, c in self.terms.items()}, _canonical=True
-        )
+        return self.scale(-1)
 
     def scale(self, scalar) -> "GradedElement":
         scalar = Scalar._coerce(scalar)
@@ -764,9 +928,12 @@ class GradedElement:
             return self.ctx.zero()
         if scalar.is_one:
             return self
-        return GradedElement(
-            self.ctx, {m: c * scalar for m, c in self.terms.items()}, _canonical=True
-        )
+        if scalar._im or self._shift:
+            return self * self.ctx.scalar(scalar)
+        r = scalar._re
+        return _reduce(_element(self.ctx, self._layout, {k: v * r for k, v in self._nums.items()},
+                                self._den * scalar._den, self._low + scalar.two_pi, self._high,
+                                self._most, 0, None, self._deg))
 
     def __mul__(self, other):
         """The wedge product, or the scalar multiple by a number.
@@ -778,12 +945,19 @@ class GradedElement:
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ctx.zero()
-        a, b = _Numerators({0: self.terms}), _Numerators({0: other.terms})
-        layout, shift, unit = _encoding(self.ctx, (a, b))
-        acc = _product(a.encode(layout, shift, unit)[0], b.encode(layout, shift, unit)[0],
-                       layout, shift if a.imag and b.imag else 0)
-        out = _decode(layout, acc, a.den * b.den, a.low + b.low, shift, unit)
-        return GradedElement(self.ctx, out, _canonical=True)
+        xs = (self, other)
+        most, high = self._most + other._most, self._high + other._high
+        layout = _layout_for(self.ctx, xs, most, high)
+        shift = both = 0
+        norm = None
+        if self._shift or other._shift:
+            norm = _norm(self) * _norm(other)
+            shift = _packing(norm, xs)
+            both = shift if self._shift and other._shift else 0
+        acc = _product(_aligned(self, layout, shift), _aligned(other, layout, shift), layout, both)
+        deg = None if self._deg is None or other._deg is None else self._deg + other._deg
+        return _reduce(_element(self.ctx, layout, acc, self._den * other._den,
+                                self._low + other._low, high, most, shift, norm, deg))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -796,23 +970,31 @@ class GradedElement:
             return self
         if power < 0:
             raise ContractError("negative t powers are not representable")
-        return GradedElement(
-            self.ctx,
-            {Monomial(m.odd_mask, m.even, m.t_deg + power): c
-             for m, c in self.terms.items()},
-            _canonical=True,
-        )
+        step = power << self._layout.tshift
+        return _element(self.ctx, self._layout, {k + step: v for k, v in self._nums.items()},
+                        self._den, self._low, self._high, self._most, self._shift,
+                        self._norm, self._deg)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
+        if self.ctx is not other.ctx or len(self._nums) != len(other._nums):
+            return False
+        if self is other or not self._nums:
+            return True
+        xs = (self, other)
+        low, den, high, most, imag = _frame(xs)
+        layout = _layout_for(self.ctx, xs, most, high)
+        shift = _packing(max(_norm(x) * (den // x._den) for x in xs), xs) if imag else 0
+        return _aligned(self, layout, shift, low, den) == _aligned(other, layout, shift, low, den)
 
     def __hash__(self):
         raise TypeError("GradedElement is not hashable")
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        # decoded for this call only, unless the view already holds them
+        terms = self._terms if self._terms is not None else _decode(self)
+        return sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def leading_term_str(self) -> str:
         """Render one term, for witnesses in check reports."""
@@ -869,7 +1051,7 @@ class Derivation:
     ``D(ab) = D(a) b + (-1)^(degree*|a|) a D(b)`` fixes the extension.
     """
 
-    __slots__ = ("ctx", "degree", "images", "_table", "_plain", "_only")
+    __slots__ = ("ctx", "degree", "images", "_frame", "_tables")
 
     def __init__(self, ctx: Context, images: Mapping[int, GradedElement], degree: int):
         if degree not in (1, -1):
@@ -890,133 +1072,191 @@ class Derivation:
         self.ctx = ctx
         self.degree = degree
         self.images = checked
-        self._table = None  # numerators of the images
-        self._plain = {}  # layout width -> images encoded without packing
-        self._only = None  # (odd mask, even ids) with images, unless all have one
+        self._tables = {}  # layout width -> image table without packing
+        self._frame = None  # (low, den, high, growth of the even count, Gaussian)
+        if checked:
+            low, den, high, _, imag = _frame(checked.values())
+            growth = max(0, *(img._most - (ctx.generator(g).degree == 2)
+                              for g, img in checked.items()))
+            self._frame = low, den, high, growth, imag
 
-    def _images(self, layout: _Layout, shift: int, unit: int) -> dict:
-        """gid -> (unit of its even field or None, image terms), each term
-        (key, odd part, xor of the masks below its odd factors, 1 if it has
-        an even number of odd factors, numerator)."""
-        images = self._plain.get(layout.width) if not (shift or unit) else None
-        if images is None:
-            images = {}
-            odd, units = layout.odd, layout.units
-            for gid, terms in self._table.encode(layout, shift, unit).items():
-                slot = []
-                for key, c in terms.items():
-                    o = bits = key & odd
-                    below = 0
+    def _table(self, layout: _Layout, shift: int) -> tuple:
+        """(factor unit -> image terms, odd mask with images, even fields
+        with images) in ``layout``, the unit of a factor being its bit or
+        its field's 1; each image term (key, odd part, sign mask,
+        numerator).  Kept per width when nothing is packed.
+
+        The sign of an image term at a factor with a monomial ``rest``
+        around it is the parity of ``rest & mask`` (see ``__call__``)."""
+        table = None if shift else self._tables.get(layout.width)
+        if table is None:
+            low, den = self._frame[:2]
+            slots, odd_with, even_with = {}, 0, 0
+            for gid, img in self.images.items():
+                odd = self.ctx.generator(gid).is_odd
+                unit = 1 << gid if odd else layout.units[gid]
+                # the odd factors of the rest that the operator moves past
+                before = unit - 1 if odd else layout.odd
+                slot = slots[unit] = []
+                for key, c in _aligned(img, layout, shift, low, den).items():
+                    o = bits = key & layout.odd
+                    mask = 0 if o.bit_count() & 1 else before
                     while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        below ^= low - 1
-                    slot.append((key, o, below, ~o.bit_count() & 1, c))
-                images[gid] = units.get(gid), slot
-            if not (shift or unit):
-                self._plain[layout.width] = images
-        return images
+                        bit = bits & -bits
+                        bits ^= bit
+                        mask ^= bit - 1
+                    slot.append((key, o, mask, c))
+                if odd:
+                    odd_with |= unit
+                else:
+                    even_with |= unit * layout.pmask
+            table = slots, odd_with, even_with
+            if not shift:
+                self._tables[layout.width] = table
+        return table
 
     def __call__(self, x: GradedElement) -> GradedElement:
         """Apply the Leibniz rule in one pass per image term.
 
-        A slot is one factor with an image: ``(image, rest, pos)``, with
-        ``rest`` the key of the monomial without that factor and ``pos`` the
-        number of odd factors before it.  The operator moves past those
-        ``pos`` factors, then each odd factor b of the image term moves to
-        its place in the rest, which takes ``pos + popcount(rest below b)``
-        transpositions.  Modulo 2 the ``pos`` terms cancel for an image term
-        with an odd number of odd factors, and the popcounts add up to one
-        against the xor of the masks below each b, worked out once per image
-        term.  The product of the rest and an image term is the sum of their
-        keys.
-
-        Coefficients are integer numerators (``_Numerators``); those of the
-        images are read on the first call.
+        A slot is one factor with an image: ``(image, rest)``, with ``rest``
+        the key of the monomial without that factor.  The operator moves
+        past the odd factors of the rest before the factor, then each odd
+        factor b of the image term moves to its place in the rest, past the
+        odd factors of the rest below b.  Modulo 2 the first count cancels
+        for an image term with an odd number of odd factors, and the
+        popcounts add up to one against the xor of the masks below each b
+        and, for an even number, the mask of the factors before the slot:
+        the sign mask of the image term.  The product of the rest and an
+        image term is the sum of their keys.  The terms of x are read as
+        stored; those of the images are keyed once per layout.
         """
         if x.ctx is not self.ctx:
             raise ContextError("element over a different context")
-        if self._table is None:
-            self._table = _Numerators({gid: img.terms for gid, img in self.images.items()})
-            ctx = self.ctx
-            if len(self.images) < len(ctx.generators):
-                odd = {g for g in self.images if ctx.generator(g).is_odd}
-                self._only = sum(1 << g for g in odd), frozenset(self.images) - odd
-        table = self._table
-        terms = x.terms
-        if self._only is not None:  # the terms with a factor that has an image
-            odd, even = self._only
-            terms = {m: c for m, c in terms.items()
-                     if m[0] & odd or not even.isdisjoint(m[1])}
-        source = _Numerators({0: terms})
-        # a term has one slot per factor at most, so at most ``degree`` slots
-        most = max((m.degree for m in terms), default=0) if source.imag or table.imag else 1
-        layout, shift, unit = _encoding(self.ctx, (source, table), most)
-        images = self._images(layout, shift, unit)
-        both = shift if source.imag and table.imag else 0  # Gaussian products
+        if x.is_zero or self._frame is None:
+            return self.ctx.zero()
+        low, den, high, growth, imag = self._frame
+        most, high = x._most + growth, x._high + high
+        layout = _layout_for(self.ctx, (x,), most, high)
+        shift = both = 0
+        norm = None
+        if x._shift or imag:
+            # a term has one slot per factor at most, so at most ``degree`` slots
+            norm = _norm(x) * max(x.degrees()) * max(
+                _norm(img) * (den // img._den) for img in self.images.values())
+            shift = _packing(norm, (x,))
+            both = shift if x._shift and imag else 0
+        slots, odd_with, even_with = self._table(layout, shift)
+        units = layout.units
+        evens = {}  # even fields with images -> ((image, unit), ...) per factor
         acc = {}
-        for (odd, even, _), (key, coeff) in zip(terms, source.encode(layout, shift, unit)[0].items()):
-            slots = []
-            pos = 0
-            bits = odd
+        get = acc.get
+        for key, coeff in _aligned(x, layout, shift).items():
+            factors = []
+            bits = key & odd_with
             while bits:
-                low = bits & -bits
-                bits ^= low
-                img = images.get(low.bit_length() - 1)
-                if img is not None:
-                    slots.append((img[1], key ^ low, pos))
-                pos += 1
-            for gid in even:
-                img = images.get(gid)
-                if img is not None:
-                    slots.append((img[1], key - img[0], pos))
-            for img, rest, pos in slots:
+                bit = bits & -bits
+                bits ^= bit
+                factors.append((slots[bit], key ^ bit))
+            fields = key & even_with
+            if fields:
+                even = evens.get(fields)
+                if even is None:
+                    even = evens[fields] = [(slots[units[g]], units[g])
+                                            for g in layout.even(fields)]
+                factors += [(img, key - unit) for img, unit in even]
+            for img, rest in factors:
                 if both:
-                    pairs, mult = [(k, o, b, n, _gmul(coeff, c, both))
-                                   for k, o, b, n, c in img], 1
+                    pairs, mult = [(k, o, m, _gmul(coeff, c, both)) for k, o, m, c in img], 1
                 else:
                     pairs, mult = img, coeff
-                for k2, o2, below, moves, c2 in pairs:
+                neg = -mult
+                for k2, o2, mask, c2 in pairs:
                     if o2 & rest:
                         continue
                     k2 += rest
                     # the product is nonzero, so a new key gets a nonzero entry
-                    c = ((-mult if (pos & moves) + (rest & below).bit_count() & 1 else mult)
-                         * c2 + acc.get(k2, 0))
+                    c = (neg if (rest & mask).bit_count() & 1 else mult) * c2 + get(k2, 0)
                     if c:
                         acc[k2] = c
                     else:
                         del acc[k2]
-        out = _decode(layout, acc, source.den * table.den, source.low + table.low, shift, unit)
-        return GradedElement(self.ctx, out, _canonical=True)
+        deg = None if x._deg is None else x._deg + self.degree
+        return _reduce(_element(self.ctx, layout, acc, x._den * den, x._low + low, high,
+                                most, shift, norm, deg))
 
 
 # ---------------------------------------------------------------------------
 # Calculus in t
 # ---------------------------------------------------------------------------
 
+def _t_map(x: GradedElement, mults: dict, den: int, lower: bool = False,
+           ordered: bool = True) -> GradedElement:
+    """Each term of x of t-degree d times mults[d] = (re, im, q), the
+    Gaussian integer re + im i over ``den`` at q more (2pi) powers, with t
+    dropped, or lowered by one when ``lower``; the terms of a t-degree
+    without a multiplier are dropped.  Terms that meet are summed in order.
+    With ``ordered``, a term is refused as ``Scalar`` addition refuses it,
+    when it meets a nonzero entry of its monomial at another power;
+    otherwise only two powers that both survive are refused."""
+    if x.is_zero or not mults:
+        return x.ctx.zero()
+    qs = [q for _, _, q in mults.values()]
+    low, high = x._low + min(qs), x._high + max(qs) - min(qs)
+    layout = _layout_for(x.ctx, (x,), x._most, high)
+    shift, norm = 0, None
+    if x._shift or any(im for _, im, _ in mults.values()):
+        norm = _norm(x) * max(abs(re) + abs(im) for re, im, _ in mults.values())
+        shift = _packing(norm, (x,))
+    ps, ts, pm = layout.pshift, layout.tshift, layout.pmask
+    keep, mask = (1 << ps) - 1, ~(pm << ps)
+    acc, held = {}, {}  # held: monomial part -> the key of its last power
+    for k, v in _aligned(x, layout, shift).items():
+        d = k >> ts
+        if d not in mults:
+            continue
+        re, im, q = mults[d]
+        m = re + (im << shift)
+        v = _gmul(v, m, shift) if x._shift and im else v * m
+        if not v:
+            continue
+        k = k & keep | ((k >> ps & pm) + q - min(qs)) << ps | (d - 1 << ts if lower else 0)
+        if high and ordered:
+            h = held.setdefault(k & mask, k)
+            if h != k:
+                if h in acc:
+                    raise _power_clash(layout, low, h, k)
+                held[k & mask] = k
+        c = acc.get(k, 0) + v
+        if c:
+            acc[k] = c
+        else:
+            del acc[k]
+    return _reduce(_element(x.ctx, layout, acc, x._den * den, low, high, x._most, shift,
+                            norm, x._deg))
+
+
 def integrate_unit_interval(x: GradedElement) -> GradedElement:
-    """Integrate every coefficient polynomial in t over [0, 1], exactly."""
-    acc = {}
-    for mono, coeff in x.terms.items():
-        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff / (mono.t_deg + 1))
-    return GradedElement(x.ctx, acc, _canonical=True)
+    """Integrate every coefficient polynomial in t over [0, 1], exactly: the
+    term of t-degree d is divided by d + 1, over the lcm of those."""
+    top = max(x._nums, default=0) >> x._layout.tshift
+    lcm = _lcm(*range(1, top + 2))
+    return _t_map(x, {d: (lcm // (d + 1), 0, 0) for d in range(top + 1)}, lcm)
 
 
 def substitute_t(x: GradedElement, value: Scalar) -> GradedElement:
-    """Evaluate every coefficient polynomial at t = value."""
+    """Evaluate every coefficient polynomial at t = value: the term of
+    t-degree d times (vr + vi i)**d vd**(top - d) over vd**top, for
+    value = (vr + vi i) / vd and the top t-degree."""
     value = Scalar._coerce(value)
-    acc = {}
-    for mono, coeff in x.terms.items():
-        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * value ** mono.t_deg)
-    return GradedElement(x.ctx, acc, _canonical=True)
+    top = max(x._nums, default=0) >> x._layout.tshift
+    mults, re, im = {}, 1, 0
+    for d in range(top + 1):
+        mults[d] = (re * value._den ** (top - d), im * value._den ** (top - d), d * value.two_pi)
+        re, im = re * value._re - im * value._im, re * value._im + im * value._re
+    return _t_map(x, mults, value._den ** top)
 
 
 def t_derivative(x: GradedElement) -> GradedElement:
     """Formal d/dt on coefficient polynomials."""
-    acc = {}
-    for mono, coeff in x.terms.items():
-        if mono.t_deg == 0:
-            continue
-        _acc_add(acc, Monomial(mono.odd_mask, mono.even, mono.t_deg - 1), coeff * mono.t_deg)
-    return GradedElement(x.ctx, acc, _canonical=True)
+    top = max(x._nums, default=0) >> x._layout.tshift
+    return _t_map(x, {d: (d, 0, 0) for d in range(1, top + 1)}, 1, lower=True)

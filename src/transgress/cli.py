@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -359,17 +359,14 @@ def _resolve_polynomial(config: RunConfig, algebra: LieAlgebra):
     return P
 
 
+def _entry(name: str, passed: bool, witness: str = "") -> ReportEntry:
+    return ReportEntry(name, "pass" if passed else "fail", witness=witness)
+
+
 def _entry_from_validation(name: str, report) -> ReportEntry:
-    if report.passed:
-        return ReportEntry(name, "pass")
     first = report.first()
-    return ReportEntry(name, "fail",
-                       witness=f"{first.invariant} at {first.indices}: {first.detail}")
-
-
-def _entry_from_check(check) -> ReportEntry:
-    return ReportEntry(check.name, "pass" if check.passed else "fail",
-                       witness=check.witness)
+    return _entry(name, report.passed, "" if first is None else
+                  f"{first.invariant} at {first.indices}: {first.detail}")
 
 
 def _rendered_terms(form):
@@ -404,6 +401,76 @@ def _run_method(config: RunConfig, setup, P, method: str):
             f"sum at degree {P.degree} has no nonzero term (i, j) = "
             f"({ci}, {cj})")
     return result
+
+
+@dataclass
+class _Run:
+    """What the checks of one run read; ``certified`` holds (form, checks)
+    so that routes with equal forms share one certificate."""
+
+    config: RunConfig
+    setup: UniversalSetup
+    P: object
+    results: dict
+    certified: list
+
+
+def _check_d2(run: _Run) -> list:
+    witness = run.setup.d_squared_witness()
+    if witness is not None:
+        return [_entry("d2", False, f"d(d({witness[0]})) = {witness[1].leading_term_str()}")]
+    probe = run.setup.d_squared_probe(run.config.seed)
+    return [_entry("d2", probe is None, "" if probe is None else probe.leading_term_str())]
+
+
+def _check_routes(run: _Run, name: str) -> list:
+    entries = []
+    for method, result in run.results.items():
+        checks = next((c for f, c in run.certified if f == result.form), None)
+        if checks is None:
+            checks = verify_transgression(result, run.setup, run.P)
+            run.certified.append((result.form, checks))
+        # basicness is horizontality together with invariance
+        parts = ([checks["transgression"]] if name == "transgression"
+                 else [checks["horizontality"], checks["invariance"]])
+        entries.append(_entry(f"{name}[{method}]", all(parts),
+                              next((c.witness for c in parts if c.witness), "")))
+    return entries
+
+
+def _check_agreement(run: _Run) -> list:
+    for a, b in itertools.combinations(run.results, 2):
+        diff = run.results[a].form - run.results[b].form
+        if not diff.is_zero:
+            return [_entry("agreement", False, f"{a} vs {b}: {diff.leading_term_str()}")]
+    return [_entry("agreement", True)]
+
+
+def _check_coefficients(run: _Run) -> list:
+    k = run.P.degree
+    for i, j in ((i, j) for i in range(k) for j in range(k - i)):
+        closed, integrated = coefficient_A(k, i, j), coefficient_A_by_integration(k, i, j)
+        if closed != integrated:
+            return [_entry("coefficients", False, f"(k,i,j)=({k},{i},{j}): "
+                           f"{closed.render()} vs {integrated.render()}")]
+    return [_entry("coefficients", True)]
+
+
+def _check_identities(run: _Run) -> list:
+    checks = (derivative_identity_check(run.setup, run.P), deformation_bianchi_check(run.setup),
+              ad_invariance_identity_check(run.setup, run.P))
+    return [_entry(c.name, c.passed, c.witness) for c in checks]
+
+
+# check name -> the function giving its report entries
+CHECKS = {
+    "d2": _check_d2,
+    "transgression": lambda run: _check_routes(run, "transgression"),
+    "basicness": lambda run: _check_routes(run, "basicness"),
+    "agreement": _check_agreement,
+    "coefficients": _check_coefficients,
+    "derivative-identity": _check_identities,
+}
 
 
 def run(config: RunConfig) -> Report:
@@ -459,10 +526,9 @@ def run(config: RunConfig) -> Report:
         P = _resolve_polynomial(config, algebra)
     with _stage(timing, "polynomial-ad-invariant"):
         witness = P.ad_invariance_witness()
-        entries.append(ReportEntry(
-            "polynomial-ad-invariant", "pass" if witness is None else "fail",
-            witness="" if witness is None else
-            f"direction {witness[0]}, tuple {witness[1]}: {witness[2].render()}"))
+        entries.append(_entry("polynomial-ad-invariant", witness is None, "" if witness is None
+                              else f"direction {witness[0]}, tuple {witness[1]}: "
+                              f"{witness[2].render()}"))
 
     results = {}
     rendered = []  # (form, terms): routes with equal forms share them
@@ -470,91 +536,22 @@ def run(config: RunConfig) -> Report:
         with _stage(timing, f"tp[{method}]"):
             results[method] = _run_method(config, setup, P, method)
             form = results[method].form
-            terms = next((t for f, t in rendered if f == form), None)
-            if terms is None:
+            shared = next(((f, t) for f, t in rendered if f == form), None)
+            if shared is None:
                 terms = _rendered_terms(form)
                 rendered.append((form, terms))
+            else:  # keep one copy of the form
+                results[method].form, terms = shared
             report.forms[method] = {
                 "degree": form.degree() if not form.is_zero else None,
                 "term_count": form.term_count,
                 "terms": terms,
             }
 
-    certified = []  # (form, checks): routes with equal forms share them
-
+    state = _Run(config, setup, P, results, certified=[])
     for name in config.checks:
         with _stage(timing, name):
-            if name == "d2":
-                witness = setup.d_squared_witness()
-                if witness is None:
-                    rng = random.Random(config.seed)
-                    probe = None
-                    for _ in range(20):
-                        x = setup.context.random_element(
-                            rng, terms=3, max_odd=3, max_even=1, max_t=1)
-                        out = setup.d(setup.d(x))
-                        if not out.is_zero:
-                            probe = out
-                            break
-                    entries.append(ReportEntry(
-                        "d2", "pass" if probe is None else "fail",
-                        witness="" if probe is None else probe.leading_term_str()))
-                else:
-                    label, residue = witness
-                    entries.append(ReportEntry(
-                        "d2", "fail",
-                        witness=f"d(d({label})) = {residue.leading_term_str()}"))
-            elif name in ("transgression", "basicness"):
-                for method, result in results.items():
-                    checks = next((c for f, c in certified if f == result.form), None)
-                    if checks is None:
-                        checks = verify_transgression(result, setup, P)
-                        certified.append((result.form, checks))
-                    if name == "transgression":
-                        c = checks["transgression"]
-                        entries.append(ReportEntry(
-                            f"transgression[{method}]",
-                            "pass" if c.passed else "fail", witness=c.witness))
-                    else:
-                        hor, inv = checks["horizontality"], checks["invariance"]
-                        ok = hor.passed and inv.passed
-                        entries.append(ReportEntry(
-                            f"basicness[{method}]", "pass" if ok else "fail",
-                            witness=hor.witness or inv.witness))
-            elif name == "agreement":
-                methods = list(results)
-                status, witness_str = "pass", ""
-                for i in range(len(methods)):
-                    for j in range(i + 1, len(methods)):
-                        diff = results[methods[i]].form - results[methods[j]].form
-                        if not diff.is_zero:
-                            status = "fail"
-                            witness_str = (f"{methods[i]} vs {methods[j]}: "
-                                           f"{diff.leading_term_str()}")
-                            break
-                    if status == "fail":
-                        break
-                entries.append(ReportEntry("agreement", status, witness=witness_str))
-            elif name == "coefficients":
-                k = P.degree
-                status, witness_str = "pass", ""
-                for i in range(k):
-                    for j in range(k - i):
-                        closed = coefficient_A(k, i, j)
-                        integrated = coefficient_A_by_integration(k, i, j)
-                        if closed != integrated:
-                            status = "fail"
-                            witness_str = (f"(k,i,j)=({k},{i},{j}): "
-                                           f"{closed.render()} vs {integrated.render()}")
-                            break
-                    if status == "fail":
-                        break
-                entries.append(ReportEntry("coefficients", status, witness=witness_str))
-            elif name == "derivative-identity":
-                for check in (derivative_identity_check(setup, P),
-                              deformation_bianchi_check(setup),
-                              ad_invariance_identity_check(setup, P)):
-                    entries.append(_entry_from_check(check))
+            entries += CHECKS[name](state)
 
     timing["total"] = round(time.perf_counter() - t_start, 6)
     report.stats = {

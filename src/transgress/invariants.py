@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .algebra import (
     ContextError,
@@ -21,15 +21,18 @@ from .algebra import (
     ONE,
     Scalar,
     ZERO,
-    UNIT_MONO,
-    _Numerators,
     _acc_add,
-    _decode,
-    _encoding,
+    _aligned,
+    _element,
+    _frame,
+    _layout_for,
     _gmul,
     _json_int,
     _json_list,
+    _norm,
+    _packing,
     _product,
+    _reduce,
 )
 from .lie import LieAlgebra, _GeneratedSpan, _sparse
 
@@ -185,18 +188,7 @@ def _split_plan(sizes, runs, masks) -> tuple:
 def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     """Polarized evaluation: sum over basis multi-indices of
     P(e_{a_1}, ..., e_{a_k}) args_1^{a_1} wedge ... wedge args_k^{a_k},
-    times the prefactor (see ``_polarized``)."""
-    ctx, layout, acc, den, power, shift, unit = _polarized(P, args)
-    if not acc:
-        return ctx.zero()
-    return GradedElement(ctx, _decode(layout, acc, den, power, shift, unit),
-                         _canonical=True)
-
-
-def _polarized(P: InvariantPolynomial, args) -> tuple:
-    """The numerators of ``evaluate(P, args)``: (context, layout, {key:
-    numerator}, denominator, (2pi) power, shift, unit), as ``_decode``
-    takes them; a zero result may come without a layout.
+    times the prefactor.
 
     Each stored tuple is split over the argument groups by the plan of its
     shape.  One call builds each group product, and each product of the
@@ -204,10 +196,10 @@ def _polarized(P: InvariantPolynomial, args) -> tuple:
     each tuple has its own in most calls, so the last factor goes straight
     into the sum and no such product is kept.
 
-    The components of group g are integer numerators over a denominator D_g,
-    and the values times the prefactor over D_P.  Every split gives group g
-    exactly size_g factors, so every term has the denominator
-    D_P * prod_g D_g^size_g and the numerators simply add.
+    The components of group g are read as integer numerators over their
+    common denominator D_g, and the values times the prefactor over D_P.
+    Every split gives group g exactly size_g factors, so every term has the
+    denominator D_P * prod_g D_g^size_g and the numerators simply add.
     """
     args = list(args)
     if len(args) != P.degree:
@@ -232,23 +224,39 @@ def _polarized(P: InvariantPolynomial, args) -> tuple:
                 group_of[id(f)] = len(groups)
             groups.append([f, 1])
     sizes = tuple(cnt for _, cnt in groups)
-    forms = [_Numerators({a: f.components[a].terms for a in f.support()})
-             for f, _ in groups]
+    supports = [f.support() for f, _ in groups]
     pre = P.prefactor
-    if pre.is_zero or not all(f.elements for f in forms):
-        return ctx, None, {}, 1, 0, 0, 0
-    values = _Numerators({stup: {UNIT_MONO: v if pre.is_one else v * pre}
-                          for stup, v in P.values.items()})
-    # a tuple's splits take at most k! orderings, each once
-    factors = [values] + [f for f, n in zip(forms, sizes) for _ in range(n)]
-    layout, shift, unit = _encoding(ctx, factors, factorial(P.degree) * len(P.values))
-    both = shift if any(f.imag for f in forms) else 0  # Gaussian products
+    if pre.is_zero or not P.values or not all(supports):
+        return ctx.zero()
+    values = P.values if pre.is_one else {stup: v * pre for stup, v in P.values.items()}
+    comps = [[f.components[a] for a in s] for (f, _), s in zip(groups, supports)]
+    # per group: (lowest power, denominator, highest power above it, most
+    # even factors, Gaussian)
+    frames = [_frame(cs) for cs in comps]
+    vden = lcm(*{v._den for v in values.values()})
+    vlow = min(v.two_pi for v in values.values())
+    most = sum(n * f[3] for f, n in zip(frames, sizes))
+    high = (max(v.two_pi for v in values.values()) - vlow
+            + sum(n * f[2] for f, n in zip(frames, sizes)))
+    flat = [c for cs in comps for c in cs]
+    layout = _layout_for(ctx, flat, most, high)
+    shift = both = 0
+    bound = None
+    forms_imag = any(f[4] for f in frames)
+    if forms_imag or any(v._im for v in values.values()):
+        # a tuple's splits take at most k! orderings, each once
+        bound = factorial(P.degree) * len(values) * max(
+            (abs(v._re) + abs(v._im)) * (vden // v._den) for v in values.values())
+        for f, cs, n in zip(frames, comps, sizes):
+            bound *= max(_norm(c) * (f[1] // c._den) for c in cs) ** n
+        shift = _packing(bound, flat)
+        both = shift if forms_imag else 0  # Gaussian products
 
     mask_of = {}  # basis index -> the groups whose form is nonzero there
     products = []  # per group: part -> product of its components over part
-    for gi, f in enumerate(forms):
-        products.append({(a,): nums for a, nums in f.encode(layout, shift, unit).items()})
-        for a in f.elements:
+    for gi, ((low, den, *_), s, cs) in enumerate(zip(frames, supports, comps)):
+        products.append({(a,): _aligned(c, layout, shift, low, den) for a, c in zip(s, cs)})
+        for a in s:
             mask_of[a] = mask_of.get(a, 0) | 1 << gi
     prefixes = {}  # (id(prefix), group, part) -> prefix * group product
 
@@ -267,8 +275,9 @@ def _polarized(P: InvariantPolynomial, args) -> tuple:
         return elem
 
     last = len(groups) - 1
+    ps = layout.pshift
     acc = {}
-    for stup, value in values.encode(layout, shift, unit).items():
+    for stup, value in values.items():
         vals = sorted(set(stup))
         masks = tuple(mask_of.get(a, 0) for a in vals)
         if not all(masks):
@@ -278,8 +287,10 @@ def _polarized(P: InvariantPolynomial, args) -> tuple:
         if plan is None:
             plan = _PLANS[shape] = _split_plan(*shape)
         value_at = vals.__getitem__
-        # the key of the value's (2pi) power above the lowest, as a t-degree
-        (step, val), = value.items()
+        # the key of the value's (2pi) power above the lowest
+        step = value.two_pi - vlow << ps
+        f = vden // value._den
+        val = value._re * f + (value._im * f << shift)
         for parts, weight in plan:
             prefix = None
             for gi in range(last):
@@ -313,10 +324,11 @@ def _polarized(P: InvariantPolynomial, args) -> tuple:
                         acc[k] = c
                     else:
                         del acc[k]
-    den, power = values.den, values.low
-    for f, n in zip(forms, sizes):
-        den, power = den * f.den ** n, power + f.low * n
-    return ctx, layout, acc, den, power, shift, unit
+    den, low = vden, vlow
+    for (glow, gden, *_), n in zip(frames, sizes):
+        den, low = den * gden ** n, low + glow * n
+    deg = sum(f.degree * n for f, n in groups)
+    return _reduce(_element(ctx, layout, acc, den, low, high, most, shift, bound, deg))
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

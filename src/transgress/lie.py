@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -23,16 +24,20 @@ from .algebra import (
     GradedElement,
     ONE,
     Scalar,
-    UNIT_MONO,
     ZERO,
-    _Numerators,
     _acc_add,
-    _decode,
-    _encoding,
+    _aligned,
+    _element,
+    _frame,
+    _layout_for,
     _gmul,
     _json_int,
     _json_list,
+    _norm,
+    _packing,
     _product,
+    _reduce,
+    _scalar,
 )
 
 __all__ = [
@@ -207,11 +212,20 @@ class LieAlgebra:
         self._plain = None  # the bracket table without packing
 
     @cached_property
-    def _constants(self) -> _Numerators:
-        """The structure constants as numerators, one element per (b, c, a)
-        in the order of ``_by_bc``."""
-        return _Numerators({(b, c, a): {UNIT_MONO: k} for (b, c), entries in self._by_bc.items()
-                            for a, k in entries})
+    def _constants(self) -> tuple:
+        """The structure constants as numerators: (denominator, lowest (2pi)
+        power, highest power above it, the largest |re| + |im|, and per
+        nonzero [e_b, e_c] in the order of ``_by_bc`` the entries
+        (a, power above the lowest, re, im))."""
+        ks = self.structure.values()
+        if not ks:
+            return 1, 0, 0, 0, ()
+        den = lcm(*{k._den for k in ks})
+        low = min(k.two_pi for k in ks)
+        table = tuple((bc, tuple((a, k.two_pi - low, k._re * (den // k._den), k._im * (den // k._den))
+                                 for a, k in entries)) for bc, entries in self._by_bc.items())
+        norm = max(abs(re) + abs(im) for _, entries in table for _, _, re, im in entries)
+        return den, low, max(k.two_pi for k in ks) - low, norm, table
 
     @cached_property
     def _bracket_failures(self) -> tuple:
@@ -222,18 +236,18 @@ class LieAlgebra:
         return tuple(failure for failure in (_antisymmetry_witness(self), _jacobi_witness(self))
                      if failure is not None)
 
-    def _bracket_table(self, layout, shift: int, unit: int) -> tuple:
-        """The constants of each nonzero [e_b, e_c] as numerators in the
-        order of ``_by_bc``: ((b, c), ((a, {key: numerator}), ...)) per pair.
-        The numerators are read once, and the table without packing (the
-        same for every layout) is kept."""
-        if not (shift or unit) and self._plain is not None:
+    def _bracket_table(self, layout, shift: int) -> tuple:
+        """The constants of each nonzero [e_b, e_c] keyed by ``layout`` and
+        packed with ``shift``: ((b, c), ((a, {key: numerator}), ...)) per
+        pair.  The table without packing or powers, the same for every
+        layout, is kept."""
+        if self._plain is not None and not shift:
             return self._plain
-        by_bc: dict = {}
-        for (b, c, a), k in self._constants.encode(layout, shift, unit).items():
-            by_bc.setdefault((b, c), []).append((a, k))
-        table = tuple(by_bc.items())
-        if not (shift or unit):
+        _, _, high, _, constants = self._constants
+        ps = layout.pshift
+        table = tuple((bc, tuple((a, {q << ps: re + (im << shift)}) for a, q, re, im in entries))
+                      for bc, entries in constants)
+        if not (shift or high):
             self._plain = table
         return table
 
@@ -312,18 +326,21 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
 
     The constants are the numerators of ``_constants``, so every product
     has the denominator D_c^2.  A product of two constants is summed into
-    the slot ``a + dim * key``: its component a, and the sum of the two
-    keys, which is nonzero only for constants of different (2pi) powers.
+    the slot ``a + dim * q``: its component a, and the sum q of the powers
+    of the two above the lowest.
     """
-    constants, dim = algebra._constants, algebra.dim
+    den, low, _, norm, constants = algebra._constants
+    dim = algebra.dim
     # a sum takes at most dim products for each of the three rotations
-    layout, shift, unit = _encoding(Context(()), (constants, constants), 3 * dim)
-    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * key, numerator)]
-    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * key, numerator)]
-    for (b, c, a), nums in constants.encode(layout, shift, unit).items():
-        (key, k), = nums.items()
-        first[b * dim + c].append((a * dim, dim * key, k))
-        second[b * dim + c].append((a + dim * key, k))
+    imag = any(im for _, entries in constants for _, _, _, im in entries)
+    shift = (3 * dim * norm * norm).bit_length() + 1 if imag else 0
+    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * q, numerator)]
+    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * q, numerator)]
+    for (b, c), entries in constants:
+        for a, q, re, im in entries:
+            k = re + (im << shift)
+            first[b * dim + c].append((a * dim, dim * q, k))
+            second[b * dim + c].append((a + dim * q, k))
     right: dict = {}
     left: dict = {}
     for (b, c) in algebra._by_bc:
@@ -350,10 +367,12 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
                                 del acc[slot]
                 if acc:
                     a = min(slot % dim for slot in acc)
-                    value, = _decode(layout, {slot // dim: k for slot, k in acc.items()
-                                              if slot % dim == a},
-                                     constants.den ** 2, 2 * constants.low, shift,
-                                     unit).values()
+                    (q, k), *rest = [(slot // dim, k) for slot, k in acc.items()
+                                     if slot % dim == a]
+                    if rest:
+                        raise ContractError(f"cannot add scalars with different (2pi) "
+                                            f"powers: {2 * low + q} vs {2 * low + rest[0][0]}")
+                    value = _scalar(k, den * den, shift, 2 * low + q)
                     return ValidationFailure(
                         "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None
@@ -489,7 +508,7 @@ class LieValuedForm:
         for comp in components:
             if comp.ctx is not ctx:
                 raise ContextError("component over a different context")
-            if comp.is_zero:
+            if comp.is_zero or comp._deg == degree:
                 continue
             if not comp.is_homogeneous or comp.degree() != degree:
                 raise ContractError(
@@ -561,40 +580,53 @@ class LieValuedForm:
 def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     """[x, y]^a = sum c[a,b,c] x^b /\\ y^c; degrees add.
 
-    The components of x and y and the structure constants are integer
-    numerators (``_Numerators``), read once per call, so every term of the
+    The components of x, of y and the structure constants are read as
+    integer numerators, each over one denominator, so every term of the
     result has the denominator D_c * D_x * D_y.  Each x^b /\\ y^c is taken
     once and added, times each constant on it, into the one dict of its
     component.
     """
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
-    xs = _Numerators({b: x.components[b].terms for b in x.support()})
-    ys = _Numerators({c: y.components[c].terms for c in y.support()})
-    constants = algebra._constants
-    layout, shift, unit = _encoding(ctx, (constants, xs, ys), len(algebra.structure))
-    xe, ye = xs.encode(layout, shift, unit), ys.encode(layout, shift, unit)
-    both = shift if xs.imag and ys.imag else 0  # Gaussian products
-    scale_both = shift if constants.imag and (xs.imag or ys.imag) else 0  # and constants
+    xs = {b: c for b, c in enumerate(x.components) if not c.is_zero}
+    ys = {c: e for c, e in enumerate(y.components) if not e.is_zero}
+    if not (xs and ys and algebra.structure):
+        return LieValuedForm.zero(algebra, ctx, x.degree + y.degree)
+    cden, clow, chigh, cnorm, constants = algebra._constants
+    xlow, xden, xhigh, xmost, ximag = _frame(xs.values())
+    ylow, yden, yhigh, ymost, yimag = _frame(ys.values())
+    both = list(xs.values()) + list(ys.values())
+    most, high = xmost + ymost, chigh + xhigh + yhigh
+    layout = _layout_for(ctx, both, most, high)
+    cimag = any(im for _, entries in constants for _, _, _, im in entries)
+    shift, bound = 0, None
+    if ximag or yimag or cimag:
+        bound = len(algebra.structure) * cnorm * max(
+            _norm(e) * (xden // e._den) for e in xs.values()) * max(
+            _norm(e) * (yden // e._den) for e in ys.values())
+        shift = _packing(bound, both)
+    xe = {b: _aligned(e, layout, shift, xlow, xden) for b, e in xs.items()}
+    ye = {c: _aligned(e, layout, shift, ylow, yden) for c, e in ys.items()}
+    pair_both = shift if ximag and yimag else 0  # Gaussian products
+    scale_both = shift if cimag and (ximag or yimag) else 0  # and constants
     acc: dict = {}
-    for (b, c), entries in algebra._bracket_table(layout, shift, unit):
+    for (b, c), entries in algebra._bracket_table(layout, shift):
         xb = xe.get(b)
         if xb is None:
             continue
         yc = ye.get(c)
         if yc is None:
             continue
-        prod = _product(xb, yc, layout, both)
+        prod = _product(xb, yc, layout, pair_both)
         if not prod:
             continue
         for a, k in entries:
             _product(prod, k, layout, scale_both, acc.setdefault(a, {}))
-    den = constants.den * xs.den * ys.den
-    power = constants.low + xs.low + ys.low
+    den, low, degree = cden * xden * yden, clow + xlow + ylow, x.degree + y.degree
     zero = ctx.zero()
-    comps = [GradedElement(ctx, _decode(layout, acc[a], den, power, shift, unit), _canonical=True)
+    comps = [_reduce(_element(ctx, layout, acc[a], den, low, high, most, shift, bound, degree))
              if acc.get(a) else zero for a in range(algebra.dim)]
-    return LieValuedForm(algebra, ctx, comps, x.degree + y.degree)
+    return LieValuedForm(algebra, ctx, comps, degree)
 
 
 def project(split: ReductiveSplit, x: LieValuedForm):

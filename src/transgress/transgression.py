@@ -28,12 +28,12 @@ from .algebra import (
     GradedElement,
     Monomial,
     Scalar,
-    _decode,
+    _t_map,
     integrate_unit_interval,
     permutation_sign,
     t_derivative,
 )
-from .invariants import InvariantPolynomial, _perfect_matchings, _polarized, evaluate
+from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
 from .lie import so_block
 from .weil import UniversalSetup
 
@@ -85,7 +85,7 @@ def _check_poly_setup(setup: UniversalSetup, P: InvariantPolynomial) -> None:
 def _finish(form: GradedElement, method: str,
             P: InvariantPolynomial) -> TransgressionResult:
     # type invariant: t-free and homogeneous of degree 2k-1 (zero allowed)
-    if any(m.t_deg for m in form.terms):
+    if not form.t_free:
         raise ContractError(f"{method} form still depends on t")
     if not form.is_zero and form.degree() != 2 * P.degree - 1:
         raise ContractError(f"{method} form has degree {form.degree()}, "
@@ -138,7 +138,7 @@ def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
     multilinear, so P(tensor, Y, ..., Y) holds the pattern (i, j) at
     t-degree i + k j (as i < k), times multinomial(k-1; i, j, k-1-i-j).
     Each t-degree is weighted by A_ij over that multinomial on the integer
-    numerators, and t is dropped before the terms are decoded.
+    numerators (``_t_map``) as t is dropped.
     ``coefficient_fn`` is asked only for the patterns with a nonzero term,
     in the order of (i, j).
     """
@@ -148,57 +148,20 @@ def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
     k = P.degree
     generating = (setup.tensor_bracket.times_t(1) + setup.sub_curvature.times_t(k)
                   + setup.curvature)
-    ctx, layout, acc, den, power, shift, unit = _polarized(
-        P, [setup.tensor_form] + [generating] * (k - 1))
-    # the t field of a key is q * unit + d: q its (2pi) power above
-    # ``power`` and d = i + k j its t-degree
-    fields = {key >> layout.tshift for key in acc}
-    weights = {}  # d -> A_ij over the multinomial
-    for d in sorted({t % unit for t in fields} if unit else fields,
-                    key=lambda d: (d % k, d // k)):
+    polarized = evaluate(P, [setup.tensor_form] + [generating] * (k - 1))
+    weights = {}  # t-degree d = i + k j -> A_ij over the multinomial
+    tshift = polarized._layout.tshift
+    for d in sorted({key >> tshift for key in polarized._nums}, key=lambda d: (d % k, d // k)):
         i, j = d % k, d // k
         multinomial = factorial(k - 1) // (
             factorial(i) * factorial(j) * factorial(k - 1 - i - j))
         w = Scalar._coerce(coefficient_fn(k, i, j)) / multinomial
         if w:
             weights[d] = w
-    if not weights:
-        return _finish(ctx.zero(), "johnson", P)
-    # the weights over one denominator, their powers as offsets above the lowest
     wden = lcm(*(w._den for w in weights.values()))
-    low = min(w.two_pi for w in weights.values())
-    table = {d: (w._re * (wden // w._den), w._im * (wden // w._den), w.two_pi - low)
+    mults = {d: (w._re * (wden // w._den), w._im * (wden // w._den), w.two_pi)
              for d, w in weights.items()}
-    folded_shift = 0
-    if shift or any(wi for _, wi, _ in table.values()):
-        # past every part of a sum of weighted numerators
-        bits = shift or max(map(abs, acc.values())).bit_length()
-        folded_shift = bits + sum(abs(wr) + abs(wi) for wr, wi, _ in table.values()
-                                  ).bit_length() + 1
-    half = 1 << shift - 1 if shift else 0
-    tshift = layout.tshift
-    monomial = (1 << tshift) - 1
-    folded = {}
-    for key, v in acc.items():
-        q, d = divmod(key >> tshift, unit) if unit else (0, key >> tshift)
-        w = table.get(d)
-        if w is None:
-            continue
-        wr, wi, offset = w
-        im = (v + half) >> shift if shift else 0
-        v -= im << shift
-        key = key & monomial | q + offset << tshift
-        c = v * wr - im * wi + ((v * wi + im * wr) << folded_shift) + folded.get(key, 0)
-        if c:
-            folded[key] = c
-        else:
-            del folded[key]
-    # t is dropped, so the t field of a key holds its power offset alone
-    offsets = unit or any(offset for _, _, offset in table.values())
-    form = GradedElement(ctx, _decode(layout, folded, den * wden, power + low,
-                                      folded_shift, 1 if offsets else 0),
-                         _canonical=True)
-    return _finish(form, "johnson", P)
+    return _finish(_t_map(polarized, mults, wden, ordered=False), "johnson", P)
 
 
 def double_factorial(n: int) -> int:
@@ -332,8 +295,9 @@ def derivative_identity_check(setup: UniversalSetup,
     _check_poly_setup(setup, P)
     k = P.degree
     family = setup.deformed_curvature
-    lhs = t_derivative(evaluate(P, [family] * k))
+    # the derivation first, while no other large form is alive
     rhs = setup.d(setup.transgression_integrand(P)).scale(Scalar(k))
+    lhs = t_derivative(evaluate(P, [family] * k))
     return _zero_check("derivative-identity", lhs - rhs)
 
 

@@ -18,6 +18,7 @@ exact polynomial statement.
 
 from __future__ import annotations
 
+import random
 from functools import cached_property
 
 from .algebra import (
@@ -27,9 +28,9 @@ from .algebra import (
     Generator,
     GradedElement,
     HALF,
-    Monomial,
-    ONE,
-    _acc_add,
+    _combine,
+    _element,
+    _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
 from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, bracket, project
@@ -64,24 +65,46 @@ class UniversalSetup:
         self.curvature = LieValuedForm(
             algebra, ctx, tuple(ctx.gen(dim + a) for a in range(dim)), 2)
 
-        images = {}
-        acc_odd = [{Monomial(0, (dim + a,), 0): ONE} for a in range(dim)]
-        acc_even = [dict() for _ in range(dim)]
-        for (a, b, c), v in algebra.structure.items():
-            if b != c:
-                half = v * HALF
-                _acc_add(acc_odd[a], Monomial(1 << b | 1 << c, (), 0),
-                         -half if b < c else half)
-            _acc_add(acc_even[a], Monomial(1 << c, (dim + b,), 0), v)
-        for a in range(dim):
-            images[a] = GradedElement(ctx, acc_odd[a])
-            images[dim + a] = GradedElement(ctx, acc_even[a])
+        images = self._d_images()
         self.d = Derivation(ctx, images, +1)
 
         self.sub_connection, self.tensor_form = project(split, self.connection)
         self._interior_cache = {}
         self._difference_cache = {}
         self._integrand_cache = {}
+
+    def _d_images(self) -> dict:
+        """d on the generators, as numerators over 2 D_c for the structure
+        constants over D_c, in the order of ``algebra.structure``."""
+        algebra, ctx = self.algebra, self.context
+        dim = algebra.dim
+        den, clow, chigh, norm, _ = algebra._constants
+        low = min(0, clow)
+        high = max(0, clow + chigh) - low
+        layout = ctx._layout(max(1, high).bit_length())
+        ps, units = layout.pshift, layout.units
+        imag = any(v._im for v in algebra.structure.values())
+        shift = (2 * max(den, norm)).bit_length() + 1 if imag else 0
+        odd = [{units[dim + a] | -low << ps: 2 * den} for a in range(dim)]
+        even = [{} for _ in range(dim)]
+        for (a, b, c), v in algebra.structure.items():
+            f = den // v._den
+            q = v.two_pi - low << ps
+            num = v._re * f + (v._im * f << shift)
+            if b != c:
+                key = 1 << b | 1 << c | q
+                n = odd[a].get(key, 0) + (-num if b < c else num)
+                if n:
+                    odd[a][key] = n
+                else:
+                    del odd[a][key]
+            even[a][units[dim + b] | 1 << c | q] = 2 * num
+        images = {}
+        for a in range(dim):
+            images[a] = _element(ctx, layout, odd[a], 2 * den, low, high, 1, shift, None, 2)
+            images[dim + a] = _element(ctx, layout, even[a], 2 * den, low, high, 1, shift,
+                                       None, 3)
+        return images
 
     # -- derived forms ------------------------------------------------------
 
@@ -170,13 +193,35 @@ class UniversalSetup:
 
     # -- soundness probes ----------------------------------------------------
 
+    def _first_nonzero(self, elements, spacing: int, passes: int):
+        """(i, d^passes(x_i)) for the first x_i of ``elements`` where that is
+        nonzero, or None.  Each x_i has t-degrees below ``spacing``, and d
+        acts on generators only, so one pass over the sum of the
+        x_i t^(spacing i) gives each d^passes(x_i) at its own t-degrees."""
+        out = _combine(self.context, [(x.times_t(spacing * i), 1)
+                                      for i, x in enumerate(elements)])
+        for _ in range(passes):
+            out = self.d(out)
+        return _t_block(out, spacing)
+
     def d_squared_witness(self):
-        """First generator with d(d(gen)) != 0, or None when d.d = 0."""
-        for g in self.context.generators:
-            out = self.d(self.d(self.context.gen(g.gid)))
-            if not out.is_zero:
-                return g.label, out
-        return None
+        """First generator with d(d(gen)) != 0, or None when d.d = 0: one
+        pass of d over the images d(gen), each tagged by the position of
+        its generator."""
+        gens = self.context.generators
+        zero = self.context.zero()
+        hit = self._first_nonzero([self.d.images.get(g.gid, zero) for g in gens], 1, 1)
+        return None if hit is None else (gens[hit[0]].label, hit[1])
+
+    def d_squared_probe(self, seed: int):
+        """d(d(x)) for the first of 20 random elements x (three terms, up to
+        three odd factors, one even factor and t-degree 1) where it is
+        nonzero, or None."""
+        rng = random.Random(seed)
+        draws = [self.context.random_element(rng, terms=3, max_odd=3, max_even=1, max_t=1)
+                 for _ in range(20)]
+        hit = self._first_nonzero(draws, 2, 2)
+        return None if hit is None else hit[1]
 
     def bianchi_deformation_witness(self):
         """Nonzero part of d_H Omega(t) - t [Omega(t), tensor], if any."""

@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
 import itertools
+import random
 import re as re_module
 from fractions import Fraction
 from math import factorial
@@ -64,7 +65,7 @@ def from_word(ctx, word, coeff=ONE, t_power: int = 0) -> GradedElement:
     if sign < 0:
         coeff = -coeff
     mono = Monomial(sum(1 << g for g in odd), tuple(sorted(evens)), t_power)
-    return GradedElement(ctx, {mono: coeff}, _canonical=True)
+    return GradedElement(ctx, {mono: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def split_evaluate(P, args):
             coeff = val * count
             for mono, c in elem.terms.items():
                 _acc_add(acc, mono, c * coeff)
-    result = GradedElement(ctx, acc, _canonical=True)
+    result = GradedElement(ctx, acc)
     if not P.prefactor.is_one:
         result = result.scale(P.prefactor)
     return result
@@ -1026,3 +1027,84 @@ def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
         for a, k in entries:
             acc[a] = acc[a] + prod.scale(k)
     return LieValuedForm(algebra, ctx, acc, x.degree + y.degree)
+
+
+# ---------------------------------------------------------------------------
+# Linear operations and calculus in t on {Monomial: Scalar} term dicts: the
+# engine's code from before elements stored integer numerators.
+# ---------------------------------------------------------------------------
+
+def terms_add(a: dict, b: dict) -> dict:
+    acc = dict(a)
+    for m, c in b.items():
+        _acc_add(acc, m, c)
+    return acc
+
+
+def terms_neg(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def terms_sub(a: dict, b: dict) -> dict:
+    return terms_add(a, terms_neg(b))
+
+
+def terms_scale(a: dict, scalar) -> dict:
+    scalar = Scalar._coerce(scalar)
+    if scalar.is_zero:
+        return {}
+    return {m: c * scalar for m, c in a.items()}
+
+
+def terms_times_t(a: dict, power: int = 1) -> dict:
+    if power < 0 and a:
+        raise ContractError("negative t powers are not representable")
+    return {Monomial(m.odd_mask, m.even, m.t_deg + power): c for m, c in a.items()}
+
+
+def terms_integrate(a: dict) -> dict:
+    acc = {}
+    for mono, coeff in a.items():
+        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff / (mono.t_deg + 1))
+    return acc
+
+
+def terms_substitute(a: dict, value) -> dict:
+    value = Scalar._coerce(value)
+    acc = {}
+    for mono, coeff in a.items():
+        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * value ** mono.t_deg)
+    return acc
+
+
+def terms_t_derivative(a: dict) -> dict:
+    acc = {}
+    for mono, coeff in a.items():
+        if mono.t_deg:
+            _acc_add(acc, Monomial(mono.odd_mask, mono.even, mono.t_deg - 1),
+                     coeff * mono.t_deg)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# The d.d probes as one pair of derivation calls per generator and per draw
+# ---------------------------------------------------------------------------
+
+def d_squared_witness_by_generator(setup):
+    """First generator with d(d(gen)) != 0 and that element, or None."""
+    for g in setup.context.generators:
+        out = setup.d(setup.d(setup.context.gen(g.gid)))
+        if not out.is_zero:
+            return g.label, out
+    return None
+
+
+def d_squared_probe_by_draw(setup, seed: int):
+    """d(d(x)) for the first of 20 random elements x where it is nonzero."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        x = setup.context.random_element(rng, terms=3, max_odd=3, max_even=1, max_t=1)
+        out = setup.d(setup.d(x))
+        if not out.is_zero:
+            return out
+    return None

@@ -13,6 +13,14 @@ from helpers import (
     from_word,
     random_homogeneous,
     sort_word_with_sign,
+    terms_add,
+    terms_integrate,
+    terms_neg,
+    terms_scale,
+    terms_sub,
+    terms_substitute,
+    terms_t_derivative,
+    terms_times_t,
     to_tuple_mono,
     tuple_derivation_apply,
     tuple_mono_mul,
@@ -38,9 +46,11 @@ from transgress.algebra import (
     permutation_sign,
     substitute_t,
     t_derivative,
-    _Numerators,
-    _decode,
-    _encoding,
+    _aligned,
+    _element,
+    _layout_for,
+    _norm,
+    _packing,
     _product,
 )
 
@@ -611,12 +621,17 @@ def powered(x: GradedElement, p: int, by_t: bool) -> GradedElement:
 
 
 def kernel_product(a: GradedElement, b: GradedElement, scale: int) -> dict:
-    """scale * a * b through ``_product`` on keys, decoded."""
-    A, B = _Numerators({0: a.terms}), _Numerators({0: b.terms})
-    layout, shift, unit = _encoding(a.ctx, (A, B), abs(scale))
-    acc = _product(A.encode(layout, shift, unit)[0], B.encode(layout, shift, unit)[0],
-                   layout, shift if A.imag and B.imag else 0, scale=scale)
-    return _decode(layout, acc, A.den * B.den, A.low + B.low, shift, unit)
+    """scale * a * b through ``_product`` on the stored keys, decoded."""
+    most, high = a._most + b._most, a._high + b._high
+    layout = _layout_for(a.ctx, (a, b), most, high)
+    shift = both = 0
+    if a._shift or b._shift:
+        shift = _packing(_norm(a) * _norm(b) * abs(scale), (a, b))
+        both = shift if a._shift and b._shift else 0
+    acc = _product(_aligned(a, layout, shift), _aligned(b, layout, shift), layout, both,
+                   scale=scale)
+    return dict(_element(a.ctx, layout, acc, a._den * b._den, a._low + b._low, high, most,
+                         shift).terms)
 
 
 LIMIT_CTX = Context([Generator(3, 1, "x3"), Generator(130, 1, "x130"),
@@ -654,8 +669,7 @@ class TestKeyOracles:
         if e1:
             a[Monomial(1 << x, (y,) * (e1 - 1) + (z,) * (y != z), 0)] = c2
         a, b = GradedElement(ctx, a), GradedElement(ctx, b)
-        A, B = _Numerators({0: a.terms}), _Numerators({0: b.terms})
-        assert _encoding(ctx, (A, B))[0].width == (e1 + e2).bit_length()
+        assert (a * b)._layout.width == (e1 + e2).bit_length()
         want = tuple_product(tuple_terms(a), tuple_terms(b))
         assert list(tuple_terms(a * b).items()) == list(want.items())
 
@@ -672,8 +686,9 @@ class TestKeyOracles:
             even = sum(((g,) * n for g, n in zip(ctx.even_ids, counts)), ())
             terms[Monomial(sum(1 << g for g in odd), even, data.draw(st.integers(0, 3)))] = ONE
         layout = ctx._layout(width)
-        nums = _Numerators({0: terms}).encode(layout)[0]
-        assert list(_decode(layout, nums, 1, 0)) == list(terms)
+        x = GradedElement(ctx, terms)
+        keyed = _element(ctx, layout, _aligned(x, layout), x._den, x._low)
+        assert list(keyed.terms) == list(terms)
 
     def test_mul_keeps_a_power_whose_terms_cancel(self):
         # XY gets c at power 1, then 1 at power 0, then -c at power 1
@@ -701,9 +716,8 @@ class TestKeyOracles:
     @pytest.mark.parametrize("mono", [Monomial(1 << 4, (), 0), Monomial(0, (99,), 0)])
     def test_generators_outside_the_context(self, mono):
         ctx = make_ctx()  # odd ids 0-3, even ids 100-102
-        x = GradedElement(ctx, {mono: ONE})
         with pytest.raises(ContextError, match="outside its context"):
-            x * ctx.gen(0)
+            GradedElement(ctx, {mono: ONE}) * ctx.gen(0)
 
 
 # ---------------------------------------------------------------------------
@@ -808,3 +822,160 @@ class TestSubstitute:
         p = t_poly(ctx, 5, 2, -1)  # 5 + 2t - t^2
         assert t_derivative(p) == t_poly(ctx, 2, -2)
         assert t_derivative(ctx.one()).is_zero
+
+
+# ---------------------------------------------------------------------------
+# Linear operations and calculus in t on the stored numerators, against the
+# operations on {Monomial: Scalar} term dicts in ``helpers``
+# ---------------------------------------------------------------------------
+
+POWERS = st.integers(-2, 2)
+
+
+@st.composite
+def term_dicts(draw, ctx, powers=st.just(0), max_terms=5):
+    """{Monomial: Scalar} with Gaussian coefficients at drawn (2pi) powers."""
+    monos = draw(st.lists(monomials(ctx.odd_ids, ctx.even_ids), max_size=max_terms,
+                          unique=True))
+    out = {}
+    for m in monos:
+        c = draw(COEFF)
+        out[m] = Scalar(c.re, c.im, draw(powers))
+    return out
+
+
+@st.composite
+def cancelling_pairs(draw, powers=st.just(0)):
+    """A context and term dicts a and b, where b cancels part of a (at the
+    same powers) and adds terms of its own."""
+    ctx = draw(contexts())
+    a = draw(term_dicts(ctx, powers))
+    b = {m: -c for m, c in a.items() if draw(st.booleans())}
+    for m, c in draw(term_dicts(ctx, powers)).items():
+        b.setdefault(m, c)
+    return ctx, a, b
+
+
+def outcome(fn):
+    """The terms fn gives, in order, or the error it raises."""
+    try:
+        out = fn()
+    except ContractError:
+        return "ContractError"
+    return list(out.terms.items()) if isinstance(out, GradedElement) else list(out.items())
+
+
+def rebuilt(x: GradedElement, extra_width: int, den_factor: int, low_drop: int,
+            extra_shift: int) -> GradedElement:
+    """x stored again in a wider layout, over a larger denominator, with its
+    power fields counted from a lower power and, when Gaussian, packed wider."""
+    high = x._high + low_drop
+    layout = x.ctx._layout(max(x._layout.width + extra_width, high.bit_length()))
+    shift = x._shift and _packing(_norm(x) * den_factor, (x,)) + extra_shift
+    nums = _aligned(x, layout, shift, x._low - low_drop, x._den * den_factor)
+    return _element(x.ctx, layout, nums, x._den * den_factor, x._low - low_drop, high,
+                    x._most, shift)
+
+
+class TestIntegerOperations:
+    """``+``, ``-``, negation, ``scale``, ``times_t``, ``t_derivative``,
+    ``integrate_unit_interval``, ``substitute_t`` and ``==`` on the stored
+    numerators against the same operations on Scalar term dicts: the same
+    terms in the same order, or ContractError on both sides."""
+
+    @given(cancelling_pairs(POWERS))
+    @settings(max_examples=100, deadline=None)
+    def test_sum_and_difference(self, case):
+        ctx, a, b = case
+        x, y = GradedElement(ctx, a), GradedElement(ctx, b)
+        assert outcome(lambda: x + y) == outcome(lambda: terms_add(a, b))
+        assert outcome(lambda: x - y) == outcome(lambda: terms_sub(a, b))
+        assert outcome(lambda: -x) == outcome(lambda: terms_neg(a))
+        assert (x == y) == (a == b) and (x == x) and (y == GradedElement(ctx, dict(b)))
+
+    @given(cancelling_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_terms(self, case):
+        ctx, a, b = case
+        x = GradedElement(ctx, a)
+        assert (x - x).is_zero and (x + (-x)).is_zero
+        assert outcome(lambda: x + GradedElement(ctx, b)) == outcome(lambda: terms_add(a, b))
+
+    @given(st.data(), st.sampled_from([Scalar(0), Scalar(1), Scalar(-3), Scalar(Fraction(2, 9)),
+                                       Scalar(0, 1), Scalar(Fraction(1, 2), -2, two_pi=1),
+                                       Scalar(3, two_pi=-2)]))
+    @settings(max_examples=80, deadline=None)
+    def test_scale_and_times_t(self, data, s):
+        ctx = data.draw(contexts())
+        a = data.draw(term_dicts(ctx, POWERS))
+        x = GradedElement(ctx, a)
+        assert outcome(lambda: x.scale(s)) == outcome(lambda: terms_scale(a, s))
+        power = data.draw(st.integers(-1, 3))
+        assert outcome(lambda: x.times_t(power)) == outcome(lambda: terms_times_t(a, power))
+
+    @given(st.data(), st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), HALF,
+                                       Scalar(Fraction(-2, 3)), Scalar(0, 1),
+                                       Scalar(1, 1), Scalar(2, two_pi=1), Scalar(1, two_pi=-1)]))
+    @settings(max_examples=120, deadline=None)
+    def test_calculus_in_t(self, data, value):
+        ctx = data.draw(contexts())
+        a = data.draw(term_dicts(ctx, data.draw(st.sampled_from([st.just(0), POWERS]))))
+        x = GradedElement(ctx, a)
+        assert outcome(lambda: t_derivative(x)) == outcome(lambda: terms_t_derivative(a))
+        assert outcome(lambda: integrate_unit_interval(x)) == outcome(lambda: terms_integrate(a))
+        assert (outcome(lambda: substitute_t(x, value))
+                == outcome(lambda: terms_substitute(a, value)))
+
+    @given(st.integers(1, 3), st.booleans(), COEFF, COEFF)
+    @settings(max_examples=40, deadline=None)
+    def test_exponents_at_and_past_the_field(self, width, past, c1, c2):
+        # y^(2**w - 1) fills a field of w bits; y^(2**w) needs one more
+        ctx = make_ctx(2, 2)
+        y, z = ctx.even_ids
+        top = (1 << width) - 1 + past
+        a = {Monomial(1, (y,) * top, 1): c1, Monomial(0, (z,), 0): c2}
+        b = {Monomial(1, (y,) * top, 1): -c1, Monomial(2, (y,) * ((1 << width) - 1), 2): c2}
+        x, w = GradedElement(ctx, a), GradedElement(ctx, b)
+        assert outcome(lambda: x + w) == outcome(lambda: terms_add(a, b))
+        assert outcome(lambda: integrate_unit_interval(x - w)) == outcome(
+            lambda: terms_integrate(terms_sub(a, b)))
+        assert outcome(lambda: x * w) == outcome(lambda: tuple_product_terms(a, b))
+        assert x == rebuilt(x, 1, 1, 0, 0)
+
+    @given(st.data(), st.integers(0, 2), st.integers(1, 6), st.integers(0, 2), st.integers(0, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_under_other_frames(self, data, extra_width, den_factor, low_drop,
+                                      extra_shift):
+        ctx = data.draw(contexts())
+        x = GradedElement(ctx, data.draw(term_dicts(ctx, POWERS)))
+        y = rebuilt(x, extra_width, den_factor, low_drop, extra_shift)
+        assert x == y and y == x
+        assert list(y.terms.items()) == list(x.terms.items())
+        assert (x - y).is_zero and x + y == x.scale(2)
+        if x.terms:
+            m, c = next(iter(x.terms.items()))
+            assert x != y + GradedElement(ctx, {m: c})
+
+    def test_kernel_outputs_keep_the_insertion_order(self):
+        # d(w0 w1 W2): each image term in the order of the Leibniz walk
+        ctx = make_ctx(3, 3)
+        w0, w1, w2 = (ctx.gen(g) for g in ctx.odd_ids)
+        W0, W1, W2 = (ctx.gen(g) for g in ctx.even_ids)
+        d = Derivation(ctx, {0: W0 - w1 * w2, 1: W1.scale(2), 2: W2 + w0 * w1,
+                             100: W1 * w2, 101: W0 * w0, 102: W2 * w1}, +1)
+        x = w0 * w1 * W2 + (w2 * W0).times_t(1)
+        got = d(x)
+        assert len(got.terms) == got.term_count
+        assert got.terms._dict is None  # counted without decoding
+        images = {gid: tuple_terms(img) for gid, img in d.images.items()}
+        want = tuple_derivation_apply(images, tuple_terms(x))
+        assert [to_tuple_mono(m) for m in got.terms] == list(want)
+        assert list(tuple_terms(x * got).items()) == list(
+            tuple_product(tuple_terms(x), tuple_terms(got)).items())
+
+
+def tuple_product_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts through the tuple-monomial oracle."""
+    return {from_tuple_mono(m): c for m, c in tuple_product(
+        {to_tuple_mono(m): c for m, c in a.items()},
+        {to_tuple_mono(m): c for m, c in b.items()}).items()}

@@ -4,6 +4,8 @@ import pytest
 
 from helpers import (
     covariant_d_tensor,
+    d_squared_probe_by_draw,
+    d_squared_witness_by_generator,
     deformed_curvature_expanded,
     deformed_curvature_interpolated,
 )
@@ -200,3 +202,68 @@ class TestCorruptedAlgebra:
         assert witness is not None
         label, residue = witness
         assert not residue.is_zero
+
+
+def assert_same_witness(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[1].leading_term_str() == want[1].leading_term_str()
+
+
+def assert_same_probe(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want and got.leading_term_str() == want.leading_term_str()
+
+
+class TestBatchedDSquared:
+    """The one-pass d.d witness and probe against one pair of derivation
+    calls per generator and per draw: the same first generator, draw and
+    residue."""
+
+    @pytest.mark.parametrize("name,sub,bump", [
+        ("so4", "so3", (0, 1, 2)),
+        ("so4", "so3", (5, 3, 4)),
+        ("gl3", "gl2", (0, 1, 3)),
+        ("u2", "0,1", (0, 1, 2)),
+        ("su2", "u1", (0, 0, 1)),
+    ])
+    def test_table_that_breaks_jacobi(self, name, sub, bump):
+        from transgress.lie import LieAlgebra, named_algebra, named_split
+
+        base = named_algebra(name)
+        structure = dict(base.structure)
+        a, b, c = bump
+        structure[(a, b, c)] = structure.get((a, b, c), ZERO) + ONE
+        structure[(a, c, b)] = -structure[(a, b, c)]
+        bad = LieAlgebra(base.dim, base.labels, structure, name=name + "+corrupt")
+        setup = UniversalSetup(bad, named_split(base, sub))
+        assert_same_witness(setup.d_squared_witness(), d_squared_witness_by_generator(setup))
+        assert setup.d_squared_witness() is not None
+        for seed in range(4):
+            assert_same_probe(setup.d_squared_probe(seed), d_squared_probe_by_draw(setup, seed))
+
+    @pytest.mark.parametrize("gid", [0, 2, 5, 6, 11])
+    def test_broken_derivation_image(self, gid, so4_setup):
+        from transgress.algebra import Derivation
+
+        setup = UniversalSetup(so4_setup.algebra, so4_setup.split)
+        ctx, dim = setup.context, setup.algebra.dim
+        images = dict(setup.d.images)
+        gen = ctx.generator(gid)
+        extra = ctx.gen(dim + 1) if gen.is_odd else ctx.gen(dim + 2) * ctx.gen(1)
+        images[gid] = images[gid] + extra.scale(Scalar(3, 0))
+        setup.d = Derivation(ctx, images, +1)
+        witness = setup.d_squared_witness()
+        assert witness is not None
+        assert_same_witness(witness, d_squared_witness_by_generator(setup))
+        for seed in range(4):
+            assert_same_probe(setup.d_squared_probe(seed), d_squared_probe_by_draw(setup, seed))
+
+    def test_valid_algebras_pass_both(self, shipped_setups):
+        for name, setup in shipped_setups.items():
+            assert setup.d_squared_witness() is None, name
+            assert setup.d_squared_probe(7) is None, name
+            assert d_squared_probe_by_draw(setup, 7) is None, name

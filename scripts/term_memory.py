@@ -2,9 +2,9 @@
 """Bytes per term of P(F_t, ..., F_t) for the Pfaffian on so(2k) over
 so(2k-1), with F_t the deformed curvature, and the peak RSS of the process.
 
-    PYTHONPATH=<checkout>/src python3 scripts/term_memory.py [--rungs so8,so10]
+    PYTHONPATH=<checkout>/src python3 scripts/term_memory.py
 
-For each rung the inputs are built first and the evaluation is run once to
+It measures so8/so7 and so10/so9.  For each the inputs are built first and the evaluation is run once to
 fill the split-plan cache.  The second evaluation runs under tracemalloc:
 ``retained`` is what is still allocated once it returns (the result), and
 ``peak`` the most that was allocated during it, both per term of the
@@ -12,7 +12,6 @@ result.  The last line is the peak resident set size of the whole process
 (``ru_maxrss``).  Standard library only.
 """
 
-import argparse
 import gc
 import resource
 import sys
@@ -38,17 +37,10 @@ def measure(n: int) -> tuple:
     return result.term_count, now - before, peak - before
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rungs", default="so8,so10",
-                        help="comma list of so(2k) algebras (default so8,so10)")
-    args = parser.parse_args(argv)
-    for rung in args.rungs.split(","):
-        rung = rung.strip()
-        if not (rung.startswith("so") and rung[2:].isdigit() and int(rung[2:]) % 2 == 0):
-            parser.error(f"not an so(2k) rung: {rung!r}")
-        terms, retained, peak = measure(int(rung[2:]))
-        print(f"{rung}/so{int(rung[2:]) - 1} P(F_t, ..., F_t): {terms} terms, "
+def main() -> int:
+    for n in (8, 10):
+        terms, retained, peak = measure(n)
+        print(f"so{n}/so{n - 1} P(F_t, ..., F_t): {terms} terms, "
               f"retained {retained / terms:.0f} B/term, peak {peak / terms:.0f} B/term")
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {rss_mb:.1f} MB")

@@ -17,7 +17,6 @@ import re as _re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
-from sys import getsizeof as _sizeof
 from typing import NamedTuple, Sequence, Union
 
 __all__ = [
@@ -599,25 +598,22 @@ def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, low: int,
 
 def _reduce(x: "GradedElement") -> "GradedElement":
     """x with the common factor of its numerators and its denominator taken
-    out, in place: for a new element, before it is shared.  A table that
-    many cancelled terms left larger than its terms need is copied small."""
+    out, in place: for a new element, before it is shared."""
     nums, g, shift = x._nums, x._den, x._shift
-    if g == 1 and len(nums) < 16:
+    if g == 1:
         return x
-    if g != 1 and not shift:
+    if not shift:
         g = _gcd(g, *nums.values())
     for v in nums.values() if shift else ():
         if g == 1:
-            break
+            return x
         g = _gcd(g, *_parts(v, shift))
-    if _sizeof(nums) > 64 * len(nums) + 256:
-        x._nums = {k: v // g for k, v in nums.items()}
-    elif g != 1:
+    if g != 1:
         for k, v in nums.items():
             nums[k] = v // g
-    x._den //= g
-    if x._norm is not None:
-        x._norm //= g
+        x._den //= g
+        if x._norm is not None:
+            x._norm //= g
     return x
 
 
@@ -635,19 +631,56 @@ def _packing(bound: int, elements) -> int:
     return max([bound.bit_length() + 1, *(x._shift for x in elements)])
 
 
-def _frame(xs) -> tuple:
-    """(lowest power, denominator, highest power above it, most even
-    factors, Gaussian) over the nonzero elements ``xs``."""
-    low = min(x._low for x in xs)
-    return (low, _lcm(*(x._den for x in xs)), max(x._high + x._low for x in xs) - low,
-            max(x._most for x in xs), any(x._shift for x in xs))
+class _Frame:
+    """Where the terms of a sum of products land, and how they are packed.
 
+    A product takes n factors from each group (elements, n), and the
+    elements of a group are aligned to its lowest (2pi) power and common
+    denominator, its part.  ``extra`` is one more factor that is no
+    element: (lowest power, denominator, highest power above it, even
+    factors, bound, Gaussian), ``bound`` being its largest |re| + |im|
+    times the number of products summed into one term.  The products have
+    the lowest power ``low`` over ``den``, at most ``high`` powers above it
+    and ``most`` even factors.  When a factor is Gaussian their numerators
+    are packed with ``shift`` and bounded by ``norm``.  The layout is the
+    widest of those of the elements unless the products need a wider one.
+    """
 
-def _layout_for(ctx: "Context", xs, most: int, high: int) -> _Layout:
-    """The layout for terms with up to ``most`` even factors at up to
-    ``high`` powers above the lowest: the widest of those of the elements
-    ``xs`` unless they need a wider one."""
-    return ctx._layout(max(max(most, high).bit_length(), *(x._layout.width for x in xs)))
+    __slots__ = ("ctx", "layout", "shift", "norm", "parts", "low", "den", "high", "most")
+
+    def __init__(self, ctx: "Context", groups, extra=(0, 1, 0, 0, 1, False)):
+        low, den, high, most, norm, imag = extra
+        parts, xs = [], []
+        for group, n in groups:
+            if len(group) == 1:
+                x = group[0]
+                glow, gden, ghigh, gmost = x._low, x._den, x._high, x._most
+            else:
+                glow, gden = min(x._low for x in group), _lcm(*(x._den for x in group))
+                ghigh = max(x._high + x._low for x in group) - glow
+                gmost = max(x._most for x in group)
+            parts.append((glow, gden))
+            low, den, high, most = low + n * glow, den * gden ** n, high + n * ghigh, most + n * gmost
+            xs += group
+        if imag or any(x._shift for x in xs):
+            for (group, n), (_, gden) in zip(groups, parts):
+                norm *= sum(_norm(x) * (gden // x._den) for x in group) ** n
+            self.shift, self.norm = _packing(norm, xs), norm
+        else:
+            self.shift, self.norm = 0, None
+        self.ctx, self.parts, self.low, self.den, self.high, self.most = (
+            ctx, parts, low, den, high, most)
+        self.layout = ctx._layout(max(max(most, high).bit_length(),
+                                      *(x._layout.width for x in xs)))
+
+    def align(self, x: "GradedElement", group: int = 0) -> dict:
+        """The numerators of x, an element of the group, in this frame."""
+        return _aligned(x, self.layout, self.shift, *self.parts[group])
+
+    def element(self, nums: dict, deg: int = None) -> "GradedElement":
+        """The element of the numerators ``nums`` of products."""
+        return _element(self.ctx, self.layout, nums, self.den, self.low, self.high,
+                        self.most, self.shift, self.norm, deg)
 
 
 def _aligned(x: "GradedElement", layout: _Layout, shift: int = 0, low: int = None,
@@ -692,15 +725,10 @@ def _combine(ctx: "Context", signed) -> "GradedElement":
     if len(signed) == 1 and signed[0][1] == 1:
         return signed[0][0]
     xs = [x for x, _ in signed]
-    low, den, high, most, imag = _frame(xs)
-    shift, norm = 0, None
-    if imag:
-        norm = sum(_norm(x) * (den // x._den) for x in xs)
-        shift = _packing(norm, xs)
-    layout = _layout_for(ctx, xs, most, high)
+    frame = _Frame(ctx, [(xs, 1)])
     acc = None
     for x, sign in signed:
-        nums = _aligned(x, layout, shift, low, den)
+        nums = frame.align(x)
         if acc is None:
             acc = dict(nums) if sign > 0 else {k: -v for k, v in nums.items()}
             continue
@@ -713,8 +741,7 @@ def _combine(ctx: "Context", signed) -> "GradedElement":
     if not acc:
         return ctx.zero()
     degs = {x._deg for x in xs}
-    return _element(ctx, layout, acc, den, low, high, most, shift, norm,
-                    degs.pop() if len(degs) == 1 else None)
+    return frame.element(acc, degs.pop() if len(degs) == 1 else None)
 
 
 def _t_block(x: "GradedElement", spacing: int):
@@ -770,8 +797,9 @@ def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
     return acc
 
 
-def _decode(x: "GradedElement") -> dict:
-    """{Monomial: Scalar} of the stored form of x, in the order of its keys."""
+def _decode(x) -> dict:
+    """{Monomial: Scalar} of the stored form of x, an element or its
+    ``_Terms``, in the order of its keys."""
     layout, den, low, shift = x._layout, x._den, x._low, x._shift
     odd, emask, ps, pm, ts = layout.odd, layout.even_mask, layout.pshift, layout.pmask, layout.tshift
     evens = {0: ()}  # even fields -> even multiset
@@ -788,20 +816,23 @@ def _decode(x: "GradedElement") -> dict:
 
 class _Terms(Mapping):
     """The terms of an element as {Monomial: Scalar}, in the order of its
-    keys: decoded on first use and kept, while ``len`` counts the keys."""
+    keys: decoded on first use and kept, while ``len`` counts the keys.  It
+    holds the stored fields of its element, not the element, so that the
+    two hold no reference cycle."""
 
-    __slots__ = ("_x", "_dict")
+    __slots__ = ("_layout", "_nums", "_den", "_low", "_shift", "_dict")
 
     def __init__(self, x: "GradedElement"):
-        self._x, self._dict = x, None
+        self._layout, self._nums, self._den, self._low, self._shift, self._dict = (
+            x._layout, x._nums, x._den, x._low, x._shift, None)
 
     def _decoded(self) -> dict:
         if self._dict is None:
-            self._dict = _decode(self._x)
+            self._dict = _decode(self)
         return self._dict
 
     def __len__(self) -> int:
-        return len(self._x._nums)
+        return len(self._nums)
 
     def __getitem__(self, mono):
         return self._decoded()[mono]
@@ -945,19 +976,11 @@ class GradedElement:
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ctx.zero()
-        xs = (self, other)
-        most, high = self._most + other._most, self._high + other._high
-        layout = _layout_for(self.ctx, xs, most, high)
-        shift = both = 0
-        norm = None
-        if self._shift or other._shift:
-            norm = _norm(self) * _norm(other)
-            shift = _packing(norm, xs)
-            both = shift if self._shift and other._shift else 0
-        acc = _product(_aligned(self, layout, shift), _aligned(other, layout, shift), layout, both)
+        frame = _Frame(self.ctx, [((self,), 1), ((other,), 1)])
+        acc = _product(frame.align(self), frame.align(other, 1), frame.layout,
+                       frame.shift if self._shift and other._shift else 0)
         deg = None if self._deg is None or other._deg is None else self._deg + other._deg
-        return _reduce(_element(self.ctx, layout, acc, self._den * other._den,
-                                self._low + other._low, high, most, shift, norm, deg))
+        return _reduce(frame.element(acc, deg))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -982,11 +1005,8 @@ class GradedElement:
             return False
         if self is other or not self._nums:
             return True
-        xs = (self, other)
-        low, den, high, most, imag = _frame(xs)
-        layout = _layout_for(self.ctx, xs, most, high)
-        shift = _packing(max(_norm(x) * (den // x._den) for x in xs), xs) if imag else 0
-        return _aligned(self, layout, shift, low, den) == _aligned(other, layout, shift, low, den)
+        frame = _Frame(self.ctx, [((self, other), 1)])
+        return frame.align(self) == frame.align(other)
 
     def __hash__(self):
         raise TypeError("GradedElement is not hashable")
@@ -1051,7 +1071,7 @@ class Derivation:
     ``D(ab) = D(a) b + (-1)^(degree*|a|) a D(b)`` fixes the extension.
     """
 
-    __slots__ = ("ctx", "degree", "images", "_frame", "_tables")
+    __slots__ = ("ctx", "degree", "images", "_extra", "_tables")
 
     def __init__(self, ctx: Context, images: Mapping[int, GradedElement], degree: int):
         if degree not in (1, -1):
@@ -1073,12 +1093,17 @@ class Derivation:
         self.degree = degree
         self.images = checked
         self._tables = {}  # layout width -> image table without packing
-        self._frame = None  # (low, den, high, growth of the even count, Gaussian)
+        # the images as the extra factor of a _Frame, whose even factors
+        # replace one even factor of the term
+        self._extra = None
         if checked:
-            low, den, high, _, imag = _frame(checked.values())
-            growth = max(0, *(img._most - (ctx.generator(g).degree == 2)
-                              for g, img in checked.items()))
-            self._frame = low, den, high, growth, imag
+            imgs = checked.values()
+            low, den = min(img._low for img in imgs), _lcm(*(img._den for img in imgs))
+            self._extra = (low, den, max(img._high + img._low for img in imgs) - low,
+                           max(0, *(img._most - (ctx.generator(g).degree == 2)
+                                    for g, img in checked.items())),
+                           max(_norm(img) * (den // img._den) for img in imgs),
+                           any(img._shift for img in imgs))
 
     def _table(self, layout: _Layout, shift: int) -> tuple:
         """(factor unit -> image terms, odd mask with images, even fields
@@ -1090,7 +1115,7 @@ class Derivation:
         around it is the parity of ``rest & mask`` (see ``__call__``)."""
         table = None if shift else self._tables.get(layout.width)
         if table is None:
-            low, den = self._frame[:2]
+            low, den = self._extra[:2]
             slots, odd_with, even_with = {}, 0, 0
             for gid, img in self.images.items():
                 odd = self.ctx.generator(gid).is_odd
@@ -1132,25 +1157,20 @@ class Derivation:
         """
         if x.ctx is not self.ctx:
             raise ContextError("element over a different context")
-        if x.is_zero or self._frame is None:
+        if x.is_zero or self._extra is None:
             return self.ctx.zero()
-        low, den, high, growth, imag = self._frame
-        most, high = x._most + growth, x._high + high
-        layout = _layout_for(self.ctx, (x,), most, high)
-        shift = both = 0
-        norm = None
-        if x._shift or imag:
-            # a term has one slot per factor at most, so at most ``degree`` slots
-            norm = _norm(x) * max(x.degrees()) * max(
-                _norm(img) * (den // img._den) for img in self.images.values())
-            shift = _packing(norm, (x,))
-            both = shift if x._shift and imag else 0
+        low, den, high, growth, norm, imag = self._extra
+        # a term has a slot per factor: at most its odd bits and ``_most``
+        frame = _Frame(self.ctx, [((x,), 1)], (low, den, high, growth, norm * (
+            x._layout.odd.bit_length() + x._most), imag))
+        layout, shift = frame.layout, frame.shift
+        both = shift if x._shift and imag else 0
         slots, odd_with, even_with = self._table(layout, shift)
         units = layout.units
         evens = {}  # even fields with images -> ((image, unit), ...) per factor
         acc = {}
         get = acc.get
-        for key, coeff in _aligned(x, layout, shift).items():
+        for key, coeff in frame.align(x).items():
             factors = []
             bits = key & odd_with
             while bits:
@@ -1181,8 +1201,7 @@ class Derivation:
                     else:
                         del acc[k2]
         deg = None if x._deg is None else x._deg + self.degree
-        return _reduce(_element(self.ctx, layout, acc, x._den * den, x._low + low, high,
-                                most, shift, norm, deg))
+        return _reduce(frame.element(acc, deg))
 
 
 # ---------------------------------------------------------------------------
@@ -1201,16 +1220,14 @@ def _t_map(x: GradedElement, mults: dict, den: int, lower: bool = False,
     if x.is_zero or not mults:
         return x.ctx.zero()
     qs = [q for _, _, q in mults.values()]
-    low, high = x._low + min(qs), x._high + max(qs) - min(qs)
-    layout = _layout_for(x.ctx, (x,), x._most, high)
-    shift, norm = 0, None
-    if x._shift or any(im for _, im, _ in mults.values()):
-        norm = _norm(x) * max(abs(re) + abs(im) for re, im, _ in mults.values())
-        shift = _packing(norm, (x,))
+    frame = _Frame(x.ctx, [((x,), 1)], (
+        min(qs), den, max(qs) - min(qs), 0, max(abs(re) + abs(im) for re, im, _ in mults.values()),
+        any(im for _, im, _ in mults.values())))
+    layout, shift, low, high = frame.layout, frame.shift, frame.low, frame.high
     ps, ts, pm = layout.pshift, layout.tshift, layout.pmask
     keep, mask = (1 << ps) - 1, ~(pm << ps)
     acc, held = {}, {}  # held: monomial part -> the key of its last power
-    for k, v in _aligned(x, layout, shift).items():
+    for k, v in frame.align(x).items():
         d = k >> ts
         if d not in mults:
             continue
@@ -1231,8 +1248,7 @@ def _t_map(x: GradedElement, mults: dict, den: int, lower: bool = False,
             acc[k] = c
         else:
             del acc[k]
-    return _reduce(_element(x.ctx, layout, acc, x._den * den, low, high, x._most, shift,
-                            norm, x._deg))
+    return _reduce(frame.element(acc, x._deg))
 
 
 def integrate_unit_interval(x: GradedElement) -> GradedElement:

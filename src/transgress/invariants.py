@@ -21,16 +21,11 @@ from .algebra import (
     ONE,
     Scalar,
     ZERO,
+    _Frame,
     _acc_add,
-    _aligned,
-    _element,
-    _frame,
-    _layout_for,
     _gmul,
     _json_int,
     _json_list,
-    _norm,
-    _packing,
     _product,
     _reduce,
 )
@@ -230,32 +225,21 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         return ctx.zero()
     values = P.values if pre.is_one else {stup: v * pre for stup, v in P.values.items()}
     comps = [[f.components[a] for a in s] for (f, _), s in zip(groups, supports)]
-    # per group: (lowest power, denominator, highest power above it, most
-    # even factors, Gaussian)
-    frames = [_frame(cs) for cs in comps]
     vden = lcm(*{v._den for v in values.values()})
     vlow = min(v.two_pi for v in values.values())
-    most = sum(n * f[3] for f, n in zip(frames, sizes))
-    high = (max(v.two_pi for v in values.values()) - vlow
-            + sum(n * f[2] for f, n in zip(frames, sizes)))
-    flat = [c for cs in comps for c in cs]
-    layout = _layout_for(ctx, flat, most, high)
-    shift = both = 0
-    bound = None
-    forms_imag = any(f[4] for f in frames)
-    if forms_imag or any(v._im for v in values.values()):
-        # a tuple's splits take at most k! orderings, each once
-        bound = factorial(P.degree) * len(values) * max(
-            (abs(v._re) + abs(v._im)) * (vden // v._den) for v in values.values())
-        for f, cs, n in zip(frames, comps, sizes):
-            bound *= max(_norm(c) * (f[1] // c._den) for c in cs) ** n
-        shift = _packing(bound, flat)
-        both = shift if forms_imag else 0  # Gaussian products
+    # a tuple's splits take at most k! orderings, each once
+    frame = _Frame(ctx, list(zip(comps, sizes)), (
+        vlow, vden, max(v.two_pi for v in values.values()) - vlow, 0,
+        factorial(P.degree) * sum((abs(v._re) + abs(v._im)) * (vden // v._den)
+                                  for v in values.values()),
+        any(v._im for v in values.values())))
+    layout, shift = frame.layout, frame.shift
+    both = shift if any(c._shift for cs in comps for c in cs) else 0  # Gaussian products
 
     mask_of = {}  # basis index -> the groups whose form is nonzero there
     products = []  # per group: part -> product of its components over part
-    for gi, ((low, den, *_), s, cs) in enumerate(zip(frames, supports, comps)):
-        products.append({(a,): _aligned(c, layout, shift, low, den) for a, c in zip(s, cs)})
+    for gi, (s, cs) in enumerate(zip(supports, comps)):
+        products.append({(a,): frame.align(c, gi) for a, c in zip(s, cs)})
         for a in s:
             mask_of[a] = mask_of.get(a, 0) | 1 << gi
     prefixes = {}  # (id(prefix), group, part) -> prefix * group product
@@ -324,11 +308,7 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                         acc[k] = c
                     else:
                         del acc[k]
-    den, low = vden, vlow
-    for (glow, gden, *_), n in zip(frames, sizes):
-        den, low = den * gden ** n, low + glow * n
-    deg = sum(f.degree * n for f, n in groups)
-    return _reduce(_element(ctx, layout, acc, den, low, high, most, shift, bound, deg))
+    return _reduce(frame.element(acc, sum(f.degree * n for f, n in groups)))
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

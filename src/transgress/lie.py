@@ -25,15 +25,11 @@ from .algebra import (
     ONE,
     Scalar,
     ZERO,
+    _Frame,
     _acc_add,
-    _aligned,
-    _element,
-    _frame,
-    _layout_for,
     _gmul,
     _json_int,
     _json_list,
-    _norm,
     _packing,
     _product,
     _reduce,
@@ -333,7 +329,7 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     dim = algebra.dim
     # a sum takes at most dim products for each of the three rotations
     imag = any(im for _, entries in constants for _, _, _, im in entries)
-    shift = (3 * dim * norm * norm).bit_length() + 1 if imag else 0
+    shift = _packing(3 * dim * norm * norm, ()) if imag else 0
     first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * q, numerator)]
     second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * q, numerator)]
     for (b, c), entries in constants:
@@ -593,20 +589,14 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     if not (xs and ys and algebra.structure):
         return LieValuedForm.zero(algebra, ctx, x.degree + y.degree)
     cden, clow, chigh, cnorm, constants = algebra._constants
-    xlow, xden, xhigh, xmost, ximag = _frame(xs.values())
-    ylow, yden, yhigh, ymost, yimag = _frame(ys.values())
-    both = list(xs.values()) + list(ys.values())
-    most, high = xmost + ymost, chigh + xhigh + yhigh
-    layout = _layout_for(ctx, both, most, high)
     cimag = any(im for _, entries in constants for _, _, _, im in entries)
-    shift, bound = 0, None
-    if ximag or yimag or cimag:
-        bound = len(algebra.structure) * cnorm * max(
-            _norm(e) * (xden // e._den) for e in xs.values()) * max(
-            _norm(e) * (yden // e._den) for e in ys.values())
-        shift = _packing(bound, both)
-    xe = {b: _aligned(e, layout, shift, xlow, xden) for b, e in xs.items()}
-    ye = {c: _aligned(e, layout, shift, ylow, yden) for c, e in ys.items()}
+    # each x^b /\ y^c meets at most every constant
+    frame = _Frame(ctx, [(list(xs.values()), 1), (list(ys.values()), 1)],
+                   (clow, cden, chigh, 0, len(algebra.structure) * cnorm, cimag))
+    layout, shift = frame.layout, frame.shift
+    xe = {b: frame.align(e) for b, e in xs.items()}
+    ye = {c: frame.align(e, 1) for c, e in ys.items()}
+    ximag, yimag = any(e._shift for e in xs.values()), any(e._shift for e in ys.values())
     pair_both = shift if ximag and yimag else 0  # Gaussian products
     scale_both = shift if cimag and (ximag or yimag) else 0  # and constants
     acc: dict = {}
@@ -622,10 +612,9 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
             continue
         for a, k in entries:
             _product(prod, k, layout, scale_both, acc.setdefault(a, {}))
-    den, low, degree = cden * xden * yden, clow + xlow + ylow, x.degree + y.degree
-    zero = ctx.zero()
-    comps = [_reduce(_element(ctx, layout, acc[a], den, low, high, most, shift, bound, degree))
-             if acc.get(a) else zero for a in range(algebra.dim)]
+    degree, zero = x.degree + y.degree, ctx.zero()
+    comps = [_reduce(frame.element(acc[a], degree)) if acc.get(a) else zero
+             for a in range(algebra.dim)]
     return LieValuedForm(algebra, ctx, comps, degree)
 
 

@@ -30,6 +30,7 @@ from .algebra import (
     HALF,
     _combine,
     _element,
+    _packing,
     _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
@@ -84,7 +85,7 @@ class UniversalSetup:
         layout = ctx._layout(max(1, high).bit_length())
         ps, units = layout.pshift, layout.units
         imag = any(v._im for v in algebra.structure.values())
-        shift = (2 * max(den, norm)).bit_length() + 1 if imag else 0
+        shift = _packing(2 * max(den, norm), ()) if imag else 0
         odd = [{units[dim + a] | -low << ps: 2 * den} for a in range(dim)]
         even = [{} for _ in range(dim)]
         for (a, b, c), v in algebra.structure.items():

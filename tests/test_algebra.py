@@ -47,8 +47,8 @@ from transgress.algebra import (
     substitute_t,
     t_derivative,
     _aligned,
+    _Frame,
     _element,
-    _layout_for,
     _norm,
     _packing,
     _product,
@@ -622,16 +622,10 @@ def powered(x: GradedElement, p: int, by_t: bool) -> GradedElement:
 
 def kernel_product(a: GradedElement, b: GradedElement, scale: int) -> dict:
     """scale * a * b through ``_product`` on the stored keys, decoded."""
-    most, high = a._most + b._most, a._high + b._high
-    layout = _layout_for(a.ctx, (a, b), most, high)
-    shift = both = 0
-    if a._shift or b._shift:
-        shift = _packing(_norm(a) * _norm(b) * abs(scale), (a, b))
-        both = shift if a._shift and b._shift else 0
-    acc = _product(_aligned(a, layout, shift), _aligned(b, layout, shift), layout, both,
-                   scale=scale)
-    return dict(_element(a.ctx, layout, acc, a._den * b._den, a._low + b._low, high, most,
-                         shift).terms)
+    frame = _Frame(a.ctx, [((a,), 1), ((b,), 1)], (0, 1, 0, 0, abs(scale), False))
+    acc = _product(frame.align(a), frame.align(b, 1), frame.layout,
+                   frame.shift if a._shift and b._shift else 0, scale=scale)
+    return dict(frame.element(acc).terms)
 
 
 LIMIT_CTX = Context([Generator(3, 1, "x3"), Generator(130, 1, "x130"),

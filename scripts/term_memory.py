@@ -4,8 +4,9 @@ so(2k-1), with F_t the deformed curvature, and the peak RSS of the process.
 
     PYTHONPATH=<checkout>/src python3 scripts/term_memory.py
 
-It measures so8/so7 and so10/so9.  For each the inputs are built first and the evaluation is run once to
-fill the split-plan cache.  The second evaluation runs under tracemalloc:
+It measures so8/so7 and so10/so9.  For each, the inputs are built first
+and the evaluation is run once to fill the split-plan cache.  The second
+evaluation runs under tracemalloc:
 ``retained`` is what is still allocated once it returns (the result), and
 ``peak`` the most that was allocated during it, both per term of the
 result.  The last line is the peak resident set size of the whole process

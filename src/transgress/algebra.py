@@ -1220,8 +1220,9 @@ def _t_map(x: GradedElement, mults: dict, den: int, lower: bool = False,
     if x.is_zero or not mults:
         return x.ctx.zero()
     qs = [q for _, _, q in mults.values()]
+    qmin = min(qs)
     frame = _Frame(x.ctx, [((x,), 1)], (
-        min(qs), den, max(qs) - min(qs), 0, max(abs(re) + abs(im) for re, im, _ in mults.values()),
+        qmin, den, max(qs) - qmin, 0, max(abs(re) + abs(im) for re, im, _ in mults.values()),
         any(im for _, im, _ in mults.values())))
     layout, shift, low, high = frame.layout, frame.shift, frame.low, frame.high
     ps, ts, pm = layout.pshift, layout.tshift, layout.pmask
@@ -1236,7 +1237,7 @@ def _t_map(x: GradedElement, mults: dict, den: int, lower: bool = False,
         v = _gmul(v, m, shift) if x._shift and im else v * m
         if not v:
             continue
-        k = k & keep | ((k >> ps & pm) + q - min(qs)) << ps | (d - 1 << ts if lower else 0)
+        k = k & keep | ((k >> ps & pm) + q - qmin) << ps | (d - 1 << ts if lower else 0)
         if high and ordered:
             h = held.setdefault(k & mask, k)
             if h != k:

@@ -1160,7 +1160,7 @@ class Derivation:
         if x.is_zero or self._extra is None:
             return self.ctx.zero()
         low, den, high, growth, norm, imag = self._extra
-        # a term has a slot per factor: at most its odd bits and ``_most``
+        # a term has one slot per factor: at most the odd generators and ``_most``
         frame = _Frame(self.ctx, [((x,), 1)], (low, den, high, growth, norm * (
             x._layout.odd.bit_length() + x._most), imag))
         layout, shift = frame.layout, frame.shift

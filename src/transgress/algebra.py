@@ -465,17 +465,21 @@ class Context:
     def random_element(self, rng, terms: int = 3, max_odd: int = 2,
                        max_even: int = 1, max_t: int = 1) -> "GradedElement":
         odd_ids, even_ids = self.odd_ids, self.even_ids
-        acc = {}
+        acc = {}  # (odd mask, even multiset, t-degree) -> numerator over 6
         for _ in range(terms):
             n_odd = rng.randint(0, min(max_odd, len(odd_ids)))
             odd = sum(1 << g for g in rng.sample(odd_ids, n_odd)) if n_odd else 0
             n_even = rng.randint(0, max_even) if even_ids else 0
             even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
             num, den = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)
-            g = _gcd(num, den)
-            mono = Monomial(odd, even, rng.randint(0, max_t))
-            _acc_add(acc, mono, _make(num // g, 0, den // g, 0))
-        return GradedElement(self, acc)
+            mono = odd, even, rng.randint(0, max_t)
+            acc[mono] = acc.get(mono, 0) + num * 6 // den
+            if not acc[mono]:
+                del acc[mono]
+        most = max((len(e) for _, e, _ in acc), default=0)
+        layout = self._layout(most.bit_length())
+        nums = {o | layout.fields(e) | t << layout.tshift: v for (o, e, t), v in acc.items()}
+        return _reduce(_element(self, layout, nums, 6, 0, most=most))
 
     def __repr__(self) -> str:
         return f"Context({len(self.odd_ids)} odd, {len(self.even_ids)} even)"

@@ -258,6 +258,8 @@ def parse_config(argv, config_file: str = None) -> tuple:
     for c in checks:
         if c not in CHECK_NAMES:
             raise UsageError(f"unknown check {c!r}")
+    if not checks:
+        raise UsageError("at least one check is required")
 
     poly = str(merged.get("polynomial", "trace^1"))
     if poly != "pfaffian" and not _is_file_ref(poly):
@@ -337,7 +339,7 @@ def _resolve_algebra(config: RunConfig) -> LieAlgebra:
         structure[(a, b, c)] = bumped
         structure[(a, c, b)] = -bumped
         algebra = LieAlgebra(algebra.dim, algebra.labels, structure,
-                             algebra.matrices, name=algebra.name + "+corrupt",
+                             algebra._realization, name=algebra.name + "+corrupt",
                              meta=algebra.meta)
     return algebra
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .algebra import (
     ContextError,
@@ -22,14 +22,15 @@ from .algebra import (
     Scalar,
     ZERO,
     _Frame,
-    _acc_add,
     _gmul,
     _json_int,
     _json_list,
+    _packing,
     _product,
     _reduce,
+    _scalar,
 )
-from .lie import LieAlgebra, _GeneratedSpan, _sparse
+from .lie import LieAlgebra, _GeneratedSpan, _common, _numerator
 
 __all__ = [
     "InvariantPolynomial",
@@ -119,24 +120,52 @@ def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
     multiplicity of a in that tuple.  Only the tuples reached can carry a
     residue, and the smallest one with a nonzero residue is the first a scan
     of all sorted tuples in lexicographic order finds.
+
+    The constants are read as numerators over D_c and the values over D_P,
+    each with its (2pi) power above the lowest, so the residues are sums of
+    numerators over D_c D_P.  A term that meets a nonzero residue held at
+    another power is refused, as adding the two Scalars would be.
     """
-    algebra = P.algebra
+    algebra, values = P.algebra, P.values
+    if not values:
+        return {}
+    cden, clow, chigh, cnorm, cimag, constants = algebra._constants
+    vden, vlow, vhigh, vnorm, vimag = _common(values.values())
+    shift = 0
+    if vimag or cimag:
+        # each entry feeds at most degree tuples per constant, each time
+        # with a multiplicity of at most degree
+        shift = _packing(vnorm * len(algebra.structure) * cnorm * P.degree ** 2, ())
+    mixed = chigh or vhigh
     preimages = {}
     for a in range(algebra.dim):
-        for b, coeff in algebra.bracket_on_basis(x, a):
-            preimages.setdefault(b, []).append((a, coeff))
-    residues = {}
-    for stup, v in P.values.items():
+        for b, q, re, im in constants.get((x, a), ()):
+            preimages.setdefault(b, []).append((a, q, re + (im << shift)))
+    residues, powers = {}, {}  # tuple -> numerator, and its power when mixed
+    for stup, v in values.items():
+        val, qv = _numerator(v, vden, shift), v.two_pi - vlow
         for b in set(stup):
             pre = preimages.get(b)
             if pre is None:
                 continue
             rest = list(stup)
             rest.remove(b)
-            for a, coeff in pre:
+            for a, q, k in pre:
                 tup = tuple(sorted(rest + [a]))
-                _acc_add(residues, tup, coeff * v * (rest.count(a) + 1))
-    return residues
+                k = (_gmul(k, val, shift) if shift else k * val) * (rest.count(a) + 1)
+                cur = residues.get(tup, 0)
+                if mixed:
+                    if cur and powers[tup] != q + qv:
+                        raise ContractError(
+                            f"cannot add scalars with different (2pi) powers: "
+                            f"{clow + vlow + powers[tup]} vs {clow + vlow + q + qv}")
+                    powers[tup] = q + qv
+                if cur + k:
+                    residues[tup] = cur + k
+                else:
+                    del residues[tup]
+    return {tup: _scalar(k, cden * vden, shift, clow + vlow + powers.get(tup, 0))
+            for tup, k in residues.items()}
 
 
 def _orderings(part) -> int:
@@ -225,14 +254,10 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         return ctx.zero()
     values = P.values if pre.is_one else {stup: v * pre for stup, v in P.values.items()}
     comps = [[f.components[a] for a in s] for (f, _), s in zip(groups, supports)]
-    vden = lcm(*{v._den for v in values.values()})
-    vlow = min(v.two_pi for v in values.values())
+    vden, vlow, vhigh, vnorm, vimag = _common(values.values())
     # a tuple's splits take at most k! orderings, each once
-    frame = _Frame(ctx, list(zip(comps, sizes)), (
-        vlow, vden, max(v.two_pi for v in values.values()) - vlow, 0,
-        factorial(P.degree) * sum((abs(v._re) + abs(v._im)) * (vden // v._den)
-                                  for v in values.values()),
-        any(v._im for v in values.values())))
+    frame = _Frame(ctx, list(zip(comps, sizes)),
+                   (vlow, vden, vhigh, 0, factorial(P.degree) * vnorm, vimag))
     layout, shift = frame.layout, frame.shift
     both = shift if any(c._shift for cs in comps for c in cs) else 0  # Gaussian products
 
@@ -273,8 +298,7 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         value_at = vals.__getitem__
         # the key of the value's (2pi) power above the lowest
         step = value.two_pi - vlow << ps
-        f = vden // value._den
-        val = value._re * f + (value._im * f << shift)
+        val = _numerator(value, vden, shift)
         for parts, weight in plan:
             prefix = None
             for gi in range(last):
@@ -318,30 +342,35 @@ def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:
     product to trace(M_word) for the word of matrices it steps through.  The
     permutations of a sorted tuple give each distinct word prod m_i! times
     among k!, so the average is the sum over words divided by the number of
-    distinct arrangements.
+    distinct arrangements.  The walks multiply the numerators of the
+    realization, so a word's sum is over its denominator to the k.
     """
-    if algebra.matrices is None:
+    r = algebra._realization
+    if r is None:
         raise ContractError("symmetrized trace needs a matrix realization")
-    steps: dict = {}  # row -> [(column, matrix index, entry)]
-    for a, M in enumerate(algebra.matrices):
-        for (i, j), v in _sparse(M).items():
+    # a walk's product is at most the product of k entries in |re| + |im|,
+    # and all walks together at most the sum of all entries to the k
+    shift = _packing(sum(r.norms()) ** k, ()) if r.shift else 0
+    steps: dict = {}  # row -> [(column, matrix index, numerator)]
+    for a, M in enumerate(r.packed(shift)):
+        for (i, j), v in M.items():
             steps.setdefault(i, []).append((j, a, v))
     sums: dict = {}
     # depth first, with the walks still to extend on a stack
     for start in steps if k >= 1 else ():  # InvariantPolynomial refuses 0
-        stack = [(start, (), ONE)]
+        stack = [(start, (), 1)]
         while stack:
             at, word, prod = stack.pop()
             closing = len(word) + 1 == k
             for j, a, v in steps.get(at, ()):
                 if not closing:
-                    stack.append((j, word + (a,), prod * v))
+                    stack.append((j, word + (a,), _gmul(prod, v, shift) if shift else prod * v))
                 elif j == start:
-                    _acc_add(sums, tuple(sorted(word + (a,))), prod * v)
-    values = {
-        tup: sums[tup] * Scalar(Fraction(1, _orderings(tup)))
-        for tup in sorted(sums)
-    }
+                    tup = tuple(sorted(word + (a,)))
+                    sums[tup] = sums.get(tup, 0) + (_gmul(prod, v, shift) if shift else prod * v)
+    den = r.den ** k
+    values = {tup: _scalar(sums[tup], den * _orderings(tup), shift, k * r.power)
+              for tup in sorted(sums) if sums[tup]}
     return InvariantPolynomial(algebra, k, values)
 
 

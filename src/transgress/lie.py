@@ -13,9 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
-from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Context,
@@ -30,7 +28,9 @@ from .algebra import (
     _gmul,
     _json_int,
     _json_list,
+    _lcm,
     _packing,
+    _parts,
     _product,
     _reduce,
     _scalar,
@@ -64,106 +64,173 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Exact matrices (tuples of tuples of Scalar)
+# Matrix realizations as sparse integer matrices
 # ---------------------------------------------------------------------------
 
-def _as_scalar(v) -> Scalar:
-    return v if isinstance(v, Scalar) else Scalar(v)
+class _Realization(NamedTuple):
+    """n-by-n matrices as {(i, j): numerator} dicts of their nonzero entries
+    over one denominator, with Gaussian parts packed as re + (im << shift)
+    (``shift`` 0 for real matrices) and every entry at the (2pi) power
+    ``power``."""
+
+    n: int
+    den: int
+    shift: int
+    power: int
+    mats: tuple
+
+    def packed(self, shift: int) -> tuple:
+        """The matrices with their numerators packed with ``shift``, which
+        is no narrower than the realization's."""
+        s = self.shift
+        if not s or shift == s:
+            return self.mats
+        return tuple({e: v + (im << shift) - (im << s)
+                      for e, v in M.items() for im in (_parts(v, s)[1],)} for M in self.mats)
+
+    def norms(self) -> list:
+        """Per matrix, the sum of |re| + |im| over its numerators."""
+        return [sum(abs(re) + abs(im) for re, im in (_parts(v, self.shift) for v in M.values()))
+                for M in self.mats]
 
 
-def make_matrix(rows) -> tuple:
-    return tuple(tuple(_as_scalar(v) for v in row) for row in rows)
+def _numerator(v: Scalar, den: int, shift: int) -> int:
+    """The numerator of v over ``den``, a multiple of its denominator,
+    packed with ``shift``."""
+    f = den // v._den
+    return v._re * f + (v._im * f << shift)
 
 
-def mat_sub(A, B):
-    return tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
+def _common(scalars) -> tuple:
+    """Nonzero Scalars read as numerators over one denominator: (that
+    denominator, the lowest (2pi) power, the highest above it, the sum of
+    |re| + |im| over the numerators, whether any is Gaussian)."""
+    den = _lcm(*{v._den for v in scalars})
+    powers = [v.two_pi for v in scalars] or [0]
+    return (den, min(powers), max(powers) - min(powers),
+            sum((abs(v._re) + abs(v._im)) * (den // v._den) for v in scalars),
+            any(v._im for v in scalars))
 
 
-def mat_add(A, B):
-    return tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
+def _realization(matrices, dim: int = None) -> Optional[_Realization]:
+    """The realization of matrices given as rows of exact scalars (a
+    ``_Realization`` is taken as it is), checked to be ``dim`` square
+    matrices of one size."""
+    if isinstance(matrices, _Realization) or not matrices:
+        return matrices or None
+    rows = [[[v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in M]
+            for M in matrices]
+    n = len(rows[0])
+    if dim is not None and len(rows) != dim:
+        raise ContractError("need one matrix per basis element")
+    if n == 0 or any(len(M) != n or any(len(row) != n for row in M) for M in rows):
+        raise ContractError("matrices must be square and of one size")
+    den, power, high, norm, imag = _common([v for M in rows for row in M for v in row if v])
+    if high:
+        raise ContractError("matrix entries must share one (2pi) power")
+    shift = _packing(norm, ()) if imag else 0
+    mats = tuple({(i, j): _numerator(v, den, shift) for i, row in enumerate(M)
+                  for j, v in enumerate(row) if v} for M in rows)
+    return _Realization(n, den, shift, power, mats)
 
 
-def _sparse(A) -> dict:
-    """The nonzero entries of a matrix as {(i, j): value}, row by row."""
-    return {
-        (i, j): v
-        for i, row in enumerate(A) for j, v in enumerate(row) if not v.is_zero
-    }
-
-
-def _axpy(acc: dict, f: Scalar, vec: dict) -> None:
-    """acc += f * vec, in place, dropping entries that cancel."""
+def _axpy(acc: dict, f, vec: dict, shift: int = 0) -> None:
+    """acc += f * vec, in place, dropping entries that cancel: Scalars, or
+    numerators packed with ``shift``."""
     for key, v in vec.items():
-        _acc_add(acc, key, f * v)
+        v = _gmul(f, v, shift) if shift else f * v
+        if key in acc:
+            v = acc[key] + v
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
 
 
-def _sparse_mul(A: dict, B: dict) -> dict:
-    rows_b: dict = {}
-    for (k, j), v in B.items():
-        rows_b.setdefault(k, []).append((j, v))
+def _commutator(A: dict, B: dict, shift: int) -> dict:
+    """AB - BA for matrices of numerators packed with ``shift``."""
     out: dict = {}
-    for (i, k), a in A.items():
-        for j, b in rows_b.get(k, ()):
-            _acc_add(out, (i, j), a * b)
+    for X, Y, sign in ((A, B, 1), (B, A, -1)):
+        for (i, k), x in X.items():
+            for (l, j), y in Y.items():
+                if k == l:
+                    v = sign * (_gmul(x, y, shift) if shift else x * y) + out.get((i, j), 0)
+                    if v:
+                        out[i, j] = v
+                    else:
+                        del out[i, j]
     return out
 
 
-def _sparse_commutator(A: dict, B: dict) -> dict:
-    out = _sparse_mul(A, B)
-    for key, v in _sparse_mul(B, A).items():
-        _acc_add(out, key, -v)
-    return out
+def _pivot(pivots: dict, vec: dict, comb: dict) -> bool:
+    """Reduce vec, and the combination comb it stands for alongside, in
+    place by the fully reduced pivots {entry: (vector, combination)} (pivot
+    entry 1, zero at every other pivot's entry); one pass suffices.  A
+    nonzero rest becomes the pivot at its smallest entry and is cleared
+    from the others.  Returns whether it did."""
+    for entry in [e for e in vec if e in pivots]:
+        f = -vec[entry]
+        _axpy(vec, f, pivots[entry][0])
+        _axpy(comb, f, pivots[entry][1])
+    if not vec:
+        return False
+    entry = min(vec)
+    inv = vec[entry].inverse()
+    vec = {key: v * inv for key, v in vec.items()}
+    comb = {key: v * inv for key, v in comb.items()}
+    for pvec, pcomb in pivots.values():
+        f = pvec.get(entry)
+        if f is not None:
+            _axpy(pvec, -f, vec)
+            _axpy(pcomb, -f, comb)
+    pivots[entry] = vec, comb
+    return True
 
 
 def structure_from_matrices(matrices) -> dict:
     """Structure constants of the span of independent matrices, exactly.
 
-    The basis is reduced once to fully reduced pivots (pivot entry 1, zero
-    at every other pivot's entry), each carrying its combination of basis
-    indices.  A commutator's coefficient on a pivot is then its entry there,
-    and whatever the pivots leave over is outside the span.
+    The basis is reduced once to fully reduced pivots, each carrying its
+    combination of basis indices.  A commutator's coefficient on a pivot is
+    then its entry there, and whatever the pivots leave over is outside the
+    span.
+
+    The pivots are reduced from the numerators N_b of the matrices, over
+    their denominator D, and are then put over one denominator Q.  The
+    numerators of [N_b, N_c] give those of its coefficients over D * Q, and
+    Q [N_b, N_c] less its parts along the pivots is what they leave over.
     """
-    sparse = [_sparse(M) for M in matrices]
-    pivots = []  # (entry, reduced matrix, {basis index: coefficient})
-    for b, M in enumerate(sparse):
-        vec, comb = dict(M), {b: ONE}
-        for entry, pvec, pcomb in pivots:
-            f = vec.get(entry)
-            if f is not None:
-                _axpy(vec, -f, pvec)
-                _axpy(comb, -f, pcomb)
-        if not vec:
+    r = _realization(matrices)
+    if r is None:
+        return {}
+    pivots: dict = {}
+    for b, M in enumerate(r.mats):
+        if not _pivot(pivots, {e: _scalar(v, 1, r.shift, 0) for e, v in M.items()}, {b: ONE}):
             raise ContractError("matrix basis is linearly dependent")
-        entry = min(vec)
-        inv = vec[entry].inverse()
-        vec = {key: v * inv for key, v in vec.items()}
-        comb = {key: v * inv for key, v in comb.items()}
-        for _, pvec, pcomb in pivots:
-            f = pvec.get(entry)
-            if f is not None:
-                _axpy(pvec, -f, vec)
-                _axpy(pcomb, -f, comb)
-        pivots.append((entry, vec, comb))
+    q, _, _, norm, _ = _common([v for pair in pivots.values() for part in pair
+                                for v in part.values()])
+    # with a the largest |re| + |im| summed over one matrix, a commutator
+    # sums to at most 2 a^2, a coefficient to 2 a^2 norm, a leftover 4 a^2 norm
+    shift = _packing(4 * max(r.norms()) ** 2 * norm, ()) if r.shift else 0
+    mats = r.packed(shift)
+    nums = {e: tuple({key: _numerator(v, q, shift) for key, v in part.items()} for part in pair)
+            for e, pair in pivots.items()}
 
     structure = {}
-    for b in range(len(matrices)):
-        for c in range(b + 1, len(matrices)):
-            residual = _sparse_commutator(sparse[b], sparse[c])
-            coeffs: dict = {}
-            for entry, pvec, pcomb in pivots:
-                f = residual.get(entry)
-                if f is not None:
-                    _axpy(coeffs, f, pcomb)
-                    _axpy(residual, -f, pvec)
-            if residual:
-                raise ContractError("target is outside the span of the basis")
-            for a in sorted(coeffs):
-                structure[(a, b, c)] = coeffs[a]
-                structure[(a, c, b)] = -coeffs[a]
+    for b, c in itertools.combinations(range(len(mats)), 2):
+        commutator = _commutator(mats[b], mats[c], shift)
+        residual = {key: v * q for key, v in commutator.items()}
+        coeffs: dict = {}
+        for entry in [e for e in commutator if e in nums]:
+            f = commutator[entry]
+            _axpy(coeffs, f, nums[entry][1], shift)
+            _axpy(residual, -f, nums[entry][0], shift)
+        if residual:
+            raise ContractError("target is outside the span of the basis")
+        for a in sorted(coeffs):
+            coeff = _scalar(coeffs[a], r.den * q, shift, r.power)
+            structure[(a, b, c)] = coeff
+            structure[(a, c, b)] = -coeff
     return structure
 
 
@@ -172,7 +239,9 @@ def structure_from_matrices(matrices) -> dict:
 # ---------------------------------------------------------------------------
 
 class LieAlgebra:
-    """Structure-constant table [e_b, e_c] = sum_a c[a,b,c] e_a."""
+    """Structure-constant table [e_b, e_c] = sum_a c[a,b,c] e_a, with an
+    optional matrix realization: ``matrices`` as rows of exact scalars, or a
+    ``_Realization``, which the set-up reads."""
 
     def __init__(self, dim: int, labels: Sequence[str], structure: Mapping,
                  matrices=None, name: str = "", meta: Optional[dict] = None):
@@ -185,20 +254,13 @@ class LieAlgebra:
             a, b, c = key
             if not (0 <= a < dim and 0 <= b < dim and 0 <= c < dim):
                 raise ContractError(f"structure index out of range: {key}")
-            value = _as_scalar(value)
+            value = value if isinstance(value, Scalar) else Scalar(value)
             if not value.is_zero:
                 table[(a, b, c)] = value
         self.dim = dim
         self.labels = tuple(labels)
         self.structure = table
-        self.matrices = tuple(make_matrix(M) for M in matrices) if matrices else None
-        if self.matrices:
-            n = len(self.matrices[0])
-            if len(self.matrices) != dim:
-                raise ContractError("need one matrix per basis element")
-            if n == 0 or any(len(M) != n or any(len(row) != n for row in M)
-                             for M in self.matrices):
-                raise ContractError("matrices must be square and of one size")
+        self._realization = _realization(matrices, dim)
         self.name = name
         self.meta = dict(meta or {})
         by_bc: dict = {}
@@ -210,18 +272,17 @@ class LieAlgebra:
     @cached_property
     def _constants(self) -> tuple:
         """The structure constants as numerators: (denominator, lowest (2pi)
-        power, highest power above it, the largest |re| + |im|, and per
-        nonzero [e_b, e_c] in the order of ``_by_bc`` the entries
-        (a, power above the lowest, re, im))."""
+        power, highest power above it, the largest |re| + |im|, whether any
+        is Gaussian, and {(b, c): the entries (a, power above the lowest,
+        re, im)} per nonzero [e_b, e_c] in the order of ``_by_bc``)."""
         ks = self.structure.values()
         if not ks:
-            return 1, 0, 0, 0, ()
-        den = lcm(*{k._den for k in ks})
-        low = min(k.two_pi for k in ks)
-        table = tuple((bc, tuple((a, k.two_pi - low, k._re * (den // k._den), k._im * (den // k._den))
-                                 for a, k in entries)) for bc, entries in self._by_bc.items())
-        norm = max(abs(re) + abs(im) for _, entries in table for _, _, re, im in entries)
-        return den, low, max(k.two_pi for k in ks) - low, norm, table
+            return 1, 0, 0, 0, False, {}
+        den, low, high, _, imag = _common(ks)
+        table = {bc: tuple((a, k.two_pi - low, k._re * (den // k._den), k._im * (den // k._den))
+                           for a, k in entries) for bc, entries in self._by_bc.items()}
+        norm = max(abs(re) + abs(im) for entries in table.values() for _, _, re, im in entries)
+        return den, low, high, norm, imag, table
 
     @cached_property
     def _bracket_failures(self) -> tuple:
@@ -239,13 +300,23 @@ class LieAlgebra:
         layout, is kept."""
         if self._plain is not None and not shift:
             return self._plain
-        _, _, high, _, constants = self._constants
+        _, _, high, _, _, constants = self._constants
         ps = layout.pshift
         table = tuple((bc, tuple((a, {q << ps: re + (im << shift)}) for a, q, re, im in entries))
-                      for bc, entries in constants)
+                      for bc, entries in constants.items())
         if not (shift or high):
             self._plain = table
         return table
+
+    @cached_property
+    def matrices(self) -> Optional[tuple]:
+        """The realization as rows of Scalars, built when first read."""
+        r = self._realization
+        if r is None:
+            return None
+        return tuple(tuple(tuple(_scalar(M[i, j], r.den, r.shift, r.power) if (i, j) in M
+                                 else ZERO for j in range(r.n)) for i in range(r.n))
+                     for M in r.mats)
 
     def c(self, a: int, b: int, c: int) -> Scalar:
         return self.structure.get((a, b, c), ZERO)
@@ -255,11 +326,8 @@ class LieAlgebra:
         return self._by_bc.get((b, c), ())
 
     def has_imaginary_data(self) -> bool:
-        if any(v.im for v in self.structure.values()):
-            return True
-        if self.matrices:
-            return any(v.im for M in self.matrices for row in M for v in row)
-        return False
+        r = self._realization
+        return any(v._im for v in self.structure.values()) or bool(r and r.shift)
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name or 'custom'}, dim={self.dim})"
@@ -316,61 +384,61 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     [[b,c],d] + [[c,d],b] + [[d,b],c], reported at its smallest component.
 
     The sum is the same at all three rotations of (b, c, d), so it is taken
-    once, at the rotation that comes first.  It is empty unless [[b,c],d],
-    [c,d] or [d,b] is nonzero, so only the d that bracket nontrivially with
-    c, with b, or with a component of [b,c] are visited.
+    once, at the rotation that comes first.  For one pair b <= c the sums
+    of all d are taken together: each of the three brackets is a sum over
+    the nonzero [e_b, e_c], [e_c, e_d] or [e_d, e_b] of e_e bracketed with
+    the third index, so only the d that reach a nonzero product are visited.
 
     The constants are the numerators of ``_constants``, so every product
     has the denominator D_c^2.  A product of two constants is summed into
-    the slot ``a + dim * q``: its component a, and the sum q of the powers
-    of the two above the lowest.
+    the slot ``d * stride + a + dim * q``: its d, its component a, and the
+    sum q of the powers of the two above the lowest.
     """
-    den, low, _, norm, constants = algebra._constants
+    den, low, high, norm, imag, constants = algebra._constants
     dim = algebra.dim
+    stride = dim * (2 * high + 1)
     # a sum takes at most dim products for each of the three rotations
-    imag = any(im for _, entries in constants for _, _, _, im in entries)
     shift = _packing(3 * dim * norm * norm, ()) if imag else 0
-    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * q, numerator)]
-    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * q, numerator)]
-    for (b, c), entries in constants:
-        for a, q, re, im in entries:
-            k = re + (im << shift)
-            first[b * dim + c].append((a * dim, dim * q, k))
-            second[b * dim + c].append((a + dim * q, k))
-    right: dict = {}
-    left: dict = {}
-    for (b, c) in algebra._by_bc:
-        right.setdefault(b, set()).add(c)
-        left.setdefault(c, set()).add(b)
+    brackets = {}  # b * dim + c -> ((a, dim * q, numerator), ...)
+    right = [[] for _ in range(dim)]  # b -> [(c, brackets of b, c)] for [e_b, e_c] nonzero
+    left = [[] for _ in range(dim)]  # c -> [(b, brackets of b, c)] for [e_b, e_c] nonzero
+    for (b, c), entries in constants.items():
+        brackets[b * dim + c] = ks = tuple((a, dim * q, re + (im << shift))
+                                           for a, q, re, im in entries)
+        right[b].append((c, ks))
+        left[c].append((b, ks))
     for b in range(dim):
         for c in range(b, dim):
-            ds = right.get(c, set()) | left.get(b, set())
-            for e, _ in algebra.bracket_on_basis(b, c):
-                ds |= right.get(e, set())
-            for d in sorted(ds):
-                # (b, c, d) comes first among its rotations, as b <= c
-                if d < b or d == b < c:
-                    continue
-                acc: dict = {}
-                for pair1, pair2 in ((b * dim + c, d), (c * dim + d, b), (d * dim + b, c)):
-                    for ed, shifted, k1 in first[pair1]:
-                        for slot, k2 in second[ed + pair2]:
-                            slot += shifted
-                            k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
-                            if k:
-                                acc[slot] = k
-                            else:
-                                del acc[slot]
-                if acc:
-                    a = min(slot % dim for slot in acc)
-                    (q, k), *rest = [(slot // dim, k) for slot, k in acc.items()
-                                     if slot % dim == a]
-                    if rest:
-                        raise ContractError(f"cannot add scalars with different (2pi) "
-                                            f"powers: {2 * low + q} vs {2 * low + rest[0][0]}")
-                    value = _scalar(k, den * den, shift, 2 * low + q)
-                    return ValidationFailure(
-                        "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
+            # (d, dim * q, numerator, the brackets of e_e with the third
+            # index) for [[b,c],d], [[c,d],b] and [[d,b],c], at the d where
+            # (b, c, d) comes first among its rotations
+            terms = [(d, q1, k1, ks) for e, q1, k1 in brackets.get(b * dim + c, ())
+                     for d, ks in right[e] if d > b or d == b == c]
+            terms += [(d, q1, k1, ks) for d, first in right[c] if d > b or d == b == c
+                      for e, q1, k1 in first if (ks := brackets.get(e * dim + b))]
+            terms += [(d, q1, k1, ks) for d, first in left[b] if d > b or d == b == c
+                      for e, q1, k1 in first if (ks := brackets.get(e * dim + c))]
+            acc: dict = {}
+            for d, q1, k1, ks in terms:
+                base = d * stride + q1
+                for a, q2, k2 in ks:
+                    slot = base + a + q2
+                    k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
+                    if k:
+                        acc[slot] = k
+                    else:
+                        del acc[slot]
+            if acc:
+                d = min(acc) // stride
+                a = min(slot % dim for slot in acc if slot // stride == d)
+                (q, k), *rest = [(slot % stride // dim, k) for slot, k in acc.items()
+                                 if slot // stride == d and slot % dim == a]
+                if rest:
+                    raise ContractError(f"cannot add scalars with different (2pi) "
+                                        f"powers: {2 * low + q} vs {2 * low + rest[0][0]}")
+                value = _scalar(k, den * den, shift, 2 * low + q)
+                return ValidationFailure(
+                    "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None
 
 
@@ -380,18 +448,34 @@ def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
 
     For an antisymmetric table both sides are antisymmetric in (b, c), so
     (c, b) fails exactly when (b, c) does and (b, b) never fails: the pairs
-    with b < c find the same first witness."""
-    if algebra.matrices is None:
+    with b < c find the same first witness.
+
+    The commutator is formed again from the matrices, so the check does not
+    lean on ``structure_from_matrices``.  Over D^2 D_c, for matrices over D
+    and constants over D_c, the difference is D_c [N_b, N_c] less
+    D sum_a k_a N_a.  A (2pi) power is a formal unit, so a term at another
+    power than the commutator's is kept apart by its power in the key.
+    """
+    r = algebra._realization
+    if r is None:
         return None
-    mats = [_sparse(M) for M in algebra.matrices]
+    den, low, _, norm, imag, constants = algebra._constants
+    mats, shift = r.mats, 0
+    if r.shift or imag:
+        a = max(r.norms())
+        shift = _packing(2 * den * a * a + r.den * a * len(algebra.structure) * norm, ())
+        mats = r.packed(shift)
     if any(failure.invariant == "antisymmetry" for failure in algebra._bracket_failures):
         pairs = itertools.product(range(algebra.dim), repeat=2)
     else:
         pairs = itertools.combinations(range(algebra.dim), 2)
     for b, c in pairs:
-        residual = _sparse_commutator(mats[b], mats[c])
-        for a, v in algebra.bracket_on_basis(b, c):
-            _axpy(residual, -v, mats[a])
+        residual = _commutator(mats[b], mats[c], shift)
+        if den != 1:
+            residual = {key: v * den for key, v in residual.items()}
+        for a, q, re, im in constants.get((b, c), ()):
+            M = mats[a] if low + q == r.power else {(*e, q): v for e, v in mats[a].items()}
+            _axpy(residual, -(re + (im << shift)) * r.den, M, shift)
         if residual:
             return ValidationFailure(
                 "matrix-realization", (b, c),
@@ -440,25 +524,19 @@ class _GeneratedSpan:
     """The span of the subalgebra generated by the basis directions added so
     far, for an antisymmetric table that satisfies the Jacobi identity.
 
-    The span is held as fully reduced pivots (pivot entry 1, zero at every
-    other pivot's entry), so a vector reduces to zero exactly when it lies in
-    the span.  Each added vector is bracketed with every one added before it,
-    which closes the span under brackets.
+    The span is held as fully reduced pivots, so a vector reduces to zero
+    exactly when it lies in the span.  Each added vector is bracketed with
+    every one added before it, which closes the span under brackets.
     """
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
-        self.pivots = {}  # entry -> reduced vector {basis index: Scalar}
+        self.pivots = {}  # entry -> (reduced vector {basis index: Scalar}, {})
         self.added = []  # the vectors as added, each bracketed with the later ones
 
-    def _reduce(self, vec: dict) -> dict:
-        # a pivot is zero at the other pivots' entries, so one pass suffices
-        for entry in [e for e in vec if e in self.pivots]:
-            _axpy(vec, -vec[entry], self.pivots[entry])
-        return vec
-
     def __contains__(self, x: int) -> bool:
-        return not self._reduce({x: ONE})
+        # e_x reduces to zero exactly when the pivot at x is e_x itself
+        return x in self.pivots and self.pivots[x][0] == {x: ONE}
 
     @property
     def full(self) -> bool:
@@ -468,19 +546,10 @@ class _GeneratedSpan:
         """Add e_x and close the span under brackets."""
         todo = [{x: ONE}]
         while todo and not self.full:
-            vec = self._reduce(todo.pop())
-            if not vec:
-                continue
-            self.added.append(dict(vec))
-            todo += [self._bracket(vec, u) for u in self.added[:-1]]
-            entry = min(vec)
-            inv = vec[entry].inverse()
-            vec = {key: v * inv for key, v in vec.items()}
-            for pvec in self.pivots.values():
-                f = pvec.get(entry)
-                if f is not None:
-                    _axpy(pvec, -f, vec)
-            self.pivots[entry] = vec
+            vec = todo.pop()
+            if _pivot(self.pivots, vec, {}):  # vec is left reduced
+                self.added.append(vec)
+                todo += [self._bracket(vec, u) for u in self.added[:-1]]
 
     def _bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -588,8 +657,7 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     ys = {c: e for c, e in enumerate(y.components) if not e.is_zero}
     if not (xs and ys and algebra.structure):
         return LieValuedForm.zero(algebra, ctx, x.degree + y.degree)
-    cden, clow, chigh, cnorm, constants = algebra._constants
-    cimag = any(im for _, entries in constants for _, _, _, im in entries)
+    cden, clow, chigh, cnorm, cimag, _ = algebra._constants
     # each x^b /\ y^c meets at most every constant
     frame = _Frame(ctx, [(list(xs.values()), 1), (list(ys.values()), 1)],
                    (clow, cden, chigh, 0, len(algebra.structure) * cnorm, cimag))
@@ -634,10 +702,9 @@ def project(split: ReductiveSplit, x: LieValuedForm):
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _elementary(n: int, i: int, j: int, value=1):
-    rows = [[Scalar(0)] * n for _ in range(n)]
-    rows[i][j] = _as_scalar(value)
-    return make_matrix(rows)
+# The built-in realizations have entries of |re| + |im| at most 1 over
+# their denominator, which the packing shift 2 holds; _I is i packed with it.
+_I = 1 << 2
 
 
 def so_algebra(n: int) -> LieAlgebra:
@@ -645,7 +712,7 @@ def so_algebra(n: int) -> LieAlgebra:
     if n < 2:
         raise ContractError("so(n) needs n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mats = [mat_sub(_elementary(n, i, j), _elementary(n, j, i)) for i, j in pairs]
+    mats = _Realization(n, 1, 0, 0, tuple({(i, j): 1, (j, i): -1} for i, j in pairs))
     labels = [f"E[{i + 1},{j + 1}]" for i, j in pairs]
     structure = structure_from_matrices(mats) if len(pairs) > 1 else {}
     return LieAlgebra(len(pairs), labels, structure, mats, name=f"so{n}",
@@ -655,7 +722,7 @@ def so_algebra(n: int) -> LieAlgebra:
 def gl_algebra(n: int) -> LieAlgebra:
     """gl(n; C) with basis E_ij, ordered lexicographically."""
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    mats = [_elementary(n, i, j) for i, j in pairs]
+    mats = _Realization(n, 1, 0, 0, tuple({pair: 1} for pair in pairs))
     labels = [f"E[{i + 1},{j + 1}]" for i, j in pairs]
     structure = structure_from_matrices(mats)
     return LieAlgebra(len(pairs), labels, structure, mats, name=f"gl{n}",
@@ -664,31 +731,22 @@ def gl_algebra(n: int) -> LieAlgebra:
 
 def u_algebra(n: int) -> LieAlgebra:
     """u(n): skew-hermitian matrices over the Gaussian rationals."""
-    i_unit = Scalar(0, 1)
-    mats = []
-    labels = []
-    for k in range(n):
-        mats.append(_elementary(n, k, k, i_unit))
-        labels.append(f"iE[{k + 1},{k + 1}]")
+    mats = [{(k, k): _I} for k in range(n)]
+    labels = [f"iE[{k + 1},{k + 1}]" for k in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            mats.append(mat_sub(_elementary(n, j, k), _elementary(n, k, j)))
-            labels.append(f"A[{j + 1},{k + 1}]")
-            mats.append(mat_add(_elementary(n, j, k, i_unit),
-                                _elementary(n, k, j, i_unit)))
-            labels.append(f"S[{j + 1},{k + 1}]")
-    structure = structure_from_matrices(mats) if len(mats) > 1 else {}
-    return LieAlgebra(len(mats), labels, structure, mats, name=f"u{n}",
+            mats += [{(j, k): 1, (k, j): -1}, {(j, k): _I, (k, j): _I}]
+            labels += [f"A[{j + 1},{k + 1}]", f"S[{j + 1},{k + 1}]"]
+    mats = _Realization(n, 1, 2, 0, tuple(mats))
+    structure = structure_from_matrices(mats) if len(labels) > 1 else {}
+    return LieAlgebra(len(labels), labels, structure, mats, name=f"u{n}",
                       meta={"family": "u", "n": n})
 
 
 def su2_algebra() -> LieAlgebra:
     """su(2) with [X1, X2] = X3 cyclically; X_a = sigma_a / (2i)."""
-    half_i = Scalar(0, Fraction(-1, 2))
-    X1 = make_matrix([[0, half_i], [half_i, 0]])
-    X2 = make_matrix([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]])
-    X3 = make_matrix([[half_i, 0], [0, Scalar(0, Fraction(1, 2))]])
-    mats = [X1, X2, X3]
+    mats = _Realization(2, 2, 2, 0, ({(0, 1): -_I, (1, 0): -_I}, {(0, 1): -1, (1, 0): 1},
+                                     {(0, 0): -_I, (1, 1): _I}))
     structure = structure_from_matrices(mats)
     return LieAlgebra(3, ("X[1]", "X[2]", "X[3]"), structure, mats,
                       name="su2", meta={"family": "su2", "n": 2})
@@ -696,7 +754,7 @@ def su2_algebra() -> LieAlgebra:
 
 def abelian_algebra(d: int) -> LieAlgebra:
     """R^d with the zero bracket, realized by commuting diagonal matrices."""
-    mats = [_elementary(d, k, k) for k in range(d)]
+    mats = _Realization(d, 1, 0, 0, tuple({(k, k): 1} for k in range(d)))
     labels = [f"x[{k + 1}]" for k in range(d)]
     return LieAlgebra(d, labels, {}, mats, name=f"abelian{d}",
                       meta={"family": "abelian", "n": d})

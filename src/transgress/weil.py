@@ -34,7 +34,7 @@ from .algebra import (
     _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
-from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, bracket, project
+from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, _numerator, bracket, project
 
 __all__ = ["UniversalSetup"]
 
@@ -79,19 +79,17 @@ class UniversalSetup:
         constants over D_c, in the order of ``algebra.structure``."""
         algebra, ctx = self.algebra, self.context
         dim = algebra.dim
-        den, clow, chigh, norm, _ = algebra._constants
+        den, clow, chigh, norm, imag, _ = algebra._constants
         low = min(0, clow)
         high = max(0, clow + chigh) - low
         layout = ctx._layout(max(1, high).bit_length())
         ps, units = layout.pshift, layout.units
-        imag = any(v._im for v in algebra.structure.values())
         shift = _packing(2 * max(den, norm), ()) if imag else 0
         odd = [{units[dim + a] | -low << ps: 2 * den} for a in range(dim)]
         even = [{} for _ in range(dim)]
         for (a, b, c), v in algebra.structure.items():
-            f = den // v._den
             q = v.two_pi - low << ps
-            num = v._re * f + (v._im * f << shift)
+            num = _numerator(v, den, shift)
             if b != c:
                 key = 1 << b | 1 << c | q
                 n = odd[a].get(key, 0) + (-num if b < c else num)

@@ -17,10 +17,13 @@ from transgress.algebra import (
     Scalar,
     ZERO,
     _acc_add,
+    _gmul,
+    _packing,
+    _scalar,
     permutation_sign,
 )
 from transgress.invariants import InvariantPolynomial, _orderings, evaluate, pfaffian
-from transgress.lie import LieValuedForm, ValidationFailure, ValidationReport, mat_sub
+from transgress.lie import LieValuedForm, ValidationFailure, ValidationReport
 from transgress.transgression import (
     _check_poly_setup,
     _finish,
@@ -71,6 +74,16 @@ def from_word(ctx, word, coeff=ONE, t_power: int = 0) -> GradedElement:
 # ---------------------------------------------------------------------------
 # Dense exact matrices (tuples of tuples of Scalar), for the oracles below
 # ---------------------------------------------------------------------------
+
+def make_matrix(rows) -> tuple:
+    return tuple(tuple(v if isinstance(v, Scalar) else Scalar(v) for v in row) for row in rows)
+
+
+def mat_sub(A, B):
+    return tuple(
+        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
+    )
+
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
@@ -1108,3 +1121,126 @@ def d_squared_probe_by_draw(setup, seed: int):
         if not out.is_zero:
             return out
     return None
+
+
+# ---------------------------------------------------------------------------
+# The set-up before it read integer numerators throughout: the Jacobi scan
+# one visited triple at a time, the gate's residues and the trace's walks on
+# Scalars, and random elements built from Monomial-keyed Scalars
+# ---------------------------------------------------------------------------
+
+def jacobi_witness_by_triples(algebra):
+    """``lie._jacobi_witness`` with one dict per visited triple (b, c, d):
+    the d that bracket nontrivially with c, with b, or with a component of
+    [b, c], in ascending order."""
+    den, low, _, norm, imag, constants = algebra._constants
+    dim = algebra.dim
+    shift = _packing(3 * dim * norm * norm, ()) if imag else 0
+    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * q, numerator)]
+    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * q, numerator)]
+    for (b, c), entries in constants.items():
+        for a, q, re, im in entries:
+            k = re + (im << shift)
+            first[b * dim + c].append((a * dim, dim * q, k))
+            second[b * dim + c].append((a + dim * q, k))
+    right: dict = {}
+    left: dict = {}
+    for (b, c) in algebra._by_bc:
+        right.setdefault(b, set()).add(c)
+        left.setdefault(c, set()).add(b)
+    for b in range(dim):
+        for c in range(b, dim):
+            ds = right.get(c, set()) | left.get(b, set())
+            for e, _ in algebra.bracket_on_basis(b, c):
+                ds |= right.get(e, set())
+            for d in sorted(ds):
+                if d < b or d == b < c:
+                    continue
+                acc: dict = {}
+                for pair1, pair2 in ((b * dim + c, d), (c * dim + d, b), (d * dim + b, c)):
+                    for ed, shifted, k1 in first[pair1]:
+                        for slot, k2 in second[ed + pair2]:
+                            slot += shifted
+                            k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
+                            if k:
+                                acc[slot] = k
+                            else:
+                                del acc[slot]
+                if acc:
+                    a = min(slot % dim for slot in acc)
+                    (q, k), *rest = [(slot // dim, k) for slot, k in acc.items()
+                                     if slot % dim == a]
+                    if rest:
+                        raise ContractError(f"cannot add scalars with different (2pi) "
+                                            f"powers: {2 * low + q} vs {2 * low + rest[0][0]}")
+                    value = _scalar(k, den * den, shift, 2 * low + q)
+                    return ValidationFailure(
+                        "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
+    return None
+
+
+def direction_residues_by_scalars(P, x) -> dict:
+    """``invariants._direction_residues`` summing Scalars."""
+    algebra = P.algebra
+    preimages = {}
+    for a in range(algebra.dim):
+        for b, coeff in algebra.bracket_on_basis(x, a):
+            preimages.setdefault(b, []).append((a, coeff))
+    residues = {}
+    for stup, v in P.values.items():
+        for b in set(stup):
+            pre = preimages.get(b)
+            if pre is None:
+                continue
+            rest = list(stup)
+            rest.remove(b)
+            for a, coeff in pre:
+                tup = tuple(sorted(rest + [a]))
+                _acc_add(residues, tup, coeff * v * (rest.count(a) + 1))
+    return residues
+
+
+def symmetrized_trace_by_scalar_walks(algebra, k):
+    """``invariants.symmetrized_trace`` walking the nonzero entries of the
+    dense matrices, with Scalar products."""
+    if algebra.matrices is None:
+        raise ContractError("symmetrized trace needs a matrix realization")
+    steps: dict = {}  # row -> [(column, matrix index, entry)]
+    for a, M in enumerate(algebra.matrices):
+        for i, row in enumerate(M):
+            for j, v in enumerate(row):
+                if v:
+                    steps.setdefault(i, []).append((j, a, v))
+    sums: dict = {}
+    for start in steps if k >= 1 else ():
+        stack = [(start, (), ONE)]
+        while stack:
+            at, word, prod = stack.pop()
+            closing = len(word) + 1 == k
+            for j, a, v in steps.get(at, ()):
+                if not closing:
+                    stack.append((j, word + (a,), prod * v))
+                elif j == start:
+                    _acc_add(sums, tuple(sorted(word + (a,))), prod * v)
+    values = {
+        tup: sums[tup] * Scalar(Fraction(1, _orderings(tup)))
+        for tup in sorted(sums)
+    }
+    return InvariantPolynomial(algebra, k, values)
+
+
+def random_element_by_monomials(ctx, rng, terms: int = 3, max_odd: int = 2,
+                                max_even: int = 1, max_t: int = 1) -> GradedElement:
+    """``Context.random_element`` summing Scalars per Monomial, with the
+    same random calls in the same order."""
+    odd_ids, even_ids = ctx.odd_ids, ctx.even_ids
+    acc = {}
+    for _ in range(terms):
+        n_odd = rng.randint(0, min(max_odd, len(odd_ids)))
+        odd = sum(1 << g for g in rng.sample(odd_ids, n_odd)) if n_odd else 0
+        n_even = rng.randint(0, max_even) if even_ids else 0
+        even = tuple(sorted(rng.choices(even_ids, k=n_even))) if n_even else ()
+        num, den = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)
+        mono = Monomial(odd, even, rng.randint(0, max_t))
+        _acc_add(acc, mono, Scalar(Fraction(num, den)))
+    return GradedElement(ctx, acc)

@@ -15,6 +15,7 @@ from helpers import (
     covariant_d_tensor,
     deformed_curvature_expanded,
     deformed_curvature_interpolated,
+    make_matrix,
     pfaffian_permutation_sum,
     skew_coordinates,
 )
@@ -24,7 +25,6 @@ from transgress.lie import (
     LieAlgebra,
     abelian_algebra,
     gl_algebra,
-    make_matrix,
     so_algebra,
     su2_algebra,
     validate,

@@ -11,6 +11,7 @@ from helpers import (
     FractionScalar,
     from_tuple_mono,
     from_word,
+    random_element_by_monomials,
     random_homogeneous,
     sort_word_with_sign,
     terms_add,
@@ -966,6 +967,40 @@ class TestIntegerOperations:
         assert [to_tuple_mono(m) for m in got.terms] == list(want)
         assert list(tuple_terms(x * got).items()) == list(
             tuple_product(tuple_terms(x), tuple_terms(got)).items())
+
+
+class TestRandomElements:
+    """``Context.random_element`` builds its stored form directly: the
+    same random calls as the Monomial-keyed construction and an equal
+    element with the same terms in the same order."""
+
+    @given(st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 3),
+           st.integers(0, 2), st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_monomial_construction(self, data, seed, terms, max_odd, max_even,
+                                           max_t):
+        ctx = data.draw(contexts())
+        options = dict(terms=terms, max_odd=max_odd, max_even=max_even, max_t=max_t)
+        r1, r2 = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = ctx.random_element(r1, **options)
+            want = random_element_by_monomials(ctx, r2, **options)
+            assert got == want
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert (got._layout, got._den, got._most) == (want._layout, want._den, want._most)
+        assert r1.getstate() == r2.getstate()
+
+    def test_cancelling_draws(self):
+        # with one odd generator and no t, three draws often meet and cancel
+        ctx = make_ctx(1, 0)
+        seen_zero = False
+        for seed in range(200):
+            got = ctx.random_element(random.Random(seed), terms=3, max_odd=1, max_t=0)
+            want = random_element_by_monomials(ctx, random.Random(seed), terms=3, max_odd=1,
+                                               max_t=0)
+            assert got == want and list(got.terms.items()) == list(want.terms.items())
+            seen_zero |= got.is_zero
+        assert seen_zero
 
 
 def tuple_product_terms(a: dict, b: dict) -> dict:

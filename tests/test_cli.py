@@ -23,7 +23,7 @@ from transgress.cli import (
     parse_config,
     run,
 )
-from transgress.lie import named_split, so_algebra, so_block
+from transgress.lie import LieAlgebra, named_split, so_algebra, so_block
 from transgress.transgression import tp_chern_euler, verify_transgression
 from transgress.weil import UniversalSetup
 
@@ -257,6 +257,12 @@ class TestRun:
             run(config)
 
 
+# su2 as a table file with its Gaussian half-integer matrices
+SU2_ENTRIES = [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"]]
+SU2_MATRICES = [[["0", "-1/2i"], ["-1/2i", "0"]], [["0", "-1/2"], ["1/2", "0"]],
+                [["-1/2i", "0"], ["0", "1/2i"]]]
+
+
 class TestSameReports:
     """SHA-256 of the JSON report without ``stats.timing``, computed as
     ``scripts/report_digest.py`` does.  A change that alters a form, a
@@ -321,6 +327,56 @@ class TestSameReports:
         del report["stats"]["timing"]
         text = json.dumps(report, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    # Custom algebra files, pinned at the commit before the set-up read
+    # integer numerators: su2, su2 with one matrix entry wrong, and a cyclic
+    # so3 table with a spurious constant that breaks the Jacobi identity.
+    FILES = {
+        "su2-file": (
+            {"dim": 3, "labels": ["X[1]", "X[2]", "X[3]"], "name": "su2-file",
+             "entries": SU2_ENTRIES, "matrices": SU2_MATRICES},
+            "d83e9cf3c7bde3f3000153dcaab352048a593b4229f2cdaa671da697ff7b4642"),
+        "su2-bad-matrix-file": (
+            {"dim": 3, "labels": ["X[1]", "X[2]", "X[3]"], "name": "su2-bad-matrix",
+             "entries": SU2_ENTRIES,
+             "matrices": SU2_MATRICES[:2] + [[["-1/2i", "0"], ["0", "1/2"]]]},
+            "9125f0588807e5f6d1e15ef174612505cc0bc17a987ca34b54506af69580a308"),
+        "so3-broken-file": (
+            {"dim": 3, "labels": ["L1", "L2", "L3"], "name": "so3-broken",
+             "entries": [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"], [0, 0, 1, "1"]],
+             "matrices": [[["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+                          [["0", "0", "1"], ["0", "0", "0"], ["-1", "0", "0"]],
+                          [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]]},
+            "eaac8fc20a8d32da78dbb0c8515a8114eb9c4aee7f492055575c6989c1d77031"),
+    }
+
+    @pytest.mark.parametrize("label", FILES)
+    def test_file_report_digest(self, label, tmp_path, monkeypatch):
+        # the report names the file, so it is read by a path relative to tmp_path
+        data, digest = self.FILES[label]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"{label}.json").write_text(json.dumps(data))
+        config = parse(["--algebra", f"{label}.json", "--sub", "2", "--poly", "trace^2",
+                        "--method", "integral,johnson", "--check", "all", "--output", "json"])
+        report = run(config).to_dict()
+        del report["stats"]["timing"]
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("--preset", "paper-so4"),
+    ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^3", "--method", "integral,johnson"),
+    ("--algebra", "u2", "--sub", "0,1", "--poly", "trace^2", "--method", "integral,johnson"),
+    ("--algebra", "su2", "--sub", "u1", "--poly", "trace^2", "--method", "integral,johnson"),
+    ("--algebra", "abelian2", "--sub", "0", "--poly", "trace^1"),
+])
+def test_run_builds_no_dense_matrices(argv, monkeypatch):
+    def refuse(algebra):
+        raise AssertionError("the dense matrices were built")
+
+    monkeypatch.setattr(LieAlgebra, "matrices", property(refuse))
+    assert run(parse(list(argv) + ["--check", "all"])).passed
 
 
 class TestCertifyOnce:
@@ -469,9 +525,13 @@ class TestUsageErrors:
         # a repeated token would run twice, and its timing would keep one run
         SO4 + ("--check", "d2,d2"),
         SO4 + ("--method", "integral,integral"),
+        # an empty list would run nothing and still pass
+        SO4 + ("--check", ""),
+        SO4 + ("--check", ","),
+        SO4 + ("--method", ""),
     ], ids=["out", "aij-range", "aij-far", "aij-no-johnson",
             "structure-range", "structure-one-off", "check-repeated",
-            "method-repeated"])
+            "method-repeated", "check-empty", "check-commas", "method-empty"])
     def test_exit_2_without_traceback(self, args):
         code, err = run_cli(*args)
         assert code == 2, err
@@ -494,9 +554,12 @@ class TestUsageErrors:
         ("--config", {"algebra": "so4", "seed": "x"}, "seed"),
         ("--config", {"algebra": "so4", "seed": 1.5}, "seed"),
         ("--config", ["so4"], "JSON object"),
+        ("--config", {"algebra": "so4", "checks": []}, "at least one check"),
+        ("--config", {"algebra": "so4", "methods": []}, "at least one method"),
     ], ids=["entries-int", "entry-float", "entry-bool", "matrix-float",
             "matrix-ragged", "algebra-list", "value-float", "prefactor-float", "index-bool",
-            "value-duplicate", "seed-str", "seed-float", "config-list"])
+            "value-duplicate", "seed-str", "seed-float", "config-list", "checks-empty",
+            "methods-empty"])
     def test_bad_input_file(self, tmp_path, flag, payload, names):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))

@@ -11,6 +11,8 @@ from helpers import (
     apply_to_coordinates,
     bareiss_determinant,
     dense_ad_invariance_witness,
+    direction_residues_by_scalars,
+    make_matrix,
     naive_evaluate,
     pfaffian_by_permutations,
     perm_sign_by_swaps,
@@ -18,6 +20,7 @@ from helpers import (
     random_homogeneous,
     skew_coordinates,
     split_evaluate,
+    symmetrized_trace_by_scalar_walks,
     symmetrized_trace_permutation_sum,
 )
 from transgress import invariants
@@ -34,7 +37,6 @@ from transgress.lie import (
     LieValuedForm,
     abelian_algebra,
     gl_algebra,
-    make_matrix,
     named_algebra,
     so_algebra,
     su2_algebra,
@@ -513,6 +515,45 @@ class TestAdInvarianceGate:
         assert InvariantPolynomial(algebra, 2, {}).ad_invariance_witness() is None
         assert walked == [0, 1, 2]
         assert_gates_agree(pfaffian(broken))
+
+
+def residues_or_error(residues, P, x):
+    try:
+        return residues(P, x)
+    except ContractError as exc:
+        return f"ContractError: {exc}"
+
+
+@st.composite
+def powered_tensors(draw):
+    """A sparse tensor with some values lifted to (2pi)^-1 or (2pi)^-2."""
+    P = draw(st.sampled_from(GATE_ALGEBRAS).flatmap(
+        lambda name: sparse_tensors(gate_algebra(name))))
+    powers = draw(st.lists(st.integers(0, 2), min_size=len(P.values),
+                           max_size=len(P.values)))
+    return InvariantPolynomial(P.algebra, P.degree, {
+        key: Scalar(v.re, v.im, q) for (key, v), q in zip(P.values.items(), powers)})
+
+
+class TestIntegerSetupOracles:
+    """The trace walks and the gate's residues on integer numerators
+    against their Scalar versions."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["gl1", "gl2", "gl3", "gl4", "u1", "u2", "u3", "u4",
+                                      "su2"])
+    def test_trace_values_and_key_order(self, name, k):
+        algebra = gate_algebra(name)
+        got, want = symmetrized_trace(algebra, k), symmetrized_trace_by_scalar_walks(algebra, k)
+        assert list(got.values.items()) == list(want.values.items())
+
+    @given(st.one_of(st.sampled_from(GATE_ALGEBRAS).flatmap(
+        lambda name: sparse_tensors(gate_algebra(name))), powered_tensors()))
+    @settings(max_examples=120, deadline=None)
+    def test_residues(self, P):
+        for x in range(P.algebra.dim):
+            assert (residues_or_error(invariants._direction_residues, P, x)
+                    == residues_or_error(direction_residues_by_scalars, P, x))
 
 
 EVAL_ALGEBRAS = ("su2", "gl2", "u2", "so4")

@@ -2,23 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
     dense_structure_from_matrices,
     dense_validate,
+    direction_residues_by_scalars,
+    jacobi_witness_by_triples,
+    make_matrix,
     mat_commutator,
     mat_is_zero,
     mat_mul,
+    mat_sub,
     mat_trace,
     random_homogeneous,
+    symmetrized_trace_by_scalar_walks,
     tuple_bracket,
     tuple_terms,
 )
 from transgress import lie
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
-from transgress.invariants import symmetrized_trace
+from transgress.invariants import _direction_residues, pfaffian, symmetrized_trace
 from transgress.lie import (
     LieAlgebra,
     LieValuedForm,
@@ -29,8 +34,6 @@ from transgress.lie import (
     bracket,
     gl_algebra,
     gl_subalgebra_split,
-    make_matrix,
-    mat_sub,
     named_algebra,
     named_split,
     project,
@@ -268,6 +271,120 @@ class TestSparseSetupOracles:
         assert symmetrized_trace(algebra, 2).ad_invariance_witness() is None
         assert validate(algebra).passed
         assert calls == [algebra]
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the ContractError it raises."""
+    try:
+        return f(*args)
+    except ContractError as exc:
+        return f"ContractError: {exc}"
+
+
+@st.composite
+def powered_tables(draw):
+    """A built-in table with constants set at zero entries, some imaginary
+    and some at a (2pi) power of their own."""
+    name = draw(st.sampled_from(["so4", "gl3", "u2"]))
+    index = st.integers(0, named_algebra(name).dim - 1)
+    value = st.sampled_from([Scalar(0, 1), Scalar(1, two_pi=1), Scalar(Fraction(1, 2), -1, 1),
+                             Scalar(-2, two_pi=2)])
+    bumps = draw(st.lists(st.tuples(index, index, index, value, st.booleans()),
+                          min_size=1, max_size=3))
+    try:
+        return bumped_table(name, *bumps)
+    except ContractError:  # a bump on a nonzero constant of another power
+        reject()
+
+
+def assert_setup_oracles(algebra, traces=(1, 2)):
+    """The Jacobi scan, the trace walks and the gate's residues against
+    their visit-by-visit and Scalar versions: equal results, or the same
+    ContractError."""
+    assert outcome(lie._jacobi_witness, algebra) == outcome(jacobi_witness_by_triples, algebra)
+    tensors = [symmetrized_trace(algebra, k) for k in traces]
+    for k, P in zip(traces, tensors):
+        want = symmetrized_trace_by_scalar_walks(algebra, k)
+        assert list(P.values.items()) == list(want.values.items())
+    if algebra.meta.get("family") == "so" and algebra.meta["n"] % 2 == 0:
+        tensors.append(pfaffian(algebra))
+    for P in tensors:
+        for x in range(algebra.dim):
+            assert (outcome(_direction_residues, P, x)
+                    == outcome(direction_residues_by_scalars, P, x))
+
+
+class TestIntegerSetupOracles:
+    """The set-up on integer numerators against the scans it replaced."""
+
+    @pytest.mark.parametrize("name", [
+        "so3", "so4", "so5", "so6", "so7", "so8", "so9", "so10",
+        "gl1", "gl2", "gl3", "gl4", "u1", "u2", "u3", "u4", "su2", "abelian3"])
+    def test_builtins(self, name):
+        algebra = named_algebra(name)
+        assert lie._jacobi_witness(algebra) is None
+        assert jacobi_witness_by_triples(algebra) is None
+        if algebra.dim <= 16:
+            assert_setup_oracles(algebra)
+
+    @given(corrupted_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_corrupted_tables(self, algebra):
+        assert_setup_oracles(algebra)
+
+    @given(perturbed_realizations())
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_realizations(self, algebra):
+        assert_setup_oracles(algebra, traces=(1, 2, 3))
+
+    @given(powered_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_imaginary_and_power_bumps(self, algebra):
+        assert_setup_oracles(algebra)
+
+    @pytest.mark.parametrize("bumps, error", [
+        # two powers meet at the smallest component of the first cyclic sum
+        (((2, 0, 5, Scalar(-1, two_pi=2), True), (4, 2, 1, Scalar(1, two_pi=1), True)),
+         "powers: 2 vs 1"),
+        (((0, 1, 4, Scalar(1, two_pi=1), True), (0, 3, 2, Scalar(1), True)), "powers: 0 vs 1"),
+    ], ids=["two-vs-one", "zero-vs-one"])
+    def test_pinned_power_bumps(self, bumps, error):
+        algebra = bumped_table("so4", *bumps)
+        got = outcome(lie._jacobi_witness, algebra)
+        assert got.endswith(error)
+        assert got == outcome(jacobi_witness_by_triples, algebra)
+        assert_setup_oracles(algebra)
+
+    def test_pinned_residue_power_clash(self):
+        # a term at (2pi)^-1 meets a nonzero residue held at power 0
+        algebra = bumped_table("u2", (2, 1, 1, Scalar(1, two_pi=1), False),
+                               (1, 2, 1, Scalar(0, 1), True))
+        P = symmetrized_trace(algebra, 2)
+        got = outcome(_direction_residues, P, 1)
+        assert got.endswith("powers: 0 vs 1")
+        assert got == outcome(direction_residues_by_scalars, P, 1)
+
+    def test_realization_view_is_built_on_demand(self):
+        algebra = named_algebra("su2")
+        assert "matrices" not in vars(algebra)
+        assert validate(algebra).passed and algebra.has_imaginary_data()
+        symmetrized_trace(algebra, 2).ad_invariance_witness()
+        assert "matrices" not in vars(algebra)
+        half_i = Scalar(0, Fraction(1, 2))
+        assert algebra.matrices[2] == ((-half_i, Scalar(0)), (Scalar(0), half_i))
+        rebuilt = LieAlgebra(3, algebra.labels, algebra.structure, algebra.matrices)
+        assert rebuilt.matrices == algebra.matrices and validate(rebuilt).passed
+        assert structure_from_matrices(rebuilt._realization) == algebra.structure
+
+    def test_one_power_per_realization(self):
+        algebra = named_algebra("so3")
+        mats = [[list(row) for row in M] for M in algebra.matrices]
+        scaled = [[[v * Scalar(1, two_pi=1) for v in row] for row in M] for M in mats]
+        assert structure_from_matrices(scaled) == {
+            key: v * Scalar(1, two_pi=1) for key, v in algebra.structure.items()}
+        mats[0][1][2] = Scalar(0, two_pi=1) + Scalar(3, two_pi=1)
+        with pytest.raises(ContractError, match="one \\(2pi\\) power"):
+            LieAlgebra(3, algebra.labels, algebra.structure, mats)
 
 
 class TestSplits:

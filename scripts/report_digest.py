@@ -9,6 +9,8 @@ relative path) and compare the outputs:
 
     PYTHONPATH=<checkout>/src python3 scripts/report_digest.py [--large]
 
+The configurations are those of the report pins in ``tests/test_cli.py``
+(``TestSameReports.DIGESTS``); its custom algebra files are left out.
 ``--large`` adds so10/so9 with three routes; the whole run takes about
 3 s on a 2-vCPU host.
 """
@@ -30,6 +32,12 @@ CONFIGS = [
     ("so8/so7", ("--algebra", "so8", "--sub", "so7") + SO_ROUTES),
     ("u3:trace^4", ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4")
      + TRACE_ROUTES),
+    ("u3:trace^3", ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^3")
+     + TRACE_ROUTES),
+    ("gl3/gl2:trace^1", ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^1")
+     + TRACE_ROUTES),
+    ("u2:trace^1", ("--algebra", "u2", "--sub", "none", "--poly", "trace^1")
+     + TRACE_ROUTES),
     ("gl4/gl3:trace^3", ("--algebra", "gl4", "--sub", "gl3", "--poly", "trace^3")
      + TRACE_ROUTES),
     ("u4:trace^2", ("--algebra", "u4", "--sub", "0,1,2,3", "--poly", "trace^2")
@@ -40,6 +48,10 @@ CONFIGS = [
                              "--corrupt", "structure=0,1,2") + SO_ROUTES),
     ("so4:structure=5,3,4", ("--algebra", "so4", "--sub", "so3",
                              "--corrupt", "structure=5,3,4") + SO_ROUTES),
+    ("so6:aij=0,0", ("--algebra", "so6", "--sub", "so5", "--corrupt", "aij=0,0")
+     + SO_ROUTES),
+    ("so6:prefactor", ("--algebra", "so6", "--sub", "so5", "--corrupt", "prefactor")
+     + SO_ROUTES),
     ("gl3:structure=0,1,3", ("--algebra", "gl3", "--sub", "gl2", "--poly",
                              "trace^2", "--corrupt", "structure=0,1,3")
      + TRACE_ROUTES),

@@ -118,10 +118,8 @@ class Scalar:
     def _coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, int):
-            return _make(int(value), 0, 1, 0)
-        if isinstance(value, Fraction):
-            return _make(value.numerator, 0, value.denominator, 0)
+        if isinstance(value, (int, Fraction)):
+            return Scalar(value)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     def __add__(self, other) -> "Scalar":
@@ -140,16 +138,12 @@ class Scalar:
                 f"{two_pi} vs {other.two_pi}"
             )
         ad, bd = self._den, other._den
-        if ad == bd:
-            re, im, den = ar + br, ai + bi, ad
-        else:
-            re, im, den = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
+        re, im, den = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
         if not re and not im:
             return ZERO
-        if den != 1:
-            g = _gcd(re, im, den)
-            if g != 1:
-                re, im, den = re // g, im // g, den // g
+        g = _gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
         return _make(re, im, den, two_pi)
 
     __radd__ = __add__
@@ -167,16 +161,6 @@ class Scalar:
         if other.__class__ is not Scalar:
             other = Scalar._coerce(other)
         ar, ai, br, bi = self._re, self._im, other._re, other._im
-        if not ai and not bi:
-            re = ar * br
-            if not re:
-                return ZERO
-            den = self._den * other._den
-            if den != 1:
-                g = _gcd(re, den)
-                if g != 1:
-                    re, den = re // g, den // g
-            return _make(re, 0, den, self.two_pi + other.two_pi)
         re = ar * br - ai * bi
         im = ar * bi + ai * br
         if not re and not im:
@@ -194,8 +178,6 @@ class Scalar:
         if not re and not im:
             raise ZeroDivisionError("scalar is zero")
         # 1 / ((re + im*i) / den) = den * (re - im*i) / (re^2 + im^2)
-        if not im:
-            return _make(den if re > 0 else -den, 0, abs(re), -self.two_pi)
         re, im, norm = den * re, -den * im, re * re + im * im
         g = _gcd(re, im, norm)
         return _make(re // g, im // g, norm // g, -self.two_pi)
@@ -216,11 +198,10 @@ class Scalar:
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                other = Scalar._coerce(other)
-            else:
-                return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            other = Scalar(other)
+        elif not isinstance(other, Scalar):
+            return NotImplemented
         return (
             self._re == other._re
             and self._im == other._im
@@ -486,16 +467,11 @@ class Context:
 
 
 def _acc_add(acc: dict, mono: Monomial, coeff: Scalar) -> None:
-    cur = acc.get(mono)
-    if cur is None:
-        if not coeff.is_zero:
-            acc[mono] = coeff
-        return
-    new = cur + coeff
-    if new.is_zero:
-        del acc[mono]
-    else:
+    new = acc[mono] + coeff if mono in acc else coeff
+    if new:
         acc[mono] = new
+    else:
+        acc.pop(mono, None)
 
 
 def _mono_sort_key(m: Monomial):
@@ -568,6 +544,24 @@ def _scalar(v: int, den: int, shift: int, power: int) -> Scalar:
     return _make(re // g, im // g, den // g, power)
 
 
+def _numerator(v: Scalar, den: int, shift: int) -> int:
+    """The numerator of v over ``den``, a multiple of its denominator,
+    packed with ``shift``."""
+    f = den // v._den
+    return v._re * f + (v._im * f << shift)
+
+
+def _common(scalars) -> tuple:
+    """Nonzero Scalars read as numerators over one denominator: (that
+    denominator, the lowest (2pi) power, the highest above it, the sum of
+    |re| + |im| over the numerators, whether any is Gaussian)."""
+    den = _lcm(*{v._den for v in scalars})
+    powers = [v.two_pi for v in scalars] or [0]
+    return (den, min(powers), max(powers) - min(powers),
+            sum((abs(v._re) + abs(v._im)) * (den // v._den) for v in scalars),
+            any(v._im for v in scalars))
+
+
 def _gmul(a: int, b: int, shift: int) -> int:
     """The product of two packed Gaussian integers."""
     half = 1 << shift - 1
@@ -583,8 +577,7 @@ def _power_clash(layout: _Layout, low: int, first: int, key: int) -> ContractErr
 
 
 def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, low: int,
-             high: int = 0, most: int = 0, shift: int = 0, norm: int = None,
-             deg: int = None) -> "GradedElement":
+             high: int = 0, most: int = 0, shift: int = 0, deg: int = None) -> "GradedElement":
     """A GradedElement from its stored form (see ``GradedElement``).  A
     monomial held at two (2pi) powers would be a sum of scalars with
     different powers, which is refused."""
@@ -596,7 +589,7 @@ def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, low: int,
                 raise _power_clash(layout, low, first, key)
     x = _new(GradedElement)
     x.ctx, x._layout, x._nums, x._den, x._low = ctx, layout, nums, den, low
-    x._high, x._most, x._shift, x._norm, x._deg, x._terms = high, most, shift, norm, deg, None
+    x._high, x._most, x._shift, x._norm, x._deg, x._terms = high, most, shift, None, deg, None
     return x
 
 
@@ -616,13 +609,11 @@ def _reduce(x: "GradedElement") -> "GradedElement":
         for k, v in nums.items():
             nums[k] = v // g
         x._den //= g
-        if x._norm is not None:
-            x._norm //= g
     return x
 
 
 def _norm(x: "GradedElement") -> int:
-    """A bound on the sum of |re| + |im| over the numerators of x."""
+    """The sum of |re| + |im| over the numerators of x, kept once known."""
     if x._norm is None:
         x._norm = sum(abs(re) + abs(im) for re, im in (_parts(v, x._shift)
                                                       for v in x._nums.values()))
@@ -646,32 +637,29 @@ class _Frame:
     times the number of products summed into one term.  The products have
     the lowest power ``low`` over ``den``, at most ``high`` powers above it
     and ``most`` even factors.  When a factor is Gaussian their numerators
-    are packed with ``shift`` and bounded by ``norm``.  The layout is the
-    widest of those of the elements unless the products need a wider one.
+    are packed with ``shift``, wide enough for ``bound`` times the ``_norm``
+    of each factor.  The layout is the widest of those of the elements
+    unless the products need a wider one.
     """
 
-    __slots__ = ("ctx", "layout", "shift", "norm", "parts", "low", "den", "high", "most")
+    __slots__ = ("ctx", "layout", "shift", "parts", "low", "den", "high", "most")
 
     def __init__(self, ctx: "Context", groups, extra=(0, 1, 0, 0, 1, False)):
         low, den, high, most, norm, imag = extra
         parts, xs = [], []
         for group, n in groups:
-            if len(group) == 1:
-                x = group[0]
-                glow, gden, ghigh, gmost = x._low, x._den, x._high, x._most
-            else:
-                glow, gden = min(x._low for x in group), _lcm(*(x._den for x in group))
-                ghigh = max(x._high + x._low for x in group) - glow
-                gmost = max(x._most for x in group)
+            glow, gden = min(x._low for x in group), _lcm(*(x._den for x in group))
+            ghigh = max(x._high + x._low for x in group) - glow
+            gmost = max(x._most for x in group)
             parts.append((glow, gden))
             low, den, high, most = low + n * glow, den * gden ** n, high + n * ghigh, most + n * gmost
             xs += group
         if imag or any(x._shift for x in xs):
             for (group, n), (_, gden) in zip(groups, parts):
                 norm *= sum(_norm(x) * (gden // x._den) for x in group) ** n
-            self.shift, self.norm = _packing(norm, xs), norm
+            self.shift = _packing(norm, xs)
         else:
-            self.shift, self.norm = 0, None
+            self.shift = 0
         self.ctx, self.parts, self.low, self.den, self.high, self.most = (
             ctx, parts, low, den, high, most)
         self.layout = ctx._layout(max(max(most, high).bit_length(),
@@ -684,7 +672,7 @@ class _Frame:
     def element(self, nums: dict, deg: int = None) -> "GradedElement":
         """The element of the numerators ``nums`` of products."""
         return _element(self.ctx, self.layout, nums, self.den, self.low, self.high,
-                        self.most, self.shift, self.norm, deg)
+                        self.most, self.shift, deg)
 
 
 def _aligned(x: "GradedElement", layout: _Layout, shift: int = 0, low: int = None,
@@ -759,7 +747,7 @@ def _t_block(x: "GradedElement", spacing: int):
     start, stop = spacing * i << ts, spacing * (i + 1) << ts
     part = {k - start: v for k, v in x._nums.items() if start <= k < stop}
     return i, _element(x.ctx, x._layout, part, x._den, x._low, x._high, x._most,
-                       x._shift, x._norm, x._deg)
+                       x._shift, x._deg)
 
 
 def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
@@ -863,7 +851,7 @@ class GradedElement:
     term, and the layout's field width holds ``max(_most, _high)``.
     Gaussian numerators are packed as re + (im << _shift), both parts below
     2**(_shift - 1) in absolute value; real elements have ``_shift == 0``.
-    ``_norm`` bounds the sum of |re| + |im| over the terms once known, and
+    ``_norm`` is the sum of |re| + |im| over the terms once known, and
     ``_deg`` is the form degree once known to be one.
 
     ``terms`` is the decoded view {Monomial: Scalar}, for rendering,
@@ -875,25 +863,20 @@ class GradedElement:
                  "_norm", "_deg", "_terms")
 
     def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
-        items = [(m, c) for m, c in terms.items() if c._re or c._im]
-        den = _lcm(*{c._den for _, c in items})
-        powers = {c.two_pi for _, c in items} or {0}
-        low, high = min(powers), max(powers) - min(powers)
+        items = [(m, c) for m, c in terms.items() if c]
+        den, low, high, _, imag = _common([c for _, c in items])
         most = max((len(m[1]) for m, _ in items), default=0)
         degs = {m[0].bit_count() + 2 * len(m[1]) for m, _ in items}
-        shift = 0
-        if any(c._im for _, c in items):
-            shift = _packing(max((abs(c._re) + abs(c._im)) * (den // c._den)
-                                 for _, c in items), ())
+        shift = _packing(max((abs(c._re) + abs(c._im)) * (den // c._den)
+                             for _, c in items), ()) if imag else 0
         layout = ctx._layout(max(most, high).bit_length())
         nums = {}
         for (o, e, t), c in items:
             fields = layout.fields(e)
             if o > layout.odd:
                 raise ContextError("monomial with odd factors outside its context")
-            f = den // c._den
             nums[o | fields | c.two_pi - low << layout.pshift | t << layout.tshift] = (
-                c._re * f + (c._im * f << shift))
+                _numerator(c, den, shift))
         self.ctx, self._layout, self._nums, self._den, self._low = ctx, layout, nums, den, low
         self._high, self._most, self._shift, self._norm = high, most, shift, None
         self._deg, self._terms = degs.pop() if len(degs) == 1 else None, None
@@ -968,7 +951,7 @@ class GradedElement:
         r = scalar._re
         return _reduce(_element(self.ctx, self._layout, {k: v * r for k, v in self._nums.items()},
                                 self._den * scalar._den, self._low + scalar.two_pi, self._high,
-                                self._most, 0, None, self._deg))
+                                self._most, 0, self._deg))
 
     def __mul__(self, other):
         """The wedge product, or the scalar multiple by a number.
@@ -999,8 +982,7 @@ class GradedElement:
             raise ContractError("negative t powers are not representable")
         step = power << self._layout.tshift
         return _element(self.ctx, self._layout, {k + step: v for k, v in self._nums.items()},
-                        self._den, self._low, self._high, self._most, self._shift,
-                        self._norm, self._deg)
+                        self._den, self._low, self._high, self._most, self._shift, self._deg)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):

@@ -27,6 +27,7 @@ from .lie import (
     validate_split,
 )
 from .transgression import (
+    CheckResult,
     ad_invariance_identity_check,
     coefficient_A,
     coefficient_A_by_integration,
@@ -82,13 +83,6 @@ class RunConfig:
 
 
 @dataclass
-class ReportEntry:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: str = ""
-
-
-@dataclass
 class Report:
     config: dict
     checks: list = field(default_factory=list)
@@ -97,7 +91,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(e.status == "pass" for e in self.checks)
+        return all(e.passed for e in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -117,15 +111,14 @@ class Report:
     def to_text(self) -> str:
         lines = ["config: " + " ".join(f"{k}={v}" for k, v in self.config.items() if v != "")]
         for e in self.checks:
-            mark = "PASS" if e.status == "pass" else "FAIL"
-            line = f"[{mark}] {e.name}"
+            line = f"[{e.status.upper()}] {e.name}"
             if e.witness:
                 line += f"  witness: {e.witness}"
             lines.append(line)
         for method, info in self.forms.items():
             lines.append(
                 f"TP[{method}]: degree {info['degree']}, {info['term_count']} terms")
-        n_pass = sum(1 for e in self.checks if e.status == "pass")
+        n_pass = sum(e.passed for e in self.checks)
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'} "
                      f"({n_pass}/{len(self.checks)} checks)")
         return "\n".join(lines)
@@ -361,14 +354,10 @@ def _resolve_polynomial(config: RunConfig, algebra: LieAlgebra):
     return P
 
 
-def _entry(name: str, passed: bool, witness: str = "") -> ReportEntry:
-    return ReportEntry(name, "pass" if passed else "fail", witness=witness)
-
-
-def _entry_from_validation(name: str, report) -> ReportEntry:
+def _entry_from_validation(name: str, report) -> CheckResult:
     first = report.first()
-    return _entry(name, report.passed, "" if first is None else
-                  f"{first.invariant} at {first.indices}: {first.detail}")
+    return CheckResult(name, report.passed, "" if first is None else
+                       f"{first.invariant} at {first.indices}: {first.detail}")
 
 
 def _rendered_terms(form):
@@ -407,36 +396,39 @@ def _run_method(config: RunConfig, setup, P, method: str):
 
 @dataclass
 class _Run:
-    """What the checks of one run read; ``certified`` holds (form, checks)
-    so that routes with equal forms share one certificate."""
+    """What the checks of one run read.  ``forms`` holds one record
+    [form, rendered terms, checks or None] per distinct route form, and the
+    routes hold its form, so that routes with equal forms share one
+    certificate."""
 
     config: RunConfig
     setup: UniversalSetup
     P: object
     results: dict
-    certified: list
+    forms: list
 
 
 def _check_d2(run: _Run) -> list:
     witness = run.setup.d_squared_witness()
     if witness is not None:
-        return [_entry("d2", False, f"d(d({witness[0]})) = {witness[1].leading_term_str()}")]
+        return [CheckResult("d2", False,
+                            f"d(d({witness[0]})) = {witness[1].leading_term_str()}")]
     probe = run.setup.d_squared_probe(run.config.seed)
-    return [_entry("d2", probe is None, "" if probe is None else probe.leading_term_str())]
+    return [CheckResult("d2", probe is None, "" if probe is None else probe.leading_term_str())]
 
 
 def _check_routes(run: _Run, name: str) -> list:
     entries = []
     for method, result in run.results.items():
-        checks = next((c for f, c in run.certified if f == result.form), None)
-        if checks is None:
-            checks = verify_transgression(result, run.setup, run.P)
-            run.certified.append((result.form, checks))
+        record = next(r for r in run.forms if r[0] is result.form)
+        if record[2] is None:
+            record[2] = verify_transgression(result, run.setup, run.P)
+        checks = record[2]
         # basicness is horizontality together with invariance
         parts = ([checks["transgression"]] if name == "transgression"
                  else [checks["horizontality"], checks["invariance"]])
-        entries.append(_entry(f"{name}[{method}]", all(parts),
-                              next((c.witness for c in parts if c.witness), "")))
+        entries.append(CheckResult(f"{name}[{method}]", all(parts),
+                                   next((c.witness for c in parts if c.witness), "")))
     return entries
 
 
@@ -444,8 +436,8 @@ def _check_agreement(run: _Run) -> list:
     for a, b in itertools.combinations(run.results, 2):
         diff = run.results[a].form - run.results[b].form
         if not diff.is_zero:
-            return [_entry("agreement", False, f"{a} vs {b}: {diff.leading_term_str()}")]
-    return [_entry("agreement", True)]
+            return [CheckResult("agreement", False, f"{a} vs {b}: {diff.leading_term_str()}")]
+    return [CheckResult("agreement", True)]
 
 
 def _check_coefficients(run: _Run) -> list:
@@ -453,15 +445,14 @@ def _check_coefficients(run: _Run) -> list:
     for i, j in ((i, j) for i in range(k) for j in range(k - i)):
         closed, integrated = coefficient_A(k, i, j), coefficient_A_by_integration(k, i, j)
         if closed != integrated:
-            return [_entry("coefficients", False, f"(k,i,j)=({k},{i},{j}): "
-                           f"{closed.render()} vs {integrated.render()}")]
-    return [_entry("coefficients", True)]
+            return [CheckResult("coefficients", False, f"(k,i,j)=({k},{i},{j}): "
+                                f"{closed.render()} vs {integrated.render()}")]
+    return [CheckResult("coefficients", True)]
 
 
 def _check_identities(run: _Run) -> list:
-    checks = (derivative_identity_check(run.setup, run.P), deformation_bianchi_check(run.setup),
-              ad_invariance_identity_check(run.setup, run.P))
-    return [_entry(c.name, c.passed, c.witness) for c in checks]
+    return [derivative_identity_check(run.setup, run.P), deformation_bianchi_check(run.setup),
+            ad_invariance_identity_check(run.setup, run.P)]
 
 
 # check name -> the function giving its report entries
@@ -516,8 +507,7 @@ def run(config: RunConfig) -> Report:
 
     if not (algebra_report.passed and split_report.passed):
         for name in config.checks:
-            entries.append(ReportEntry(
-                name, "fail", witness="not run: invalid algebra or split"))
+            entries.append(CheckResult(name, False, "not run: invalid algebra or split"))
         timing["total"] = round(time.perf_counter() - t_start, 6)
         report.stats = {"seed": config.seed, "term_counts": {}, "timing": timing}
         return report
@@ -528,29 +518,27 @@ def run(config: RunConfig) -> Report:
         P = _resolve_polynomial(config, algebra)
     with _stage(timing, "polynomial-ad-invariant"):
         witness = P.ad_invariance_witness()
-        entries.append(_entry("polynomial-ad-invariant", witness is None, "" if witness is None
-                              else f"direction {witness[0]}, tuple {witness[1]}: "
-                              f"{witness[2].render()}"))
+        entries.append(CheckResult("polynomial-ad-invariant", witness is None,
+                                   "" if witness is None
+                                   else f"direction {witness[0]}, tuple {witness[1]}: "
+                                   f"{witness[2].render()}"))
 
-    results = {}
-    rendered = []  # (form, terms): routes with equal forms share them
+    results, forms = {}, []
     for method in config.methods:
         with _stage(timing, f"tp[{method}]"):
-            results[method] = _run_method(config, setup, P, method)
-            form = results[method].form
-            shared = next(((f, t) for f, t in rendered if f == form), None)
-            if shared is None:
-                terms = _rendered_terms(form)
-                rendered.append((form, terms))
-            else:  # keep one copy of the form
-                results[method].form, terms = shared
+            results[method] = result = _run_method(config, setup, P, method)
+            record = next((r for r in forms if r[0] == result.form), None)
+            if record is None:
+                record = [result.form, _rendered_terms(result.form), None]
+                forms.append(record)
+            form = result.form = record[0]  # keep one copy of the form
             report.forms[method] = {
                 "degree": form.degree() if not form.is_zero else None,
                 "term_count": form.term_count,
-                "terms": terms,
+                "terms": record[1],
             }
 
-    state = _Run(config, setup, P, results, certified=[])
+    state = _Run(config, setup, P, results, forms)
     for name in config.checks:
         with _stage(timing, name):
             entries += CHECKS[name](state)

@@ -22,15 +22,17 @@ from .algebra import (
     Scalar,
     ZERO,
     _Frame,
+    _common,
     _gmul,
     _json_int,
     _json_list,
+    _numerator,
     _packing,
     _product,
     _reduce,
     _scalar,
 )
-from .lie import LieAlgebra, _GeneratedSpan, _common, _numerator
+from .lie import LieAlgebra, _GeneratedSpan
 
 __all__ = [
     "InvariantPolynomial",
@@ -322,16 +324,9 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                 if len(part) > 1:
                     head = group_product(last, part[:-1])
                     prefix = head if prefix is None else _product(prefix, head, layout, both)
-                coeff = val * weight
-                if prefix is not None:
-                    _product(prefix, piece, layout, both, acc, coeff)
-                    continue
-                for k, c in piece.items():
-                    c = (_gmul(c, coeff, both) if both else c * coeff) + acc.get(k, 0)
-                    if c:
-                        acc[k] = c
-                    else:
-                        del acc[k]
+                # an empty prefix is a zero product, and no prefix the unit
+                _product({0: 1} if prefix is None else prefix, piece, layout, both, acc,
+                         val * weight)
     return _reduce(frame.element(acc, sum(f.degree * n for f, n in groups)))
 
 

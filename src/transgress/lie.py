@@ -25,10 +25,11 @@ from .algebra import (
     ZERO,
     _Frame,
     _acc_add,
+    _common,
     _gmul,
     _json_int,
     _json_list,
-    _lcm,
+    _numerator,
     _packing,
     _parts,
     _product,
@@ -92,24 +93,6 @@ class _Realization(NamedTuple):
         """Per matrix, the sum of |re| + |im| over its numerators."""
         return [sum(abs(re) + abs(im) for re, im in (_parts(v, self.shift) for v in M.values()))
                 for M in self.mats]
-
-
-def _numerator(v: Scalar, den: int, shift: int) -> int:
-    """The numerator of v over ``den``, a multiple of its denominator,
-    packed with ``shift``."""
-    f = den // v._den
-    return v._re * f + (v._im * f << shift)
-
-
-def _common(scalars) -> tuple:
-    """Nonzero Scalars read as numerators over one denominator: (that
-    denominator, the lowest (2pi) power, the highest above it, the sum of
-    |re| + |im| over the numerators, whether any is Gaussian)."""
-    den = _lcm(*{v._den for v in scalars})
-    powers = [v.two_pi for v in scalars] or [0]
-    return (den, min(powers), max(powers) - min(powers),
-            sum((abs(v._re) + abs(v._im)) * (den // v._den) for v in scalars),
-            any(v._im for v in scalars))
 
 
 def _realization(matrices, dim: int = None) -> Optional[_Realization]:
@@ -263,25 +246,22 @@ class LieAlgebra:
         self._realization = _realization(matrices, dim)
         self.name = name
         self.meta = dict(meta or {})
-        by_bc: dict = {}
-        for (a, b, c), v in table.items():
-            by_bc.setdefault((b, c), []).append((a, v))
-        self._by_bc = {k: tuple(v) for k, v in by_bc.items()}
         self._plain = None  # the bracket table without packing
 
     @cached_property
     def _constants(self) -> tuple:
         """The structure constants as numerators: (denominator, lowest (2pi)
         power, highest power above it, the largest |re| + |im|, whether any
-        is Gaussian, and {(b, c): the entries (a, power above the lowest,
-        re, im)} per nonzero [e_b, e_c] in the order of ``_by_bc``)."""
-        ks = self.structure.values()
-        if not ks:
-            return 1, 0, 0, 0, False, {}
-        den, low, high, _, imag = _common(ks)
-        table = {bc: tuple((a, k.two_pi - low, k._re * (den // k._den), k._im * (den // k._den))
-                           for a, k in entries) for bc, entries in self._by_bc.items()}
-        norm = max(abs(re) + abs(im) for entries in table.values() for _, _, re, im in entries)
+        is Gaussian, and {(b, c): [the entries (a, power above the lowest,
+        re, im)]} per nonzero [e_b, e_c], each in the order of
+        ``structure``)."""
+        den, low, high, norm, imag = _common(self.structure.values())
+        shift = _packing(norm, ()) if imag else 0
+        table, norm = {}, 0
+        for (a, b, c), k in self.structure.items():
+            re, im = _parts(_numerator(k, den, shift), shift)
+            table.setdefault((b, c), []).append((a, k.two_pi - low, re, im))
+            norm = max(norm, abs(re) + abs(im))
         return den, low, high, norm, imag, table
 
     @cached_property
@@ -323,11 +303,11 @@ class LieAlgebra:
 
     def bracket_on_basis(self, b: int, c: int):
         """[e_b, e_c] as a tuple of (index, coefficient)."""
-        return self._by_bc.get((b, c), ())
+        return tuple([(a, self.c(a, b, c)) for a, _, _, _ in self._constants[5].get((b, c), ())])
 
     def has_imaginary_data(self) -> bool:
         r = self._realization
-        return any(v._im for v in self.structure.values()) or bool(r and r.shift)
+        return self._constants[4] or bool(r and r.shift)
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name or 'custom'}, dim={self.dim})"
@@ -553,10 +533,11 @@ class _GeneratedSpan:
 
     def _bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
+        structure, constants = self.algebra.structure, self.algebra._constants[5]
         for b, ub in u.items():
             for c, vc in v.items():
-                for a, k in self.algebra.bracket_on_basis(b, c):
-                    _acc_add(out, a, ub * vc * k)
+                for a, _, _, _ in constants.get((b, c), ()):
+                    _acc_add(out, a, ub * vc * structure[a, b, c])
         return out
 
 
@@ -771,6 +752,8 @@ def so_subalgebra_split(algebra: LieAlgebra, m: int) -> ReductiveSplit:
     """so(m) inside so(n): pairs contained in the first m coordinates."""
     if algebra.meta.get("family") != "so":
         raise ContractError("so subalgebra split needs an so(n) algebra")
+    if m > algebra.meta["n"]:
+        raise ContractError(f"so{m} is larger than so{algebra.meta['n']}")
     return ReductiveSplit.from_h(algebra.dim, so_block(algebra.meta["n"], m))
 
 
@@ -778,6 +761,8 @@ def gl_subalgebra_split(algebra: LieAlgebra, m: int) -> ReductiveSplit:
     """gl(m) inside gl(n): matrix units in the top-left m-by-m block."""
     if algebra.meta.get("family") != "gl":
         raise ContractError("gl subalgebra split needs a gl(n) algebra")
+    if m > algebra.meta["n"]:
+        raise ContractError(f"gl{m} is larger than gl{algebra.meta['n']}")
     pairs = algebra.meta["pairs"]
     h = [idx for idx, (i, j) in enumerate(pairs) if i < m and j < m]
     return ReductiveSplit.from_h(algebra.dim, h)

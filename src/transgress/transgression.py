@@ -28,6 +28,10 @@ from .algebra import (
     GradedElement,
     Monomial,
     Scalar,
+    _common,
+    _numerator,
+    _packing,
+    _parts,
     _t_map,
     integrate_unit_interval,
     permutation_sign,
@@ -61,6 +65,10 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.passed
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass
@@ -158,8 +166,9 @@ def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
         w = Scalar._coerce(coefficient_fn(k, i, j)) / multinomial
         if w:
             weights[d] = w
-    wden = lcm(*(w._den for w in weights.values()))
-    mults = {d: (w._re * (wden // w._den), w._im * (wden // w._den), w.two_pi)
+    wden, _, _, norm, imag = _common(weights.values())
+    shift = _packing(norm, ()) if imag else 0
+    mults = {d: (*_parts(_numerator(w, wden, shift), shift), w.two_pi)
              for d, w in weights.items()}
     return _finish(_t_map(polarized, mults, wden, ordered=False), "johnson", P)
 
@@ -237,9 +246,8 @@ def _pfaffian_for(setup: UniversalSetup) -> InvariantPolynomial:
 # ---------------------------------------------------------------------------
 
 def _zero_check(name: str, element) -> CheckResult:
-    if element.is_zero:
-        return CheckResult(name, True)
-    return CheckResult(name, False, witness=element.leading_term_str())
+    return CheckResult(name, element.is_zero,
+                       "" if element.is_zero else element.leading_term_str())
 
 
 def verify_transgression(result: TransgressionResult, setup: UniversalSetup,
@@ -263,14 +271,9 @@ def verify_transgression(result: TransgressionResult, setup: UniversalSetup,
 
     contracted = [(x, setup.interior(x)(result.form)) for x in setup.split.h]
 
-    horizontal = CheckResult("horizontality", True)
-    for x, iota_form in contracted:
-        if not iota_form.is_zero:
-            horizontal = CheckResult(
-                "horizontality", False,
-                witness=f"iota[{x}] -> {iota_form.leading_term_str()}")
-            break
-    checks["horizontality"] = horizontal
+    x, iota_form = next(((x, f) for x, f in contracted if not f.is_zero), (None, None))
+    checks["horizontality"] = CheckResult("horizontality", x is None, "" if x is None else
+                                          f"iota[{x}] -> {iota_form.leading_term_str()}")
 
     invariant = CheckResult("invariance", True)
     for x, iota_form in contracted:
@@ -304,11 +307,8 @@ def derivative_identity_check(setup: UniversalSetup,
 def deformation_bianchi_check(setup: UniversalSetup) -> CheckResult:
     """Covariant derivative of the family equals t [family, tensor part]."""
     witness = setup.bianchi_deformation_witness()
-    if witness is None:
-        return CheckResult("deformation-bianchi", True)
-    a, term = witness
-    return CheckResult("deformation-bianchi", False,
-                       witness=f"component {a}: {term}")
+    return CheckResult("deformation-bianchi", witness is None,
+                       "" if witness is None else f"component {witness[0]}: {witness[1]}")
 
 
 def ad_invariance_identity_check(setup: UniversalSetup,

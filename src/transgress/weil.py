@@ -30,11 +30,12 @@ from .algebra import (
     HALF,
     _combine,
     _element,
+    _numerator,
     _packing,
     _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
-from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, _numerator, bracket, project
+from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, bracket, project
 
 __all__ = ["UniversalSetup"]
 
@@ -100,9 +101,8 @@ class UniversalSetup:
             even[a][units[dim + b] | 1 << c | q] = 2 * num
         images = {}
         for a in range(dim):
-            images[a] = _element(ctx, layout, odd[a], 2 * den, low, high, 1, shift, None, 2)
-            images[dim + a] = _element(ctx, layout, even[a], 2 * den, low, high, 1, shift,
-                                       None, 3)
+            images[a] = _element(ctx, layout, odd[a], 2 * den, low, high, 1, shift, 2)
+            images[dim + a] = _element(ctx, layout, even[a], 2 * den, low, high, 1, shift, 3)
         return images
 
     # -- derived forms ------------------------------------------------------

@@ -1026,7 +1026,7 @@ def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
     acc = [ctx.zero() for _ in range(algebra.dim)]
-    for (b, c), entries in algebra._by_bc.items():
+    for b, c in algebra._constants[5]:
         xb = x.components[b]
         if xb.is_zero:
             continue
@@ -1037,7 +1037,7 @@ def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
                                    tuple_product(tuple_terms(xb), tuple_terms(yc)).items()})
         if prod.is_zero:
             continue
-        for a, k in entries:
+        for a, k in algebra.bracket_on_basis(b, c):
             acc[a] = acc[a] + prod.scale(k)
     return LieValuedForm(algebra, ctx, acc, x.degree + y.degree)
 
@@ -1145,7 +1145,7 @@ def jacobi_witness_by_triples(algebra):
             second[b * dim + c].append((a + dim * q, k))
     right: dict = {}
     left: dict = {}
-    for (b, c) in algebra._by_bc:
+    for (b, c) in algebra._constants[5]:
         right.setdefault(b, set()).add(c)
         left.setdefault(c, set()).add(b)
     for b in range(dim):

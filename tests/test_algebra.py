@@ -123,6 +123,30 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
 
+    @pytest.mark.parametrize("result, fields", [
+        # a real product with a common factor
+        (lambda: Scalar(Fraction(2, 3)) * Scalar(Fraction(3, 4), two_pi=1), (1, 0, 2, 1)),
+        (lambda: Scalar(-6) * Scalar(Fraction(5, 4)), (-15, 0, 2, 0)),
+        # a same-denominator sum to an integer, and to zero
+        (lambda: Scalar(Fraction(1, 3), two_pi=2) + Scalar(Fraction(5, 3), two_pi=2),
+         (2, 0, 1, 2)),
+        (lambda: Scalar(Fraction(1, 6), Fraction(1, 2)) + Scalar(Fraction(5, 6), Fraction(1, 2)),
+         (1, 1, 1, 0)),
+        (lambda: Scalar(Fraction(1, 3), two_pi=1) + Scalar(Fraction(-1, 3), two_pi=1),
+         (0, 0, 1, 0)),
+        # a Gaussian times a real
+        (lambda: Scalar(Fraction(1, 2), Fraction(1, 2), two_pi=1) * Scalar(Fraction(2, 3), two_pi=2),
+         (1, 1, 3, 3)),
+        (lambda: Scalar(4) * Scalar(Fraction(1, 2), Fraction(-3, 4)), (2, -3, 1, 0)),
+        # the inverse of a negative real
+        (lambda: Scalar(Fraction(-2, 3), two_pi=1).inverse(), (-3, 0, 2, -1)),
+        (lambda: Scalar(-5).inverse(), (-1, 0, 5, 0)),
+    ], ids=["real-mul", "real-mul-int", "sum-int", "sum-gaussian-int", "sum-zero",
+            "gaussian-times-real", "real-times-gaussian", "inverse-neg", "inverse-neg-int"])
+    def test_canonical_fields(self, result, fields):
+        s = result()
+        assert (s._re, s._im, s._den, s.two_pi) == fields
+
     def test_pow(self):
         s = Scalar(Fraction(-1, 2), two_pi=1)
         assert s ** 3 == Scalar(Fraction(-1, 8), two_pi=3)

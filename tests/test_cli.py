@@ -317,6 +317,16 @@ class TestSameReports:
             ("--algebra", "so6", "--sub", "so5", "--corrupt", "prefactor")
             + SO_ROUTES,
             "73047cc55e4a7a375c7a3b56c4ae39696019cbe6ac81cf08e28b03a56d9269c0"),
+        # degree 1: the only pinned reports whose evaluations have no
+        # product before the last group; the u2 one is Gaussian
+        "gl3/gl2:trace^1": (
+            ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^1",
+             "--method", "integral,johnson"),
+            "1ddb4967da13fa0768b9b6ac68a45b52816e94c84696a05e12518ba00d63f3b3"),
+        "u2:trace^1": (
+            ("--algebra", "u2", "--sub", "none", "--poly", "trace^1",
+             "--method", "integral,johnson"),
+            "23bbe89406b4756afc1c63861bbfce2fc0e3fce4050ea71465fb118a743c570f"),
     }
 
     @pytest.mark.parametrize("label", DIGESTS)
@@ -529,9 +539,13 @@ class TestUsageErrors:
         SO4 + ("--check", ""),
         SO4 + ("--check", ","),
         SO4 + ("--method", ""),
+        # a subalgebra larger than the algebra
+        ("--algebra", "so4", "--sub", "so5", "--poly", "pfaffian"),
+        ("--algebra", "gl2", "--sub", "gl3", "--poly", "trace^2"),
     ], ids=["out", "aij-range", "aij-far", "aij-no-johnson",
             "structure-range", "structure-one-off", "check-repeated",
-            "method-repeated", "check-empty", "check-commas", "method-empty"])
+            "method-repeated", "check-empty", "check-commas", "method-empty",
+            "so-sub-too-large", "gl-sub-too-large"])
     def test_exit_2_without_traceback(self, args):
         code, err = run_cli(*args)
         assert code == 2, err

@@ -423,6 +423,24 @@ class TestSplits:
         with pytest.raises(ContractError):
             ReductiveSplit.from_h(3, (5,))
 
+    @pytest.mark.parametrize("build, split_fn, n", [
+        (so_algebra, so_subalgebra_split, 4), (so_algebra, so_subalgebra_split, 2),
+        (gl_algebra, gl_subalgebra_split, 2), (gl_algebra, gl_subalgebra_split, 1)])
+    def test_subalgebra_larger_than_algebra_rejected(self, build, split_fn, n):
+        algebra = build(n)
+        with pytest.raises(ContractError, match="larger than"):
+            split_fn(algebra, n + 1)
+        with pytest.raises(ContractError, match="larger than"):
+            named_split(algebra, f"{algebra.name[:2]}{n + 2}")
+
+    @pytest.mark.parametrize("build, split_fn", [
+        (so_algebra, so_subalgebra_split), (gl_algebra, gl_subalgebra_split)])
+    def test_subalgebra_of_full_size_is_everything(self, build, split_fn):
+        algebra = build(3)
+        split = split_fn(algebra, 3)
+        assert split.h == tuple(range(algebra.dim)) and split.p == ()
+        assert validate_split(algebra, split).passed
+
 
 # ---------------------------------------------------------------------------
 # Brackets of Lie-valued forms

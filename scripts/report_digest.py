@@ -4,8 +4,7 @@ removed, so that two checkouts can be compared in one command.
 
 Each configuration goes through ``cli.parse_config`` and ``cli.run``; the
 digest covers ``Report.to_dict()`` without ``stats.timing``.  Run it on both
-checkouts from the root of the repository (one config names a file by a
-relative path) and compare the outputs:
+checkouts and compare the outputs:
 
     PYTHONPATH=<checkout>/src python3 scripts/report_digest.py [--large]
 
@@ -18,9 +17,14 @@ The configurations are those of the report pins in ``tests/test_cli.py``
 import argparse
 import hashlib
 import json
+import os
 import sys
+from pathlib import Path
 
 from transgress.cli import parse_config, run
+
+# one config names a file relative to the repository root
+ROOT = Path(__file__).resolve().parents[1]
 
 SO_ROUTES = ("--poly", "pfaffian", "--method", "integral,johnson,chern")
 TRACE_ROUTES = ("--method", "integral,johnson")
@@ -80,6 +84,7 @@ def main() -> int:
     parser.add_argument("--large", action="store_true",
                         help="also run so10/so9 with three routes")
     args = parser.parse_args()
+    os.chdir(ROOT)
     for label, argv in CONFIGS + (LARGE if args.large else []):
         print(label, digest(argv), flush=True)
     return 0

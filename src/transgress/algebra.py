@@ -1079,8 +1079,8 @@ class Derivation:
         self.degree = degree
         self.images = checked
         self._tables = {}  # layout width -> image table without packing
-        # the images as the extra factor of a _Frame, whose even factors
-        # replace one even factor of the term
+        # the images as the extra factor of a _Frame, its bound aside, whose
+        # even factors replace one even factor of the term
         self._extra = None
         if checked:
             imgs = checked.values()
@@ -1088,7 +1088,6 @@ class Derivation:
             self._extra = (low, den, max(img._high + img._low for img in imgs) - low,
                            max(0, *(img._most - (ctx.generator(g).degree == 2)
                                     for g, img in checked.items())),
-                           max(_norm(img) * (den // img._den) for img in imgs),
                            any(img._shift for img in imgs))
 
     def _table(self, layout: _Layout, shift: int) -> tuple:
@@ -1145,10 +1144,12 @@ class Derivation:
             raise ContextError("element over a different context")
         if x.is_zero or self._extra is None:
             return self.ctx.zero()
-        low, den, high, growth, norm, imag = self._extra
-        # a term has one slot per factor: at most the odd generators and ``_most``
-        frame = _Frame(self.ctx, [((x,), 1)], (low, den, high, growth, norm * (
-            x._layout.odd.bit_length() + x._most), imag))
+        low, den, high, growth, imag = self._extra
+        # _Frame reads the bound only when a factor is Gaussian; a term has
+        # one slot per factor: at most the odd generators and ``_most``
+        bound = max(_norm(img) * (den // img._den) for img in self.images.values()) * (
+            x._layout.odd.bit_length() + x._most) if imag or x._shift else 1
+        frame = _Frame(self.ctx, [((x,), 1)], (low, den, high, growth, bound, imag))
         layout, shift = frame.layout, frame.shift
         both = shift if x._shift and imag else 0
         slots, odd_with, even_with = self._table(layout, shift)

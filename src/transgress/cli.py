@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .algebra import ContractError, Scalar, render_monomial
 from .invariants import invariant_from_dict, pfaffian, symmetrized_trace
@@ -22,13 +22,13 @@ from .lie import (
     algebra_from_file,
     named_algebra,
     named_split,
-    so_block,
     validate,
     validate_split,
 )
 from .transgression import (
     CheckResult,
     ad_invariance_identity_check,
+    check_euler_split,
     coefficient_A,
     coefficient_A_by_integration,
     deformation_bianchi_check,
@@ -61,25 +61,127 @@ PRESETS = {
     },
 }
 
-_CONFIG_KEYS = ("algebra", "subalgebra", "polynomial", "methods", "checks",
-                "output", "field", "seed", "corrupt")
-
 
 class UsageError(Exception):
     """Bad flags, unknown keys, or unusable input files."""
 
 
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+def _one_of(*allowed):
+    """A reader of one of ``allowed``, and its help."""
+    def read(key, value):
+        if _text(key, value) not in allowed:
+            raise UsageError(f"unknown {key} {value!r}")
+        return value
+    return read, " | ".join(filter(None, allowed))
+
+
+def _names(allowed: tuple, what: str, every: str = ""):
+    """A comma list, or a list of strings, of distinct names from
+    ``allowed``, or ``every`` alone for all of them.  A repeated name would
+    run twice and keep only the second run's time."""
+    def read(key, value):
+        if isinstance(value, list) and all(isinstance(tok, str) for tok in value):
+            tokens = tuple(value)
+        else:
+            tokens = tuple(tok.strip() for tok in _text(key, value).split(",")
+                           if tok.strip())
+        if every and tokens == (every,):
+            return allowed
+        for i, tok in enumerate(tokens):
+            if tok not in allowed:
+                raise UsageError(f"unknown {what} {tok!r}")
+            if tok in tokens[:i]:
+                raise UsageError(f"{what} {tok!r} given more than once")
+        if not tokens:
+            raise UsageError(f"at least one {what} is required")
+        return tokens
+    return read
+
+
+def _is_file_ref(name: str) -> bool:
+    return name.endswith(".json") or "/" in name
+
+
+def _trace_degree(spec: str):
+    """k for ``trace^k`` with k >= 1, None for ``pfaffian`` or a tensor file."""
+    if spec == "pfaffian" or _is_file_ref(spec):
+        return None
+    if spec.startswith("trace^") and spec[6:].isdecimal() and int(spec[6:]) >= 1:
+        return int(spec[6:])
+    raise UsageError(f"unknown polynomial {spec!r}")
+
+
+def _polynomial(key, value) -> str:
+    _trace_degree(_text(key, value))
+    return value
+
+
+def _seed(key, value) -> int:
+    # an integer, or a string of one; a float or bool would be truncated
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{key} must be an integer, not {value!r}")
+
+
+def _corrupt(key, value) -> tuple:
+    spec = _text(key, value)
+    if not spec:
+        return ()
+    if spec == "prefactor":
+        return ("prefactor",)
+    kind, _, rest = spec.partition("=")
+    try:
+        nums = tuple(int(tok) for tok in rest.split(","))
+    except ValueError:
+        raise UsageError(f"bad corrupt spec: {spec!r}") from None
+    if (kind, len(nums)) in (("aij", 2), ("structure", 3)):
+        return (kind,) + nums
+    raise UsageError(f"bad corrupt spec: {spec!r}")
+
+
+def _key(flag: str, read, help: str, **default):
+    """A RunConfig field whose ``read(key, value)`` takes a flag's text, or a
+    preset's or config file's JSON value, to the field's value."""
+    return field(metadata={"flag": flag, "read": read, "help": help}, **default)
+
+
 @dataclass
 class RunConfig:
-    algebra: str
-    subalgebra: str = "none"
-    polynomial: str = "trace^1"
-    methods: tuple = ("integral",)
-    checks: tuple = CHECK_NAMES
-    output: str = "text"
-    field: str = ""          # "" means infer from the algebra data
-    seed: int = 0
-    corrupt: tuple = ()      # testing hook: ("aij", i, j) | ("structure", a, b, c) | ("prefactor",)
+    """One run.  Each field is a key of presets and config files and has a
+    flag: the field's default, and its metadata's flag, help and reader, are
+    the whole rule for that key.  The report shows the fields in this order."""
+
+    algebra: str = _key("--algebra", _text, "built-in name (so4, gl3, su2, u2, "
+                        "abelian3) or a JSON table file")
+    subalgebra: str = _key("--sub", _text, "subalgebra: so3, gl2, u1, 'none', or h "
+                           "indices '0,1,3'", default="none")
+    polynomial: str = _key("--poly", _polynomial, "pfaffian | trace^k | tensor JSON file",
+                           default="trace^1")
+    methods: tuple = _key("--method", _names(METHOD_NAMES, "method"),
+                          "comma list from: " + ",".join(METHOD_NAMES),
+                          default=("integral",))
+    checks: tuple = _key("--check", _names(CHECK_NAMES, "check", "all"),
+                         "'all' or comma list from: " + ",".join(CHECK_NAMES),
+                         default=CHECK_NAMES)
+    # "" infers the field from the algebra data
+    field: str = _key("--field", *_one_of("", "rational", "gaussian"), default="")
+    seed: int = _key("--seed", _seed, "seed for the randomized d2 probe", default=0)
+    # testing hook: ("aij", i, j) | ("structure", a, b, c) | ("prefactor",)
+    corrupt: tuple = _key("--corrupt", _corrupt, "regression hook: aij=i,j | "
+                          "structure=a,b,c | prefactor", default=())
+    output: str = _key("--output", *_one_of("text", "json"), default="text")
+
+
+_KEYS = fields(RunConfig)
 
 
 @dataclass
@@ -139,173 +241,46 @@ def _build_parser() -> _Parser:
                             "characteristic classes, exactly.")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="start from a bundled configuration")
-    p.add_argument("--config", help="JSON config file (same keys as the flags)")
-    p.add_argument("--algebra", help="built-in name (so4, gl3, su2, u2, abelian3) "
-                                     "or a JSON table file")
-    p.add_argument("--sub", dest="subalgebra",
-                   help="subalgebra: so3, gl2, u1, 'none', or h indices '0,1,3'")
-    p.add_argument("--poly", dest="polynomial",
-                   help="pfaffian | trace^k | tensor JSON file")
-    p.add_argument("--method", dest="methods",
-                   help="comma list from: " + ",".join(METHOD_NAMES))
-    p.add_argument("--check", dest="checks",
-                   help="'all' or comma list from: " + ",".join(CHECK_NAMES))
-    p.add_argument("--output", choices=("text", "json"))
+    p.add_argument("--config", help="JSON config file with the keys "
+                                    + ", ".join(f.name for f in _KEYS))
+    for f in _KEYS:
+        p.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
     p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--field", choices=("rational", "gaussian"))
-    p.add_argument("--seed", type=int, help="seed for the randomized d2 probe")
-    p.add_argument("--corrupt",
-                   help="regression hook: aij=i,j | structure=a,b,c | prefactor")
     return p
 
 
-def _csv(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
-
-
-def _unique(tokens: tuple, what: str) -> tuple:
-    """The tokens, refused if one repeats: it would run twice and keep only
-    the second run's time."""
-    for i, tok in enumerate(tokens):
-        if tok in tokens[:i]:
-            raise UsageError(f"{what} {tok!r} given more than once")
-    return tokens
-
-
-def _parse_corrupt(spec) -> tuple:
-    if not spec:
-        return ()
-    if spec == "prefactor":
-        return ("prefactor",)
-    kind, _, rest = str(spec).partition("=")
-    try:
-        nums = tuple(int(tok) for tok in rest.split(","))
-    except ValueError:
-        raise UsageError(f"bad corrupt spec: {spec!r}") from None
-    if kind == "aij" and len(nums) == 2:
-        return ("aij",) + nums
-    if kind == "structure" and len(nums) == 3:
-        return ("structure",) + nums
-    raise UsageError(f"bad corrupt spec: {spec!r}")
-
-
-def _parse_seed(value) -> int:
-    # an integer, or a string of one; a float or bool would be truncated
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise UsageError(f"seed must be an integer, not {value!r}")
-
-
-def _is_file_ref(name: str) -> bool:
-    return name.endswith(".json") or "/" in name
-
-
-def parse_config(argv, config_file: str = None) -> tuple:
-    """Validate flags (plus optional preset/config file) into a RunConfig.
+def parse_config(argv) -> tuple:
+    """Read flags over a config file over a preset into a RunConfig.
 
     Returns (RunConfig, out_path).  Raises UsageError on anything malformed,
-    including an invalid method/check token, an unusable polynomial spec, or
-    the chern method outside so(2k) over so(2k-1) with the Pfaffian.
+    including a value of the wrong JSON type, an invalid method/check token,
+    an unusable polynomial spec, or the chern method without the Pfaffian.
+    Whether chern fits the algebra and split is decided by ``run``.
     """
     ns = _build_parser().parse_args(list(argv))
-    merged = {}
-    if ns.preset:
-        merged.update(PRESETS[ns.preset])
-    path = config_file or ns.config
-    if path:
+    given = dict(PRESETS[ns.preset]) if ns.preset else {}
+    if ns.config:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(ns.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from None
+            raise UsageError(f"cannot read config file {ns.config}: {exc}") from None
         if not isinstance(data, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
+            raise UsageError(f"config file {ns.config} must hold a JSON object")
+        unknown = set(data) - {f.name for f in _KEYS}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(data)
-    for key in _CONFIG_KEYS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            merged[key] = value
-
-    if not merged.get("algebra"):
+        given.update(data)
+    given.update((f.name, getattr(ns, f.name)) for f in _KEYS
+                 if getattr(ns, f.name) is not None)
+    if not given.get("algebra"):
         raise UsageError("an algebra is required (--algebra or --preset)")
-
-    methods = _unique(_csv(merged.get("methods", "integral")), "method")
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise UsageError(f"unknown method {m!r}")
-    if not methods:
-        raise UsageError("at least one method is required")
-
-    checks_raw = merged.get("checks", "all")
-    checks = _unique(_csv(checks_raw), "check")
-    if checks == ("all",):
-        checks = CHECK_NAMES
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise UsageError(f"unknown check {c!r}")
-    if not checks:
-        raise UsageError("at least one check is required")
-
-    poly = str(merged.get("polynomial", "trace^1"))
-    if poly != "pfaffian" and not _is_file_ref(poly):
-        if not (poly.startswith("trace^") and poly[6:].isdigit()
-                and int(poly[6:]) >= 1):
-            raise UsageError(f"unknown polynomial {poly!r}")
-
-    algebra_name = str(merged["algebra"])
-    sub = merged.get("subalgebra")
-    sub = "none" if sub is None else str(sub)
-
-    if "chern" in methods:
-        ok = (not _is_file_ref(algebra_name)
-              and algebra_name.startswith("so")
-              and algebra_name[2:].isdigit()
-              and int(algebra_name[2:]) % 2 == 0
-              and poly == "pfaffian")
-        if ok:
-            n = int(algebra_name[2:])
-            if sub.startswith("so") and sub[2:].isdigit():
-                given = so_block(n, int(sub[2:]))
-            elif sub in ("none", ""):
-                given = ()
-            else:
-                try:
-                    given = tuple(sorted(int(t) for t in sub.split(",")))
-                except ValueError:
-                    given = None
-            ok = given == so_block(n, n - 1)
-        if not ok:
-            raise UsageError(
-                "the chern method needs so(2k) with the so(2k-1) splitting "
-                "and the pfaffian polynomial")
-
-    corrupt = _parse_corrupt(merged.get("corrupt"))
-    if corrupt[:1] == ("aij",) and "johnson" not in methods:
+    config = RunConfig(**{f.name: f.metadata["read"](f.name, given[f.name])
+                          for f in _KEYS if f.name in given})
+    if config.corrupt[:1] == ("aij",) and "johnson" not in config.methods:
         raise UsageError("--corrupt aij perturbs only the johnson method")
-
-    config = RunConfig(
-        algebra=algebra_name,
-        subalgebra=sub,
-        polynomial=poly,
-        methods=methods,
-        checks=checks,
-        output=str(merged.get("output", "text")),
-        field=str(merged.get("field", "") or ""),
-        seed=_parse_seed(merged.get("seed", 0)),
-        corrupt=corrupt,
-    )
-    if config.output not in ("text", "json"):
-        raise UsageError(f"unknown output format {config.output!r}")
-    if config.field not in ("", "rational", "gaussian"):
-        raise UsageError(f"unknown field {config.field!r}")
+    if "chern" in config.methods and config.polynomial != "pfaffian":
+        raise UsageError("the chern method needs the pfaffian polynomial")
     return config, ns.out
 
 
@@ -339,11 +314,12 @@ def _resolve_algebra(config: RunConfig) -> LieAlgebra:
 
 def _resolve_polynomial(config: RunConfig, algebra: LieAlgebra):
     poly = config.polynomial
+    k = _trace_degree(poly)
     try:
-        if poly == "pfaffian":
+        if k:
+            P = symmetrized_trace(algebra, k)
+        elif poly == "pfaffian":
             P = pfaffian(algebra)
-        elif poly.startswith("trace^"):
-            P = symmetrized_trace(algebra, int(poly[6:]))
         else:
             with open(poly, "r", encoding="utf-8") as fh:
                 P = invariant_from_dict(algebra, json.load(fh))
@@ -480,21 +456,17 @@ def run(config: RunConfig) -> Report:
                 "(imaginary entries present)")
         try:
             split = named_split(algebra, config.subalgebra)
+            if "chern" in config.methods:
+                check_euler_split(algebra, split)
         except ContractError as exc:
             raise UsageError(str(exc)) from None
 
     report = Report(config={
-        "algebra": config.algebra,
-        "subalgebra": config.subalgebra,
-        "polynomial": config.polynomial,
-        "methods": ",".join(config.methods),
-        "checks": ",".join(config.checks),
-        "field": field_resolved,
-        "seed": config.seed,
+        **asdict(config), "methods": ",".join(config.methods),
+        "checks": ",".join(config.checks), "field": field_resolved,
         "corrupt": "=".join(str(x) for x in config.corrupt[:1])
                    + (":" + ",".join(str(x) for x in config.corrupt[1:])
                       if len(config.corrupt) > 1 else "") if config.corrupt else "",
-        "output": config.output,
     })
     entries = report.checks
 

@@ -790,7 +790,7 @@ def named_algebra(name: str) -> LieAlgebra:
         return su2_algebra()
     for prefix, builder in (("so", so_algebra), ("gl", gl_algebra),
                             ("u", u_algebra), ("abelian", abelian_algebra)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
             return builder(int(name[len(prefix):]))
     raise ContractError(f"unknown algebra name {name!r}")
 
@@ -800,9 +800,9 @@ def named_split(algebra: LieAlgebra, spec: Optional[str]) -> ReductiveSplit:
     if spec is None or spec.strip().lower() in ("none", "trivial", ""):
         return trivial_split(algebra)
     spec = spec.strip().lower()
-    if spec.startswith("so") and spec[2:].isdigit():
+    if spec.startswith("so") and spec[2:].isdecimal():
         return so_subalgebra_split(algebra, int(spec[2:]))
-    if spec.startswith("gl") and spec[2:].isdigit():
+    if spec.startswith("gl") and spec[2:].isdecimal():
         return gl_subalgebra_split(algebra, int(spec[2:]))
     if spec in ("u1", "u1-line") and algebra.meta.get("family") == "su2":
         return su2_diagonal_split(algebra)

@@ -37,7 +37,7 @@ from .algebra import (
     permutation_sign,
     t_derivative,
 )
-from .invariants import InvariantPolynomial, _perfect_matchings, evaluate
+from .invariants import InvariantPolynomial, _perfect_matchings, evaluate, pfaffian
 from .lie import so_block
 from .weil import UniversalSetup
 
@@ -47,6 +47,7 @@ __all__ = [
     "tp_integral",
     "tp_johnson",
     "tp_chern_euler",
+    "check_euler_split",
     "coefficient_A",
     "coefficient_A_by_integration",
     "verify_transgression",
@@ -202,17 +203,9 @@ def tp_chern_euler(setup: UniversalSetup, P: InvariantPolynomial = None) -> Tran
     (-1)^(j+1) (2^j j! (2k-2j-1)!) / (2^j j! (2k-2j-1)!!) = (-1)^(j+1) (2k-2j-2)!!.
     """
     algebra = setup.algebra
-    if algebra.meta.get("family") != "so":
-        raise ContractError("the Euler transgression needs a built-in so(n)")
-    n = algebra.meta["n"]
-    if n % 2:
-        raise ContractError("the Euler transgression needs even n")
+    n = check_euler_split(algebra, setup.split)
     k = n // 2
-    pairs = algebra.meta["pairs"]
-    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
-    if setup.split.h != so_block(n, n - 1):
-        raise ContractError("the splitting must be the standard so(n-1) block")
-
+    pair_index = {pair: idx for idx, pair in enumerate(algebra.meta["pairs"])}
     dim = algebra.dim
     last = n - 1
     terms = {}
@@ -232,13 +225,21 @@ def tp_chern_euler(setup: UniversalSetup, P: InvariantPolynomial = None) -> Tran
                 even = tuple(sorted(dim + pair_index[p] for p in matched))
                 terms[Monomial(odd, even, 0)] = Scalar(weight * shuffle * sign)
     form = GradedElement(setup.context, terms).scale(Scalar(1, two_pi=k))
-    return _finish(form, "chern", P or _pfaffian_for(setup))
+    return _finish(form, "chern", P or pfaffian(algebra))
 
 
-def _pfaffian_for(setup: UniversalSetup) -> InvariantPolynomial:
-    from .invariants import pfaffian
-
-    return pfaffian(setup.algebra)
+def check_euler_split(algebra, split) -> int:
+    """The one rule of the Euler route: n when ``algebra`` is the built-in
+    so(n) with n even and ``split`` its standard so(n-1) block, and a
+    ContractError otherwise."""
+    if algebra.meta.get("family") != "so":
+        raise ContractError("the Euler transgression needs a built-in so(n)")
+    n = algebra.meta["n"]
+    if n % 2:
+        raise ContractError("the Euler transgression needs even n")
+    if split.h != so_block(n, n - 1):
+        raise ContractError("the splitting must be the standard so(n-1) block")
+    return n
 
 
 # ---------------------------------------------------------------------------

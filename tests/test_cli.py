@@ -23,7 +23,14 @@ from transgress.cli import (
     parse_config,
     run,
 )
-from transgress.lie import LieAlgebra, named_split, so_algebra, so_block
+from transgress.lie import (
+    LieAlgebra,
+    algebra_from_file,
+    named_algebra,
+    named_split,
+    so_algebra,
+    so_block,
+)
 from transgress.transgression import tp_chern_euler, verify_transgression
 from transgress.weil import UniversalSetup
 
@@ -45,14 +52,14 @@ class TestParseConfig:
 
     def test_chern_needs_even_so_with_pfaffian(self):
         with pytest.raises(UsageError):
-            parse(["--algebra", "so5", "--sub", "so4",
-                   "--poly", "pfaffian", "--method", "chern"])
+            run(parse(["--algebra", "so5", "--sub", "so4",
+                       "--poly", "pfaffian", "--method", "chern"]))
         with pytest.raises(UsageError):
-            parse(["--algebra", "so4", "--sub", "so3",
-                   "--poly", "trace^2", "--method", "chern"])
+            run(parse(["--algebra", "so4", "--sub", "so3",
+                       "--poly", "trace^2", "--method", "chern"]))
         with pytest.raises(UsageError):
-            parse(["--algebra", "gl3", "--sub", "gl2",
-                   "--poly", "pfaffian", "--method", "chern"])
+            run(parse(["--algebra", "gl3", "--sub", "gl2",
+                       "--poly", "pfaffian", "--method", "chern"]))
 
     def test_chern_accepts_index_list_subalgebra(self):
         config = parse(["--algebra", "so4", "--sub", "0,1,3",
@@ -61,19 +68,20 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_chern_split_rule_matches_route(self, n):
-        # parse_config admits a split for chern exactly when tp_chern_euler
-        # accepts it, and it admits the standard block for every even n
+        # the CLI admits a split for chern exactly when tp_chern_euler
+        # accepts it, and it admits the standard block for every even n,
+        # whatever the case of the names
         algebra = so_algebra(n)
         block = so_block(n, n - 1)
         # the last basis element, E[n-1,n], lies outside the so(n-1) block
         subs = [f"so{n - 1}", ",".join(map(str, block)), f"so{n - 2}", "none",
                 ",".join(map(str, block[:-1])),
                 ",".join(map(str, block + (algebra.dim - 1,))),
-                ",".join(map(str, block + block[-1:]))]
-        for sub in subs:
+                ",".join(map(str, block + block[-1:])), f"SO{n - 1}"]
+        for name, sub in [(f"so{n}", sub) for sub in subs] + [(f"SO{n}", f"so{n - 1}")]:
             try:
-                parse(["--algebra", f"so{n}", "--sub", sub,
-                       "--poly", "pfaffian", "--method", "chern"])
+                run(parse(["--algebra", name, "--sub", sub,
+                           "--poly", "pfaffian", "--method", "chern"]))
                 parsed = True
             except UsageError:
                 parsed = False
@@ -82,9 +90,33 @@ class TestParseConfig:
                 routed = True
             except ContractError:
                 routed = False
-            assert parsed == routed, sub
-            if sub == f"so{n - 1}":
+            assert parsed == routed, (name, sub)
+            if sub.lower() == f"so{n - 1}":
                 assert parsed == (n % 2 == 0)
+
+    @pytest.mark.parametrize("algebra, sub", [
+        ("gl3", "gl2"), ("u2", "0"), ("u2", "none"), ("file", "0,1"), ("file", "none")])
+    def test_chern_rule_off_the_so_family(self, tmp_path, monkeypatch, algebra, sub):
+        # outside the built-in so family the CLI refuses chern, and exactly
+        # when tp_chern_euler does: before any route runs
+        if algebra == "file":
+            path = tmp_path / "so3_cyclic.json"
+            path.write_text(json.dumps({
+                "dim": 3, "entries": [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"]]}))
+            algebra, resolved = str(path), algebra_from_file(str(path))
+        else:
+            resolved = named_algebra(algebra)
+        with pytest.raises(ContractError):
+            tp_chern_euler(UniversalSetup(resolved, named_split(resolved, sub)))
+        config = parse(["--algebra", algebra, "--sub", sub,
+                        "--poly", "pfaffian", "--method", "chern"])
+
+        def no_route(*args):
+            raise AssertionError("a route ran before the chern rule refused")
+
+        monkeypatch.setattr(cli, "_run_method", no_route)
+        with pytest.raises(UsageError, match="Euler transgression"):
+            run(config)
 
     def test_custom_file_passthrough(self):
         config = parse(["--algebra", "my.json", "--sub", "0,1,2",
@@ -249,6 +281,14 @@ class TestRun:
         report = run(config)
         assert report.passed
         assert report.forms["integral"]["terms"] == [["1", "w[1]"]]
+
+    @pytest.mark.parametrize("names", [("so4", "SO3"), ("SO4", "so3")])
+    @pytest.mark.parametrize("method", ["chern", "integral"])
+    def test_names_read_in_any_case(self, names, method, capsys):
+        # one name grammar for every method: named_algebra and named_split
+        assert main(["--algebra", names[0], "--sub", names[1], "--poly",
+                     "pfaffian", "--method", method]) == 0
+        assert "result: PASS (11/11 checks)" in capsys.readouterr().out
 
     def test_field_mismatch_is_usage_error(self):
         config = parse(["--algebra", "su2", "--sub", "u1",
@@ -516,6 +556,7 @@ def run_cli(*args):
 
 
 SO4 = ("--algebra", "so4", "--sub", "so3", "--poly", "pfaffian")
+SO4_CONFIG = {"algebra": "so4", "subalgebra": "so3", "polynomial": "pfaffian"}
 
 
 class TestUsageErrors:
@@ -542,10 +583,15 @@ class TestUsageErrors:
         # a subalgebra larger than the algebra
         ("--algebra", "so4", "--sub", "so5", "--poly", "pfaffian"),
         ("--algebra", "gl2", "--sub", "gl3", "--poly", "trace^2"),
+        # a digit that is no decimal digit
+        ("--algebra", "so\u00b2"),
+        ("--algebra", "so4", "--sub", "so\u00b2"),
+        ("--algebra", "so4", "--poly", "trace^\u00b2"),
     ], ids=["out", "aij-range", "aij-far", "aij-no-johnson",
             "structure-range", "structure-one-off", "check-repeated",
             "method-repeated", "check-empty", "check-commas", "method-empty",
-            "so-sub-too-large", "gl-sub-too-large"])
+            "so-sub-too-large", "gl-sub-too-large", "algebra-superscript",
+            "sub-superscript", "trace-superscript"])
     def test_exit_2_without_traceback(self, args):
         code, err = run_cli(*args)
         assert code == 2, err
@@ -570,10 +616,15 @@ class TestUsageErrors:
         ("--config", ["so4"], "JSON object"),
         ("--config", {"algebra": "so4", "checks": []}, "at least one check"),
         ("--config", {"algebra": "so4", "methods": []}, "at least one method"),
+        # a key whose flag takes text takes a JSON string, not a bool or number
+        ("--config", {**SO4_CONFIG, "field": False}, "field"),
+        ("--config", {**SO4_CONFIG, "corrupt": 0}, "corrupt"),
+        ("--config", {**SO4_CONFIG, "corrupt": False}, "corrupt"),
+        ("--config", {**SO4_CONFIG, "subalgebra": 0}, "subalgebra"),
     ], ids=["entries-int", "entry-float", "entry-bool", "matrix-float",
             "matrix-ragged", "algebra-list", "value-float", "prefactor-float", "index-bool",
             "value-duplicate", "seed-str", "seed-float", "config-list", "checks-empty",
-            "methods-empty"])
+            "methods-empty", "field-bool", "corrupt-zero", "corrupt-bool", "subalgebra-int"])
     def test_bad_input_file(self, tmp_path, flag, payload, names):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))

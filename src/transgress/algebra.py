@@ -210,6 +210,9 @@ class Scalar:
         )
 
     def __hash__(self) -> int:
+        # a real scalar at power 0 equals its Fraction, so it hashes like it
+        if not self._im and not self.two_pi:
+            return hash(self.re)
         return hash((self.re, self.im, self.two_pi))
 
     @staticmethod
@@ -428,19 +431,19 @@ class Context:
         return self._gens[gid]
 
     def zero(self) -> "GradedElement":
-        return _element(self, self._layout(0), {}, 1, 0)
+        return _element(self, self._layout(0), {}, 1)
 
     def one(self) -> "GradedElement":
-        return _element(self, self._layout(0), {0: 1}, 1, 0, deg=0)
+        return _element(self, self._layout(0), {0: 1}, 1, deg=0)
 
     def scalar(self, value) -> "GradedElement":
         return GradedElement(self, {UNIT_MONO: Scalar._coerce(value)})
 
     def gen(self, gid: int) -> "GradedElement":
         if self._gens[gid].is_odd:
-            return _element(self, self._layout(0), {1 << gid: 1}, 1, 0, deg=1)
+            return _element(self, self._layout(0), {1 << gid: 1}, 1, deg=1)
         layout = self._layout(1)
-        return _element(self, layout, {layout.units[gid]: 1}, 1, 0, most=1, deg=2)
+        return _element(self, layout, {layout.units[gid]: 1}, 1, most=1, deg=2)
 
     # Randomized elements for property tests and self-checks.
     def random_element(self, rng, terms: int = 3, max_odd: int = 2,
@@ -460,7 +463,7 @@ class Context:
         most = max((len(e) for _, e, _ in acc), default=0)
         layout = self._layout(most.bit_length())
         nums = {o | layout.fields(e) | t << layout.tshift: v for (o, e, t), v in acc.items()}
-        return _reduce(_element(self, layout, nums, 6, 0, most=most))
+        return _reduce(_element(self, layout, nums, 6, most=most))
 
     def __repr__(self) -> str:
         return f"Context({len(self.odd_ids)} odd, {len(self.even_ids)} even)"
@@ -487,24 +490,20 @@ class _Layout:
 
     Bit g holds odd generator g, as in ``odd_mask``.  Above the odd bits sit
     one exponent field of ``width`` bits per even generator, in
-    ``ctx.even_ids`` order, then a field of the same width for the (2pi)
-    power of the term above the lowest power of its element, and the
-    t-degree on top.  The product of two monomials with disjoint odd parts
-    is then the sum of their keys, as long as no field passes
-    2**width - 1.  ``Context`` keeps one layout per width.
+    ``ctx.even_ids`` order, and the t-degree on top.  The product of two
+    monomials with disjoint odd parts is then the sum of their keys, as long
+    as no field passes 2**width - 1.  ``Context`` keeps one layout per width.
     """
 
-    __slots__ = ("width", "odd", "even_mask", "units", "ids", "pshift", "pmask", "tshift")
+    __slots__ = ("width", "odd", "even_mask", "units", "ids", "tshift")
 
     def __init__(self, ctx: "Context", width: int):
         n_odd = max(ctx.odd_ids, default=-1) + 1
         ids = ctx.even_ids
         self.width = width
         self.odd = (1 << n_odd) - 1
-        self.pshift = n_odd + len(ids) * width
-        self.pmask = (1 << width) - 1
-        self.tshift = self.pshift + width
-        self.even_mask = (1 << self.pshift) - 1 ^ self.odd
+        self.tshift = n_odd + len(ids) * width
+        self.even_mask = (1 << self.tshift) - 1 ^ self.odd
         self.units = {g: 1 << n_odd + i * width for i, g in enumerate(ids)}
         self.ids = ids
 
@@ -518,7 +517,7 @@ class _Layout:
 
     def even(self, fields: int) -> tuple:
         """The sorted even multiset of the even fields of a key."""
-        width, ids, one = self.width, self.ids, self.pmask
+        width, ids, one = self.width, self.ids, (1 << self.width) - 1
         fields >>= self.odd.bit_length()
         even = ()
         while fields:
@@ -551,13 +550,22 @@ def _numerator(v: Scalar, den: int, shift: int) -> int:
     return v._re * f + (v._im * f << shift)
 
 
+def _one_power(powers) -> int:
+    """The one (2pi) power among ``powers``, 0 when there is none.  Two are
+    refused, as adding Scalars at two powers is."""
+    powers = sorted(set(powers))
+    if len(powers) > 1:
+        raise ContractError(f"cannot add scalars with different (2pi) powers: "
+                            f"{powers[0]} vs {powers[1]}")
+    return powers[0] if powers else 0
+
+
 def _common(scalars) -> tuple:
-    """Nonzero Scalars read as numerators over one denominator: (that
-    denominator, the lowest (2pi) power, the highest above it, the sum of
-    |re| + |im| over the numerators, whether any is Gaussian)."""
+    """Nonzero Scalars at one (2pi) power read as numerators over one
+    denominator: (that denominator, the power, the sum of |re| + |im| over
+    the numerators, whether any is Gaussian)."""
     den = _lcm(*{v._den for v in scalars})
-    powers = [v.two_pi for v in scalars] or [0]
-    return (den, min(powers), max(powers) - min(powers),
+    return (den, _one_power(v.two_pi for v in scalars),
             sum((abs(v._re) + abs(v._im)) * (den // v._den) for v in scalars),
             any(v._im for v in scalars))
 
@@ -570,26 +578,12 @@ def _gmul(a: int, b: int, shift: int) -> int:
     return ar * br - ai * bi + ((ar * bi + ai * br) << shift)
 
 
-def _power_clash(layout: _Layout, low: int, first: int, key: int) -> ContractError:
-    ps, pm = layout.pshift, layout.pmask
-    return ContractError(f"cannot add scalars with different (2pi) powers: "
-                         f"{low + (first >> ps & pm)} vs {low + (key >> ps & pm)}")
-
-
-def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, low: int,
-             high: int = 0, most: int = 0, shift: int = 0, deg: int = None) -> "GradedElement":
-    """A GradedElement from its stored form (see ``GradedElement``).  A
-    monomial held at two (2pi) powers would be a sum of scalars with
-    different powers, which is refused."""
-    if high:
-        held = {}  # monomial part -> its key
-        for key in nums:
-            first = held.setdefault(key & ~(layout.pmask << layout.pshift), key)
-            if first != key:
-                raise _power_clash(layout, low, first, key)
+def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, power: int = 0,
+             most: int = 0, shift: int = 0, deg: int = None) -> "GradedElement":
+    """A GradedElement from its stored form (see ``GradedElement``)."""
     x = _new(GradedElement)
-    x.ctx, x._layout, x._nums, x._den, x._low = ctx, layout, nums, den, low
-    x._high, x._most, x._shift, x._norm, x._deg, x._terms = high, most, shift, None, deg, None
+    x.ctx, x._layout, x._nums, x._den, x._power = ctx, layout, nums, den, power
+    x._most, x._shift, x._norm, x._deg, x._terms = most, shift, None, deg, None
     return x
 
 
@@ -630,77 +624,68 @@ class _Frame:
     """Where the terms of a sum of products land, and how they are packed.
 
     A product takes n factors from each group (elements, n), and the
-    elements of a group are aligned to its lowest (2pi) power and common
-    denominator, its part.  ``extra`` is one more factor that is no
-    element: (lowest power, denominator, highest power above it, even
-    factors, bound, Gaussian), ``bound`` being its largest |re| + |im|
-    times the number of products summed into one term.  The products have
-    the lowest power ``low`` over ``den``, at most ``high`` powers above it
-    and ``most`` even factors.  When a factor is Gaussian their numerators
-    are packed with ``shift``, wide enough for ``bound`` times the ``_norm``
-    of each factor.  The layout is the widest of those of the elements
-    unless the products need a wider one.
+    elements of a group are aligned to their common denominator.  The
+    nonzero elements of a group must share one (2pi) power, as the terms of
+    a sum must.  ``extra`` is one more factor that is no element: ((2pi)
+    power, denominator, even factors, bound, Gaussian), ``bound`` being its
+    largest |re| + |im| times the number of products summed into one term.
+    The products have the power ``two_pi`` over ``den`` and at most ``most``
+    even factors.  When a factor is Gaussian their numerators are packed
+    with ``shift``, wide enough for ``bound`` times the ``_norm`` of each
+    factor.  The layout is the widest of those of the elements unless the
+    products need a wider one.
     """
 
-    __slots__ = ("ctx", "layout", "shift", "parts", "low", "den", "high", "most")
+    __slots__ = ("ctx", "layout", "shift", "dens", "two_pi", "den", "most")
 
-    def __init__(self, ctx: "Context", groups, extra=(0, 1, 0, 0, 1, False)):
-        low, den, high, most, norm, imag = extra
-        parts, xs = [], []
+    def __init__(self, ctx: "Context", groups, extra=(0, 1, 0, 1, False)):
+        power, den, most, norm, imag = extra
+        dens, xs = [], []
         for group, n in groups:
-            glow, gden = min(x._low for x in group), _lcm(*(x._den for x in group))
-            ghigh = max(x._high + x._low for x in group) - glow
-            gmost = max(x._most for x in group)
-            parts.append((glow, gden))
-            low, den, high, most = low + n * glow, den * gden ** n, high + n * ghigh, most + n * gmost
+            gden = _lcm(*(x._den for x in group))
+            dens.append(gden)
+            power += n * _one_power(x._power for x in group if x._nums)
+            den, most = den * gden ** n, most + n * max(x._most for x in group)
             xs += group
         if imag or any(x._shift for x in xs):
-            for (group, n), (_, gden) in zip(groups, parts):
+            for (group, n), gden in zip(groups, dens):
                 norm *= sum(_norm(x) * (gden // x._den) for x in group) ** n
             self.shift = _packing(norm, xs)
         else:
             self.shift = 0
-        self.ctx, self.parts, self.low, self.den, self.high, self.most = (
-            ctx, parts, low, den, high, most)
-        self.layout = ctx._layout(max(max(most, high).bit_length(),
-                                      *(x._layout.width for x in xs)))
+        self.ctx, self.dens, self.two_pi, self.den, self.most = ctx, dens, power, den, most
+        self.layout = ctx._layout(max(most.bit_length(), *(x._layout.width for x in xs)))
 
     def align(self, x: "GradedElement", group: int = 0) -> dict:
         """The numerators of x, an element of the group, in this frame."""
-        return _aligned(x, self.layout, self.shift, *self.parts[group])
+        return _aligned(x, self.layout, self.shift, self.dens[group])
 
     def element(self, nums: dict, deg: int = None) -> "GradedElement":
         """The element of the numerators ``nums`` of products."""
-        return _element(self.ctx, self.layout, nums, self.den, self.low, self.high,
-                        self.most, self.shift, deg)
+        return _element(self.ctx, self.layout, nums, self.den, self.two_pi, self.most,
+                        self.shift, deg)
 
 
-def _aligned(x: "GradedElement", layout: _Layout, shift: int = 0, low: int = None,
-             den: int = None) -> dict:
-    """The numerators of x keyed by ``layout`` and packed with ``shift``
-    (when x is Gaussian), with power fields counted from ``low`` and over
-    ``den``; x's own dict when nothing changes.  The caller picks a layout,
-    shift, lowest power and denominator that hold x."""
+def _aligned(x: "GradedElement", layout: _Layout, shift: int = 0, den: int = None) -> dict:
+    """The numerators of x keyed by ``layout``, packed with ``shift`` (when
+    x is Gaussian) and over ``den``; x's own dict when nothing changes.  The
+    caller picks a layout, shift and denominator that hold x."""
     nums, src, s = x._nums, x._layout, x._shift
     f = den // x._den if den else 1
-    dq = x._low - low if low is not None else 0
     repack = s and s != shift
-    if src is layout and not dq and not repack:
+    if src is layout and not repack:
         return nums if f == 1 else {k: v * f for k, v in nums.items()}
     half = 1 << s - 1 if s else 0
-    odd, emask, ps, pm, ts = src.odd, src.even_mask, src.pshift, src.pmask, src.tshift
+    odd, emask, ts = src.odd, src.even_mask, src.tshift
     moved = {0: 0}  # even fields in src -> in layout
     out = {}
     for key, v in nums.items():
-        if src is layout:
-            key += dq << ps
-        else:
+        if src is not layout:
             e = key & emask
             fields = moved.get(e)
             if fields is None:
                 fields = moved[e] = layout.fields(src.even(e))
-            key = (key & odd | fields | ((key >> ps & pm) + dq) << layout.pshift
-                   | (key >> ts) << layout.tshift)
+            key = key & odd | fields | (key >> ts) << layout.tshift
         if repack:
             im = (v + half) >> s
             v += (im << shift) - (im << s)
@@ -746,8 +731,7 @@ def _t_block(x: "GradedElement", spacing: int):
     i = (min(x._nums) >> ts) // spacing  # t is the top field
     start, stop = spacing * i << ts, spacing * (i + 1) << ts
     part = {k - start: v for k, v in x._nums.items() if start <= k < stop}
-    return i, _element(x.ctx, x._layout, part, x._den, x._low, x._high, x._most,
-                       x._shift, x._deg)
+    return i, _element(x.ctx, x._layout, part, x._den, x._power, x._most, x._shift, x._deg)
 
 
 def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
@@ -792,8 +776,8 @@ def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
 def _decode(x) -> dict:
     """{Monomial: Scalar} of the stored form of x, an element or its
     ``_Terms``, in the order of its keys."""
-    layout, den, low, shift = x._layout, x._den, x._low, x._shift
-    odd, emask, ps, pm, ts = layout.odd, layout.even_mask, layout.pshift, layout.pmask, layout.tshift
+    layout, den, power, shift = x._layout, x._den, x._power, x._shift
+    odd, emask, ts = layout.odd, layout.even_mask, layout.tshift
     evens = {0: ()}  # even fields -> even multiset
     out = {}
     for key, v in x._nums.items():
@@ -801,8 +785,7 @@ def _decode(x) -> dict:
         even = evens.get(fields)
         if even is None:
             even = evens[fields] = layout.even(fields)
-        out[_tuple_new(Monomial, (key & odd, even, key >> ts))] = _scalar(
-            v, den, shift, low + (key >> ps & pm))
+        out[_tuple_new(Monomial, (key & odd, even, key >> ts))] = _scalar(v, den, shift, power)
     return out
 
 
@@ -812,11 +795,11 @@ class _Terms(Mapping):
     holds the stored fields of its element, not the element, so that the
     two hold no reference cycle."""
 
-    __slots__ = ("_layout", "_nums", "_den", "_low", "_shift", "_dict")
+    __slots__ = ("_layout", "_nums", "_den", "_power", "_shift", "_dict")
 
     def __init__(self, x: "GradedElement"):
-        self._layout, self._nums, self._den, self._low, self._shift, self._dict = (
-            x._layout, x._nums, x._den, x._low, x._shift, None)
+        self._layout, self._nums, self._den, self._power, self._shift, self._dict = (
+            x._layout, x._nums, x._den, x._power, x._shift, None)
 
     def _decoded(self) -> dict:
         if self._dict is None:
@@ -845,10 +828,9 @@ class GradedElement:
 
     The stored form is the one the kernels read.  ``_nums`` maps the key of
     each monomial (``_Layout``) to an integer numerator over the one
-    denominator ``_den``.  The (2pi) power of a term is ``_low`` plus the
-    power field of its key, which is at most ``_high``, so ``_high == 0``
-    means one power throughout.  ``_most`` bounds the even factors of a
-    term, and the layout's field width holds ``max(_most, _high)``.
+    denominator ``_den``, and every term has the one (2pi) power ``_power``.
+    ``_most`` bounds the even factors of a term, and the layout's field
+    width holds it.
     Gaussian numerators are packed as re + (im << _shift), both parts below
     2**(_shift - 1) in absolute value; real elements have ``_shift == 0``.
     ``_norm`` is the sum of |re| + |im| over the terms once known, and
@@ -859,26 +841,25 @@ class GradedElement:
     are safe to share.
     """
 
-    __slots__ = ("ctx", "_layout", "_nums", "_den", "_low", "_high", "_most", "_shift",
+    __slots__ = ("ctx", "_layout", "_nums", "_den", "_power", "_most", "_shift",
                  "_norm", "_deg", "_terms")
 
     def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
         items = [(m, c) for m, c in terms.items() if c]
-        den, low, high, _, imag = _common([c for _, c in items])
+        den, power, _, imag = _common([c for _, c in items])
         most = max((len(m[1]) for m, _ in items), default=0)
         degs = {m[0].bit_count() + 2 * len(m[1]) for m, _ in items}
         shift = _packing(max((abs(c._re) + abs(c._im)) * (den // c._den)
                              for _, c in items), ()) if imag else 0
-        layout = ctx._layout(max(most, high).bit_length())
+        layout = ctx._layout(most.bit_length())
         nums = {}
         for (o, e, t), c in items:
             fields = layout.fields(e)
             if o > layout.odd:
                 raise ContextError("monomial with odd factors outside its context")
-            nums[o | fields | c.two_pi - low << layout.pshift | t << layout.tshift] = (
-                _numerator(c, den, shift))
-        self.ctx, self._layout, self._nums, self._den, self._low = ctx, layout, nums, den, low
-        self._high, self._most, self._shift, self._norm = high, most, shift, None
+            nums[o | fields | t << layout.tshift] = _numerator(c, den, shift)
+        self.ctx, self._layout, self._nums, self._den, self._power = ctx, layout, nums, den, power
+        self._most, self._shift, self._norm = most, shift, None
         self._deg, self._terms = degs.pop() if len(degs) == 1 else None, None
 
     @property
@@ -950,14 +931,11 @@ class GradedElement:
             return self * self.ctx.scalar(scalar)
         r = scalar._re
         return _reduce(_element(self.ctx, self._layout, {k: v * r for k, v in self._nums.items()},
-                                self._den * scalar._den, self._low + scalar.two_pi, self._high,
+                                self._den * scalar._den, self._power + scalar.two_pi,
                                 self._most, 0, self._deg))
 
     def __mul__(self, other):
-        """The wedge product, or the scalar multiple by a number.
-
-        Terms that meet on one monomial with different (2pi) powers are
-        refused only when both powers survive in the product."""
+        """The wedge product, or the scalar multiple by a number."""
         if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
         self._check(other)
@@ -982,7 +960,7 @@ class GradedElement:
             raise ContractError("negative t powers are not representable")
         step = power << self._layout.tshift
         return _element(self.ctx, self._layout, {k + step: v for k, v in self._nums.items()},
-                        self._den, self._low, self._high, self._most, self._shift, self._deg)
+                        self._den, self._power, self._most, self._shift, self._deg)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
@@ -991,6 +969,8 @@ class GradedElement:
             return False
         if self is other or not self._nums:
             return True
+        if self._power != other._power:
+            return False
         frame = _Frame(self.ctx, [((self, other), 1)])
         return frame.align(self) == frame.align(other)
 
@@ -1080,12 +1060,13 @@ class Derivation:
         self.images = checked
         self._tables = {}  # layout width -> image table without packing
         # the images as the extra factor of a _Frame, its bound aside, whose
-        # even factors replace one even factor of the term
+        # even factors replace one even factor of the term; like the terms of
+        # a sum, they share one (2pi) power
         self._extra = None
         if checked:
             imgs = checked.values()
-            low, den = min(img._low for img in imgs), _lcm(*(img._den for img in imgs))
-            self._extra = (low, den, max(img._high + img._low for img in imgs) - low,
+            self._extra = (_one_power(img._power for img in imgs),
+                           _lcm(*(img._den for img in imgs)),
                            max(0, *(img._most - (ctx.generator(g).degree == 2)
                                     for g, img in checked.items())),
                            any(img._shift for img in imgs))
@@ -1100,7 +1081,7 @@ class Derivation:
         around it is the parity of ``rest & mask`` (see ``__call__``)."""
         table = None if shift else self._tables.get(layout.width)
         if table is None:
-            low, den = self._extra[:2]
+            den, fill = self._extra[1], (1 << layout.width) - 1
             slots, odd_with, even_with = {}, 0, 0
             for gid, img in self.images.items():
                 odd = self.ctx.generator(gid).is_odd
@@ -1108,7 +1089,7 @@ class Derivation:
                 # the odd factors of the rest that the operator moves past
                 before = unit - 1 if odd else layout.odd
                 slot = slots[unit] = []
-                for key, c in _aligned(img, layout, shift, low, den).items():
+                for key, c in _aligned(img, layout, shift, den).items():
                     o = bits = key & layout.odd
                     mask = 0 if o.bit_count() & 1 else before
                     while bits:
@@ -1119,7 +1100,7 @@ class Derivation:
                 if odd:
                     odd_with |= unit
                 else:
-                    even_with |= unit * layout.pmask
+                    even_with |= unit * fill
             table = slots, odd_with, even_with
             if not shift:
                 self._tables[layout.width] = table
@@ -1144,12 +1125,12 @@ class Derivation:
             raise ContextError("element over a different context")
         if x.is_zero or self._extra is None:
             return self.ctx.zero()
-        low, den, high, growth, imag = self._extra
+        power, den, growth, imag = self._extra
         # _Frame reads the bound only when a factor is Gaussian; a term has
         # one slot per factor: at most the odd generators and ``_most``
         bound = max(_norm(img) * (den // img._den) for img in self.images.values()) * (
             x._layout.odd.bit_length() + x._most) if imag or x._shift else 1
-        frame = _Frame(self.ctx, [((x,), 1)], (low, den, high, growth, bound, imag))
+        frame = _Frame(self.ctx, [((x,), 1)], (power, den, growth, bound, imag))
         layout, shift = frame.layout, frame.shift
         both = shift if x._shift and imag else 0
         slots, odd_with, even_with = self._table(layout, shift)
@@ -1195,42 +1176,29 @@ class Derivation:
 # Calculus in t
 # ---------------------------------------------------------------------------
 
-def _t_map(x: GradedElement, mults: dict, den: int, lower: bool = False,
-           ordered: bool = True) -> GradedElement:
-    """Each term of x of t-degree d times mults[d] = (re, im, q), the
-    Gaussian integer re + im i over ``den`` at q more (2pi) powers, with t
+def _t_map(x: GradedElement, mults: dict, den: int, power: int = 0,
+           lower: bool = False) -> GradedElement:
+    """Each term of x of t-degree d times mults[d] = (re, im), the Gaussian
+    integer re + im i over ``den`` at the (2pi) power ``power``, with t
     dropped, or lowered by one when ``lower``; the terms of a t-degree
-    without a multiplier are dropped.  Terms that meet are summed in order.
-    With ``ordered``, a term is refused as ``Scalar`` addition refuses it,
-    when it meets a nonzero entry of its monomial at another power;
-    otherwise only two powers that both survive are refused."""
+    without a multiplier are dropped.  Terms that meet are summed in order."""
     if x.is_zero or not mults:
         return x.ctx.zero()
-    qs = [q for _, _, q in mults.values()]
-    qmin = min(qs)
     frame = _Frame(x.ctx, [((x,), 1)], (
-        qmin, den, max(qs) - qmin, 0, max(abs(re) + abs(im) for re, im, _ in mults.values()),
-        any(im for _, im, _ in mults.values())))
-    layout, shift, low, high = frame.layout, frame.shift, frame.low, frame.high
-    ps, ts, pm = layout.pshift, layout.tshift, layout.pmask
-    keep, mask = (1 << ps) - 1, ~(pm << ps)
-    acc, held = {}, {}  # held: monomial part -> the key of its last power
+        power, den, 0, max(abs(re) + abs(im) for re, im in mults.values()),
+        any(im for _, im in mults.values())))
+    shift, ts = frame.shift, frame.layout.tshift
+    acc = {}
     for k, v in frame.align(x).items():
         d = k >> ts
         if d not in mults:
             continue
-        re, im, q = mults[d]
+        re, im = mults[d]
         m = re + (im << shift)
         v = _gmul(v, m, shift) if x._shift and im else v * m
         if not v:
             continue
-        k = k & keep | ((k >> ps & pm) + q - qmin) << ps | (d - 1 << ts if lower else 0)
-        if high and ordered:
-            h = held.setdefault(k & mask, k)
-            if h != k:
-                if h in acc:
-                    raise _power_clash(layout, low, h, k)
-                held[k & mask] = k
+        k -= (1 if lower else d) << ts  # t lowered by one, or dropped
         c = acc.get(k, 0) + v
         if c:
             acc[k] = c
@@ -1244,18 +1212,21 @@ def integrate_unit_interval(x: GradedElement) -> GradedElement:
     term of t-degree d is divided by d + 1, over the lcm of those."""
     top = max(x._nums, default=0) >> x._layout.tshift
     lcm = _lcm(*range(1, top + 2))
-    return _t_map(x, {d: (lcm // (d + 1), 0, 0) for d in range(top + 1)}, lcm)
+    return _t_map(x, {d: (lcm // (d + 1), 0) for d in range(top + 1)}, lcm)
 
 
 def substitute_t(x: GradedElement, value: Scalar) -> GradedElement:
     """Evaluate every coefficient polynomial at t = value: the term of
     t-degree d times (vr + vi i)**d vd**(top - d) over vd**top, for
-    value = (vr + vi i) / vd and the top t-degree."""
+    value = (vr + vi i) / vd and the top t-degree.  A value at a (2pi)
+    power would put the t-degrees at different powers, so it is refused."""
     value = Scalar._coerce(value)
+    if value.two_pi:
+        raise ContractError(f"substitute_t takes a value without (2pi) powers, not {value}")
     top = max(x._nums, default=0) >> x._layout.tshift
     mults, re, im = {}, 1, 0
     for d in range(top + 1):
-        mults[d] = (re * value._den ** (top - d), im * value._den ** (top - d), d * value.two_pi)
+        mults[d] = (re * value._den ** (top - d), im * value._den ** (top - d))
         re, im = re * value._re - im * value._im, re * value._im + im * value._re
     return _t_map(x, mults, value._den ** top)
 
@@ -1263,4 +1234,4 @@ def substitute_t(x: GradedElement, value: Scalar) -> GradedElement:
 def t_derivative(x: GradedElement) -> GradedElement:
     """Formal d/dt on coefficient polynomials."""
     top = max(x._nums, default=0) >> x._layout.tshift
-    return _t_map(x, {d: (d, 0, 0) for d in range(1, top + 1)}, 1, lower=True)
+    return _t_map(x, {d: (d, 0) for d in range(1, top + 1)}, 1, lower=True)

@@ -123,51 +123,42 @@ def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
     residue, and the smallest one with a nonzero residue is the first a scan
     of all sorted tuples in lexicographic order finds.
 
-    The constants are read as numerators over D_c and the values over D_P,
-    each with its (2pi) power above the lowest, so the residues are sums of
-    numerators over D_c D_P.  A term that meets a nonzero residue held at
-    another power is refused, as adding the two Scalars would be.
+    The constants are read as numerators over D_c and the values, at their
+    one (2pi) power, over D_P, so the residues are sums of numerators over
+    D_c D_P.
     """
     algebra, values = P.algebra, P.values
     if not values:
         return {}
-    cden, clow, chigh, cnorm, cimag, constants = algebra._constants
-    vden, vlow, vhigh, vnorm, vimag = _common(values.values())
+    cden, cnorm, cimag, constants = algebra._constants
+    vden, power, vnorm, vimag = _common(values.values())
     shift = 0
     if vimag or cimag:
         # each entry feeds at most degree tuples per constant, each time
         # with a multiplicity of at most degree
         shift = _packing(vnorm * len(algebra.structure) * cnorm * P.degree ** 2, ())
-    mixed = chigh or vhigh
     preimages = {}
     for a in range(algebra.dim):
-        for b, q, re, im in constants.get((x, a), ()):
-            preimages.setdefault(b, []).append((a, q, re + (im << shift)))
-    residues, powers = {}, {}  # tuple -> numerator, and its power when mixed
+        for b, re, im in constants.get((x, a), ()):
+            preimages.setdefault(b, []).append((a, re + (im << shift)))
+    residues = {}
     for stup, v in values.items():
-        val, qv = _numerator(v, vden, shift), v.two_pi - vlow
+        val = _numerator(v, vden, shift)
         for b in set(stup):
             pre = preimages.get(b)
             if pre is None:
                 continue
             rest = list(stup)
             rest.remove(b)
-            for a, q, k in pre:
+            for a, k in pre:
                 tup = tuple(sorted(rest + [a]))
                 k = (_gmul(k, val, shift) if shift else k * val) * (rest.count(a) + 1)
-                cur = residues.get(tup, 0)
-                if mixed:
-                    if cur and powers[tup] != q + qv:
-                        raise ContractError(
-                            f"cannot add scalars with different (2pi) powers: "
-                            f"{clow + vlow + powers[tup]} vs {clow + vlow + q + qv}")
-                    powers[tup] = q + qv
-                if cur + k:
-                    residues[tup] = cur + k
+                k += residues.get(tup, 0)
+                if k:
+                    residues[tup] = k
                 else:
                     del residues[tup]
-    return {tup: _scalar(k, cden * vden, shift, clow + vlow + powers.get(tup, 0))
-            for tup, k in residues.items()}
+    return {tup: _scalar(k, cden * vden, shift, power) for tup, k in residues.items()}
 
 
 def _orderings(part) -> int:
@@ -256,10 +247,10 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         return ctx.zero()
     values = P.values if pre.is_one else {stup: v * pre for stup, v in P.values.items()}
     comps = [[f.components[a] for a in s] for (f, _), s in zip(groups, supports)]
-    vden, vlow, vhigh, vnorm, vimag = _common(values.values())
+    vden, power, vnorm, vimag = _common(values.values())
     # a tuple's splits take at most k! orderings, each once
     frame = _Frame(ctx, list(zip(comps, sizes)),
-                   (vlow, vden, vhigh, 0, factorial(P.degree) * vnorm, vimag))
+                   (power, vden, 0, factorial(P.degree) * vnorm, vimag))
     layout, shift = frame.layout, frame.shift
     both = shift if any(c._shift for cs in comps for c in cs) else 0  # Gaussian products
 
@@ -286,7 +277,6 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         return elem
 
     last = len(groups) - 1
-    ps = layout.pshift
     acc = {}
     for stup, value in values.items():
         vals = sorted(set(stup))
@@ -298,8 +288,6 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         if plan is None:
             plan = _PLANS[shape] = _split_plan(*shape)
         value_at = vals.__getitem__
-        # the key of the value's (2pi) power above the lowest
-        step = value.two_pi - vlow << ps
         val = _numerator(value, vden, shift)
         for parts, weight in plan:
             prefix = None
@@ -319,8 +307,6 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
             else:
                 part = tuple(map(value_at, parts[last]))
                 piece = products[last][part[-1:]]
-                if step:
-                    piece = {k + step: c for k, c in piece.items()}
                 if len(part) > 1:
                     head = group_product(last, part[:-1])
                     prefix = head if prefix is None else _product(prefix, head, layout, both)
@@ -364,7 +350,7 @@ def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:
                     tup = tuple(sorted(word + (a,)))
                     sums[tup] = sums.get(tup, 0) + (_gmul(prod, v, shift) if shift else prod * v)
     den = r.den ** k
-    values = {tup: _scalar(sums[tup], den * _orderings(tup), shift, k * r.power)
+    values = {tup: _scalar(sums[tup], den * _orderings(tup), shift, 0)
               for tup in sorted(sums) if sums[tup]}
     return InvariantPolynomial(algebra, k, values)
 

@@ -71,13 +71,11 @@ __all__ = [
 class _Realization(NamedTuple):
     """n-by-n matrices as {(i, j): numerator} dicts of their nonzero entries
     over one denominator, with Gaussian parts packed as re + (im << shift)
-    (``shift`` 0 for real matrices) and every entry at the (2pi) power
-    ``power``."""
+    (``shift`` 0 for real matrices)."""
 
     n: int
     den: int
     shift: int
-    power: int
     mats: tuple
 
     def packed(self, shift: int) -> tuple:
@@ -98,7 +96,7 @@ class _Realization(NamedTuple):
 def _realization(matrices, dim: int = None) -> Optional[_Realization]:
     """The realization of matrices given as rows of exact scalars (a
     ``_Realization`` is taken as it is), checked to be ``dim`` square
-    matrices of one size."""
+    matrices of one size with no entry at a (2pi) power."""
     if isinstance(matrices, _Realization) or not matrices:
         return matrices or None
     rows = [[[v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in M]
@@ -108,13 +106,13 @@ def _realization(matrices, dim: int = None) -> Optional[_Realization]:
         raise ContractError("need one matrix per basis element")
     if n == 0 or any(len(M) != n or any(len(row) != n for row in M) for M in rows):
         raise ContractError("matrices must be square and of one size")
-    den, power, high, norm, imag = _common([v for M in rows for row in M for v in row if v])
-    if high:
-        raise ContractError("matrix entries must share one (2pi) power")
+    den, power, norm, imag = _common([v for M in rows for row in M for v in row if v])
+    if power:
+        raise ContractError(f"matrix entries carry no (2pi) power, not {power}")
     shift = _packing(norm, ()) if imag else 0
     mats = tuple({(i, j): _numerator(v, den, shift) for i, row in enumerate(M)
                   for j, v in enumerate(row) if v} for M in rows)
-    return _Realization(n, den, shift, power, mats)
+    return _Realization(n, den, shift, mats)
 
 
 def _axpy(acc: dict, f, vec: dict, shift: int = 0) -> None:
@@ -190,8 +188,8 @@ def structure_from_matrices(matrices) -> dict:
     for b, M in enumerate(r.mats):
         if not _pivot(pivots, {e: _scalar(v, 1, r.shift, 0) for e, v in M.items()}, {b: ONE}):
             raise ContractError("matrix basis is linearly dependent")
-    q, _, _, norm, _ = _common([v for pair in pivots.values() for part in pair
-                                for v in part.values()])
+    q, _, norm, _ = _common([v for pair in pivots.values() for part in pair
+                             for v in part.values()])
     # with a the largest |re| + |im| summed over one matrix, a commutator
     # sums to at most 2 a^2, a coefficient to 2 a^2 norm, a leftover 4 a^2 norm
     shift = _packing(4 * max(r.norms()) ** 2 * norm, ()) if r.shift else 0
@@ -211,7 +209,7 @@ def structure_from_matrices(matrices) -> dict:
         if residual:
             raise ContractError("target is outside the span of the basis")
         for a in sorted(coeffs):
-            coeff = _scalar(coeffs[a], r.den * q, shift, r.power)
+            coeff = _scalar(coeffs[a], r.den * q, shift, 0)
             structure[(a, b, c)] = coeff
             structure[(a, c, b)] = -coeff
     return structure
@@ -224,7 +222,8 @@ def structure_from_matrices(matrices) -> dict:
 class LieAlgebra:
     """Structure-constant table [e_b, e_c] = sum_a c[a,b,c] e_a, with an
     optional matrix realization: ``matrices`` as rows of exact scalars, or a
-    ``_Realization``, which the set-up reads."""
+    ``_Realization``, which the set-up reads.  Neither carries a (2pi)
+    power."""
 
     def __init__(self, dim: int, labels: Sequence[str], structure: Mapping,
                  matrices=None, name: str = "", meta: Optional[dict] = None):
@@ -238,6 +237,9 @@ class LieAlgebra:
             if not (0 <= a < dim and 0 <= b < dim and 0 <= c < dim):
                 raise ContractError(f"structure index out of range: {key}")
             value = value if isinstance(value, Scalar) else Scalar(value)
+            if value.two_pi:
+                raise ContractError(f"structure constant {key} carries no (2pi) power, "
+                                    f"not {value.render()}")
             if not value.is_zero:
                 table[(a, b, c)] = value
         self.dim = dim
@@ -250,19 +252,18 @@ class LieAlgebra:
 
     @cached_property
     def _constants(self) -> tuple:
-        """The structure constants as numerators: (denominator, lowest (2pi)
-        power, highest power above it, the largest |re| + |im|, whether any
-        is Gaussian, and {(b, c): [the entries (a, power above the lowest,
-        re, im)]} per nonzero [e_b, e_c], each in the order of
+        """The structure constants as numerators: (denominator, the largest
+        |re| + |im|, whether any is Gaussian, and {(b, c): [the entries
+        (a, re, im)]} per nonzero [e_b, e_c], each in the order of
         ``structure``)."""
-        den, low, high, norm, imag = _common(self.structure.values())
+        den, _, norm, imag = _common(self.structure.values())
         shift = _packing(norm, ()) if imag else 0
         table, norm = {}, 0
         for (a, b, c), k in self.structure.items():
             re, im = _parts(_numerator(k, den, shift), shift)
-            table.setdefault((b, c), []).append((a, k.two_pi - low, re, im))
+            table.setdefault((b, c), []).append((a, re, im))
             norm = max(norm, abs(re) + abs(im))
-        return den, low, high, norm, imag, table
+        return den, norm, imag, table
 
     @cached_property
     def _bracket_failures(self) -> tuple:
@@ -273,18 +274,15 @@ class LieAlgebra:
         return tuple(failure for failure in (_antisymmetry_witness(self), _jacobi_witness(self))
                      if failure is not None)
 
-    def _bracket_table(self, layout, shift: int) -> tuple:
-        """The constants of each nonzero [e_b, e_c] keyed by ``layout`` and
-        packed with ``shift``: ((b, c), ((a, {key: numerator}), ...)) per
-        pair.  The table without packing or powers, the same for every
-        layout, is kept."""
+    def _bracket_table(self, shift: int) -> tuple:
+        """The constants of each nonzero [e_b, e_c] as unit-key factors packed
+        with ``shift``: ((b, c), ((a, {0: numerator}), ...)) per pair.  The
+        table without packing is kept."""
         if self._plain is not None and not shift:
             return self._plain
-        _, _, high, _, _, constants = self._constants
-        ps = layout.pshift
-        table = tuple((bc, tuple((a, {q << ps: re + (im << shift)}) for a, q, re, im in entries))
-                      for bc, entries in constants.items())
-        if not (shift or high):
+        table = tuple((bc, tuple((a, {0: re + (im << shift)}) for a, re, im in entries))
+                      for bc, entries in self._constants[3].items())
+        if not shift:
             self._plain = table
         return table
 
@@ -294,7 +292,7 @@ class LieAlgebra:
         r = self._realization
         if r is None:
             return None
-        return tuple(tuple(tuple(_scalar(M[i, j], r.den, r.shift, r.power) if (i, j) in M
+        return tuple(tuple(tuple(_scalar(M[i, j], r.den, r.shift, 0) if (i, j) in M
                                  else ZERO for j in range(r.n)) for i in range(r.n))
                      for M in r.mats)
 
@@ -303,11 +301,11 @@ class LieAlgebra:
 
     def bracket_on_basis(self, b: int, c: int):
         """[e_b, e_c] as a tuple of (index, coefficient)."""
-        return tuple([(a, self.c(a, b, c)) for a, _, _, _ in self._constants[5].get((b, c), ())])
+        return tuple([(a, self.c(a, b, c)) for a, _, _ in self._constants[3].get((b, c), ())])
 
     def has_imaginary_data(self) -> bool:
         r = self._realization
-        return self._constants[4] or bool(r and r.shift)
+        return self._constants[2] or bool(r and r.shift)
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name or 'custom'}, dim={self.dim})"
@@ -371,52 +369,42 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
 
     The constants are the numerators of ``_constants``, so every product
     has the denominator D_c^2.  A product of two constants is summed into
-    the slot ``d * stride + a + dim * q``: its d, its component a, and the
-    sum q of the powers of the two above the lowest.
+    the slot ``d * dim + a`` of its d and its component a.
     """
-    den, low, high, norm, imag, constants = algebra._constants
+    den, norm, imag, constants = algebra._constants
     dim = algebra.dim
-    stride = dim * (2 * high + 1)
     # a sum takes at most dim products for each of the three rotations
     shift = _packing(3 * dim * norm * norm, ()) if imag else 0
-    brackets = {}  # b * dim + c -> ((a, dim * q, numerator), ...)
+    brackets = {}  # b * dim + c -> ((a, numerator), ...)
     right = [[] for _ in range(dim)]  # b -> [(c, brackets of b, c)] for [e_b, e_c] nonzero
     left = [[] for _ in range(dim)]  # c -> [(b, brackets of b, c)] for [e_b, e_c] nonzero
     for (b, c), entries in constants.items():
-        brackets[b * dim + c] = ks = tuple((a, dim * q, re + (im << shift))
-                                           for a, q, re, im in entries)
+        brackets[b * dim + c] = ks = tuple((a, re + (im << shift)) for a, re, im in entries)
         right[b].append((c, ks))
         left[c].append((b, ks))
     for b in range(dim):
         for c in range(b, dim):
-            # (d, dim * q, numerator, the brackets of e_e with the third
-            # index) for [[b,c],d], [[c,d],b] and [[d,b],c], at the d where
-            # (b, c, d) comes first among its rotations
-            terms = [(d, q1, k1, ks) for e, q1, k1 in brackets.get(b * dim + c, ())
+            # (d * dim, numerator, the brackets of e_e with the third index)
+            # for [[b,c],d], [[c,d],b] and [[d,b],c], at the d where (b, c, d)
+            # comes first among its rotations
+            terms = [(d * dim, k1, ks) for e, k1 in brackets.get(b * dim + c, ())
                      for d, ks in right[e] if d > b or d == b == c]
-            terms += [(d, q1, k1, ks) for d, first in right[c] if d > b or d == b == c
-                      for e, q1, k1 in first if (ks := brackets.get(e * dim + b))]
-            terms += [(d, q1, k1, ks) for d, first in left[b] if d > b or d == b == c
-                      for e, q1, k1 in first if (ks := brackets.get(e * dim + c))]
+            terms += [(d * dim, k1, ks) for d, first in right[c] if d > b or d == b == c
+                      for e, k1 in first if (ks := brackets.get(e * dim + b))]
+            terms += [(d * dim, k1, ks) for d, first in left[b] if d > b or d == b == c
+                      for e, k1 in first if (ks := brackets.get(e * dim + c))]
             acc: dict = {}
-            for d, q1, k1, ks in terms:
-                base = d * stride + q1
-                for a, q2, k2 in ks:
-                    slot = base + a + q2
+            for base, k1, ks in terms:
+                for a, k2 in ks:
+                    slot = base + a
                     k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
                     if k:
                         acc[slot] = k
                     else:
                         del acc[slot]
             if acc:
-                d = min(acc) // stride
-                a = min(slot % dim for slot in acc if slot // stride == d)
-                (q, k), *rest = [(slot % stride // dim, k) for slot, k in acc.items()
-                                 if slot // stride == d and slot % dim == a]
-                if rest:
-                    raise ContractError(f"cannot add scalars with different (2pi) "
-                                        f"powers: {2 * low + q} vs {2 * low + rest[0][0]}")
-                value = _scalar(k, den * den, shift, 2 * low + q)
+                d, a = divmod(min(acc), dim)
+                value = _scalar(acc[d * dim + a], den * den, shift, 0)
                 return ValidationFailure(
                     "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None
@@ -433,13 +421,12 @@ def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     The commutator is formed again from the matrices, so the check does not
     lean on ``structure_from_matrices``.  Over D^2 D_c, for matrices over D
     and constants over D_c, the difference is D_c [N_b, N_c] less
-    D sum_a k_a N_a.  A (2pi) power is a formal unit, so a term at another
-    power than the commutator's is kept apart by its power in the key.
+    D sum_a k_a N_a.
     """
     r = algebra._realization
     if r is None:
         return None
-    den, low, _, norm, imag, constants = algebra._constants
+    den, norm, imag, constants = algebra._constants
     mats, shift = r.mats, 0
     if r.shift or imag:
         a = max(r.norms())
@@ -453,9 +440,8 @@ def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
         residual = _commutator(mats[b], mats[c], shift)
         if den != 1:
             residual = {key: v * den for key, v in residual.items()}
-        for a, q, re, im in constants.get((b, c), ()):
-            M = mats[a] if low + q == r.power else {(*e, q): v for e, v in mats[a].items()}
-            _axpy(residual, -(re + (im << shift)) * r.den, M, shift)
+        for a, re, im in constants.get((b, c), ()):
+            _axpy(residual, -(re + (im << shift)) * r.den, mats[a], shift)
         if residual:
             return ValidationFailure(
                 "matrix-realization", (b, c),
@@ -533,10 +519,10 @@ class _GeneratedSpan:
 
     def _bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
-        structure, constants = self.algebra.structure, self.algebra._constants[5]
+        structure, constants = self.algebra.structure, self.algebra._constants[3]
         for b, ub in u.items():
             for c, vc in v.items():
-                for a, _, _, _ in constants.get((b, c), ()):
+                for a, _, _ in constants.get((b, c), ()):
                     _acc_add(out, a, ub * vc * structure[a, b, c])
         return out
 
@@ -638,10 +624,10 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     ys = {c: e for c, e in enumerate(y.components) if not e.is_zero}
     if not (xs and ys and algebra.structure):
         return LieValuedForm.zero(algebra, ctx, x.degree + y.degree)
-    cden, clow, chigh, cnorm, cimag, _ = algebra._constants
+    cden, cnorm, cimag, _ = algebra._constants
     # each x^b /\ y^c meets at most every constant
     frame = _Frame(ctx, [(list(xs.values()), 1), (list(ys.values()), 1)],
-                   (clow, cden, chigh, 0, len(algebra.structure) * cnorm, cimag))
+                   (0, cden, 0, len(algebra.structure) * cnorm, cimag))
     layout, shift = frame.layout, frame.shift
     xe = {b: frame.align(e) for b, e in xs.items()}
     ye = {c: frame.align(e, 1) for c, e in ys.items()}
@@ -649,7 +635,7 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     pair_both = shift if ximag and yimag else 0  # Gaussian products
     scale_both = shift if cimag and (ximag or yimag) else 0  # and constants
     acc: dict = {}
-    for (b, c), entries in algebra._bracket_table(layout, shift):
+    for (b, c), entries in algebra._bracket_table(shift):
         xb = xe.get(b)
         if xb is None:
             continue
@@ -693,7 +679,7 @@ def so_algebra(n: int) -> LieAlgebra:
     if n < 2:
         raise ContractError("so(n) needs n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mats = _Realization(n, 1, 0, 0, tuple({(i, j): 1, (j, i): -1} for i, j in pairs))
+    mats = _Realization(n, 1, 0, tuple({(i, j): 1, (j, i): -1} for i, j in pairs))
     labels = [f"E[{i + 1},{j + 1}]" for i, j in pairs]
     structure = structure_from_matrices(mats) if len(pairs) > 1 else {}
     return LieAlgebra(len(pairs), labels, structure, mats, name=f"so{n}",
@@ -703,7 +689,7 @@ def so_algebra(n: int) -> LieAlgebra:
 def gl_algebra(n: int) -> LieAlgebra:
     """gl(n; C) with basis E_ij, ordered lexicographically."""
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    mats = _Realization(n, 1, 0, 0, tuple({pair: 1} for pair in pairs))
+    mats = _Realization(n, 1, 0, tuple({pair: 1} for pair in pairs))
     labels = [f"E[{i + 1},{j + 1}]" for i, j in pairs]
     structure = structure_from_matrices(mats)
     return LieAlgebra(len(pairs), labels, structure, mats, name=f"gl{n}",
@@ -718,7 +704,7 @@ def u_algebra(n: int) -> LieAlgebra:
         for k in range(j + 1, n):
             mats += [{(j, k): 1, (k, j): -1}, {(j, k): _I, (k, j): _I}]
             labels += [f"A[{j + 1},{k + 1}]", f"S[{j + 1},{k + 1}]"]
-    mats = _Realization(n, 1, 2, 0, tuple(mats))
+    mats = _Realization(n, 1, 2, tuple(mats))
     structure = structure_from_matrices(mats) if len(labels) > 1 else {}
     return LieAlgebra(len(labels), labels, structure, mats, name=f"u{n}",
                       meta={"family": "u", "n": n})
@@ -726,8 +712,8 @@ def u_algebra(n: int) -> LieAlgebra:
 
 def su2_algebra() -> LieAlgebra:
     """su(2) with [X1, X2] = X3 cyclically; X_a = sigma_a / (2i)."""
-    mats = _Realization(2, 2, 2, 0, ({(0, 1): -_I, (1, 0): -_I}, {(0, 1): -1, (1, 0): 1},
-                                     {(0, 0): -_I, (1, 1): _I}))
+    mats = _Realization(2, 2, 2, ({(0, 1): -_I, (1, 0): -_I}, {(0, 1): -1, (1, 0): 1},
+                                  {(0, 0): -_I, (1, 1): _I}))
     structure = structure_from_matrices(mats)
     return LieAlgebra(3, ("X[1]", "X[2]", "X[3]"), structure, mats,
                       name="su2", meta={"family": "su2", "n": 2})
@@ -735,7 +721,7 @@ def su2_algebra() -> LieAlgebra:
 
 def abelian_algebra(d: int) -> LieAlgebra:
     """R^d with the zero bracket, realized by commuting diagonal matrices."""
-    mats = _Realization(d, 1, 0, 0, tuple({(k, k): 1} for k in range(d)))
+    mats = _Realization(d, 1, 0, tuple({(k, k): 1} for k in range(d)))
     labels = [f"x[{k + 1}]" for k in range(d)]
     return LieAlgebra(d, labels, {}, mats, name=f"abelian{d}",
                       meta={"family": "abelian", "n": d})

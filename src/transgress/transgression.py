@@ -167,11 +167,10 @@ def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
         w = Scalar._coerce(coefficient_fn(k, i, j)) / multinomial
         if w:
             weights[d] = w
-    wden, _, _, norm, imag = _common(weights.values())
+    wden, power, norm, imag = _common(weights.values())
     shift = _packing(norm, ()) if imag else 0
-    mults = {d: (*_parts(_numerator(w, wden, shift), shift), w.two_pi)
-             for d, w in weights.items()}
-    return _finish(_t_map(polarized, mults, wden, ordered=False), "johnson", P)
+    mults = {d: _parts(_numerator(w, wden, shift), shift) for d, w in weights.items()}
+    return _finish(_t_map(polarized, mults, wden, power), "johnson", P)
 
 
 def double_factorial(n: int) -> int:

@@ -80,29 +80,26 @@ class UniversalSetup:
         constants over D_c, in the order of ``algebra.structure``."""
         algebra, ctx = self.algebra, self.context
         dim = algebra.dim
-        den, clow, chigh, norm, imag, _ = algebra._constants
-        low = min(0, clow)
-        high = max(0, clow + chigh) - low
-        layout = ctx._layout(max(1, high).bit_length())
-        ps, units = layout.pshift, layout.units
+        den, norm, imag, _ = algebra._constants
+        layout = ctx._layout(1)
+        units = layout.units
         shift = _packing(2 * max(den, norm), ()) if imag else 0
-        odd = [{units[dim + a] | -low << ps: 2 * den} for a in range(dim)]
+        odd = [{units[dim + a]: 2 * den} for a in range(dim)]
         even = [{} for _ in range(dim)]
         for (a, b, c), v in algebra.structure.items():
-            q = v.two_pi - low << ps
             num = _numerator(v, den, shift)
             if b != c:
-                key = 1 << b | 1 << c | q
+                key = 1 << b | 1 << c
                 n = odd[a].get(key, 0) + (-num if b < c else num)
                 if n:
                     odd[a][key] = n
                 else:
                     del odd[a][key]
-            even[a][units[dim + b] | 1 << c | q] = 2 * num
+            even[a][units[dim + b] | 1 << c] = 2 * num
         images = {}
         for a in range(dim):
-            images[a] = _element(ctx, layout, odd[a], 2 * den, low, high, 1, shift, 2)
-            images[dim + a] = _element(ctx, layout, even[a], 2 * den, low, high, 1, shift, 3)
+            images[a] = _element(ctx, layout, odd[a], 2 * den, 0, 1, shift, 2)
+            images[dim + a] = _element(ctx, layout, even[a], 2 * den, 0, 1, shift, 3)
         return images
 
     # -- derived forms ------------------------------------------------------

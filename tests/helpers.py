@@ -702,6 +702,9 @@ class FractionScalar:
         )
 
     def __hash__(self) -> int:
+        # a real scalar at power 0 equals its Fraction, so it hashes like it
+        if not self.im and not self.two_pi:
+            return hash(self.re)
         return hash((self.re, self.im, self.two_pi))
 
     @staticmethod
@@ -1026,7 +1029,7 @@ def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
     acc = [ctx.zero() for _ in range(algebra.dim)]
-    for b, c in algebra._constants[5]:
+    for b, c in algebra._constants[3]:
         xb = x.components[b]
         if xb.is_zero:
             continue
@@ -1133,19 +1136,19 @@ def jacobi_witness_by_triples(algebra):
     """``lie._jacobi_witness`` with one dict per visited triple (b, c, d):
     the d that bracket nontrivially with c, with b, or with a component of
     [b, c], in ascending order."""
-    den, low, _, norm, imag, constants = algebra._constants
+    den, norm, imag, constants = algebra._constants
     dim = algebra.dim
     shift = _packing(3 * dim * norm * norm, ()) if imag else 0
-    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, dim * q, numerator)]
-    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a + dim * q, numerator)]
+    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, numerator)]
+    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a, numerator)]
     for (b, c), entries in constants.items():
-        for a, q, re, im in entries:
+        for a, re, im in entries:
             k = re + (im << shift)
-            first[b * dim + c].append((a * dim, dim * q, k))
-            second[b * dim + c].append((a + dim * q, k))
+            first[b * dim + c].append((a * dim, k))
+            second[b * dim + c].append((a, k))
     right: dict = {}
     left: dict = {}
-    for (b, c) in algebra._constants[5]:
+    for (b, c) in algebra._constants[3]:
         right.setdefault(b, set()).add(c)
         left.setdefault(c, set()).add(b)
     for b in range(dim):
@@ -1158,22 +1161,16 @@ def jacobi_witness_by_triples(algebra):
                     continue
                 acc: dict = {}
                 for pair1, pair2 in ((b * dim + c, d), (c * dim + d, b), (d * dim + b, c)):
-                    for ed, shifted, k1 in first[pair1]:
+                    for ed, k1 in first[pair1]:
                         for slot, k2 in second[ed + pair2]:
-                            slot += shifted
                             k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
                             if k:
                                 acc[slot] = k
                             else:
                                 del acc[slot]
                 if acc:
-                    a = min(slot % dim for slot in acc)
-                    (q, k), *rest = [(slot // dim, k) for slot, k in acc.items()
-                                     if slot % dim == a]
-                    if rest:
-                        raise ContractError(f"cannot add scalars with different (2pi) "
-                                            f"powers: {2 * low + q} vs {2 * low + rest[0][0]}")
-                    value = _scalar(k, den * den, shift, 2 * low + q)
+                    a = min(acc)
+                    value = _scalar(acc[a], den * den, shift, 0)
                     return ValidationFailure(
                         "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -33,6 +34,10 @@ from transgress.lie import (
 )
 from transgress.transgression import tp_chern_euler, verify_transgression
 from transgress.weil import UniversalSetup
+
+
+# the repository root, which some configurations name files relative to
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse(args):
@@ -367,16 +372,43 @@ class TestSameReports:
             ("--algebra", "u2", "--sub", "none", "--poly", "trace^1",
              "--method", "integral,johnson"),
             "23bbe89406b4756afc1c63861bbfce2fc0e3fce4050ea71465fb118a743c570f"),
+        "su2/u1": (
+            ("--algebra", "su2", "--sub", "u1", "--poly", "trace^2",
+             "--method", "integral,johnson"),
+            "b2c90868054cf4fa1cbe7093f8d50c1d6ba72bcee79014685515e73fc2a7eaec"),
+        "so4:structure=5,3,4": (
+            ("--algebra", "so4", "--sub", "so3", "--corrupt", "structure=5,3,4")
+            + SO_ROUTES,
+            "adbaf92415388e358b815f7e34a404408346fd9314ffd3563298c664954cb927"),
+        "gl3:structure=0,1,3": (
+            ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^2",
+             "--corrupt", "structure=0,1,3", "--method", "integral,johnson"),
+            "0b8a4bdb86ecf4934bca8901b45087c8c9d31d7fb4873df9deede32b55ca507d"),
+        # a tensor file that is not ad-invariant, named relative to the root
+        "gl3:noninvariant": (
+            ("--algebra", "gl3", "--sub", "gl2", "--poly",
+             "perfbench/noninvariant_gl3.json", "--method", "integral,johnson"),
+            "98193bb1ca18e98f401d50d1c860049795f021a06cbbcdf9b77e91d1baad651c"),
     }
 
     @pytest.mark.parametrize("label", DIGESTS)
-    def test_report_digest(self, label):
+    def test_report_digest(self, label, monkeypatch):
+        monkeypatch.chdir(ROOT)
         argv, digest = self.DIGESTS[label]
         config = parse(list(argv) + ["--check", "all", "--output", "json"])
         report = run(config).to_dict()
         del report["stats"]["timing"]
         text = json.dumps(report, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_digest_script_prints_the_pinned_reports(self):
+        # scripts/report_digest.py runs exactly the configurations pinned here
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", ROOT / "scripts" / "report_digest.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert {label: tuple(argv) for label, argv in script.CONFIGS} == {
+            label: tuple(argv) for label, (argv, _) in self.DIGESTS.items()}
 
     # Custom algebra files, pinned at the commit before the set-up read
     # integer numerators: su2, su2 with one matrix entry wrong, and a cyclic

@@ -526,13 +526,13 @@ def residues_or_error(residues, P, x):
 
 @st.composite
 def powered_tensors(draw):
-    """A sparse tensor with some values lifted to (2pi)^-1 or (2pi)^-2."""
+    """A sparse tensor with its values lifted to one drawn power: 1,
+    (2pi)^-1 or (2pi)^-2."""
     P = draw(st.sampled_from(GATE_ALGEBRAS).flatmap(
         lambda name: sparse_tensors(gate_algebra(name))))
-    powers = draw(st.lists(st.integers(0, 2), min_size=len(P.values),
-                           max_size=len(P.values)))
+    power = draw(st.integers(0, 2))
     return InvariantPolynomial(P.algebra, P.degree, {
-        key: Scalar(v.re, v.im, q) for (key, v), q in zip(P.values.items(), powers)})
+        key: Scalar(v.re, v.im, power) for key, v in P.values.items()})
 
 
 class TestIntegerSetupOracles:
@@ -572,8 +572,7 @@ def evaluation_cases(draw, gaussian=False, powers=False):
     to 3.  A form may fill several slots, adjacent or not, and may vanish.
 
     ``gaussian`` gives the forms imaginary parts.  ``powers`` gives the
-    values one (2pi) power and each term of a form its t-degree plus a power
-    drawn for the form, so that terms meeting on one monomial agree."""
+    values one (2pi) power and each form one power of its own."""
     algebra, ctx = eval_context(draw(st.sampled_from(EVAL_ALGEBRAS)))
     k = draw(st.integers(1, 4))
     key = st.lists(st.integers(0, algebra.dim - 1), min_size=k, max_size=k)
@@ -594,7 +593,7 @@ def evaluation_cases(draw, gaussian=False, powers=False):
         elif powers:
             offset = draw(st.integers(-1, 2))
             form = random_lvf(algebra, ctx, rng, degree, max_t=2, gaussian=gaussian)
-            pool.append(with_powers(form, lambda m: offset + m.t_deg))
+            pool.append(with_powers(form, lambda m: offset))
         else:
             pool.append(random_lvf(algebra, ctx, rng, degree, gaussian=gaussian))
     slots = draw(st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k))
@@ -634,15 +633,22 @@ class TestPlanDrivenEvaluate:
         P = InvariantPolynomial(algebra, 2, {
             (0, 0): Scalar(1, two_pi=1), (0, 1): Scalar(Fraction(1, 2), two_pi=2),
             (2, 2): Scalar(0, 3)}, Scalar(Fraction(-1, 4), 1, two_pi=1))
-        args = [curvature, curvature]
-        got = evaluate(P, args)
-        assert got == naive_evaluate(P, args) == split_evaluate(P, args)
-        assert {c.two_pi for c in got.terms.values()} == {1, 2, 3}
+        # values at two powers are refused, also where the oracles' terms
+        # land on distinct monomials
+        with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
+            evaluate(P, [curvature, curvature])
         # with every component W[0], all three values land on W[0]^2
         collapsed = LieValuedForm(algebra, ctx, [ctx.gen(3)] * 3, 2)
         for evaluator in (evaluate, naive_evaluate, split_evaluate):
             with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
                 evaluator(P, [collapsed, collapsed])
+        # the same values at one power match the oracles
+        Q = InvariantPolynomial(algebra, 2, {key: Scalar(v.re, v.im, 1)
+                                             for key, v in P.values.items()}, P.prefactor)
+        args = [curvature, curvature]
+        got = evaluate(Q, args)
+        assert got == naive_evaluate(Q, args) == split_evaluate(Q, args)
+        assert {c.two_pi for c in got.terms.values()} == {2}
 
     @given(evaluation_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,7 +23,12 @@ from helpers import (
 )
 from transgress import lie
 from transgress.algebra import Context, ContractError, ContextError, Generator, Scalar
-from transgress.invariants import _direction_residues, pfaffian, symmetrized_trace
+from transgress.invariants import (
+    InvariantPolynomial,
+    _direction_residues,
+    pfaffian,
+    symmetrized_trace,
+)
 from transgress.lie import (
     LieAlgebra,
     LieValuedForm,
@@ -283,18 +288,15 @@ def outcome(f, *args):
 
 @st.composite
 def powered_tables(draw):
-    """A built-in table with constants set at zero entries, some imaginary
-    and some at a (2pi) power of their own."""
+    """(name, bumps) for a built-in table with constants bumped, some by
+    imaginary values and some by values at a (2pi) power, which a table
+    refuses."""
     name = draw(st.sampled_from(["so4", "gl3", "u2"]))
     index = st.integers(0, named_algebra(name).dim - 1)
     value = st.sampled_from([Scalar(0, 1), Scalar(1, two_pi=1), Scalar(Fraction(1, 2), -1, 1),
                              Scalar(-2, two_pi=2)])
-    bumps = draw(st.lists(st.tuples(index, index, index, value, st.booleans()),
-                          min_size=1, max_size=3))
-    try:
-        return bumped_table(name, *bumps)
-    except ContractError:  # a bump on a nonzero constant of another power
-        reject()
+    return name, draw(st.lists(st.tuples(index, index, index, value, st.booleans()),
+                               min_size=1, max_size=3))
 
 
 def assert_setup_oracles(algebra, traces=(1, 2)):
@@ -339,30 +341,51 @@ class TestIntegerSetupOracles:
 
     @given(powered_tables())
     @settings(max_examples=100, deadline=None)
-    def test_imaginary_and_power_bumps(self, algebra):
+    def test_imaginary_and_power_bumps(self, case):
+        # a table with a powered constant is refused; one that is kept,
+        # where powered bumps cancelled, holds no power
+        name, bumps = case
+        try:
+            algebra = bumped_table(name, *bumps)
+        except ContractError as exc:
+            assert "(2pi) power" in str(exc)
+            assert any(value.two_pi for _, _, _, value, _ in bumps)
+            return
+        assert not any(value.two_pi for value in algebra.structure.values())
         assert_setup_oracles(algebra)
 
     @pytest.mark.parametrize("bumps, error", [
-        # two powers meet at the smallest component of the first cyclic sum
+        # the first powered constant of the bumps is refused
         (((2, 0, 5, Scalar(-1, two_pi=2), True), (4, 2, 1, Scalar(1, two_pi=1), True)),
-         "powers: 2 vs 1"),
-        (((0, 1, 4, Scalar(1, two_pi=1), True), (0, 3, 2, Scalar(1), True)), "powers: 0 vs 1"),
+         "structure constant (2, 0, 5) carries no (2pi) power"),
+        (((0, 1, 4, Scalar(1, two_pi=1), True), (0, 3, 2, Scalar(1), True)),
+         "structure constant (0, 1, 4) carries no (2pi) power"),
     ], ids=["two-vs-one", "zero-vs-one"])
     def test_pinned_power_bumps(self, bumps, error):
-        algebra = bumped_table("so4", *bumps)
+        with pytest.raises(ContractError) as refused:
+            bumped_table("so4", *bumps)
+        assert str(refused.value).startswith(error)
+        # the same bumps without their powers break the Jacobi identity
+        algebra = bumped_table("so4", *[(a, b, c, Scalar(v.re, v.im), mirror)
+                                        for a, b, c, v, mirror in bumps])
         got = outcome(lie._jacobi_witness, algebra)
-        assert got.endswith(error)
+        assert got is not None
         assert got == outcome(jacobi_witness_by_triples, algebra)
         assert_setup_oracles(algebra)
 
     def test_pinned_residue_power_clash(self):
-        # a term at (2pi)^-1 meets a nonzero residue held at power 0
-        algebra = bumped_table("u2", (2, 1, 1, Scalar(1, two_pi=1), False),
-                               (1, 2, 1, Scalar(0, 1), True))
+        # a table refuses a constant at (2pi)^-1, so a residue at power 0
+        # can meet a term at another power only through the tensor: values
+        # at two powers are refused by the gate
+        with pytest.raises(ContractError, match="carries no \\(2pi\\) power"):
+            bumped_table("u2", (2, 1, 1, Scalar(1, two_pi=1), False),
+                         (1, 2, 1, Scalar(0, 1), True))
+        algebra = bumped_table("u2", (1, 2, 1, Scalar(0, 1), True))
         P = symmetrized_trace(algebra, 2)
-        got = outcome(_direction_residues, P, 1)
+        lifted = InvariantPolynomial(algebra, 2, {
+            key: Scalar(v.re, v.im, int(key == (1, 1))) for key, v in P.values.items()})
+        got = outcome(_direction_residues, lifted, 1)
         assert got.endswith("powers: 0 vs 1")
-        assert got == outcome(direction_residues_by_scalars, P, 1)
 
     def test_realization_view_is_built_on_demand(self):
         algebra = named_algebra("su2")
@@ -377,13 +400,15 @@ class TestIntegerSetupOracles:
         assert structure_from_matrices(rebuilt._realization) == algebra.structure
 
     def test_one_power_per_realization(self):
+        # matrix entries carry no (2pi) power: neither one power for all of
+        # them nor two powers among them
         algebra = named_algebra("so3")
         mats = [[list(row) for row in M] for M in algebra.matrices]
         scaled = [[[v * Scalar(1, two_pi=1) for v in row] for row in M] for M in mats]
-        assert structure_from_matrices(scaled) == {
-            key: v * Scalar(1, two_pi=1) for key, v in algebra.structure.items()}
+        with pytest.raises(ContractError, match="carry no \\(2pi\\) power"):
+            structure_from_matrices(scaled)
         mats[0][1][2] = Scalar(0, two_pi=1) + Scalar(3, two_pi=1)
-        with pytest.raises(ContractError, match="one \\(2pi\\) power"):
+        with pytest.raises(ContractError, match="different \\(2pi\\) powers"):
             LieAlgebra(3, algebra.labels, algebra.structure, mats)
 
 

@@ -212,23 +212,21 @@ johnson_values = st.builds(
     Scalar,
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.integers(-2, 2))
-johnson_powered_values = st.builds(
-    Scalar,
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    st.integers(-2, 2),
-    st.integers(0, 2))
 
 
 @st.composite
-def johnson_tensors(draw, values):
-    """A sparse tensor of degree 1 to 3 on a small split algebra."""
+def johnson_tensors(draw, values, powers=st.just(0)):
+    """A sparse tensor of degree 1 to 3 on a small split algebra, its values
+    and its prefactor each at one drawn (2pi) power."""
     setup = johnson_setup(*draw(st.sampled_from(
         [("su2", "u1"), ("so4", "so3"), ("u2", "0,1"), ("gl2", "gl1")])))
     dim = setup.algebra.dim
     k = draw(st.integers(1, 3))
     keys = st.lists(st.integers(0, dim - 1), min_size=k, max_size=k)
-    entries = draw(st.lists(st.tuples(keys, values), min_size=1, max_size=8))
-    prefactor = draw(values)
+    power = draw(powers)
+    entries = [(key, Scalar(v.re, v.im, power))
+               for key, v in draw(st.lists(st.tuples(keys, values), min_size=1, max_size=8))]
+    prefactor = draw(values) * Scalar(1, two_pi=draw(powers))
     P = InvariantPolynomial(setup.algebra, k,
                             {tuple(sorted(key)): v for key, v in entries}, prefactor)
     return setup, P
@@ -261,7 +259,7 @@ class TestJohnsonOneWalk:
     def test_gaussian_tensors(self, case):
         assert_johnson_matches_slots(*case)
 
-    @given(johnson_tensors(johnson_powered_values))
+    @given(johnson_tensors(johnson_values, st.integers(0, 2)))
     @settings(max_examples=60, deadline=None)
     def test_mixed_power_tensors(self, case):
         assert_johnson_matches_slots(*case)

@@ -8,11 +8,11 @@ checkouts and compare the outputs:
 
     PYTHONPATH=<checkout>/src python3 scripts/report_digest.py [--large]
 
-The configurations are exactly the report pins ``TestSameReports.DIGESTS``
-in ``tests/test_cli.py``, and a test there keeps the two lists equal; the
-pinned custom algebra files (``TestSameReports.FILES``) are left out.
-``--large`` adds so10/so9 with three routes, which no test pins; the whole
-run takes about 1.5 s on a 2-vCPU host.
+With ``--large`` the configurations are exactly the report pins
+``TestSameReports.DIGESTS`` in ``tests/test_cli.py``, and a test there keeps
+the two lists equal; the pinned custom algebra files
+(``TestSameReports.FILES``) are left out.  ``--large`` adds so10/so9 with
+three routes, which takes about 1.5 s on a 2-vCPU host.
 """
 
 import argparse

@@ -19,7 +19,7 @@ from .algebra import ContractError, Scalar, render_monomial
 from .invariants import invariant_from_dict, pfaffian, symmetrized_trace
 from .lie import (
     LieAlgebra,
-    algebra_from_file,
+    algebra_from_dict,
     named_algebra,
     named_split,
     validate,
@@ -249,6 +249,17 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _read_json(path: str, what: str):
+    """The JSON document of a ``what`` file.  A file that cannot be opened
+    or decoded, nested too deeply or holding an integer literal too long to
+    convert among them, is a usage error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def parse_config(argv) -> tuple:
     """Read flags over a config file over a preset into a RunConfig.
 
@@ -260,11 +271,7 @@ def parse_config(argv) -> tuple:
     ns = _build_parser().parse_args(list(argv))
     given = dict(PRESETS[ns.preset]) if ns.preset else {}
     if ns.config:
-        try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config file {ns.config}: {exc}") from None
+        data = _read_json(ns.config, "config")
         if not isinstance(data, dict):
             raise UsageError(f"config file {ns.config} must hold a JSON object")
         unknown = set(data) - {f.name for f in _KEYS}
@@ -292,10 +299,10 @@ def _resolve_algebra(config: RunConfig) -> LieAlgebra:
     name = config.algebra
     try:
         if _is_file_ref(name):
-            algebra = algebra_from_file(name)
+            algebra = algebra_from_dict(_read_json(name, "algebra"))
         else:
             algebra = named_algebra(name)
-    except (OSError, ContractError) as exc:
+    except ContractError as exc:
         raise UsageError(str(exc)) from None
     if config.corrupt and config.corrupt[0] == "structure":
         a, b, c = config.corrupt[1:]
@@ -321,9 +328,8 @@ def _resolve_polynomial(config: RunConfig, algebra: LieAlgebra):
         elif poly == "pfaffian":
             P = pfaffian(algebra)
         else:
-            with open(poly, "r", encoding="utf-8") as fh:
-                P = invariant_from_dict(algebra, json.load(fh))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ContractError) as exc:
+            P = invariant_from_dict(algebra, _read_json(poly, "polynomial"))
+    except ContractError as exc:
         raise UsageError(f"cannot build polynomial {poly!r}: {exc}") from None
     if config.corrupt and config.corrupt[0] == "prefactor":
         P = P.scaled(Scalar(2))

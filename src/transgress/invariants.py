@@ -3,16 +3,16 @@
 A degree-k polynomial lives as a map from sorted basis k-tuples to scalar
 values, together with a global prefactor.  Evaluation on Lie-valued forms is
 the multilinear sum over basis multi-indices with the wedge product supplying
-all graded signs; repeated even-degree arguments are grouped and counted by
-multinomials, which keeps the sum sharp for sparse tensors such as the
-Pfaffian.
+all graded signs.  It contracts one slot at a time, summing the residual
+tensors that land on one rest of a tuple, and counts the copies of a
+repeated even argument by the orderings of each rest, which keeps the sum
+sharp for sparse tensors such as the Pfaffian.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 from .algebra import (
     ContextError,
@@ -163,43 +163,11 @@ def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
 
 def _orderings(part) -> int:
     """Number of distinct arrangements of a sorted tuple."""
-    n = factorial(len(part))
-    for _, grp in itertools.groupby(part):
-        n //= factorial(sum(1 for _ in grp))
+    n, run = factorial(len(part)), 1
+    for i in range(1, len(part)):  # divide by 1, 2, ..., m along each run of m
+        run = run + 1 if part[i] == part[i - 1] else 1
+        n //= run
     return n
-
-
-# Split plans by shape: (group sizes, run lengths of the sorted tuple, the
-# groups each run may go to) -> ((parts, weight), ...).  They depend on
-# nothing else, so all calls share them.
-_PLANS: dict = {}
-
-
-def _split_plan(sizes, runs, masks) -> tuple:
-    """Distinct ways to deal the runs of a sorted tuple out to groups of the
-    given sizes, run r going only to the groups set in ``masks[r]``.
-
-    Each split is (parts, weight): part g lists the run index of each of its
-    entries in ascending order, and weight counts the distinct orderings of
-    the entries within every group, prod_g sizes[g]! / prod_r taken[g][r]!.
-    """
-    # (parts, room left per group, weight)
-    splits = [(((),) * len(sizes), sizes, prod(map(factorial, sizes)))]
-    for r, (count, mask) in enumerate(zip(runs, masks)):
-        grown = []
-        for parts, room, weight in splits:
-            caps = [n if mask >> g & 1 else 0 for g, n in enumerate(room)]
-            later = sum(caps)
-            deals = [((), count)]
-            for cap in caps:  # leave no more than the later groups can take
-                later -= cap
-                deals = [(deal + (t,), left - t) for deal, left in deals
-                         for t in range(max(0, left - later), min(cap, left) + 1)]
-            grown += [(tuple(p + (r,) * t for p, t in zip(parts, deal)),
-                       tuple(n - t for n, t in zip(room, deal)),
-                       weight // prod(map(factorial, deal))) for deal, _ in deals]
-        splits = grown
-    return tuple((parts, weight) for parts, _, weight in splits)
 
 
 def evaluate(P: InvariantPolynomial, args) -> GradedElement:
@@ -207,16 +175,20 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     P(e_{a_1}, ..., e_{a_k}) args_1^{a_1} wedge ... wedge args_k^{a_k},
     times the prefactor.
 
-    Each stored tuple is split over the argument groups by the plan of its
-    shape.  One call builds each group product, and each product of the
-    groups before the last, once, except a whole part of the last group:
-    each tuple has its own in most calls, so the last factor goes straight
-    into the sum and no such product is kept.
+    The even argument that fills the most slots, if two or more, takes the
+    last slots (the first such argument on a tie); even forms commute, so
+    this changes no sign.  Every other slot is contracted in slot order:
+    the residual tensor {sorted rest: numerators} becomes
+    {rest - a: residual * y^a} over the distinct a of each rest, and
+    residuals that land on one rest are summed.  The n copies of the last
+    argument then add orderings(rest) * residual * prod_a y^a for each rest
+    left.  The rests are walked in sorted order, so each prefix product of
+    the last argument is built once, from the one before it.
 
-    The components of group g are read as integer numerators over their
-    common denominator D_g, and the values times the prefactor over D_P.
-    Every split gives group g exactly size_g factors, so every term has the
-    denominator D_P * prod_g D_g^size_g and the numerators simply add.
+    The components of each argument are read as integer numerators over
+    their common denominator D_f, and the values times the prefactor over
+    D_P.  Every term takes one factor per slot, so every term has the
+    denominator D_P * prod_f D_f^(slots of f) and the numerators simply add.
     """
     args = list(args)
     if len(args) != P.degree:
@@ -228,92 +200,61 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     if any(f.ctx is not ctx for f in args):
         raise ContextError("arguments over different generator contexts")
 
-    # Group repeated even-degree arguments (they commute with everything);
-    # odd-degree arguments stay as singleton slots in their original order.
-    groups = []  # [form, count]
-    group_of = {}
+    forms = {}  # id -> [form, slots it fills], in order of first slot
     for f in args:
-        gi = group_of.get(id(f))
-        if gi is not None:
-            groups[gi][1] += 1
-        else:
-            if f.degree % 2 == 0:
-                group_of[id(f)] = len(groups)
-            groups.append([f, 1])
-    sizes = tuple(cnt for _, cnt in groups)
-    supports = [f.support() for f, _ in groups]
+        forms.setdefault(id(f), [f, 0])[1] += 1
+    comps = [{a: f.components[a] for a in f.support()} for f, _ in forms.values()]
     pre = P.prefactor
-    if pre.is_zero or not P.values or not all(supports):
+    if pre.is_zero or not P.values or not all(comps):
         return ctx.zero()
+    last, n = args[-1], 1
+    for f, count in forms.values():
+        if count > n and f.degree % 2 == 0:
+            last, n = f, count
+    slots = args[:-1] if n == 1 else [f for f in args if f is not last]
+
     values = P.values if pre.is_one else {stup: v * pre for stup, v in P.values.items()}
-    comps = [[f.components[a] for a in s] for (f, _), s in zip(groups, supports)]
     vden, power, vnorm, vimag = _common(values.values())
-    # a tuple's splits take at most k! orderings, each once
-    frame = _Frame(ctx, list(zip(comps, sizes)),
+    # a tuple's terms take at most k! orderings, each once
+    frame = _Frame(ctx, [(list(cs.values()), count)
+                         for cs, (_, count) in zip(comps, forms.values())],
                    (power, vden, 0, factorial(P.degree) * vnorm, vimag))
     layout, shift = frame.layout, frame.shift
-    both = shift if any(c._shift for cs in comps for c in cs) else 0  # Gaussian products
+    both = shift if any(c._shift for cs in comps for c in cs.values()) else 0  # Gaussian products
+    ys = {i: {a: frame.align(c, gi) for a, c in cs.items()}
+          for gi, (i, cs) in enumerate(zip(forms, comps))}
 
-    mask_of = {}  # basis index -> the groups whose form is nonzero there
-    products = []  # per group: part -> product of its components over part
-    for gi, (s, cs) in enumerate(zip(supports, comps)):
-        products.append({(a,): frame.align(c, gi) for a, c in zip(s, cs)})
-        for a in s:
-            mask_of[a] = mask_of.get(a, 0) | 1 << gi
-    prefixes = {}  # (id(prefix), group, part) -> prefix * group product
+    residuals = {stup: {0: _numerator(v, vden, shift)} for stup, v in values.items()}
+    for f in slots:
+        y, grown = ys[id(f)], {}
+        for rest in list(residuals):
+            r = residuals.pop(rest)
+            for i, a in enumerate(rest):
+                if a in y and (not i or a != rest[i - 1]):
+                    _product(r, y[a], layout, both,
+                             grown.setdefault(rest[:i] + rest[i + 1:], {}))
+        residuals = {rest: r for rest, r in grown.items() if r}
 
-    def group_product(gi, part):
-        memo = products[gi]
-        elem = memo.get(part)
-        if elem is None:
-            # extend the longest product already built, one factor a step
-            cut = len(part) - 1
-            while cut > 1 and part[:cut] not in memo:
-                cut -= 1
-            elem = memo[part[:cut]]
-            for end in range(cut, len(part)):
-                elem = memo[part[:end + 1]] = _product(elem, memo[(part[end],)], layout,
-                                                       both)
-        return elem
-
-    last = len(groups) - 1
-    acc = {}
-    for stup, value in values.items():
-        vals = sorted(set(stup))
-        masks = tuple(mask_of.get(a, 0) for a in vals)
-        if not all(masks):
+    y, acc = ys[id(last)], {}
+    heads = []  # heads[j]: the product of y^a over the first j + 1 entries of rest
+    prev = ()
+    for rest in sorted(residuals):
+        r = residuals.pop(rest)
+        if not y.keys() >= set(rest):
             continue
-        shape = (sizes, tuple(map(stup.count, vals)), masks)
-        plan = _PLANS.get(shape)
-        if plan is None:
-            plan = _PLANS[shape] = _split_plan(*shape)
-        value_at = vals.__getitem__
-        val = _numerator(value, vden, shift)
-        for parts, weight in plan:
-            prefix = None
-            for gi in range(last):
-                part = tuple(map(value_at, parts[gi]))
-                if prefix is None:
-                    prefix = group_product(gi, part)
-                else:
-                    key = (id(prefix), gi, part)
-                    piece = prefixes.get(key)
-                    if piece is None:
-                        piece = prefixes[key] = _product(
-                            prefix, group_product(gi, part), layout, both)
-                    prefix = piece
-                if not prefix:
-                    break
-            else:
-                part = tuple(map(value_at, parts[last]))
-                piece = products[last][part[-1:]]
-                if len(part) > 1:
-                    head = group_product(last, part[:-1])
-                    prefix = head if prefix is None else _product(prefix, head, layout, both)
-                # an empty prefix is a zero product, and no prefix the unit
-                _product({0: 1} if prefix is None else prefix, piece, layout, both, acc,
-                         val * weight)
-    return _reduce(frame.element(acc, sum(f.degree * n for f, n in groups)))
+        j = 0
+        while j < len(heads) and rest[j] == prev[j]:
+            j += 1
+        del heads[j:]
+        for a in rest[j:-1]:
+            heads.append(_product(heads[-1], y[a], layout, both) if heads else y[a])
+        prev, scale = rest, _orderings(rest)
+        if not slots:  # r is the value alone: a scale, not a factor to multiply in
+            r, scale = heads[-1] if heads else {0: 1}, scale * r[0]
+        elif heads:
+            r = _product(r, heads[-1], layout, both)
+        _product(r, y[rest[-1]], layout, both, acc, scale)
+    return _reduce(frame.element(acc, sum(f.degree for f in args)))
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

@@ -10,7 +10,6 @@ can be cross-validated.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -60,7 +59,6 @@ __all__ = [
     "named_algebra",
     "named_split",
     "algebra_from_dict",
-    "algebra_from_file",
 ]
 
 
@@ -854,12 +852,3 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
         ]
     return LieAlgebra(dim, labels, structure, matrices,
                       name=name, meta={"family": "custom"})
-
-
-def algebra_from_file(path: str) -> LieAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ContractError(f"cannot parse {path}: {exc}") from None
-    return algebra_from_dict(data)

@@ -26,7 +26,7 @@ from transgress.cli import (
 )
 from transgress.lie import (
     LieAlgebra,
-    algebra_from_file,
+    algebra_from_dict,
     named_algebra,
     named_split,
     so_algebra,
@@ -106,9 +106,9 @@ class TestParseConfig:
         # when tp_chern_euler does: before any route runs
         if algebra == "file":
             path = tmp_path / "so3_cyclic.json"
-            path.write_text(json.dumps({
-                "dim": 3, "entries": [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"]]}))
-            algebra, resolved = str(path), algebra_from_file(str(path))
+            table = {"dim": 3, "entries": [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"]]}
+            path.write_text(json.dumps(table))
+            algebra, resolved = str(path), algebra_from_dict(table)
         else:
             resolved = named_algebra(algebra)
         with pytest.raises(ContractError):
@@ -335,6 +335,10 @@ class TestSameReports:
         "so8/so7": (
             ("--algebra", "so8", "--sub", "so7") + SO_ROUTES,
             "6f094bfe6cc65f3f9fd7874c8cbdfae1f6d6ae5534b367ec1b25566266f42a33"),
+        # the largest pin: polarized evaluation merges the most residuals here
+        "so10/so9": (
+            ("--algebra", "so10", "--sub", "so9") + SO_ROUTES,
+            "e2fd961e9837f7975526a579e952c856a67b454812af23dac363b5f615852a05"),
         "u3:trace^4": (
             ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4",
              "--method", "integral,johnson"),
@@ -402,12 +406,13 @@ class TestSameReports:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_digest_script_prints_the_pinned_reports(self):
-        # scripts/report_digest.py runs exactly the configurations pinned here
+        # scripts/report_digest.py --large runs exactly the configurations
+        # pinned here
         spec = importlib.util.spec_from_file_location(
             "report_digest", ROOT / "scripts" / "report_digest.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        assert {label: tuple(argv) for label, argv in script.CONFIGS} == {
+        assert {label: tuple(argv) for label, argv in script.CONFIGS + script.LARGE} == {
             label: tuple(argv) for label, (argv, _) in self.DIGESTS.items()}
 
     # Custom algebra files, pinned at the commit before the set-up read
@@ -668,6 +673,23 @@ class TestUsageErrors:
         assert code == 2, err
         assert err.startswith("error: ")
         assert names in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[" * 200_000, "[" + "9" * 4301 + "]"],
+                             ids=["deep-nesting", "long-integer"])
+    @pytest.mark.parametrize("flag", ["--algebra", "--poly", "--config"])
+    def test_undecodable_json(self, tmp_path, flag, text):
+        # the JSON decoder raises RecursionError on the one and ValueError
+        # on the other, past its 4300-digit limit for integer literals
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args = {"--algebra": ("--algebra", str(path), "--sub", "none"),
+                "--poly": ("--algebra", "gl2", "--sub", "none", "--poly", str(path)),
+                "--config": ("--config", str(path))}[flag]
+        code, err = run_cli(*args)
+        assert code == 2, err
+        assert err.startswith("error: cannot read ")
+        assert str(path) in err
         assert "Traceback" not in err
 
     def test_out_path_checked_before_computing(self, monkeypatch, capsys):

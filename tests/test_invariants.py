@@ -600,9 +600,23 @@ def evaluation_cases(draw, gaussian=False, powers=False):
     return P, [pool[i] for i in slots]
 
 
+@cache
+def slot_pattern_pool():
+    """A dense degree-4 tensor on gl2 and forms named by one letter: x of
+    degree 1, y of degree 3, F and G of degree 2, and the zero 2-form 0."""
+    algebra, ctx = eval_context("gl2")
+    rng = random.Random(20041)
+    values = {key: Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+              for key in itertools.combinations_with_replacement(range(algebra.dim), 4)}
+    pool = {name: random_lvf(algebra, ctx, rng, degree)
+            for name, degree in (("x", 1), ("y", 3), ("F", 2), ("G", 2))}
+    pool["0"] = LieValuedForm.zero(algebra, ctx, 2)
+    return InvariantPolynomial(algebra, 4, values, Scalar(Fraction(-1, 2))), pool
+
+
 class TestPlanDrivenEvaluate:
-    """``evaluate`` against the split-enumerating evaluator it replaced and,
-    where the full sum over basis multi-indices is small, the naive one."""
+    """``evaluate`` against the split-enumerating evaluator and, where the
+    full sum over basis multi-indices is small, the naive one."""
 
     @staticmethod
     def assert_matches_oracles(P, args):
@@ -654,8 +668,8 @@ class TestPlanDrivenEvaluate:
     @settings(max_examples=60, deadline=None)
     def test_same_shape_other_support(self, case, rnd):
         # the tensor with its basis indices permuted keeps the run lengths of
-        # every key but meets other supports, so the second call looks up
-        # plans of the same group sizes and runs on other values
+        # every key but meets other supports, so the second call contracts
+        # the same slots and merges its residuals on other rests
         P, args = case
         perm = list(range(P.algebra.dim))
         rnd.shuffle(perm)
@@ -666,10 +680,25 @@ class TestPlanDrivenEvaluate:
         for T in (P, Q):
             assert evaluate(T, args) == split_evaluate(T, args)
 
-    def test_plans_built_once(self, gl3_setup, tr3_gl3):
-        s = gl3_setup
-        args = [s.tensor_form, s.sub_curvature, s.tensor_bracket]
-        first = evaluate(tr3_gl3, args)
-        plans = dict(invariants._PLANS)
-        assert evaluate(tr3_gl3, args) == first == split_evaluate(tr3_gl3, args)
-        assert invariants._PLANS == plans
+    @pytest.mark.parametrize("pattern", [
+        "FFxy", "FFFx",  # the repeated even form first
+        "xFFy", "xFyF", "FxyF",  # between or around odd forms
+        "FGFG", "GFGF", "xGGF", "FGGF",  # even forms tied in count
+        "xxFF", "xFxG", "yxyF",  # an odd form in two slots
+        "x0FF", "FF00", "0000",  # a zero form
+    ])
+    def test_slot_patterns(self, pattern):
+        # the slots each form fills decide which one goes last, and the
+        # result must not depend on that choice
+        P, pool = slot_pattern_pool()
+        self.assert_matches_oracles(P, [pool[name] for name in pattern])
+
+    def test_even_forms_commute(self):
+        P, pool = slot_pattern_pool()
+        x, F, G = pool["x"], pool["F"], pool["G"]
+        P = InvariantPolynomial(P.algebra, 3, {key[1:]: v for key, v in P.values.items()
+                                               if key[0] == 0})
+        got = evaluate(P, [F, x, F])
+        assert got == evaluate(P, [x, F, F]) == evaluate(P, [F, F, x])
+        assert got == split_evaluate(P, [x, F, F]) and not got.is_zero
+        assert evaluate(P, [G, x, F]) == evaluate(P, [x, F, G]) == naive_evaluate(P, [x, G, F])

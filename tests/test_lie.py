@@ -35,7 +35,6 @@ from transgress.lie import (
     ReductiveSplit,
     abelian_algebra,
     algebra_from_dict,
-    algebra_from_file,
     bracket,
     gl_algebra,
     gl_subalgebra_split,
@@ -703,20 +702,6 @@ class TestNamedAndFiles:
     def test_algebra_from_dict_rejects_bad_value(self):
         with pytest.raises(ContractError):
             algebra_from_dict({"dim": 2, "entries": [[0, 0, 1, "x"]]})
-
-    def test_algebra_from_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "alg.json"
-        path.write_text(json.dumps({
-            "dim": 2,
-            "labels": ["a", "b"],
-            "entries": [[0, 0, 1, "-1/2"]],
-        }))
-        algebra = algebra_from_file(str(path))
-        assert algebra.c(0, 0, 1) == Scalar(Fraction(-1, 2))
-        assert algebra.c(0, 1, 0) == Scalar(Fraction(1, 2))
-        assert validate(algebra).passed
 
     def test_matrices_must_match_the_basis(self):
         algebra = so_algebra(3)

@@ -727,11 +727,9 @@ def _t_block(x: "GradedElement", spacing: int):
     lowered by spacing * i; None for zero."""
     if not x._nums:
         return None
-    ts = x._layout.tshift
-    i = (min(x._nums) >> ts) // spacing  # t is the top field
-    start, stop = spacing * i << ts, spacing * (i + 1) << ts
-    part = {k - start: v for k, v in x._nums.items() if start <= k < stop}
-    return i, _element(x.ctx, x._layout, part, x._den, x._power, x._most, x._shift, x._deg)
+    i = (min(x._nums) >> x._layout.tshift) // spacing  # t is the top field
+    low = spacing * i
+    return i, _t_map(x, {d: (d - low, ONE) for d in range(low, low + spacing)})
 
 
 def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
@@ -928,7 +926,8 @@ class GradedElement:
         if scalar.is_one:
             return self
         if scalar._im or self._shift:
-            return self * self.ctx.scalar(scalar)
+            top = max(self._nums) >> self._layout.tshift
+            return _t_map(self, {d: (d, scalar) for d in range(top + 1)})
         r = scalar._re
         return _reduce(_element(self.ctx, self._layout, {k: v * r for k, v in self._nums.items()},
                                 self._den * scalar._den, self._power + scalar.two_pi,
@@ -1176,30 +1175,28 @@ class Derivation:
 # Calculus in t
 # ---------------------------------------------------------------------------
 
-def _t_map(x: GradedElement, mults: dict, den: int, power: int = 0,
-           lower: bool = False) -> GradedElement:
-    """Each term of x of t-degree d times mults[d] = (re, im), the Gaussian
-    integer re + im i over ``den`` at the (2pi) power ``power``, with t
-    dropped, or lowered by one when ``lower``; the terms of a t-degree
-    without a multiplier are dropped.  Terms that meet are summed in order."""
-    if x.is_zero or not mults:
+def _t_map(x: GradedElement, table: dict) -> GradedElement:
+    """The terms of x of t-degree d moved to t-degree e and multiplied by
+    the Scalar s, for table[d] = (e, s); the terms of a t-degree without an
+    entry or with a zero factor are dropped.  The factors are read as
+    numerators over one denominator, at their one (2pi) power.  Terms that
+    meet are summed in order."""
+    table = {d: (e, s) for d, (e, s) in table.items() if s}
+    if x.is_zero or not table:
         return x.ctx.zero()
-    frame = _Frame(x.ctx, [((x,), 1)], (
-        power, den, 0, max(abs(re) + abs(im) for re, im in mults.values()),
-        any(im for _, im in mults.values())))
+    den, power, norm, imag = _common([s for _, s in table.values()])
+    frame = _Frame(x.ctx, [((x,), 1)], (power, den, 0, norm, imag))
     shift, ts = frame.shift, frame.layout.tshift
+    both = shift if x._shift and imag else 0  # Gaussian products
+    moves = {d: ((e - d) << ts, _numerator(s, den, shift)) for d, (e, s) in table.items()}
     acc = {}
     for k, v in frame.align(x).items():
-        d = k >> ts
-        if d not in mults:
+        move = moves.get(k >> ts)
+        if move is None:
             continue
-        re, im = mults[d]
-        m = re + (im << shift)
-        v = _gmul(v, m, shift) if x._shift and im else v * m
-        if not v:
-            continue
-        k -= (1 if lower else d) << ts  # t lowered by one, or dropped
-        c = acc.get(k, 0) + v
+        step, m = move
+        k += step
+        c = (_gmul(v, m, both) if both else v * m) + acc.get(k, 0)
         if c:
             acc[k] = c
         else:
@@ -1209,29 +1206,23 @@ def _t_map(x: GradedElement, mults: dict, den: int, power: int = 0,
 
 def integrate_unit_interval(x: GradedElement) -> GradedElement:
     """Integrate every coefficient polynomial in t over [0, 1], exactly: the
-    term of t-degree d is divided by d + 1, over the lcm of those."""
+    term of t-degree d is divided by d + 1."""
     top = max(x._nums, default=0) >> x._layout.tshift
-    lcm = _lcm(*range(1, top + 2))
-    return _t_map(x, {d: (lcm // (d + 1), 0) for d in range(top + 1)}, lcm)
+    return _t_map(x, {d: (0, Scalar(Fraction(1, d + 1))) for d in range(top + 1)})
 
 
 def substitute_t(x: GradedElement, value: Scalar) -> GradedElement:
     """Evaluate every coefficient polynomial at t = value: the term of
-    t-degree d times (vr + vi i)**d vd**(top - d) over vd**top, for
-    value = (vr + vi i) / vd and the top t-degree.  A value at a (2pi)
-    power would put the t-degrees at different powers, so it is refused."""
+    t-degree d times value ** d.  A value at a (2pi) power would put the
+    t-degrees at different powers, so it is refused."""
     value = Scalar._coerce(value)
     if value.two_pi:
         raise ContractError(f"substitute_t takes a value without (2pi) powers, not {value}")
     top = max(x._nums, default=0) >> x._layout.tshift
-    mults, re, im = {}, 1, 0
-    for d in range(top + 1):
-        mults[d] = (re * value._den ** (top - d), im * value._den ** (top - d))
-        re, im = re * value._re - im * value._im, re * value._im + im * value._re
-    return _t_map(x, mults, value._den ** top)
+    return _t_map(x, {d: (0, value ** d) for d in range(top + 1)})
 
 
 def t_derivative(x: GradedElement) -> GradedElement:
     """Formal d/dt on coefficient polynomials."""
     top = max(x._nums, default=0) >> x._layout.tshift
-    return _t_map(x, {d: (d, 0) for d in range(1, top + 1)}, 1, lower=True)
+    return _t_map(x, {d: (d - 1, Scalar(d)) for d in range(1, top + 1)})

@@ -66,8 +66,9 @@ class InvariantPolynomial:
                 table[key] = v
         self.algebra = algebra
         self.degree = degree
-        self.values = table
         self.prefactor = prefactor if isinstance(prefactor, Scalar) else Scalar(prefactor)
+        # a zero polynomial keeps no values, whichever factor is zero
+        self.values = table if self.prefactor else {}
 
     def value(self, indices) -> Scalar:
         """Value on an arbitrary basis tuple (sorted internally)."""
@@ -205,7 +206,7 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
         forms.setdefault(id(f), [f, 0])[1] += 1
     comps = [{a: f.components[a] for a in f.support()} for f, _ in forms.values()]
     pre = P.prefactor
-    if pre.is_zero or not P.values or not all(comps):
+    if not P.values or not all(comps):
         return ctx.zero()
     last, n = args[-1], 1
     for f, count in forms.values():

@@ -246,7 +246,6 @@ class LieAlgebra:
         self._realization = _realization(matrices, dim)
         self.name = name
         self.meta = dict(meta or {})
-        self._plain = None  # the bracket table without packing
 
     @cached_property
     def _constants(self) -> tuple:
@@ -271,18 +270,6 @@ class LieAlgebra:
         so the scan runs once per algebra."""
         return tuple(failure for failure in (_antisymmetry_witness(self), _jacobi_witness(self))
                      if failure is not None)
-
-    def _bracket_table(self, shift: int) -> tuple:
-        """The constants of each nonzero [e_b, e_c] as unit-key factors packed
-        with ``shift``: ((b, c), ((a, {0: numerator}), ...)) per pair.  The
-        table without packing is kept."""
-        if self._plain is not None and not shift:
-            return self._plain
-        table = tuple((bc, tuple((a, {0: re + (im << shift)}) for a, re, im in entries))
-                      for bc, entries in self._constants[3].items())
-        if not shift:
-            self._plain = table
-        return table
 
     @cached_property
     def matrices(self) -> Optional[tuple]:
@@ -610,11 +597,11 @@ class LieValuedForm:
 def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     """[x, y]^a = sum c[a,b,c] x^b /\\ y^c; degrees add.
 
-    The components of x, of y and the structure constants are read as
-    integer numerators, each over one denominator, so every term of the
-    result has the denominator D_c * D_x * D_y.  Each x^b /\\ y^c is taken
-    once and added, times each constant on it, into the one dict of its
-    component.
+    The components of x, of y and the structure constants (``_constants``)
+    are read as integer numerators, each over one denominator, so every
+    term of the result has the denominator D_c * D_x * D_y.  Each
+    x^b /\\ y^c is taken once and added, times each constant on it, into
+    the one dict of its component (``_axpy``).
     """
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
@@ -622,7 +609,7 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     ys = {c: e for c, e in enumerate(y.components) if not e.is_zero}
     if not (xs and ys and algebra.structure):
         return LieValuedForm.zero(algebra, ctx, x.degree + y.degree)
-    cden, cnorm, cimag, _ = algebra._constants
+    cden, cnorm, cimag, constants = algebra._constants
     # each x^b /\ y^c meets at most every constant
     frame = _Frame(ctx, [(list(xs.values()), 1), (list(ys.values()), 1)],
                    (0, cden, 0, len(algebra.structure) * cnorm, cimag))
@@ -633,7 +620,7 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     pair_both = shift if ximag and yimag else 0  # Gaussian products
     scale_both = shift if cimag and (ximag or yimag) else 0  # and constants
     acc: dict = {}
-    for (b, c), entries in algebra._bracket_table(shift):
+    for (b, c), entries in constants.items():
         xb = xe.get(b)
         if xb is None:
             continue
@@ -643,8 +630,8 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
         prod = _product(xb, yc, layout, pair_both)
         if not prod:
             continue
-        for a, k in entries:
-            _product(prod, k, layout, scale_both, acc.setdefault(a, {}))
+        for a, re, im in entries:
+            _axpy(acc.setdefault(a, {}), re + (im << shift), prod, scale_both)
     degree, zero = x.degree + y.degree, ctx.zero()
     comps = [_reduce(frame.element(acc[a], degree)) if acc.get(a) else zero
              for a in range(algebra.dim)]

@@ -28,10 +28,6 @@ from .algebra import (
     GradedElement,
     Monomial,
     Scalar,
-    _common,
-    _numerator,
-    _packing,
-    _parts,
     _t_map,
     integrate_unit_interval,
     permutation_sign,
@@ -146,8 +142,8 @@ def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
     Y = t [tensor,tensor] + t^k sub-curv + curv, P is symmetric and
     multilinear, so P(tensor, Y, ..., Y) holds the pattern (i, j) at
     t-degree i + k j (as i < k), times multinomial(k-1; i, j, k-1-i-j).
-    Each t-degree is weighted by A_ij over that multinomial on the integer
-    numerators (``_t_map``) as t is dropped.
+    Each t-degree is weighted by A_ij over that multinomial, a Scalar that
+    ``_t_map`` multiplies in as t is dropped.
     ``coefficient_fn`` is asked only for the patterns with a nonzero term,
     in the order of (i, j).
     """
@@ -158,19 +154,14 @@ def tp_johnson(setup: UniversalSetup, P: InvariantPolynomial,
     generating = (setup.tensor_bracket.times_t(1) + setup.sub_curvature.times_t(k)
                   + setup.curvature)
     polarized = evaluate(P, [setup.tensor_form] + [generating] * (k - 1))
-    weights = {}  # t-degree d = i + k j -> A_ij over the multinomial
+    weights = {}  # t-degree d = i + k j -> (0, A_ij over the multinomial)
     tshift = polarized._layout.tshift
     for d in sorted({key >> tshift for key in polarized._nums}, key=lambda d: (d % k, d // k)):
         i, j = d % k, d // k
         multinomial = factorial(k - 1) // (
             factorial(i) * factorial(j) * factorial(k - 1 - i - j))
-        w = Scalar._coerce(coefficient_fn(k, i, j)) / multinomial
-        if w:
-            weights[d] = w
-    wden, power, norm, imag = _common(weights.values())
-    shift = _packing(norm, ()) if imag else 0
-    mults = {d: _parts(_numerator(w, wden, shift), shift) for d, w in weights.items()}
-    return _finish(_t_map(polarized, mults, wden, power), "johnson", P)
+        weights[d] = 0, Scalar._coerce(coefficient_fn(k, i, j)) / multinomial
+    return _finish(_t_map(polarized, weights), "johnson", P)
 
 
 def double_factorial(n: int) -> int:

@@ -287,6 +287,19 @@ class TestRun:
         assert report.passed
         assert report.forms["integral"]["terms"] == [["1", "w[1]"]]
 
+    def test_zero_prefactor_file(self, tmp_path, capsys):
+        # the zero polynomial passes the gate whichever factor is zero
+        forms = []
+        for tensor in ({"degree": 1, "values": [[[0], "1"]], "prefactor": "0"},
+                       {"degree": 1, "values": [[[0], "0"]]}):
+            poly, out = tmp_path / "poly.json", tmp_path / "report.json"
+            poly.write_text(json.dumps(tensor))
+            assert main(["--algebra", "so4", "--sub", "so3", "--poly", str(poly),
+                         "--method", "integral,johnson", "--output", "json",
+                         "--out", str(out)]) == 0
+            forms.append(json.loads(out.read_text())["forms"])
+        assert forms[0] == forms[1]
+
     @pytest.mark.parametrize("names", [("so4", "SO3"), ("SO4", "so3")])
     @pytest.mark.parametrize("method", ["chern", "integral"])
     def test_names_read_in_any_case(self, names, method, capsys):
@@ -581,15 +594,33 @@ class TestMain:
         assert set(PRESETS) == {"paper-so4", "paper-so6", "paper-gl3"}
 
 
-def run_cli(*args):
-    """The CLI in a fresh interpreter: (exit code, stderr)."""
+def run_fresh(*argv):
+    """``python argv`` in a fresh interpreter with the package's source
+    directory on PYTHONPATH, as a CompletedProcess."""
     src = str(Path(transgress.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "transgress", *args],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    proc = run_fresh("-m", "transgress", *args)
     return proc.returncode, proc.stderr
+
+
+def test_scripts_run():
+    # no other test runs these scripts, which read the package's internals
+    out = {}
+    for name in ("run_presets", "coefficient_table", "term_memory"):
+        proc = run_fresh(str(ROOT / "scripts" / f"{name}.py"))
+        assert proc.returncode == 0, proc.stderr
+        out[name] = proc.stdout.splitlines()
+    assert sum(": PASS (" in line for line in out["run_presets"]) == 3
+    assert out["term_memory"][0].startswith("so8/so7 P(F_t, ..., F_t): 1078 terms,")
+    assert out["term_memory"][1].startswith("so10/so9 P(F_t, ..., F_t): 15228 terms,")
 
 
 SO4 = ("--algebra", "so4", "--sub", "so3", "--poly", "pfaffian")

@@ -457,6 +457,12 @@ class TestAdInvarianceGate:
         assert dense_ad_invariance_witness(P) == (1, (0, 3), Scalar(1))
         assert P.ad_invariance_witness() == (1, (0, 3), Scalar(1))
 
+    def test_zero_prefactor_is_invariant(self):
+        # a zero prefactor makes the zero polynomial, which keeps no values
+        P = InvariantPolynomial(gl_algebra(3), 2, {(0, 0): Scalar(1)}).scaled(0)
+        assert P.values == {}
+        assert P.ad_invariance_witness() is None
+
     @pytest.mark.parametrize("name", GATE_ALGEBRAS)
     def test_pruned_against_dense(self, name):
         # invariant tensors, and each with one diagonal entry bumped

@@ -611,16 +611,25 @@ class TestBracketOracle:
         for g, w in zip(got.components, want.components):
             assert list(tuple_terms(g).items()) == list(tuple_terms(w).items())
 
-    def test_constants_read_once(self):
+    def test_constants_read_once(self, monkeypatch):
+        # two brackets on one algebra read one cached table of constants
+        calls = []
+        common = lie._common
+
+        def spy(scalars):
+            calls.append(1)
+            return common(scalars)
+
         algebra = so_algebra(4)
         ctx = form_context(algebra.dim)
         rng = random.Random(5)
-        x = random_lvf(algebra, ctx, rng, 1)
+        x, y = random_lvf(algebra, ctx, rng, 1), random_lvf(algebra, ctx, rng, 1)
+        monkeypatch.setattr(lie, "_common", spy)
         bracket(x, x)
-        table = algebra._plain
-        assert table is not None
-        bracket(x, random_lvf(algebra, ctx, rng, 1))
-        assert algebra._plain is table
+        table = algebra._constants
+        bracket(x, y)
+        assert algebra._constants is table
+        assert calls == [1]
 
 
 class TestProject:

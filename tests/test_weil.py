@@ -224,19 +224,21 @@ class TestBatchedDSquared:
     residue."""
 
     @pytest.mark.parametrize("name,sub,bump", [
-        ("so4", "so3", (0, 1, 2)),
-        ("so4", "so3", (5, 3, 4)),
-        ("gl3", "gl2", (0, 1, 3)),
-        ("u2", "0,1", (0, 1, 2)),
-        ("su2", "u1", (0, 0, 1)),
+        ("so4", "so3", (0, 1, 2, ONE)),
+        ("so4", "so3", (5, 3, 4, ONE)),
+        ("gl3", "gl2", (0, 1, 3, ONE)),
+        ("u2", "0,1", (0, 1, 2, ONE)),
+        ("su2", "u1", (0, 0, 1, ONE)),
+        # Gaussian d images, so the batch of d.d runs on packed numerators
+        ("so4", "so3", (0, 1, 2, Scalar(0, 1))),
     ])
     def test_table_that_breaks_jacobi(self, name, sub, bump):
         from transgress.lie import LieAlgebra, named_algebra, named_split
 
         base = named_algebra(name)
         structure = dict(base.structure)
-        a, b, c = bump
-        structure[(a, b, c)] = structure.get((a, b, c), ZERO) + ONE
+        a, b, c, value = bump
+        structure[(a, b, c)] = structure.get((a, b, c), ZERO) + value
         structure[(a, c, b)] = -structure[(a, b, c)]
         bad = LieAlgebra(base.dim, base.labels, structure, name=name + "+corrupt")
         setup = UniversalSetup(bad, named_split(base, sub))

@@ -12,7 +12,7 @@ With ``--large`` the configurations are exactly the report pins
 ``TestSameReports.DIGESTS`` in ``tests/test_cli.py``, and a test there keeps
 the two lists equal; the pinned custom algebra files
 (``TestSameReports.FILES``) are left out.  ``--large`` adds so10/so9 with
-three routes, which takes about 1.5 s on a 2-vCPU host.
+three routes; README.md gives its cost.
 """
 
 import argparse

@@ -6,7 +6,8 @@ the multilinear sum over basis multi-indices with the wedge product supplying
 all graded signs.  It contracts one slot at a time, summing the residual
 tensors that land on one rest of a tuple, and counts the copies of a
 repeated even argument by the orderings of each rest, which keeps the sum
-sharp for sparse tensors such as the Pfaffian.
+sharp for sparse tensors such as the Pfaffian.  Rests that share a prefix
+are summed before the prefix's components multiply them.
 """
 
 from __future__ import annotations
@@ -183,8 +184,11 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     {rest - a: residual * y^a} over the distinct a of each rest, and
     residuals that land on one rest are summed.  The n copies of the last
     argument then add orderings(rest) * residual * prod_a y^a for each rest
-    left.  The rests are walked in sorted order, so each prefix product of
-    the last argument is built once, from the one before it.
+    left, sums before products (Horner): walked in sorted order, each rest
+    adds orderings(rest) * residual * y^(rest[-1]) into the sum of its
+    prefix, and once the walk leaves a prefix p, p's sum is multiplied by
+    y^(p[-1]) into the sum of p[:-1].  The sums sit on a stack, as recursion
+    overflows the interpreter's stack at high degree.
 
     The components of each argument are read as integer numerators over
     their common denominator D_f, and the values times the prefactor over
@@ -236,26 +240,21 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
                              grown.setdefault(rest[:i] + rest[i + 1:], {}))
         residuals = {rest: r for rest, r in grown.items() if r}
 
-    y, acc = ys[id(last)], {}
-    heads = []  # heads[j]: the product of y^a over the first j + 1 entries of rest
-    prev = ()
-    for rest in sorted(residuals):
-        r = residuals.pop(rest)
-        if not y.keys() >= set(rest):
-            continue
-        j = 0
-        while j < len(heads) and rest[j] == prev[j]:
+    y, prev = ys[id(last)], ()
+    sums = [{}]  # sums[j]: the rests walked that start with rest[:j], less rest[:j]'s y^a
+    for rest in sorted(rest for rest in residuals if y.keys() >= set(rest)) + [()]:
+        j = 0  # () ends the walk: it shares no prefix
+        while j < min(len(rest), len(prev)) - 1 and rest[j] == prev[j]:
             j += 1
-        del heads[j:]
-        for a in rest[j:-1]:
-            heads.append(_product(heads[-1], y[a], layout, both) if heads else y[a])
-        prev, scale = rest, _orderings(rest)
-        if not slots:  # r is the value alone: a scale, not a factor to multiply in
-            r, scale = heads[-1] if heads else {0: 1}, scale * r[0]
-        elif heads:
-            r = _product(r, heads[-1], layout, both)
-        _product(r, y[rest[-1]], layout, both, acc, scale)
-    return _reduce(frame.element(acc, sum(f.degree for f in args)))
+        while len(sums) > j + 1:  # leave prev[:i] for i > j, into the sum of prev[:i - 1]
+            done = sums.pop()
+            _product(done, y[prev[len(sums) - 1]], layout, both, sums[-1])
+        if rest:
+            sums += [{} for _ in rest[j + 1:]]
+            _product(residuals.pop(rest), y[rest[-1]], layout, both, sums[-1],
+                     _orderings(rest))
+        prev = rest
+    return _reduce(frame.element(sums[0], sum(f.degree for f in args)))
 
 
 def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:

@@ -39,10 +39,12 @@ from transgress.lie import (
     gl_algebra,
     named_algebra,
     so_algebra,
+    so_subalgebra_split,
     su2_algebra,
     u_algebra,
 )
 from transgress.transgression import double_factorial
+from transgress.weil import UniversalSetup
 
 def form_context(dim, n_even=0):
     gens = [Generator(a, 1, f"w[{a}]") for a in range(dim)]
@@ -692,6 +694,7 @@ class TestPlanDrivenEvaluate:
         "FGFG", "GFGF", "xGGF", "FGGF",  # even forms tied in count
         "xxFF", "xFxG", "yxyF",  # an odd form in two slots
         "x0FF", "FF00", "0000",  # a zero form
+        "FFFF", "GGGG",  # no slot contracted: the values alone are the residuals
     ])
     def test_slot_patterns(self, pattern):
         # the slots each form fills decide which one goes last, and the
@@ -708,3 +711,46 @@ class TestPlanDrivenEvaluate:
         assert got == evaluate(P, [x, F, F]) == evaluate(P, [F, F, x])
         assert got == split_evaluate(P, [x, F, F]) and not got.is_zero
         assert evaluate(P, [G, x, F]) == evaluate(P, [x, F, G]) == naive_evaluate(P, [x, G, F])
+
+    def test_prefix_sum_cancels(self):
+        # F^1 = F^2 under opposite values: the sum at the prefix (0,) cancels
+        # to no terms before F^0 multiplies it, and the rest (1, 1, 3) after
+        # it still counts
+        algebra, ctx = eval_context("gl2")
+        F = LieValuedForm(algebra, ctx, [ctx.gen(a) for a in (4, 5, 5, 6)], 2)
+        values = {(0, 1, 3): Scalar(3), (0, 2, 3): Scalar(-3)}
+        assert evaluate(InvariantPolynomial(algebra, 3, values), [F] * 3).is_zero
+        Q = InvariantPolynomial(algebra, 3, {**values, (1, 1, 3): Scalar(Fraction(1, 2))})
+        assert not evaluate(Q, [F] * 3).is_zero
+        self.assert_matches_oracles(Q, [F] * 3)
+
+
+@cache
+def pfaffian_run(n):
+    """The Pfaffian of so(n) and the argument lists of its evaluations in a
+    run over so(n-1): the integrand, P(F_t, ...), the two of the
+    ad-invariance identity and johnson's P(x, Y, ...)."""
+    algebra = so_algebra(n)
+    s = UniversalSetup(algebra, so_subalgebra_split(algebra, n - 1))
+    P = pfaffian(algebra)
+    k = P.degree
+    x, F = s.tensor_form, s.deformed_curvature
+    Y = s.tensor_bracket.times_t(1) + s.sub_curvature.times_t(k) + s.curvature
+    return P, {
+        "integrand": [x] + [F] * (k - 1),
+        "P(F_t)": [F] * k,
+        "P([x,x],F_t)": [s.tensor_bracket] + [F] * (k - 1),
+        "P(x,[F_t,x],F_t)": [x, s.family_tensor_bracket] + [F] * (k - 2),
+        "johnson": [x] + [Y] * (k - 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["integrand", "P(F_t)", "P([x,x],F_t)",
+                                  "P(x,[F_t,x],F_t)", "johnson"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_pfaffian_run_matches_split_oracle(n, name):
+    # at so8 the sorted rests of the last argument share 2 or 3 entries
+    P, runs = pfaffian_run(n)
+    got = evaluate(P, runs[name])
+    assert not got.is_zero
+    assert got == split_evaluate(P, runs[name])

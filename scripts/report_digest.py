@@ -10,9 +10,11 @@ checkouts and compare the outputs:
 
 With ``--large`` the configurations are exactly the report pins
 ``TestSameReports.DIGESTS`` in ``tests/test_cli.py``, and a test there keeps
-the two lists equal; the pinned custom algebra files
-(``TestSameReports.FILES``) are left out.  ``--large`` adds so10/so9 with
-three routes; README.md gives its cost.
+the two lists equal.  The custom algebra files of ``TestSameReports.FILES``
+follow, read from ``tests/algebra_files.json`` as the test reads them: each
+is written to a temporary directory as ``<label>.json`` and run there with
+``FILE_ARGS``.  ``--large`` adds so10/so9 with three routes; README.md gives
+its cost.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from transgress.cli import parse_config, run
@@ -67,6 +70,10 @@ CONFIGS = [
                           "perfbench/noninvariant_gl3.json") + TRACE_ROUTES),
 ]
 
+# the pinned custom algebra files, each run as --algebra <label>.json FILE_ARGS
+FILES = json.loads((ROOT / "tests" / "algebra_files.json").read_text())
+FILE_ARGS = ("--sub", "2", "--poly", "trace^2", "--method", "integral,johnson")
+
 LARGE = [
     ("so10/so9", ("--algebra", "so10", "--sub", "so9") + SO_ROUTES),
 ]
@@ -86,7 +93,16 @@ def main() -> int:
                         help="also run so10/so9 with three routes")
     args = parser.parse_args()
     os.chdir(ROOT)
-    for label, argv in CONFIGS + (LARGE if args.large else []):
+    for label, argv in CONFIGS:
+        print(label, digest(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # the report names the file, so it is read by a path relative to tmp
+        os.chdir(tmp)
+        for label, data in FILES.items():
+            Path(f"{label}.json").write_text(json.dumps(data))
+            print(label, digest(("--algebra", f"{label}.json") + FILE_ARGS), flush=True)
+        os.chdir(ROOT)
+    for label, argv in LARGE if args.large else []:
         print(label, digest(argv), flush=True)
     return 0
 

@@ -38,6 +38,9 @@ from transgress.weil import UniversalSetup
 
 # the repository root, which some configurations name files relative to
 ROOT = Path(__file__).resolve().parents[1]
+# the custom algebra files of TestSameReports.FILES, which
+# scripts/report_digest.py reads as well
+FILE_DATA = json.loads((ROOT / "tests" / "algebra_files.json").read_text())
 
 
 def parse(args):
@@ -315,12 +318,6 @@ class TestRun:
             run(config)
 
 
-# su2 as a table file with its Gaussian half-integer matrices
-SU2_ENTRIES = [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"]]
-SU2_MATRICES = [[["0", "-1/2i"], ["-1/2i", "0"]], [["0", "-1/2"], ["1/2", "0"]],
-                [["-1/2i", "0"], ["0", "1/2i"]]]
-
-
 class TestSameReports:
     """SHA-256 of the JSON report without ``stats.timing``, computed as
     ``scripts/report_digest.py`` does.  A change that alters a form, a
@@ -427,41 +424,37 @@ class TestSameReports:
         spec.loader.exec_module(script)
         assert {label: tuple(argv) for label, argv in script.CONFIGS + script.LARGE} == {
             label: tuple(argv) for label, (argv, _) in self.DIGESTS.items()}
+        # and every pinned algebra file, read from the same data
+        assert script.FILE_ARGS == self.FILE_ARGS
+        assert list(script.FILES) == list(FILE_DATA) and set(FILE_DATA) == set(self.FILES)
 
-    # Custom algebra files, pinned at the commit before the set-up read
-    # integer numerators: su2, su2 with one matrix entry wrong, and a cyclic
-    # so3 table with a spurious constant that breaks the Jacobi identity.
+    # Custom algebra files, the data in tests/algebra_files.json, each run
+    # as FILE_ARGS: su2, su2 with one matrix entry wrong, and a cyclic so3
+    # table with a spurious constant that breaks the Jacobi identity, pinned
+    # at the commit before the set-up read integer numerators; and su2 in
+    # the Hermitian basis of the Pauli matrices, whose constants 2i eps
+    # multiply Gaussian factors on both sides.
+    FILE_ARGS = ("--sub", "2", "--poly", "trace^2", "--method", "integral,johnson")
     FILES = {
-        "su2-file": (
-            {"dim": 3, "labels": ["X[1]", "X[2]", "X[3]"], "name": "su2-file",
-             "entries": SU2_ENTRIES, "matrices": SU2_MATRICES},
-            "d83e9cf3c7bde3f3000153dcaab352048a593b4229f2cdaa671da697ff7b4642"),
-        "su2-bad-matrix-file": (
-            {"dim": 3, "labels": ["X[1]", "X[2]", "X[3]"], "name": "su2-bad-matrix",
-             "entries": SU2_ENTRIES,
-             "matrices": SU2_MATRICES[:2] + [[["-1/2i", "0"], ["0", "1/2"]]]},
-            "9125f0588807e5f6d1e15ef174612505cc0bc17a987ca34b54506af69580a308"),
-        "so3-broken-file": (
-            {"dim": 3, "labels": ["L1", "L2", "L3"], "name": "so3-broken",
-             "entries": [[2, 0, 1, "1"], [0, 1, 2, "1"], [1, 2, 0, "1"], [0, 0, 1, "1"]],
-             "matrices": [[["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
-                          [["0", "0", "1"], ["0", "0", "0"], ["-1", "0", "0"]],
-                          [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]]},
-            "eaac8fc20a8d32da78dbb0c8515a8114eb9c4aee7f492055575c6989c1d77031"),
+        "su2-file": "d83e9cf3c7bde3f3000153dcaab352048a593b4229f2cdaa671da697ff7b4642",
+        "su2-bad-matrix-file":
+            "9125f0588807e5f6d1e15ef174612505cc0bc17a987ca34b54506af69580a308",
+        "so3-broken-file": "eaac8fc20a8d32da78dbb0c8515a8114eb9c4aee7f492055575c6989c1d77031",
+        "su2-hermitian-file":
+            "f4545270c602e037023af7a19d83118264fe3e691300d942e467963833e36260",
     }
 
     @pytest.mark.parametrize("label", FILES)
     def test_file_report_digest(self, label, tmp_path, monkeypatch):
         # the report names the file, so it is read by a path relative to tmp_path
-        data, digest = self.FILES[label]
         monkeypatch.chdir(tmp_path)
-        (tmp_path / f"{label}.json").write_text(json.dumps(data))
-        config = parse(["--algebra", f"{label}.json", "--sub", "2", "--poly", "trace^2",
-                        "--method", "integral,johnson", "--check", "all", "--output", "json"])
+        (tmp_path / f"{label}.json").write_text(json.dumps(FILE_DATA[label]))
+        config = parse(["--algebra", f"{label}.json", *self.FILE_ARGS,
+                        "--check", "all", "--output", "json"])
         report = run(config).to_dict()
         del report["stats"]["timing"]
         text = json.dumps(report, indent=2, sort_keys=True)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.FILES[label]
 
 
 @pytest.mark.parametrize("argv", [

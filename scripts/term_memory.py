@@ -4,8 +4,8 @@ so(2k-1), with F_t the deformed curvature, and the peak RSS of the process.
 
     PYTHONPATH=<checkout>/src python3 scripts/term_memory.py
 
-It measures so8/so7 and so10/so9.  For each, the inputs are built first,
-and the evaluation runs under tracemalloc:
+It measures so8/so7 and so10/so9.  For each, the inputs are built first
+and evaluated once, and a second evaluation runs under tracemalloc:
 ``retained`` is what is still allocated once it returns (the result), and
 ``peak`` the most that was allocated during it, both per term of the
 result.  The last line is the peak resident set size of the whole process
@@ -27,6 +27,9 @@ def measure(n: int) -> tuple:
     setup = UniversalSetup(algebra, named_split(algebra, f"so{n - 1}"))
     P = pfaffian(algebra)
     args = [setup.deformed_curvature] * P.degree
+    # the polynomial keeps its numerator table from the first evaluation
+    # on, so a first evaluation runs untraced and only the result is counted
+    evaluate(P, args)
     gc.collect()
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]

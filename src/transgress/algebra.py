@@ -178,9 +178,9 @@ class Scalar:
         if not re and not im:
             raise ZeroDivisionError("scalar is zero")
         # 1 / ((re + im*i) / den) = den * (re - im*i) / (re^2 + im^2)
-        re, im, norm = den * re, -den * im, re * re + im * im
-        g = _gcd(re, im, norm)
-        return _make(re // g, im // g, norm // g, -self.two_pi)
+        re, im, abs2 = den * re, -den * im, re * re + im * im
+        g = _gcd(re, im, abs2)
+        return _make(re // g, im // g, abs2 // g, -self.two_pi)
 
     def __truediv__(self, other) -> "Scalar":
         return self * self._coerce(other).inverse()
@@ -482,7 +482,7 @@ def _mono_sort_key(m: Monomial):
 
 
 # ---------------------------------------------------------------------------
-# The stored form: packed keys and integer numerators
+# The stored form: one-int keys and integer numerators
 # ---------------------------------------------------------------------------
 
 class _Layout:
@@ -490,20 +490,28 @@ class _Layout:
 
     Bit g holds odd generator g, as in ``odd_mask``.  Above the odd bits sit
     one exponent field of ``width`` bits per even generator, in
-    ``ctx.even_ids`` order, and the t-degree on top.  The product of two
-    monomials with disjoint odd parts is then the sum of their keys, as long
-    as no field passes 2**width - 1.  ``Context`` keeps one layout per width.
+    ``ctx.even_ids`` order, then a field of two bits for i, and the t-degree
+    on top.  The product of two monomials with disjoint odd parts is then
+    the sum of their keys, as long as no even field passes 2**width - 1.
+    ``Context`` keeps one layout per width.
+
+    A Gaussian coefficient is stored as two terms: its real part at the key
+    of its monomial and its i part at that key plus ``i``.  The i field of a
+    sum of two keys reads 2 exactly when both carry i, and i * i = -1 clears
+    it and negates the product, so no stored key reads 2 there.
     """
 
-    __slots__ = ("width", "odd", "even_mask", "units", "ids", "tshift")
+    __slots__ = ("width", "odd", "even_mask", "units", "ids", "i", "tshift")
 
     def __init__(self, ctx: "Context", width: int):
         n_odd = max(ctx.odd_ids, default=-1) + 1
         ids = ctx.even_ids
         self.width = width
         self.odd = (1 << n_odd) - 1
-        self.tshift = n_odd + len(ids) * width
-        self.even_mask = (1 << self.tshift) - 1 ^ self.odd
+        top = n_odd + len(ids) * width
+        self.i = 1 << top
+        self.tshift = top + 2
+        self.even_mask = (1 << top) - 1 ^ self.odd
         self.units = {g: 1 << n_odd + i * width for i, g in enumerate(ids)}
         self.ids = ids
 
@@ -528,26 +536,17 @@ class _Layout:
         return even
 
 
-def _parts(v: int, shift: int) -> tuple:
-    """(re, im) of a numerator packed with ``shift``."""
-    if not shift:
-        return v, 0
-    im = (v + (1 << shift - 1)) >> shift
-    return v - (im << shift), im
+def _numerators(v: Scalar, den: int) -> tuple:
+    """The nonzero parts of v as numerators over ``den``, a multiple of its
+    denominator: (0, re) for the real part, then (1, im) for the i part."""
+    f = den // v._den
+    return tuple((p, k * f) for p, k in ((0, v._re), (1, v._im)) if k)
 
 
-def _scalar(v: int, den: int, shift: int, power: int) -> Scalar:
-    """The Scalar of a numerator over ``den`` packed with ``shift``."""
-    re, im = _parts(v, shift)
+def _scalar(re: int, im: int, den: int, power: int) -> Scalar:
+    """The Scalar (re + im*i) / den at the (2pi) power ``power``."""
     g = _gcd(re, im, den)
     return _make(re // g, im // g, den // g, power)
-
-
-def _numerator(v: Scalar, den: int, shift: int) -> int:
-    """The numerator of v over ``den``, a multiple of its denominator,
-    packed with ``shift``."""
-    f = den // v._den
-    return v._re * f + (v._im * f << shift)
 
 
 def _one_power(powers) -> int:
@@ -562,43 +561,25 @@ def _one_power(powers) -> int:
 
 def _common(scalars) -> tuple:
     """Nonzero Scalars at one (2pi) power read as numerators over one
-    denominator: (that denominator, the power, the sum of |re| + |im| over
-    the numerators, whether any is Gaussian)."""
-    den = _lcm(*{v._den for v in scalars})
-    return (den, _one_power(v.two_pi for v in scalars),
-            sum((abs(v._re) + abs(v._im)) * (den // v._den) for v in scalars),
-            any(v._im for v in scalars))
-
-
-def _gmul(a: int, b: int, shift: int) -> int:
-    """The product of two packed Gaussian integers."""
-    half = 1 << shift - 1
-    ai, bi = (a + half) >> shift, (b + half) >> shift
-    ar, br = a - (ai << shift), b - (bi << shift)
-    return ar * br - ai * bi + ((ar * bi + ai * br) << shift)
+    denominator: (that denominator, the power)."""
+    return _lcm(*{v._den for v in scalars}), _one_power(v.two_pi for v in scalars)
 
 
 def _element(ctx: "Context", layout: _Layout, nums: dict, den: int, power: int = 0,
-             most: int = 0, shift: int = 0, deg: int = None) -> "GradedElement":
+             most: int = 0, deg: int = None) -> "GradedElement":
     """A GradedElement from its stored form (see ``GradedElement``)."""
     x = _new(GradedElement)
     x.ctx, x._layout, x._nums, x._den, x._power = ctx, layout, nums, den, power
-    x._most, x._shift, x._norm, x._deg, x._terms = most, shift, None, deg, None
+    x._most, x._deg, x._terms = most, deg, None
     return x
 
 
 def _reduce(x: "GradedElement") -> "GradedElement":
     """x with the common factor of its numerators and its denominator taken
     out, in place: for a new element, before it is shared."""
-    nums, g, shift = x._nums, x._den, x._shift
-    if g == 1:
-        return x
-    if not shift:
+    nums, g = x._nums, x._den
+    if g != 1:
         g = _gcd(g, *nums.values())
-    for v in nums.values() if shift else ():
-        if g == 1:
-            return x
-        g = _gcd(g, *_parts(v, shift))
     if g != 1:
         for k, v in nums.items():
             nums[k] = v // g
@@ -606,90 +587,60 @@ def _reduce(x: "GradedElement") -> "GradedElement":
     return x
 
 
-def _norm(x: "GradedElement") -> int:
-    """The sum of |re| + |im| over the numerators of x, kept once known."""
-    if x._norm is None:
-        x._norm = sum(abs(re) + abs(im) for re, im in (_parts(v, x._shift)
-                                                      for v in x._nums.values()))
-    return x._norm
-
-
-def _packing(bound: int, elements) -> int:
-    """The packing shift for Gaussian parts up to ``bound`` in absolute
-    value, and no narrower than that of any of ``elements``."""
-    return max([bound.bit_length() + 1, *(x._shift for x in elements)])
-
-
 class _Frame:
-    """Where the terms of a sum of products land, and how they are packed.
+    """Where the terms of a sum of products land.
 
     A product takes n factors from each group (elements, n), and the
     elements of a group are aligned to their common denominator.  The
     nonzero elements of a group must share one (2pi) power, as the terms of
     a sum must.  ``extra`` is one more factor that is no element: ((2pi)
-    power, denominator, even factors, bound, Gaussian), ``bound`` being its
-    largest |re| + |im| times the number of products summed into one term.
-    The products have the power ``two_pi`` over ``den`` and at most ``most``
-    even factors.  When a factor is Gaussian their numerators are packed
-    with ``shift``, wide enough for ``bound`` times the ``_norm`` of each
-    factor.  The layout is the widest of those of the elements unless the
-    products need a wider one.
+    power, denominator, even factors).  The products have the power
+    ``two_pi`` over ``den`` and at most ``most`` even factors.  The layout is
+    the widest of those of the elements unless the products need a wider
+    one.
     """
 
-    __slots__ = ("ctx", "layout", "shift", "dens", "two_pi", "den", "most")
+    __slots__ = ("ctx", "layout", "dens", "two_pi", "den", "most")
 
-    def __init__(self, ctx: "Context", groups, extra=(0, 1, 0, 1, False)):
-        power, den, most, norm, imag = extra
-        dens, xs = [], []
+    def __init__(self, ctx: "Context", groups, extra=(0, 1, 0)):
+        power, den, most = extra
+        dens, widths = [], []
         for group, n in groups:
             gden = _lcm(*(x._den for x in group))
             dens.append(gden)
             power += n * _one_power(x._power for x in group if x._nums)
             den, most = den * gden ** n, most + n * max(x._most for x in group)
-            xs += group
-        if imag or any(x._shift for x in xs):
-            for (group, n), gden in zip(groups, dens):
-                norm *= sum(_norm(x) * (gden // x._den) for x in group) ** n
-            self.shift = _packing(norm, xs)
-        else:
-            self.shift = 0
+            widths += [x._layout.width for x in group]
         self.ctx, self.dens, self.two_pi, self.den, self.most = ctx, dens, power, den, most
-        self.layout = ctx._layout(max(most.bit_length(), *(x._layout.width for x in xs)))
+        self.layout = ctx._layout(max(most.bit_length(), *widths))
 
     def align(self, x: "GradedElement", group: int = 0) -> dict:
         """The numerators of x, an element of the group, in this frame."""
-        return _aligned(x, self.layout, self.shift, self.dens[group])
+        return _aligned(x, self.layout, self.dens[group])
 
     def element(self, nums: dict, deg: int = None) -> "GradedElement":
         """The element of the numerators ``nums`` of products."""
-        return _element(self.ctx, self.layout, nums, self.den, self.two_pi, self.most,
-                        self.shift, deg)
+        return _element(self.ctx, self.layout, nums, self.den, self.two_pi, self.most, deg)
 
 
-def _aligned(x: "GradedElement", layout: _Layout, shift: int = 0, den: int = None) -> dict:
-    """The numerators of x keyed by ``layout``, packed with ``shift`` (when
-    x is Gaussian) and over ``den``; x's own dict when nothing changes.  The
-    caller picks a layout, shift and denominator that hold x."""
-    nums, src, s = x._nums, x._layout, x._shift
+def _aligned(x: "GradedElement", layout: _Layout, den: int = None) -> dict:
+    """The numerators of x keyed by ``layout`` and over ``den``; x's own
+    dict when nothing changes.  The caller picks a layout and denominator
+    that hold x."""
+    nums, src = x._nums, x._layout
     f = den // x._den if den else 1
-    repack = s and s != shift
-    if src is layout and not repack:
+    if src is layout:
         return nums if f == 1 else {k: v * f for k, v in nums.items()}
-    half = 1 << s - 1 if s else 0
-    odd, emask, ts = src.odd, src.even_mask, src.tshift
+    odd, emask, top = src.odd, src.even_mask, src.tshift - 2
     moved = {0: 0}  # even fields in src -> in layout
     out = {}
     for key, v in nums.items():
-        if src is not layout:
-            e = key & emask
-            fields = moved.get(e)
-            if fields is None:
-                fields = moved[e] = layout.fields(src.even(e))
-            key = key & odd | fields | (key >> ts) << layout.tshift
-        if repack:
-            im = (v + half) >> s
-            v += (im << shift) - (im << s)
-        out[key] = v * f
+        e = key & emask
+        fields = moved.get(e)
+        if fields is None:
+            fields = moved[e] = layout.fields(src.even(e))
+        # the i field and the t-degree move together, on top
+        out[key & odd | fields | (key >> top) << layout.tshift - 2] = v * f
     return out
 
 
@@ -732,21 +683,21 @@ def _t_block(x: "GradedElement", spacing: int):
     return i, _t_map(x, {d: (d - low, ONE) for d in range(low, low + spacing)})
 
 
-def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
-             scale: int = 1) -> dict:
+def _product(a: dict, b: dict, layout: _Layout, acc: dict = None, scale: int = 1) -> dict:
     """scale * a * b on {key: numerator} dicts, summed into ``acc`` (a new
     dict by default) pair by pair, the terms of ``a`` outermost.
-    ``both`` is the packing shift when both sides hold Gaussian numbers,
-    whose products need ``_gmul``, and 0 otherwise.
 
     The sign of a pair counts the odd factors of the second key below each
     odd factor of the first.  Modulo 2 that is the popcount of the second
     key against the xor of the masks below each odd factor of the first,
-    which is worked out once per term of ``a``.
+    which is worked out once per term of ``a``.  A term of ``a`` with an i
+    part meets the i parts of ``b`` with 2 i taken off their keys and their
+    numerators negated (i * i = -1); that changes no odd bit.
     """
     if acc is None:
         acc = {}
-    odd = layout.odd
+    odd, i = layout.odd, layout.i
+    turned = None  # b for the i parts of a
     for k1, c1 in a.items():
         o1 = bits = k1 & odd
         below = 0
@@ -754,11 +705,11 @@ def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
             low = bits & -bits
             bits ^= low
             below ^= low - 1
-        if both:
-            c1 = _gmul(c1, scale, both)
-            pairs, c1 = [(k2, _gmul(c1, c2, both)) for k2, c2 in b.items()], 1
-        else:
-            pairs, c1 = b.items(), c1 * scale
+        pairs, c1 = b.items(), c1 * scale
+        if k1 & i:
+            if turned is None:
+                turned = [(k2 - 2 * i, -c2) if k2 & i else (k2, c2) for k2, c2 in b.items()]
+            pairs = turned
         for k2, c2 in pairs:
             if k2 & o1:
                 continue
@@ -773,31 +724,41 @@ def _product(a: dict, b: dict, layout: _Layout, both: int = 0, acc: dict = None,
 
 def _decode(x) -> dict:
     """{Monomial: Scalar} of the stored form of x, an element or its
-    ``_Terms``, in the order of its keys."""
-    layout, den, power, shift = x._layout, x._den, x._power, x._shift
-    odd, emask, ts = layout.odd, layout.even_mask, layout.tshift
+    ``_Terms``, each monomial at the position of its first part."""
+    layout, den, power = x._layout, x._den, x._power
+    odd, emask, ts, i = layout.odd, layout.even_mask, layout.tshift, layout.i
+    parts = {}  # key of a monomial -> [re, im]
+    for key, v in x._nums.items():
+        parts.setdefault(key & ~i, [0, 0])[1 if key & i else 0] = v
     evens = {0: ()}  # even fields -> even multiset
     out = {}
-    for key, v in x._nums.items():
+    for key, (re, im) in parts.items():
         fields = key & emask
         even = evens.get(fields)
         if even is None:
             even = evens[fields] = layout.even(fields)
-        out[_tuple_new(Monomial, (key & odd, even, key >> ts))] = _scalar(v, den, shift, power)
+        out[_tuple_new(Monomial, (key & odd, even, key >> ts))] = _scalar(re, im, den, power)
     return out
 
 
-class _Terms(Mapping):
-    """The terms of an element as {Monomial: Scalar}, in the order of its
-    keys: decoded on first use and kept, while ``len`` counts the keys.  It
-    holds the stored fields of its element, not the element, so that the
-    two hold no reference cycle."""
+def _count(x) -> int:
+    """The number of monomials of x, an element or its ``_Terms``: an i part
+    whose real part is stored too adds none."""
+    i, nums = x._layout.i, x._nums
+    return len(nums) - sum(1 for key in nums if key & i and key ^ i in nums)
 
-    __slots__ = ("_layout", "_nums", "_den", "_power", "_shift", "_dict")
+
+class _Terms(Mapping):
+    """The terms of an element as {Monomial: Scalar}: decoded on first use
+    and kept, while ``len`` counts the monomials without decoding.  It holds
+    the stored fields of its element, not the element, so that the two hold
+    no reference cycle."""
+
+    __slots__ = ("_layout", "_nums", "_den", "_power", "_dict")
 
     def __init__(self, x: "GradedElement"):
-        self._layout, self._nums, self._den, self._power, self._shift, self._dict = (
-            x._layout, x._nums, x._den, x._power, x._shift, None)
+        self._layout, self._nums, self._den, self._power, self._dict = (
+            x._layout, x._nums, x._den, x._power, None)
 
     def _decoded(self) -> dict:
         if self._dict is None:
@@ -805,7 +766,7 @@ class _Terms(Mapping):
         return self._dict
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return _count(self)
 
     def __getitem__(self, mono):
         return self._decoded()[mono]
@@ -825,40 +786,35 @@ class GradedElement:
     """Sparse sum of signed monomials with Scalar coefficients.
 
     The stored form is the one the kernels read.  ``_nums`` maps the key of
-    each monomial (``_Layout``) to an integer numerator over the one
-    denominator ``_den``, and every term has the one (2pi) power ``_power``.
-    ``_most`` bounds the even factors of a term, and the layout's field
-    width holds it.
-    Gaussian numerators are packed as re + (im << _shift), both parts below
-    2**(_shift - 1) in absolute value; real elements have ``_shift == 0``.
-    ``_norm`` is the sum of |re| + |im| over the terms once known, and
-    ``_deg`` is the form degree once known to be one.
+    each term (``_Layout``) to an integer numerator over the one denominator
+    ``_den``, and every term has the one (2pi) power ``_power``.  The real
+    part and the i part of a coefficient are terms of their own, the i part
+    keyed with the i field set.  ``_most`` bounds the even factors of a
+    term, and the layout's field width holds it.  ``_deg`` is the form
+    degree once known to be one.
 
     ``terms`` is the decoded view {Monomial: Scalar}, for rendering,
-    witnesses and tests.  Values are immutable by convention, so elements
-    are safe to share.
+    witnesses and tests, each monomial at the position of its first part.
+    Values are immutable by convention, so elements are safe to share.
     """
 
-    __slots__ = ("ctx", "_layout", "_nums", "_den", "_power", "_most", "_shift",
-                 "_norm", "_deg", "_terms")
+    __slots__ = ("ctx", "_layout", "_nums", "_den", "_power", "_most", "_deg", "_terms")
 
     def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
         items = [(m, c) for m, c in terms.items() if c]
-        den, power, _, imag = _common([c for _, c in items])
+        den, power = _common([c for _, c in items])
         most = max((len(m[1]) for m, _ in items), default=0)
         degs = {m[0].bit_count() + 2 * len(m[1]) for m, _ in items}
-        shift = _packing(max((abs(c._re) + abs(c._im)) * (den // c._den)
-                             for _, c in items), ()) if imag else 0
         layout = ctx._layout(most.bit_length())
         nums = {}
         for (o, e, t), c in items:
             fields = layout.fields(e)
             if o > layout.odd:
                 raise ContextError("monomial with odd factors outside its context")
-            nums[o | fields | t << layout.tshift] = _numerator(c, den, shift)
+            for p, k in _numerators(c, den):
+                nums[o | fields | layout.i * p | t << layout.tshift] = k
         self.ctx, self._layout, self._nums, self._den, self._power = ctx, layout, nums, den, power
-        self._most, self._shift, self._norm = most, shift, None
-        self._deg, self._terms = degs.pop() if len(degs) == 1 else None, None
+        self._most, self._deg, self._terms = most, degs.pop() if len(degs) == 1 else None, None
 
     @property
     def terms(self) -> Mapping:
@@ -903,7 +859,7 @@ class GradedElement:
 
     @property
     def term_count(self) -> int:
-        return len(self._nums)
+        return _count(self)
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self.terms.get(mono, ZERO)
@@ -925,13 +881,13 @@ class GradedElement:
             return self.ctx.zero()
         if scalar.is_one:
             return self
-        if scalar._im or self._shift:
+        if scalar._im:
             top = max(self._nums) >> self._layout.tshift
             return _t_map(self, {d: (d, scalar) for d in range(top + 1)})
         r = scalar._re
         return _reduce(_element(self.ctx, self._layout, {k: v * r for k, v in self._nums.items()},
                                 self._den * scalar._den, self._power + scalar.two_pi,
-                                self._most, 0, self._deg))
+                                self._most, self._deg))
 
     def __mul__(self, other):
         """The wedge product, or the scalar multiple by a number."""
@@ -941,8 +897,7 @@ class GradedElement:
         if self.is_zero or other.is_zero:
             return self.ctx.zero()
         frame = _Frame(self.ctx, [((self,), 1), ((other,), 1)])
-        acc = _product(frame.align(self), frame.align(other, 1), frame.layout,
-                       frame.shift if self._shift and other._shift else 0)
+        acc = _product(frame.align(self), frame.align(other, 1), frame.layout)
         deg = None if self._deg is None or other._deg is None else self._deg + other._deg
         return _reduce(frame.element(acc, deg))
 
@@ -959,7 +914,7 @@ class GradedElement:
             raise ContractError("negative t powers are not representable")
         step = power << self._layout.tshift
         return _element(self.ctx, self._layout, {k + step: v for k, v in self._nums.items()},
-                        self._den, self._power, self._most, self._shift, self._deg)
+                        self._den, self._power, self._most, self._deg)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
@@ -1057,38 +1012,39 @@ class Derivation:
         self.ctx = ctx
         self.degree = degree
         self.images = checked
-        self._tables = {}  # layout width -> image table without packing
-        # the images as the extra factor of a _Frame, its bound aside, whose
-        # even factors replace one even factor of the term; like the terms of
-        # a sum, they share one (2pi) power
+        self._tables = {}  # layout width -> image table
+        # the images as the extra factor of a _Frame, whose even factors
+        # replace one even factor of the term; like the terms of a sum, they
+        # share one (2pi) power
         self._extra = None
         if checked:
             imgs = checked.values()
             self._extra = (_one_power(img._power for img in imgs),
                            _lcm(*(img._den for img in imgs)),
                            max(0, *(img._most - (ctx.generator(g).degree == 2)
-                                    for g, img in checked.items())),
-                           any(img._shift for img in imgs))
+                                    for g, img in checked.items())))
 
-    def _table(self, layout: _Layout, shift: int) -> tuple:
-        """(factor unit -> image terms, odd mask with images, even fields
-        with images) in ``layout``, the unit of a factor being its bit or
-        its field's 1; each image term (key, odd part, sign mask,
-        numerator).  Kept per width when nothing is packed.
+    def _table(self, layout: _Layout) -> tuple:
+        """(factor unit -> image terms, the same for a term with an i part,
+        odd mask with images, even fields with images) in ``layout``, the
+        unit of a factor being its bit or its field's 1; each image term
+        (key, odd part, sign mask, numerator).  Kept per width.
 
         The sign of an image term at a factor with a monomial ``rest``
-        around it is the parity of ``rest & mask`` (see ``__call__``)."""
-        table = None if shift else self._tables.get(layout.width)
+        around it is the parity of ``rest & mask`` (see ``__call__``).  For
+        a rest with an i part, the i parts of the images have 2 i taken off
+        their keys and their numerators negated (i * i = -1)."""
+        table = self._tables.get(layout.width)
         if table is None:
-            den, fill = self._extra[1], (1 << layout.width) - 1
-            slots, odd_with, even_with = {}, 0, 0
+            den, fill, i = self._extra[1], (1 << layout.width) - 1, layout.i
+            slots, turned, odd_with, even_with = {}, {}, 0, 0
             for gid, img in self.images.items():
                 odd = self.ctx.generator(gid).is_odd
                 unit = 1 << gid if odd else layout.units[gid]
                 # the odd factors of the rest that the operator moves past
                 before = unit - 1 if odd else layout.odd
                 slot = slots[unit] = []
-                for key, c in _aligned(img, layout, shift, den).items():
+                for key, c in _aligned(img, layout, den).items():
                     o = bits = key & layout.odd
                     mask = 0 if o.bit_count() & 1 else before
                     while bits:
@@ -1096,13 +1052,13 @@ class Derivation:
                         bits ^= bit
                         mask ^= bit - 1
                     slot.append((key, o, mask, c))
+                turned[unit] = [(k - 2 * i, o, m, -c) if k & i else (k, o, m, c)
+                                for k, o, m, c in slot]
                 if odd:
                     odd_with |= unit
                 else:
                     even_with |= unit * fill
-            table = slots, odd_with, even_with
-            if not shift:
-                self._tables[layout.width] = table
+            table = self._tables[layout.width] = slots, turned, odd_with, even_with
         return table
 
     def __call__(self, x: GradedElement) -> GradedElement:
@@ -1124,45 +1080,36 @@ class Derivation:
             raise ContextError("element over a different context")
         if x.is_zero or self._extra is None:
             return self.ctx.zero()
-        power, den, growth, imag = self._extra
-        # _Frame reads the bound only when a factor is Gaussian; a term has
-        # one slot per factor: at most the odd generators and ``_most``
-        bound = max(_norm(img) * (den // img._den) for img in self.images.values()) * (
-            x._layout.odd.bit_length() + x._most) if imag or x._shift else 1
-        frame = _Frame(self.ctx, [((x,), 1)], (power, den, growth, bound, imag))
-        layout, shift = frame.layout, frame.shift
-        both = shift if x._shift and imag else 0
-        slots, odd_with, even_with = self._table(layout, shift)
-        units = layout.units
-        evens = {}  # even fields with images -> ((image, unit), ...) per factor
+        frame = _Frame(self.ctx, [((x,), 1)], self._extra)
+        layout = frame.layout
+        slots, turned, odd_with, even_with = self._table(layout)
+        units, i = layout.units, layout.i
+        evens = {}  # even fields with images, and i -> ((image, unit), ...) per factor
         acc = {}
         get = acc.get
         for key, coeff in frame.align(x).items():
+            images = turned if key & i else slots
             factors = []
             bits = key & odd_with
             while bits:
                 bit = bits & -bits
                 bits ^= bit
-                factors.append((slots[bit], key ^ bit))
+                factors.append((images[bit], key ^ bit))
             fields = key & even_with
             if fields:
-                even = evens.get(fields)
+                even = evens.get(fields | key & i)
                 if even is None:
-                    even = evens[fields] = [(slots[units[g]], units[g])
-                                            for g in layout.even(fields)]
+                    even = evens[fields | key & i] = [(images[units[g]], units[g])
+                                                      for g in layout.even(fields)]
                 factors += [(img, key - unit) for img, unit in even]
+            neg = -coeff
             for img, rest in factors:
-                if both:
-                    pairs, mult = [(k, o, m, _gmul(coeff, c, both)) for k, o, m, c in img], 1
-                else:
-                    pairs, mult = img, coeff
-                neg = -mult
-                for k2, o2, mask, c2 in pairs:
+                for k2, o2, mask, c2 in img:
                     if o2 & rest:
                         continue
                     k2 += rest
                     # the product is nonzero, so a new key gets a nonzero entry
-                    c = (neg if (rest & mask).bit_count() & 1 else mult) * c2 + get(k2, 0)
+                    c = (neg if (rest & mask).bit_count() & 1 else coeff) * c2 + get(k2, 0)
                     if c:
                         acc[k2] = c
                     else:
@@ -1180,27 +1127,33 @@ def _t_map(x: GradedElement, table: dict) -> GradedElement:
     the Scalar s, for table[d] = (e, s); the terms of a t-degree without an
     entry or with a zero factor are dropped.  The factors are read as
     numerators over one denominator, at their one (2pi) power.  Terms that
-    meet are summed in order."""
+    meet are summed in order, for each term the product with the real part
+    of its factor first."""
     table = {d: (e, s) for d, (e, s) in table.items() if s}
     if x.is_zero or not table:
         return x.ctx.zero()
-    den, power, norm, imag = _common([s for _, s in table.values()])
-    frame = _Frame(x.ctx, [((x,), 1)], (power, den, 0, norm, imag))
-    shift, ts = frame.shift, frame.layout.tshift
-    both = shift if x._shift and imag else 0  # Gaussian products
-    moves = {d: ((e - d) << ts, _numerator(s, den, shift)) for d, (e, s) in table.items()}
+    den, power = _common([s for _, s in table.values()])
+    frame = _Frame(x.ctx, [((x,), 1)], (power, den, 0))
+    ts, i = frame.layout.tshift, frame.layout.i
+    # t-degree -> the (key step, numerator) of each part of its factor, for
+    # a term without and with an i part (i * i = -1)
+    moves = {}
+    for d, (e, s) in table.items():
+        parts = [((e - d) << ts, p, k) for p, k in _numerators(s, den)]
+        moves[d] = ([(step + i * p, k) for step, p, k in parts],
+                    [(step - i * p, -k if p else k) for step, p, k in parts])
     acc = {}
     for k, v in frame.align(x).items():
         move = moves.get(k >> ts)
         if move is None:
             continue
-        step, m = move
-        k += step
-        c = (_gmul(v, m, both) if both else v * m) + acc.get(k, 0)
-        if c:
-            acc[k] = c
-        else:
-            del acc[k]
+        for step, m in move[1] if k & i else move[0]:
+            key = k + step
+            c = v * m + acc.get(key, 0)
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
     return _reduce(frame.element(acc, x._deg))
 
 

@@ -24,11 +24,9 @@ from .algebra import (
     ZERO,
     _Frame,
     _common,
-    _gmul,
     _json_int,
     _json_list,
-    _numerator,
-    _packing,
+    _numerators,
     _product,
     _reduce,
     _scalar,
@@ -47,7 +45,7 @@ __all__ = [
 class InvariantPolynomial:
     """Polarized degree-k symmetric tensor on a Lie algebra basis."""
 
-    __slots__ = ("algebra", "degree", "values", "prefactor")
+    __slots__ = ("algebra", "degree", "values", "prefactor", "_table")
 
     def __init__(self, algebra: LieAlgebra, degree: int, values,
                  prefactor: Scalar = ONE):
@@ -70,6 +68,18 @@ class InvariantPolynomial:
         self.prefactor = prefactor if isinstance(prefactor, Scalar) else Scalar(prefactor)
         # a zero polynomial keeps no values, whichever factor is zero
         self.values = table if self.prefactor else {}
+        self._table = None
+
+    def _numerator_table(self) -> tuple:
+        """The values as integer numerators over one denominator, read on
+        first use and kept: (that denominator, their one (2pi) power,
+        {sorted tuple: the nonzero parts (part, numerator)}), with part 0
+        for the real part and 1 for the i part."""
+        if self._table is None:
+            den, power = _common(self.values.values())
+            self._table = den, power, {stup: _numerators(v, den)
+                                       for stup, v in self.values.items()}
+        return self._table
 
     def value(self, indices) -> Scalar:
         """Value on an arbitrary basis tuple (sorted internally)."""
@@ -127,40 +137,40 @@ def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
 
     The constants are read as numerators over D_c and the values, at their
     one (2pi) power, over D_P, so the residues are sums of numerators over
-    D_c D_P.
+    D_c D_P.  Each part of a value meets each part of a constant, and
+    i * i = -1.
     """
-    algebra, values = P.algebra, P.values
-    if not values:
+    algebra = P.algebra
+    if not P.values:
         return {}
-    cden, cnorm, cimag, constants = algebra._constants
-    vden, power, vnorm, vimag = _common(values.values())
-    shift = 0
-    if vimag or cimag:
-        # each entry feeds at most degree tuples per constant, each time
-        # with a multiplicity of at most degree
-        shift = _packing(vnorm * len(algebra.structure) * cnorm * P.degree ** 2, ())
+    cden, constants = algebra._constants
+    vden, power, table = P._numerator_table()
     preimages = {}
     for a in range(algebra.dim):
-        for b, re, im in constants.get((x, a), ()):
-            preimages.setdefault(b, []).append((a, re + (im << shift)))
-    residues = {}
-    for stup, v in values.items():
-        val = _numerator(v, vden, shift)
+        for b, p, k in constants.get((x, a), ()):
+            preimages.setdefault(b, []).append((a, p, k))
+    residues = {}  # (sorted tuple, part) -> numerator
+    for stup, parts in table.items():
         for b in set(stup):
             pre = preimages.get(b)
             if pre is None:
                 continue
             rest = list(stup)
             rest.remove(b)
-            for a, k in pre:
+            for a, p, k in pre:
                 tup = tuple(sorted(rest + [a]))
-                k = (_gmul(k, val, shift) if shift else k * val) * (rest.count(a) + 1)
-                k += residues.get(tup, 0)
-                if k:
-                    residues[tup] = k
-                else:
-                    del residues[tup]
-    return {tup: _scalar(k, cden * vden, shift, power) for tup, k in residues.items()}
+                k *= rest.count(a) + 1
+                for q, v in parts:
+                    key = tup, p ^ q
+                    c = (-k if p & q else k) * v + residues.get(key, 0)
+                    if c:
+                        residues[key] = c
+                    else:
+                        del residues[key]
+    joined = {}
+    for (tup, p), k in residues.items():
+        joined.setdefault(tup, [0, 0])[p] = k
+    return {tup: _scalar(re, im, cden * vden, power) for tup, (re, im) in joined.items()}
 
 
 def _orderings(part) -> int:
@@ -191,9 +201,11 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     overflows the interpreter's stack at high degree.
 
     The components of each argument are read as integer numerators over
-    their common denominator D_f, and the values times the prefactor over
-    D_P.  Every term takes one factor per slot, so every term has the
-    denominator D_P * prod_f D_f^(slots of f) and the numerators simply add.
+    their common denominator D_f, the values over D_P (``_numerator_table``)
+    and the prefactor over its own denominator D_c, by which each value is
+    multiplied first.  Every term takes one factor per slot, so every term
+    has the denominator D_c * D_P * prod_f D_f^(slots of f) and the
+    numerators simply add.
     """
     args = list(args)
     if len(args) != P.degree:
@@ -218,26 +230,25 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
             last, n = f, count
     slots = args[:-1] if n == 1 else [f for f in args if f is not last]
 
-    values = P.values if pre.is_one else {stup: v * pre for stup, v in P.values.items()}
-    vden, power, vnorm, vimag = _common(values.values())
-    # a tuple's terms take at most k! orderings, each once
+    vden, power, table = P._numerator_table()
     frame = _Frame(ctx, [(list(cs.values()), count)
                          for cs, (_, count) in zip(comps, forms.values())],
-                   (power, vden, 0, factorial(P.degree) * vnorm, vimag))
-    layout, shift = frame.layout, frame.shift
-    both = shift if any(c._shift for cs in comps for c in cs.values()) else 0  # Gaussian products
+                   (power + pre.two_pi, vden * pre._den, 0))
+    layout = frame.layout
     ys = {i: {a: frame.align(c, gi) for a, c in cs.items()}
           for gi, (i, cs) in enumerate(zip(forms, comps))}
 
-    residuals = {stup: {0: _numerator(v, vden, shift)} for stup, v in values.items()}
+    ikey = layout.i  # the key of i
+    factor = {ikey * p: k for p, k in _numerators(pre, pre._den)}
+    residuals = {stup: _product({ikey * p: v for p, v in parts}, factor, layout)
+                 for stup, parts in table.items()}
     for f in slots:
         y, grown = ys[id(f)], {}
         for rest in list(residuals):
             r = residuals.pop(rest)
             for i, a in enumerate(rest):
                 if a in y and (not i or a != rest[i - 1]):
-                    _product(r, y[a], layout, both,
-                             grown.setdefault(rest[:i] + rest[i + 1:], {}))
+                    _product(r, y[a], layout, grown.setdefault(rest[:i] + rest[i + 1:], {}))
         residuals = {rest: r for rest, r in grown.items() if r}
 
     y, prev = ys[id(last)], ()
@@ -248,11 +259,10 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
             j += 1
         while len(sums) > j + 1:  # leave prev[:i] for i > j, into the sum of prev[:i - 1]
             done = sums.pop()
-            _product(done, y[prev[len(sums) - 1]], layout, both, sums[-1])
+            _product(done, y[prev[len(sums) - 1]], layout, sums[-1])
         if rest:
             sums += [{} for _ in rest[j + 1:]]
-            _product(residuals.pop(rest), y[rest[-1]], layout, both, sums[-1],
-                     _orderings(rest))
+            _product(residuals.pop(rest), y[rest[-1]], layout, sums[-1], _orderings(rest))
         prev = rest
     return _reduce(frame.element(sums[0], sum(f.degree for f in args)))
 
@@ -265,34 +275,32 @@ def symmetrized_trace(algebra: LieAlgebra, k: int) -> InvariantPolynomial:
     permutations of a sorted tuple give each distinct word prod m_i! times
     among k!, so the average is the sum over words divided by the number of
     distinct arrangements.  The walks multiply the numerators of the
-    realization, so a word's sum is over its denominator to the k.
+    realization, so a word's sum is over its denominator to the k.  A walk
+    carries the part of its product, and i * i = -1.
     """
     r = algebra._realization
     if r is None:
         raise ContractError("symmetrized trace needs a matrix realization")
-    # a walk's product is at most the product of k entries in |re| + |im|,
-    # and all walks together at most the sum of all entries to the k
-    shift = _packing(sum(r.norms()) ** k, ()) if r.shift else 0
-    steps: dict = {}  # row -> [(column, matrix index, numerator)]
-    for a, M in enumerate(r.packed(shift)):
-        for (i, j), v in M.items():
-            steps.setdefault(i, []).append((j, a, v))
-    sums: dict = {}
+    steps: dict = {}  # row -> [(column, matrix index, part, numerator)]
+    for a, M in enumerate(r.mats):
+        for (i, j, p), v in M.items():
+            steps.setdefault(i, []).append((j, a, p, v))
+    sums: dict = {}  # sorted word -> [re, im]
     # depth first, with the walks still to extend on a stack
     for start in steps if k >= 1 else ():  # InvariantPolynomial refuses 0
-        stack = [(start, (), 1)]
+        stack = [(start, (), 0, 1)]
         while stack:
-            at, word, prod = stack.pop()
+            at, word, part, prod = stack.pop()
             closing = len(word) + 1 == k
-            for j, a, v in steps.get(at, ()):
+            for j, a, p, v in steps.get(at, ()):
+                v *= -prod if part & p else prod
                 if not closing:
-                    stack.append((j, word + (a,), _gmul(prod, v, shift) if shift else prod * v))
+                    stack.append((j, word + (a,), part ^ p, v))
                 elif j == start:
-                    tup = tuple(sorted(word + (a,)))
-                    sums[tup] = sums.get(tup, 0) + (_gmul(prod, v, shift) if shift else prod * v)
+                    sums.setdefault(tuple(sorted(word + (a,))), [0, 0])[part ^ p] += v
     den = r.den ** k
-    values = {tup: _scalar(sums[tup], den * _orderings(tup), shift, 0)
-              for tup in sorted(sums) if sums[tup]}
+    values = {tup: _scalar(re, im, den * _orderings(tup), 0)
+              for tup, (re, im) in sorted(sums.items()) if re or im}
     return InvariantPolynomial(algebra, k, values)
 
 

@@ -25,12 +25,9 @@ from .algebra import (
     _Frame,
     _acc_add,
     _common,
-    _gmul,
     _json_int,
     _json_list,
-    _numerator,
-    _packing,
-    _parts,
+    _numerators,
     _product,
     _reduce,
     _scalar,
@@ -67,28 +64,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class _Realization(NamedTuple):
-    """n-by-n matrices as {(i, j): numerator} dicts of their nonzero entries
-    over one denominator, with Gaussian parts packed as re + (im << shift)
-    (``shift`` 0 for real matrices)."""
+    """n-by-n matrices as {(i, j, part): numerator} dicts of their nonzero
+    entries over one denominator, the real part of an entry at part 0 and
+    its i part at part 1.  A product of two entries has the xor of their
+    parts, and is negated where two i parts meet (i * i = -1); a real
+    matrix has no part 1."""
 
     n: int
     den: int
-    shift: int
     mats: tuple
-
-    def packed(self, shift: int) -> tuple:
-        """The matrices with their numerators packed with ``shift``, which
-        is no narrower than the realization's."""
-        s = self.shift
-        if not s or shift == s:
-            return self.mats
-        return tuple({e: v + (im << shift) - (im << s)
-                      for e, v in M.items() for im in (_parts(v, s)[1],)} for M in self.mats)
-
-    def norms(self) -> list:
-        """Per matrix, the sum of |re| + |im| over its numerators."""
-        return [sum(abs(re) + abs(im) for re, im in (_parts(v, self.shift) for v in M.values()))
-                for M in self.mats]
 
 
 def _realization(matrices, dim: int = None) -> Optional[_Realization]:
@@ -104,20 +88,25 @@ def _realization(matrices, dim: int = None) -> Optional[_Realization]:
         raise ContractError("need one matrix per basis element")
     if n == 0 or any(len(M) != n or any(len(row) != n for row in M) for M in rows):
         raise ContractError("matrices must be square and of one size")
-    den, power, norm, imag = _common([v for M in rows for row in M for v in row if v])
+    den, power = _common([v for M in rows for row in M for v in row if v])
     if power:
         raise ContractError(f"matrix entries carry no (2pi) power, not {power}")
-    shift = _packing(norm, ()) if imag else 0
-    mats = tuple({(i, j): _numerator(v, den, shift) for i, row in enumerate(M)
-                  for j, v in enumerate(row) if v} for M in rows)
-    return _Realization(n, den, shift, mats)
+    mats = tuple({(i, j, p): k for i, row in enumerate(M) for j, v in enumerate(row) if v
+                  for p, k in _numerators(v, den)} for M in rows)
+    return _Realization(n, den, mats)
 
 
-def _axpy(acc: dict, f, vec: dict, shift: int = 0) -> None:
-    """acc += f * vec, in place, dropping entries that cancel: Scalars, or
-    numerators packed with ``shift``."""
+def _times_i(vec: dict) -> dict:
+    """i times a vector of numerators whose keys end in their part: each
+    entry moves to the other part, negated where i meets i."""
+    return {(*key[:-1], 1 - key[-1]): -v if key[-1] else v for key, v in vec.items()}
+
+
+def _axpy(acc: dict, f, vec: dict) -> None:
+    """acc += f * vec, in place, dropping entries that cancel: Scalars or
+    integer numerators."""
     for key, v in vec.items():
-        v = _gmul(f, v, shift) if shift else f * v
+        v = f * v
         if key in acc:
             v = acc[key] + v
         if v:
@@ -126,18 +115,19 @@ def _axpy(acc: dict, f, vec: dict, shift: int = 0) -> None:
             del acc[key]
 
 
-def _commutator(A: dict, B: dict, shift: int) -> dict:
-    """AB - BA for matrices of numerators packed with ``shift``."""
+def _commutator(A: dict, B: dict) -> dict:
+    """AB - BA for matrices of numerators keyed (row, column, part)."""
     out: dict = {}
     for X, Y, sign in ((A, B, 1), (B, A, -1)):
-        for (i, k), x in X.items():
-            for (l, j), y in Y.items():
+        for (i, k, p), x in X.items():
+            for (l, j, q), y in Y.items():
                 if k == l:
-                    v = sign * (_gmul(x, y, shift) if shift else x * y) + out.get((i, j), 0)
+                    key = i, j, p ^ q
+                    v = (-sign if p & q else sign) * x * y + out.get(key, 0)
                     if v:
-                        out[i, j] = v
+                        out[key] = v
                     else:
-                        del out[i, j]
+                        del out[key]
     return out
 
 
@@ -178,36 +168,43 @@ def structure_from_matrices(matrices) -> dict:
     their denominator D, and are then put over one denominator Q.  The
     numerators of [N_b, N_c] give those of its coefficients over D * Q, and
     Q [N_b, N_c] less its parts along the pivots is what they leave over.
+    An entry's i part takes the pivot's vector and combination times i.
     """
     r = _realization(matrices)
     if r is None:
         return {}
     pivots: dict = {}
     for b, M in enumerate(r.mats):
-        if not _pivot(pivots, {e: _scalar(v, 1, r.shift, 0) for e, v in M.items()}, {b: ONE}):
+        entries = {}
+        for (i, j, p), v in M.items():
+            entries.setdefault((i, j), [0, 0])[p] = v
+        if not _pivot(pivots, {e: _scalar(re, im, 1, 0) for e, (re, im) in entries.items()},
+                      {b: ONE}):
             raise ContractError("matrix basis is linearly dependent")
-    q, _, norm, _ = _common([v for pair in pivots.values() for part in pair
-                             for v in part.values()])
-    # with a the largest |re| + |im| summed over one matrix, a commutator
-    # sums to at most 2 a^2, a coefficient to 2 a^2 norm, a leftover 4 a^2 norm
-    shift = _packing(4 * max(r.norms()) ** 2 * norm, ()) if r.shift else 0
-    mats = r.packed(shift)
-    nums = {e: tuple({key: _numerator(v, q, shift) for key, v in part.items()} for part in pair)
-            for e, pair in pivots.items()}
+    q, _ = _common([v for pair in pivots.values() for part in pair for v in part.values()])
+    # each pivot's vector keyed (row, column, part) and its combination
+    # keyed (index, part), as numerators over q
+    nums = {e: ({(i, j, p): k for (i, j), v in vec.items() for p, k in _numerators(v, q)},
+                {(b, p): k for b, v in comb.items() for p, k in _numerators(v, q)})
+            for e, (vec, comb) in pivots.items()}
 
     structure = {}
-    for b, c in itertools.combinations(range(len(mats)), 2):
-        commutator = _commutator(mats[b], mats[c], shift)
+    for b, c in itertools.combinations(range(len(r.mats)), 2):
+        commutator = _commutator(r.mats[b], r.mats[c])
         residual = {key: v * q for key, v in commutator.items()}
         coeffs: dict = {}
-        for entry in [e for e in commutator if e in nums]:
-            f = commutator[entry]
-            _axpy(coeffs, f, nums[entry][1], shift)
-            _axpy(residual, -f, nums[entry][0], shift)
+        for (i, j, p), f in commutator.items():
+            if (i, j) in nums:
+                vec, comb = (_times_i(part) if p else part for part in nums[i, j])
+                _axpy(coeffs, f, comb)
+                _axpy(residual, -f, vec)
         if residual:
             raise ContractError("target is outside the span of the basis")
-        for a in sorted(coeffs):
-            coeff = _scalar(coeffs[a], r.den * q, shift, 0)
+        joined: dict = {}
+        for (a, p), k in coeffs.items():
+            joined.setdefault(a, [0, 0])[p] = k
+        for a in sorted(joined):
+            coeff = _scalar(*joined[a], r.den * q, 0)
             structure[(a, b, c)] = coeff
             structure[(a, c, b)] = -coeff
     return structure
@@ -249,18 +246,15 @@ class LieAlgebra:
 
     @cached_property
     def _constants(self) -> tuple:
-        """The structure constants as numerators: (denominator, the largest
-        |re| + |im|, whether any is Gaussian, and {(b, c): [the entries
-        (a, re, im)]} per nonzero [e_b, e_c], each in the order of
-        ``structure``)."""
-        den, _, norm, imag = _common(self.structure.values())
-        shift = _packing(norm, ()) if imag else 0
-        table, norm = {}, 0
+        """The structure constants as integer numerators: (their
+        denominator, {(b, c): [the entries (a, part, numerator)]} per
+        nonzero [e_b, e_c]), each constant's real part (part 0) before its
+        i part (part 1), in the order of ``structure``."""
+        den, _ = _common(self.structure.values())
+        table = {}
         for (a, b, c), k in self.structure.items():
-            re, im = _parts(_numerator(k, den, shift), shift)
-            table.setdefault((b, c), []).append((a, re, im))
-            norm = max(norm, abs(re) + abs(im))
-        return den, norm, imag, table
+            table.setdefault((b, c), []).extend((a, p, v) for p, v in _numerators(k, den))
+        return den, table
 
     @cached_property
     def _bracket_failures(self) -> tuple:
@@ -277,20 +271,26 @@ class LieAlgebra:
         r = self._realization
         if r is None:
             return None
-        return tuple(tuple(tuple(_scalar(M[i, j], r.den, r.shift, 0) if (i, j) in M
-                                 else ZERO for j in range(r.n)) for i in range(r.n))
-                     for M in r.mats)
+        out = []
+        for M in r.mats:
+            rows = [[[0, 0] for _ in range(r.n)] for _ in range(r.n)]
+            for (i, j, p), v in M.items():
+                rows[i][j][p] = v
+            out.append(tuple(tuple(_scalar(re, im, r.den, 0) for re, im in row) for row in rows))
+        return tuple(out)
 
     def c(self, a: int, b: int, c: int) -> Scalar:
         return self.structure.get((a, b, c), ZERO)
 
     def bracket_on_basis(self, b: int, c: int):
         """[e_b, e_c] as a tuple of (index, coefficient)."""
-        return tuple([(a, self.c(a, b, c)) for a, _, _ in self._constants[3].get((b, c), ())])
+        indices = dict.fromkeys(a for a, _, _ in self._constants[1].get((b, c), ()))
+        return tuple([(a, self.c(a, b, c)) for a in indices])
 
     def has_imaginary_data(self) -> bool:
         r = self._realization
-        return self._constants[2] or bool(r and r.shift)
+        return (any(v._im for v in self.structure.values())
+                or bool(r and any(p for M in r.mats for _, _, p in M)))
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name or 'custom'}, dim={self.dim})"
@@ -354,42 +354,44 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
 
     The constants are the numerators of ``_constants``, so every product
     has the denominator D_c^2.  A product of two constants is summed into
-    the slot ``d * dim + a`` of its d and its component a.
+    the slot 2 (d * dim + a) + part of its d, its component a and its part:
+    an entry of [e_b, e_c] is kept as (2 a + part, numerator), and as that
+    times i for a first factor with an i part (i * i = -1).
     """
-    den, norm, imag, constants = algebra._constants
+    den, constants = algebra._constants
     dim = algebra.dim
-    # a sum takes at most dim products for each of the three rotations
-    shift = _packing(3 * dim * norm * norm, ()) if imag else 0
-    brackets = {}  # b * dim + c -> ((a, numerator), ...)
+    brackets = {}  # b * dim + c -> (the entries of [e_b, e_c], the same times i)
     right = [[] for _ in range(dim)]  # b -> [(c, brackets of b, c)] for [e_b, e_c] nonzero
     left = [[] for _ in range(dim)]  # c -> [(b, brackets of b, c)] for [e_b, e_c] nonzero
     for (b, c), entries in constants.items():
-        brackets[b * dim + c] = ks = tuple((a, re + (im << shift)) for a, re, im in entries)
+        plain = tuple((2 * a + p, k) for a, p, k in entries)
+        brackets[b * dim + c] = ks = plain, tuple((s ^ 1, -k if s & 1 else k) for s, k in plain)
         right[b].append((c, ks))
         left[c].append((b, ks))
     for b in range(dim):
         for c in range(b, dim):
-            # (d * dim, numerator, the brackets of e_e with the third index)
-            # for [[b,c],d], [[c,d],b] and [[d,b],c], at the d where (b, c, d)
-            # comes first among its rotations
-            terms = [(d * dim, k1, ks) for e, k1 in brackets.get(b * dim + c, ())
+            # (2 d dim, numerator, the entries of e_e bracketed with the
+            # third index) for [[b,c],d], [[c,d],b] and [[d,b],c], at the d
+            # where (b, c, d) comes first among its rotations
+            terms = [(2 * d * dim, k1, ks[p]) for e, p, k1 in constants.get((b, c), ())
                      for d, ks in right[e] if d > b or d == b == c]
-            terms += [(d * dim, k1, ks) for d, first in right[c] if d > b or d == b == c
-                      for e, k1 in first if (ks := brackets.get(e * dim + b))]
-            terms += [(d * dim, k1, ks) for d, first in left[b] if d > b or d == b == c
-                      for e, k1 in first if (ks := brackets.get(e * dim + c))]
+            terms += [(2 * d * dim, k1, ks[s & 1]) for d, first in right[c] if d > b or d == b == c
+                      for s, k1 in first[0] if (ks := brackets.get((s >> 1) * dim + b))]
+            terms += [(2 * d * dim, k1, ks[s & 1]) for d, first in left[b] if d > b or d == b == c
+                      for s, k1 in first[0] if (ks := brackets.get((s >> 1) * dim + c))]
             acc: dict = {}
             for base, k1, ks in terms:
-                for a, k2 in ks:
-                    slot = base + a
-                    k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
+                for s, k2 in ks:
+                    slot = base + s
+                    k = k1 * k2 + acc.get(slot, 0)
                     if k:
                         acc[slot] = k
                     else:
                         del acc[slot]
             if acc:
-                d, a = divmod(min(acc), dim)
-                value = _scalar(acc[d * dim + a], den * den, shift, 0)
+                slot = min(acc) >> 1
+                d, a = divmod(slot, dim)
+                value = _scalar(acc.get(2 * slot, 0), acc.get(2 * slot + 1, 0), den * den, 0)
                 return ValidationFailure(
                     "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None
@@ -411,22 +413,17 @@ def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     r = algebra._realization
     if r is None:
         return None
-    den, norm, imag, constants = algebra._constants
-    mats, shift = r.mats, 0
-    if r.shift or imag:
-        a = max(r.norms())
-        shift = _packing(2 * den * a * a + r.den * a * len(algebra.structure) * norm, ())
-        mats = r.packed(shift)
+    den, constants = algebra._constants
     if any(failure.invariant == "antisymmetry" for failure in algebra._bracket_failures):
         pairs = itertools.product(range(algebra.dim), repeat=2)
     else:
         pairs = itertools.combinations(range(algebra.dim), 2)
     for b, c in pairs:
-        residual = _commutator(mats[b], mats[c], shift)
+        residual = _commutator(r.mats[b], r.mats[c])
         if den != 1:
             residual = {key: v * den for key, v in residual.items()}
-        for a, re, im in constants.get((b, c), ()):
-            _axpy(residual, -(re + (im << shift)) * r.den, mats[a], shift)
+        for a, p, k in constants.get((b, c), ()):
+            _axpy(residual, -k * r.den, _times_i(r.mats[a]) if p else r.mats[a])
         if residual:
             return ValidationFailure(
                 "matrix-realization", (b, c),
@@ -504,11 +501,10 @@ class _GeneratedSpan:
 
     def _bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
-        structure, constants = self.algebra.structure, self.algebra._constants[3]
         for b, ub in u.items():
             for c, vc in v.items():
-                for a, _, _ in constants.get((b, c), ()):
-                    _acc_add(out, a, ub * vc * structure[a, b, c])
+                for a, k in self.algebra.bracket_on_basis(b, c):
+                    _acc_add(out, a, ub * vc * k)
         return out
 
 
@@ -600,8 +596,9 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     The components of x, of y and the structure constants (``_constants``)
     are read as integer numerators, each over one denominator, so every
     term of the result has the denominator D_c * D_x * D_y.  Each
-    x^b /\\ y^c is taken once and added, times each constant on it, into
-    the one dict of its component (``_axpy``).
+    x^b /\\ y^c is taken once and added, times each part of each constant
+    on it, into the one dict of its component (``_axpy``); an i part takes
+    the product times i.
     """
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
@@ -609,16 +606,11 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
     ys = {c: e for c, e in enumerate(y.components) if not e.is_zero}
     if not (xs and ys and algebra.structure):
         return LieValuedForm.zero(algebra, ctx, x.degree + y.degree)
-    cden, cnorm, cimag, constants = algebra._constants
-    # each x^b /\ y^c meets at most every constant
-    frame = _Frame(ctx, [(list(xs.values()), 1), (list(ys.values()), 1)],
-                   (0, cden, 0, len(algebra.structure) * cnorm, cimag))
-    layout, shift = frame.layout, frame.shift
+    cden, constants = algebra._constants
+    frame = _Frame(ctx, [(list(xs.values()), 1), (list(ys.values()), 1)], (0, cden, 0))
+    layout, i = frame.layout, frame.layout.i
     xe = {b: frame.align(e) for b, e in xs.items()}
     ye = {c: frame.align(e, 1) for c, e in ys.items()}
-    ximag, yimag = any(e._shift for e in xs.values()), any(e._shift for e in ys.values())
-    pair_both = shift if ximag and yimag else 0  # Gaussian products
-    scale_both = shift if cimag and (ximag or yimag) else 0  # and constants
     acc: dict = {}
     for (b, c), entries in constants.items():
         xb = xe.get(b)
@@ -627,11 +619,14 @@ def bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
         yc = ye.get(c)
         if yc is None:
             continue
-        prod = _product(xb, yc, layout, pair_both)
+        prod = _product(xb, yc, layout)
         if not prod:
             continue
-        for a, re, im in entries:
-            _axpy(acc.setdefault(a, {}), re + (im << shift), prod, scale_both)
+        turned = None  # prod times i, where i * i = -1
+        for a, p, k in entries:
+            if p and turned is None:
+                turned = {key ^ i: -v if key & i else v for key, v in prod.items()}
+            _axpy(acc.setdefault(a, {}), k, turned if p else prod)
     degree, zero = x.degree + y.degree, ctx.zero()
     comps = [_reduce(frame.element(acc[a], degree)) if acc.get(a) else zero
              for a in range(algebra.dim)]
@@ -654,17 +649,12 @@ def project(split: ReductiveSplit, x: LieValuedForm):
 # Built-in families
 # ---------------------------------------------------------------------------
 
-# The built-in realizations have entries of |re| + |im| at most 1 over
-# their denominator, which the packing shift 2 holds; _I is i packed with it.
-_I = 1 << 2
-
-
 def so_algebra(n: int) -> LieAlgebra:
     """so(n) with basis E_ij - E_ji for i < j, ordered lexicographically."""
     if n < 2:
         raise ContractError("so(n) needs n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mats = _Realization(n, 1, 0, tuple({(i, j): 1, (j, i): -1} for i, j in pairs))
+    mats = _Realization(n, 1, tuple({(i, j, 0): 1, (j, i, 0): -1} for i, j in pairs))
     labels = [f"E[{i + 1},{j + 1}]" for i, j in pairs]
     structure = structure_from_matrices(mats) if len(pairs) > 1 else {}
     return LieAlgebra(len(pairs), labels, structure, mats, name=f"so{n}",
@@ -674,7 +664,7 @@ def so_algebra(n: int) -> LieAlgebra:
 def gl_algebra(n: int) -> LieAlgebra:
     """gl(n; C) with basis E_ij, ordered lexicographically."""
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    mats = _Realization(n, 1, 0, tuple({pair: 1} for pair in pairs))
+    mats = _Realization(n, 1, tuple({(i, j, 0): 1} for i, j in pairs))
     labels = [f"E[{i + 1},{j + 1}]" for i, j in pairs]
     structure = structure_from_matrices(mats)
     return LieAlgebra(len(pairs), labels, structure, mats, name=f"gl{n}",
@@ -683,13 +673,13 @@ def gl_algebra(n: int) -> LieAlgebra:
 
 def u_algebra(n: int) -> LieAlgebra:
     """u(n): skew-hermitian matrices over the Gaussian rationals."""
-    mats = [{(k, k): _I} for k in range(n)]
+    mats = [{(k, k, 1): 1} for k in range(n)]
     labels = [f"iE[{k + 1},{k + 1}]" for k in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            mats += [{(j, k): 1, (k, j): -1}, {(j, k): _I, (k, j): _I}]
+            mats += [{(j, k, 0): 1, (k, j, 0): -1}, {(j, k, 1): 1, (k, j, 1): 1}]
             labels += [f"A[{j + 1},{k + 1}]", f"S[{j + 1},{k + 1}]"]
-    mats = _Realization(n, 1, 2, tuple(mats))
+    mats = _Realization(n, 1, tuple(mats))
     structure = structure_from_matrices(mats) if len(labels) > 1 else {}
     return LieAlgebra(len(labels), labels, structure, mats, name=f"u{n}",
                       meta={"family": "u", "n": n})
@@ -697,8 +687,8 @@ def u_algebra(n: int) -> LieAlgebra:
 
 def su2_algebra() -> LieAlgebra:
     """su(2) with [X1, X2] = X3 cyclically; X_a = sigma_a / (2i)."""
-    mats = _Realization(2, 2, 2, ({(0, 1): -_I, (1, 0): -_I}, {(0, 1): -1, (1, 0): 1},
-                                  {(0, 0): -_I, (1, 1): _I}))
+    mats = _Realization(2, 2, ({(0, 1, 1): -1, (1, 0, 1): -1}, {(0, 1, 0): -1, (1, 0, 0): 1},
+                               {(0, 0, 1): -1, (1, 1, 1): 1}))
     structure = structure_from_matrices(mats)
     return LieAlgebra(3, ("X[1]", "X[2]", "X[3]"), structure, mats,
                       name="su2", meta={"family": "su2", "n": 2})
@@ -706,7 +696,7 @@ def su2_algebra() -> LieAlgebra:
 
 def abelian_algebra(d: int) -> LieAlgebra:
     """R^d with the zero bracket, realized by commuting diagonal matrices."""
-    mats = _Realization(d, 1, 0, tuple({(k, k): 1} for k in range(d)))
+    mats = _Realization(d, 1, tuple({(k, k, 0): 1} for k in range(d)))
     labels = [f"x[{k + 1}]" for k in range(d)]
     return LieAlgebra(d, labels, {}, mats, name=f"abelian{d}",
                       meta={"family": "abelian", "n": d})

@@ -30,8 +30,7 @@ from .algebra import (
     HALF,
     _combine,
     _element,
-    _numerator,
-    _packing,
+    _numerators,
     _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
@@ -77,29 +76,29 @@ class UniversalSetup:
 
     def _d_images(self) -> dict:
         """d on the generators, as numerators over 2 D_c for the structure
-        constants over D_c, in the order of ``algebra.structure``."""
+        constants over D_c, in the order of ``algebra.structure``, each
+        constant's i part keyed with the i field set."""
         algebra, ctx = self.algebra, self.context
         dim = algebra.dim
-        den, norm, imag, _ = algebra._constants
+        den = algebra._constants[0]
         layout = ctx._layout(1)
         units = layout.units
-        shift = _packing(2 * max(den, norm), ()) if imag else 0
         odd = [{units[dim + a]: 2 * den} for a in range(dim)]
         even = [{} for _ in range(dim)]
         for (a, b, c), v in algebra.structure.items():
-            num = _numerator(v, den, shift)
-            if b != c:
-                key = 1 << b | 1 << c
-                n = odd[a].get(key, 0) + (-num if b < c else num)
-                if n:
-                    odd[a][key] = n
-                else:
-                    del odd[a][key]
-            even[a][units[dim + b] | 1 << c] = 2 * num
+            for p, num in _numerators(v, den):
+                if b != c:
+                    key = 1 << b | 1 << c | layout.i * p
+                    n = odd[a].get(key, 0) + (-num if b < c else num)
+                    if n:
+                        odd[a][key] = n
+                    else:
+                        del odd[a][key]
+                even[a][units[dim + b] | 1 << c | layout.i * p] = 2 * num
         images = {}
         for a in range(dim):
-            images[a] = _element(ctx, layout, odd[a], 2 * den, 0, 1, shift, 2)
-            images[dim + a] = _element(ctx, layout, even[a], 2 * den, 0, 1, shift, 3)
+            images[a] = _element(ctx, layout, odd[a], 2 * den, 0, 1, 2)
+            images[dim + a] = _element(ctx, layout, even[a], 2 * den, 0, 1, 3)
         return images
 
     # -- derived forms ------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re as re_module
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Union
@@ -17,13 +18,16 @@ from transgress.algebra import (
     Scalar,
     ZERO,
     _acc_add,
-    _gmul,
-    _packing,
-    _scalar,
     permutation_sign,
 )
 from transgress.invariants import InvariantPolynomial, _orderings, evaluate, pfaffian
-from transgress.lie import LieValuedForm, ValidationFailure, ValidationReport
+from transgress.lie import (
+    LieAlgebra,
+    LieValuedForm,
+    ValidationFailure,
+    ValidationReport,
+    structure_from_matrices,
+)
 from transgress.transgression import (
     _check_poly_setup,
     _finish,
@@ -74,6 +78,14 @@ def from_word(ctx, word, coeff=ONE, t_power: int = 0) -> GradedElement:
 # ---------------------------------------------------------------------------
 # Dense exact matrices (tuples of tuples of Scalar), for the oracles below
 # ---------------------------------------------------------------------------
+
+def hermitian_su2() -> LieAlgebra:
+    """su(2) in the Hermitian basis of the Pauli matrices, whose structure
+    constants [S_b, S_c] = 2i eps_bca S_a are all imaginary."""
+    pauli = [[[0, 1], [1, 0]], [[0, Scalar(0, -1)], [Scalar(0, 1), 0]], [[1, 0], [0, -1]]]
+    return LieAlgebra(3, ("S[1]", "S[2]", "S[3]"), structure_from_matrices(pauli), pauli,
+                      name="su2-hermitian")
+
 
 def make_matrix(rows) -> tuple:
     return tuple(tuple(v if isinstance(v, Scalar) else Scalar(v) for v in row) for row in rows)
@@ -906,9 +918,64 @@ def coefficient_A_by_scalars(k: int, i: int, j: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
+# Terms summed part by part, as the engine sums them: the real part and the
+# i part of a coefficient are terms of their own, each stored and dropped on
+# its own, and a monomial sits at the position of its first part.  The
+# oracles below add parts in the order the engine adds them, so that they
+# give its order of terms.
+# ---------------------------------------------------------------------------
+
+def scalar_parts(c: Scalar) -> list:
+    """The nonzero parts of c, the real part first, each a Scalar at the
+    (2pi) power of c."""
+    return [part for part in (Scalar(c.re, 0, c.two_pi), Scalar(0, c.im, c.two_pi)) if part]
+
+
+def _acc_part(parts: dict, mono, part: Scalar) -> None:
+    """Add one part of a coefficient into {(monomial, 1 for an i part, else
+    0): Scalar}."""
+    _acc_add(parts, (mono, 1 if part.im else 0), part)
+
+
+class PartTerms(Mapping):
+    """The terms {monomial: Scalar} of ``parts``, {(monomial, 1 for an i
+    part, else 0): Scalar} in the order the parts were stored, each monomial
+    at the position of its first part.  Two parts at two (2pi) powers are
+    refused, as adding Scalars at two powers is."""
+
+    def __init__(self, parts: dict):
+        self.parts = parts
+        self._terms = {}
+        for (mono, _), c in parts.items():
+            self._terms[mono] = self._terms[mono] + c if mono in self._terms else c
+
+    def __getitem__(self, mono):
+        return self._terms[mono]
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+
+def stored_parts(terms) -> dict:
+    """The parts of ``terms``: those of a ``PartTerms`` in its order, and
+    those of a plain term dict each monomial in turn, the real part first,
+    as ``GradedElement`` stores them."""
+    if isinstance(terms, PartTerms):
+        return terms.parts
+    parts = {}
+    for mono, c in terms.items():
+        for part in scalar_parts(c):
+            _acc_part(parts, mono, part)
+    return parts
+
+
+# ---------------------------------------------------------------------------
 # Tuple monomials: the odd part as an ascending id tuple.  The product and
 # the derivation below are the engine's code from before the bitmask
-# encoding, on term dicts keyed by ``TupleMonomial``.
+# encoding, on term dicts keyed by ``TupleMonomial`` and summed part by part.
 # ---------------------------------------------------------------------------
 
 class TupleMonomial(NamedTuple):
@@ -925,9 +992,18 @@ def from_tuple_mono(m: TupleMonomial) -> Monomial:
     return Monomial(sum(1 << g for g in m.odd), m.even, m.t_deg)
 
 
-def tuple_terms(x: GradedElement) -> dict:
-    """The terms of x keyed by tuple monomials, in the same order."""
-    return {to_tuple_mono(m): c for m, c in x.terms.items()}
+def tuple_terms(x: GradedElement) -> PartTerms:
+    """The terms of x keyed by tuple monomials, their parts in the order x
+    stores them: the order of its keys, an i part keyed with the i field
+    set."""
+    i = x._layout.i
+    monos = dict(zip(dict.fromkeys(key & ~i for key in x._nums), x.terms.items()))
+    parts = {}
+    for key in x._nums:
+        mono, c = monos[key & ~i]
+        part = Scalar(0, c.im, c.two_pi) if key & i else Scalar(c.re, 0, c.two_pi)
+        parts[to_tuple_mono(mono), 1 if key & i else 0] = part
+    return PartTerms(parts)
 
 
 def _merge_odd(o1: tuple, o2: tuple):
@@ -967,26 +1043,27 @@ def tuple_mono_mul(m1: TupleMonomial, m2: TupleMonomial):
     return sign, TupleMonomial(odd, even, m1.t_deg + m2.t_deg)
 
 
-def tuple_product(a: dict, b: dict) -> dict:
+def tuple_product(a, b) -> PartTerms:
     """The product loop of ``GradedElement.__mul__`` on term dicts."""
     acc = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
+    for (m1, _), c1 in stored_parts(a).items():
+        for (m2, _), c2 in stored_parts(b).items():
             sign, mono = tuple_mono_mul(m1, m2)
             if mono is None:
                 continue
             c = c1 * c2
             if sign < 0:
                 c = -c
-            _acc_add(acc, mono, c)
-    return acc
+            _acc_part(acc, mono, c)
+    return PartTerms(acc)
 
 
-def tuple_derivation_apply(images: dict, x: dict) -> dict:
+def tuple_derivation_apply(images: dict, x) -> PartTerms:
     """``Derivation.__call__`` on term dicts; ``images`` maps a generator id
     to the term dict of its image."""
+    images = {gid: stored_parts(img) for gid, img in images.items()}
     acc = {}
-    for mono, coeff in x.items():
+    for (mono, _), coeff in stored_parts(x).items():
         odd, even, t_deg = mono
         n_odd = len(odd)
         for pos in range(n_odd):
@@ -1005,11 +1082,11 @@ def tuple_derivation_apply(images: dict, x: dict) -> dict:
             prefix = TupleMonomial(odd, even[:pos], 0)
             suffix = TupleMonomial((), even[pos + 1:], t_deg)
             _acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
-    return acc
+    return PartTerms(acc)
 
 
 def _acc_sandwich(prefix, img, suffix, coeff, sign0, acc) -> None:
-    for m2, c2 in img.items():
+    for (m2, _), c2 in img.items():
         s1, ma = tuple_mono_mul(prefix, m2)
         if ma is None:
             continue
@@ -1019,87 +1096,94 @@ def _acc_sandwich(prefix, img, suffix, coeff, sign0, acc) -> None:
         c = coeff * c2
         if sign0 * s1 * s2 < 0:
             c = -c
-        _acc_add(acc, mb, c)
+        _acc_part(acc, mb, c)
 
 
 def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:
-    """``lie.bracket`` before the integer-numerator kernels, with its
-    products taken by ``tuple_product``: each constant is added by
-    rebuilding the component."""
+    """``lie.bracket`` with its products taken by ``tuple_product``: the
+    product times each part of each constant, the real part first, is added
+    into the parts of its component."""
     x._check(y)
     algebra, ctx = x.algebra, x.ctx
-    acc = [ctx.zero() for _ in range(algebra.dim)]
-    for b, c in algebra._constants[3]:
+    acc = [{} for _ in range(algebra.dim)]
+    for b, c in algebra._constants[1]:
         xb = x.components[b]
         if xb.is_zero:
             continue
         yc = y.components[c]
         if yc.is_zero:
             continue
-        prod = GradedElement(ctx, {from_tuple_mono(m): v for m, v in
-                                   tuple_product(tuple_terms(xb), tuple_terms(yc)).items()})
-        if prod.is_zero:
-            continue
+        prod = tuple_product(tuple_terms(xb), tuple_terms(yc))
         for a, k in algebra.bracket_on_basis(b, c):
-            acc[a] = acc[a] + prod.scale(k)
-    return LieValuedForm(algebra, ctx, acc, x.degree + y.degree)
+            for part in scalar_parts(k):
+                for (m, _), v in prod.parts.items():
+                    _acc_part(acc[a], m, v * part)
+    comps = [GradedElement(ctx, {from_tuple_mono(m): v for m, v in PartTerms(parts).items()})
+             for parts in acc]
+    return LieValuedForm(algebra, ctx, comps, x.degree + y.degree)
 
 
 # ---------------------------------------------------------------------------
 # Linear operations and calculus in t on {Monomial: Scalar} term dicts: the
-# engine's code from before elements stored integer numerators.
+# engine's code from before elements stored integer numerators, summed part
+# by part.
 # ---------------------------------------------------------------------------
 
-def terms_add(a: dict, b: dict) -> dict:
-    acc = dict(a)
-    for m, c in b.items():
-        _acc_add(acc, m, c)
-    return acc
+def terms_add(a, b) -> PartTerms:
+    acc = dict(stored_parts(a))
+    for (m, _), c in stored_parts(b).items():
+        _acc_part(acc, m, c)
+    return PartTerms(acc)
 
 
-def terms_neg(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
+def terms_neg(a) -> PartTerms:
+    return PartTerms({key: -c for key, c in stored_parts(a).items()})
 
 
-def terms_sub(a: dict, b: dict) -> dict:
+def terms_sub(a, b) -> PartTerms:
     return terms_add(a, terms_neg(b))
 
 
-def terms_scale(a: dict, scalar) -> dict:
-    scalar = Scalar._coerce(scalar)
-    if scalar.is_zero:
-        return {}
-    return {m: c * scalar for m, c in a.items()}
+def terms_scale(a, scalar) -> PartTerms:
+    """a times scalar: each part of a times each part of scalar, the real
+    part first."""
+    acc = {}
+    for (m, _), c in stored_parts(a).items():
+        for s in scalar_parts(Scalar._coerce(scalar)):
+            _acc_part(acc, m, c * s)
+    return PartTerms(acc)
 
 
-def terms_times_t(a: dict, power: int = 1) -> dict:
+def terms_times_t(a, power: int = 1) -> PartTerms:
     if power < 0 and a:
         raise ContractError("negative t powers are not representable")
-    return {Monomial(m.odd_mask, m.even, m.t_deg + power): c for m, c in a.items()}
+    return PartTerms({(Monomial(m.odd_mask, m.even, m.t_deg + power), p): c
+                      for (m, p), c in stored_parts(a).items()})
 
 
-def terms_integrate(a: dict) -> dict:
+def terms_integrate(a) -> PartTerms:
     acc = {}
-    for mono, coeff in a.items():
-        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff / (mono.t_deg + 1))
-    return acc
+    for (mono, _), coeff in stored_parts(a).items():
+        _acc_part(acc, Monomial(mono.odd_mask, mono.even, 0), coeff / (mono.t_deg + 1))
+    return PartTerms(acc)
 
 
-def terms_substitute(a: dict, value) -> dict:
+def terms_substitute(a, value) -> PartTerms:
     value = Scalar._coerce(value)
     acc = {}
-    for mono, coeff in a.items():
-        _acc_add(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * value ** mono.t_deg)
-    return acc
+    for (mono, _), coeff in stored_parts(a).items():
+        for s in scalar_parts(value ** mono.t_deg):
+            _acc_part(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * s)
+    return PartTerms(acc)
 
 
-def terms_t_derivative(a: dict) -> dict:
+def terms_t_derivative(a) -> PartTerms:
     acc = {}
-    for mono, coeff in a.items():
+    for (mono, _), coeff in stored_parts(a).items():
         if mono.t_deg:
-            _acc_add(acc, Monomial(mono.odd_mask, mono.even, mono.t_deg - 1),
-                     coeff * mono.t_deg)
-    return acc
+            _acc_part(acc, Monomial(mono.odd_mask, mono.even, mono.t_deg - 1),
+                      coeff * mono.t_deg)
+    return PartTerms(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,22 +1217,13 @@ def d_squared_probe_by_draw(setup, seed: int):
 # ---------------------------------------------------------------------------
 
 def jacobi_witness_by_triples(algebra):
-    """``lie._jacobi_witness`` with one dict per visited triple (b, c, d):
-    the d that bracket nontrivially with c, with b, or with a component of
-    [b, c], in ascending order."""
-    den, norm, imag, constants = algebra._constants
+    """``lie._jacobi_witness`` with one Scalar sum per visited triple
+    (b, c, d): the d that bracket nontrivially with c, with b, or with a
+    component of [b, c], in ascending order."""
     dim = algebra.dim
-    shift = _packing(3 * dim * norm * norm, ()) if imag else 0
-    first = [[] for _ in range(dim * dim)]  # b * dim + c -> [(e * dim, numerator)]
-    second = [[] for _ in range(dim * dim)]  # b * dim + c -> [(a, numerator)]
-    for (b, c), entries in constants.items():
-        for a, re, im in entries:
-            k = re + (im << shift)
-            first[b * dim + c].append((a * dim, k))
-            second[b * dim + c].append((a, k))
     right: dict = {}
     left: dict = {}
-    for (b, c) in algebra._constants[3]:
+    for (b, c) in algebra._constants[1]:
         right.setdefault(b, set()).add(c)
         left.setdefault(c, set()).add(b)
     for b in range(dim):
@@ -1160,19 +1235,14 @@ def jacobi_witness_by_triples(algebra):
                 if d < b or d == b < c:
                     continue
                 acc: dict = {}
-                for pair1, pair2 in ((b * dim + c, d), (c * dim + d, b), (d * dim + b, c)):
-                    for ed, k1 in first[pair1]:
-                        for slot, k2 in second[ed + pair2]:
-                            k = (_gmul(k1, k2, shift) if shift else k1 * k2) + acc.get(slot, 0)
-                            if k:
-                                acc[slot] = k
-                            else:
-                                del acc[slot]
+                for p, q, r in ((b, c, d), (c, d, b), (d, b, c)):
+                    for e, k1 in algebra.bracket_on_basis(p, q):
+                        for a, k2 in algebra.bracket_on_basis(e, r):
+                            _acc_add(acc, a, k1 * k2)
                 if acc:
                     a = min(acc)
-                    value = _scalar(acc[a], den * den, shift, 0)
                     return ValidationFailure(
-                        "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
+                        "jacobi", (a, b, c, d), f"cyclic sum = {acc[a].render()}")
     return None
 
 

@@ -50,8 +50,6 @@ from transgress.algebra import (
     _aligned,
     _Frame,
     _element,
-    _norm,
-    _packing,
     _product,
 )
 
@@ -668,9 +666,8 @@ def powered(x: GradedElement, p: int, by_t: bool):
 
 def kernel_product(a: GradedElement, b: GradedElement, scale: int) -> dict:
     """scale * a * b through ``_product`` on the stored keys, decoded."""
-    frame = _Frame(a.ctx, [((a,), 1), ((b,), 1)], (0, 1, 0, abs(scale), False))
-    acc = _product(frame.align(a), frame.align(b, 1), frame.layout,
-                   frame.shift if a._shift and b._shift else 0, scale=scale)
+    frame = _Frame(a.ctx, [((a,), 1), ((b,), 1)])
+    acc = _product(frame.align(a), frame.align(b, 1), frame.layout, scale=scale)
     return dict(frame.element(acc).terms)
 
 
@@ -924,14 +921,11 @@ def outcome(fn):
     return list(out.terms.items()) if isinstance(out, GradedElement) else list(out.items())
 
 
-def rebuilt(x: GradedElement, extra_width: int, den_factor: int,
-            extra_shift: int) -> GradedElement:
-    """x stored again in a wider layout, over a larger denominator and, when
-    Gaussian, packed wider."""
+def rebuilt(x: GradedElement, extra_width: int, den_factor: int) -> GradedElement:
+    """x stored again in a wider layout and over a larger denominator."""
     layout = x.ctx._layout(x._layout.width + extra_width)
-    shift = x._shift and _packing(_norm(x) * den_factor, (x,)) + extra_shift
-    nums = _aligned(x, layout, shift, x._den * den_factor)
-    return _element(x.ctx, layout, nums, x._den * den_factor, x._power, x._most, shift)
+    nums = _aligned(x, layout, x._den * den_factor)
+    return _element(x.ctx, layout, nums, x._den * den_factor, x._power, x._most)
 
 
 class TestIntegerOperations:
@@ -1006,14 +1000,14 @@ class TestIntegerOperations:
         assert outcome(lambda: integrate_unit_interval(x - w)) == outcome(
             lambda: terms_integrate(terms_sub(a, b)))
         assert outcome(lambda: x * w) == outcome(lambda: tuple_product_terms(a, b))
-        assert x == rebuilt(x, 1, 1, 0)
+        assert x == rebuilt(x, 1, 1)
 
-    @given(st.data(), st.integers(0, 2), st.integers(1, 6), st.integers(0, 9))
+    @given(st.data(), st.integers(0, 2), st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
-    def test_equal_under_other_frames(self, data, extra_width, den_factor, extra_shift):
+    def test_equal_under_other_frames(self, data, extra_width, den_factor):
         ctx = data.draw(contexts())
         x = GradedElement(ctx, data.draw(term_dicts(ctx, POWERS)))
-        y = rebuilt(x, extra_width, den_factor, extra_shift)
+        y = rebuilt(x, extra_width, den_factor)
         assert x == y and y == x
         assert list(y.terms.items()) == list(x.terms.items())
         assert (x - y).is_zero and x + y == x.scale(2)

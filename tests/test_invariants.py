@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,6 +12,7 @@ from helpers import (
     bareiss_determinant,
     dense_ad_invariance_witness,
     direction_residues_by_scalars,
+    hermitian_su2,
     make_matrix,
     naive_evaluate,
     pfaffian_by_permutations,
@@ -367,12 +368,13 @@ class TestEvaluate:
         assert evaluate(P, args) == naive_evaluate(P, args)
 
 
-GATE_ALGEBRAS = ("so4", "so6", "gl3", "su2", "u2", "u3")
+# su2-hermitian: every structure constant imaginary
+GATE_ALGEBRAS = ("so4", "so6", "gl3", "su2", "u2", "u3", "su2-hermitian")
 
 
 @cache
 def gate_algebra(name):
-    return named_algebra(name)
+    return hermitian_su2() if name == "su2-hermitian" else named_algebra(name)
 
 
 @cache
@@ -549,7 +551,7 @@ class TestIntegerSetupOracles:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["gl1", "gl2", "gl3", "gl4", "u1", "u2", "u3", "u4",
-                                      "su2"])
+                                      "su2", "su2-hermitian"])
     def test_trace_values_and_key_order(self, name, k):
         algebra = gate_algebra(name)
         got, want = symmetrized_trace(algebra, k), symmetrized_trace_by_scalar_walks(algebra, k)
@@ -608,6 +610,20 @@ def evaluation_cases(draw, gaussian=False, powers=False):
     return P, [pool[i] for i in slots]
 
 
+def gaussian_values_on_gaussian_forms():
+    """A tensor with Gaussian values and a Gaussian prefactor on u2, on
+    forms with Gaussian coefficients, so that products multiply Gaussian
+    factors on both sides."""
+    algebra, ctx = eval_context("u2")
+    rng = random.Random(20261)
+    P = InvariantPolynomial(algebra, 3, {
+        (0, 1, 1): Scalar(1, 2), (1, 2, 3): Scalar(0, -1), (0, 0, 3): Scalar(Fraction(1, 2), 1),
+        (2, 2, 2): Scalar(-1, Fraction(1, 3))}, Scalar(Fraction(1, 2), -1))
+    x = random_lvf(algebra, ctx, rng, 1, gaussian=True)
+    F = random_lvf(algebra, ctx, rng, 2, gaussian=True)
+    return P, [x, F, F]
+
+
 @cache
 def slot_pattern_pool():
     """A dense degree-4 tensor on gl2 and forms named by one letter: x of
@@ -639,6 +655,7 @@ class TestPlanDrivenEvaluate:
         self.assert_matches_oracles(*case)
 
     @given(evaluation_cases(gaussian=True))
+    @example(gaussian_values_on_gaussian_forms())
     @settings(max_examples=80, deadline=None)
     def test_gaussian_forms(self, case):
         self.assert_matches_oracles(*case)

@@ -9,6 +9,7 @@ from helpers import (
     dense_structure_from_matrices,
     dense_validate,
     direction_residues_by_scalars,
+    hermitian_su2,
     jacobi_witness_by_triples,
     make_matrix,
     mat_commutator,
@@ -592,12 +593,14 @@ class TestBracketOracle:
     terms and insertion order, on sparse forms over built-in algebras and
     over tables with one corrupted constant, real or imaginary."""
 
-    @given(st.sampled_from(["so4", "gl3", "u2", "u3"]), st.randoms(use_true_random=False),
+    # su2-hermitian: imaginary structure constants on Gaussian forms
+    @given(st.sampled_from(["so4", "gl3", "u2", "u3", "su2-hermitian"]),
+           st.randoms(use_true_random=False),
            st.booleans(), st.sampled_from([Scalar(1), Scalar(0, 1)]),
            st.integers(1, 2), st.integers(1, 2), st.integers(-1, 2), st.integers(-1, 2))
     @settings(max_examples=80, deadline=None)
     def test_matches_tuple_bracket(self, name, rng, corrupt, bump, dx, dy, px, py):
-        algebra = named_algebra(name)
+        algebra = hermitian_su2() if name == "su2-hermitian" else named_algebra(name)
         ctx = form_context(algebra.dim, n_even=algebra.dim)
         x = sparse_lvf(algebra, ctx, rng, dx, px)
         y = sparse_lvf(algebra, ctx, rng, dy, py)

@@ -229,7 +229,7 @@ class TestBatchedDSquared:
         ("gl3", "gl2", (0, 1, 3, ONE)),
         ("u2", "0,1", (0, 1, 2, ONE)),
         ("su2", "u1", (0, 0, 1, ONE)),
-        # Gaussian d images, so the batch of d.d runs on packed numerators
+        # Gaussian d images, so the batch of d.d multiplies i parts
         ("so4", "so3", (0, 1, 2, Scalar(0, 1))),
     ])
     def test_table_that_breaks_jacobi(self, name, sub, bump):

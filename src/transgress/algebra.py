@@ -540,7 +540,10 @@ def _numerators(v: Scalar, den: int) -> tuple:
     """The nonzero parts of v as numerators over ``den``, a multiple of its
     denominator: (0, re) for the real part, then (1, im) for the i part."""
     f = den // v._den
-    return tuple((p, k * f) for p, k in ((0, v._re), (1, v._im)) if k)
+    re, im = v._re * f, v._im * f
+    if not im:
+        return ((0, re),)
+    return ((0, re), (1, im)) if re else ((1, im),)
 
 
 def _scalar(re: int, im: int, den: int, power: int) -> Scalar:
@@ -1037,7 +1040,7 @@ class Derivation:
         table = self._tables.get(layout.width)
         if table is None:
             den, fill, i = self._extra[1], (1 << layout.width) - 1, layout.i
-            slots, turned, odd_with, even_with = {}, {}, 0, 0
+            slots, odd_with, even_with = {}, 0, 0
             for gid, img in self.images.items():
                 odd = self.ctx.generator(gid).is_odd
                 unit = 1 << gid if odd else layout.units[gid]
@@ -1052,12 +1055,15 @@ class Derivation:
                         bits ^= bit
                         mask ^= bit - 1
                     slot.append((key, o, mask, c))
-                turned[unit] = [(k - 2 * i, o, m, -c) if k & i else (k, o, m, c)
-                                for k, o, m, c in slot]
                 if odd:
                     odd_with |= unit
                 else:
                     even_with |= unit * fill
+            if any(k & i for slot in slots.values() for k, _, _, _ in slot):
+                turned = {unit: [(k - 2 * i, o, m, -c) if k & i else (k, o, m, c)
+                                 for k, o, m, c in slot] for unit, slot in slots.items()}
+            else:
+                turned = slots
             table = self._tables[layout.width] = slots, turned, odd_with, even_with
         return table
 
@@ -1127,33 +1133,34 @@ def _t_map(x: GradedElement, table: dict) -> GradedElement:
     the Scalar s, for table[d] = (e, s); the terms of a t-degree without an
     entry or with a zero factor are dropped.  The factors are read as
     numerators over one denominator, at their one (2pi) power.  Terms that
-    meet are summed in order, for each term the product with the real part
-    of its factor first."""
+    meet are summed in order: the products with the real parts of the
+    factors first, then those with their i parts."""
     table = {d: (e, s) for d, (e, s) in table.items() if s}
     if x.is_zero or not table:
         return x.ctx.zero()
     den, power = _common([s for _, s in table.values()])
     frame = _Frame(x.ctx, [((x,), 1)], (power, den, 0))
     ts, i = frame.layout.tshift, frame.layout.i
-    # t-degree -> the (key step, numerator) of each part of its factor, for
-    # a term without and with an i part (i * i = -1)
-    moves = {}
-    for d, (e, s) in table.items():
-        parts = [((e - d) << ts, p, k) for p, k in _numerators(s, den)]
-        moves[d] = ([(step + i * p, k) for step, p, k in parts],
-                    [(step - i * p, -k if p else k) for step, p, k in parts])
-    acc = {}
-    for k, v in frame.align(x).items():
-        move = moves.get(k >> ts)
-        if move is None:
+    nums, acc = frame.align(x), {}
+    for part in 0, 1:
+        # t-degree -> (key step, numerator) of this part of its factor
+        moves = {d: (((e - d) << ts) + i * p, k) for d, (e, s) in table.items()
+                 for p, k in _numerators(s, den) if p == part}
+        if not moves:
             continue
-        for step, m in move[1] if k & i else move[0]:
-            key = k + step
-            c = v * m + acc.get(key, 0)
+        for k, v in nums.items():
+            move = moves.get(k >> ts)
+            if move is None:
+                continue
+            step, m = move
+            if part and k & i:  # i * i = -1
+                step, m = step - 2 * i, -m
+            k += step
+            c = v * m + acc.get(k, 0)
             if c:
-                acc[key] = c
+                acc[k] = c
             else:
-                del acc[key]
+                del acc[k]
     return _reduce(frame.element(acc, x._deg))
 
 

@@ -149,7 +149,7 @@ def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
     for a in range(algebra.dim):
         for b, p, k in constants.get((x, a), ()):
             preimages.setdefault(b, []).append((a, p, k))
-    residues = {}  # (sorted tuple, part) -> numerator
+    residues = {}, {}  # part -> {sorted tuple: numerator}
     for stup, parts in table.items():
         for b in set(stup):
             pre = preimages.get(b)
@@ -161,16 +161,15 @@ def _direction_residues(P: InvariantPolynomial, x: int) -> dict:
                 tup = tuple(sorted(rest + [a]))
                 k *= rest.count(a) + 1
                 for q, v in parts:
-                    key = tup, p ^ q
-                    c = (-k if p & q else k) * v + residues.get(key, 0)
+                    acc = residues[p ^ q]
+                    c = (-k if p & q else k) * v + acc.get(tup, 0)
                     if c:
-                        residues[key] = c
+                        acc[tup] = c
                     else:
-                        del residues[key]
-    joined = {}
-    for (tup, p), k in residues.items():
-        joined.setdefault(tup, [0, 0])[p] = k
-    return {tup: _scalar(re, im, cden * vden, power) for tup, (re, im) in joined.items()}
+                        del acc[tup]
+    re, im = residues
+    return {tup: _scalar(re.get(tup, 0), im.get(tup, 0), cden * vden, power)
+            for tup in re.keys() | im.keys()}
 
 
 def _orderings(part) -> int:
@@ -202,9 +201,10 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
 
     The components of each argument are read as integer numerators over
     their common denominator D_f, the values over D_P (``_numerator_table``)
-    and the prefactor over its own denominator D_c, by which each value is
-    multiplied first.  Every term takes one factor per slot, so every term
-    has the denominator D_c * D_P * prod_f D_f^(slots of f) and the
+    and the prefactor over its own denominator D_0: one integer factor of
+    the last products when it is real, and a factor of each value first
+    when it is Gaussian.  Every term takes one factor per slot, so every
+    term has the denominator D_0 * D_P * prod_f D_f^(slots of f) and the
     numerators simply add.
     """
     args = list(args)
@@ -238,10 +238,11 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     ys = {i: {a: frame.align(c, gi) for a, c in cs.items()}
           for gi, (i, cs) in enumerate(zip(forms, comps))}
 
-    ikey = layout.i  # the key of i
-    factor = {ikey * p: k for p, k in _numerators(pre, pre._den)}
-    residuals = {stup: _product({ikey * p: v for p, v in parts}, factor, layout)
-                 for stup, parts in table.items()}
+    ikey, scale = layout.i, pre._re  # a real prefactor scales the last products
+    residuals = {stup: {ikey * p: v for p, v in parts} for stup, parts in table.items()}
+    if pre._im:  # a Gaussian one multiplies each value first
+        factor, scale = {ikey * p: k for p, k in _numerators(pre, pre._den)}, 1
+        residuals = {stup: _product(r, factor, layout) for stup, r in residuals.items()}
     for f in slots:
         y, grown = ys[id(f)], {}
         for rest in list(residuals):
@@ -262,7 +263,8 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
             _product(done, y[prev[len(sums) - 1]], layout, sums[-1])
         if rest:
             sums += [{} for _ in rest[j + 1:]]
-            _product(residuals.pop(rest), y[rest[-1]], layout, sums[-1], _orderings(rest))
+            _product(residuals.pop(rest), y[rest[-1]], layout, sums[-1],
+                     _orderings(rest) * scale)
         prev = rest
     return _reduce(frame.element(sums[0], sum(f.degree for f in args)))
 

@@ -253,7 +253,9 @@ class LieAlgebra:
         den, _ = _common(self.structure.values())
         table = {}
         for (a, b, c), k in self.structure.items():
-            table.setdefault((b, c), []).extend((a, p, v) for p, v in _numerators(k, den))
+            entries = table.setdefault((b, c), [])
+            for p, v in _numerators(k, den):
+                entries.append((a, p, v))
         return den, table
 
     @cached_property
@@ -354,31 +356,36 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
 
     The constants are the numerators of ``_constants``, so every product
     has the denominator D_c^2.  A product of two constants is summed into
-    the slot 2 (d * dim + a) + part of its d, its component a and its part:
-    an entry of [e_b, e_c] is kept as (2 a + part, numerator), and as that
-    times i for a first factor with an i part (i * i = -1).
+    the slot d * dim + a of its d and its component a, plus dim^2 for an i
+    part: an entry of [e_b, e_c] is kept as (a + dim^2 part, numerator),
+    and as that times i for a first factor with an i part (i * i = -1).
     """
     den, constants = algebra._constants
     dim = algebra.dim
-    brackets = {}  # b * dim + c -> (the entries of [e_b, e_c], the same times i)
+    sq = dim * dim
+    # b * dim + c -> (the entries of [e_b, e_c], the same times i, and as
+    # (e * dim, part, numerator) for a first bracket)
+    brackets = {}
     right = [[] for _ in range(dim)]  # b -> [(c, brackets of b, c)] for [e_b, e_c] nonzero
     left = [[] for _ in range(dim)]  # c -> [(b, brackets of b, c)] for [e_b, e_c] nonzero
     for (b, c), entries in constants.items():
-        plain = tuple((2 * a + p, k) for a, p, k in entries)
-        brackets[b * dim + c] = ks = plain, tuple((s ^ 1, -k if s & 1 else k) for s, k in plain)
+        plain = tuple((a + sq * p, k) for a, p, k in entries)
+        brackets[b * dim + c] = ks = (
+            plain, tuple((s - sq, -k) if s >= sq else (s + sq, k) for s, k in plain),
+            tuple((a * dim, p, k) for a, p, k in entries))
         right[b].append((c, ks))
         left[c].append((b, ks))
     for b in range(dim):
         for c in range(b, dim):
-            # (2 d dim, numerator, the entries of e_e bracketed with the
+            # (d * dim, numerator, the entries of e_e bracketed with the
             # third index) for [[b,c],d], [[c,d],b] and [[d,b],c], at the d
             # where (b, c, d) comes first among its rotations
-            terms = [(2 * d * dim, k1, ks[p]) for e, p, k1 in constants.get((b, c), ())
+            terms = [(d * dim, k1, ks[p]) for e, p, k1 in constants.get((b, c), ())
                      for d, ks in right[e] if d > b or d == b == c]
-            terms += [(2 * d * dim, k1, ks[s & 1]) for d, first in right[c] if d > b or d == b == c
-                      for s, k1 in first[0] if (ks := brackets.get((s >> 1) * dim + b))]
-            terms += [(2 * d * dim, k1, ks[s & 1]) for d, first in left[b] if d > b or d == b == c
-                      for s, k1 in first[0] if (ks := brackets.get((s >> 1) * dim + c))]
+            terms += [(d * dim, k1, ks[p]) for d, first in right[c] if d > b or d == b == c
+                      for edim, p, k1 in first[2] if (ks := brackets.get(edim + b))]
+            terms += [(d * dim, k1, ks[p]) for d, first in left[b] if d > b or d == b == c
+                      for edim, p, k1 in first[2] if (ks := brackets.get(edim + c))]
             acc: dict = {}
             for base, k1, ks in terms:
                 for s, k2 in ks:
@@ -389,9 +396,9 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
                     else:
                         del acc[slot]
             if acc:
-                slot = min(acc) >> 1
+                slot = min(s % sq for s in acc)
                 d, a = divmod(slot, dim)
-                value = _scalar(acc.get(2 * slot, 0), acc.get(2 * slot + 1, 0), den * den, 0)
+                value = _scalar(acc.get(slot, 0), acc.get(slot + sq, 0), den * den, 0)
                 return ValidationFailure(
                     "jacobi", (a, b, c, d), f"cyclic sum = {value.render()}")
     return None
@@ -501,10 +508,12 @@ class _GeneratedSpan:
 
     def _bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
+        structure, constants = self.algebra.structure, self.algebra._constants[1]
         for b, ub in u.items():
             for c, vc in v.items():
-                for a, k in self.algebra.bracket_on_basis(b, c):
-                    _acc_add(out, a, ub * vc * k)
+                for a, p, _ in constants.get((b, c), ()):
+                    if not p or not structure[a, b, c].re:  # each constant once
+                        _acc_add(out, a, ub * vc * structure[a, b, c])
         return out
 
 

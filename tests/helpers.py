@@ -925,10 +925,15 @@ def coefficient_A_by_scalars(k: int, i: int, j: int) -> Scalar:
 # give its order of terms.
 # ---------------------------------------------------------------------------
 
+def part_of(c: Scalar, p: int) -> Scalar:
+    """The real part of c (p 0) or its i part (p 1), a Scalar at the (2pi)
+    power of c."""
+    return Scalar(0, c.im, c.two_pi) if p else Scalar(c.re, 0, c.two_pi)
+
+
 def scalar_parts(c: Scalar) -> list:
-    """The nonzero parts of c, the real part first, each a Scalar at the
-    (2pi) power of c."""
-    return [part for part in (Scalar(c.re, 0, c.two_pi), Scalar(0, c.im, c.two_pi)) if part]
+    """The nonzero parts of c, the real part first."""
+    return [part for part in (part_of(c, 0), part_of(c, 1)) if part]
 
 
 def _acc_part(parts: dict, mono, part: Scalar) -> None:
@@ -1145,11 +1150,11 @@ def terms_sub(a, b) -> PartTerms:
 
 
 def terms_scale(a, scalar) -> PartTerms:
-    """a times scalar: each part of a times each part of scalar, the real
-    part first."""
+    """a times scalar: each part of a times the real part of scalar, then
+    each part of a times its i part."""
     acc = {}
-    for (m, _), c in stored_parts(a).items():
-        for s in scalar_parts(Scalar._coerce(scalar)):
+    for s in scalar_parts(Scalar._coerce(scalar)):
+        for (m, _), c in stored_parts(a).items():
             _acc_part(acc, m, c * s)
     return PartTerms(acc)
 
@@ -1169,11 +1174,15 @@ def terms_integrate(a) -> PartTerms:
 
 
 def terms_substitute(a, value) -> PartTerms:
+    """Each part of a times the real part of value ** t, then each part of
+    a times its i part."""
     value = Scalar._coerce(value)
     acc = {}
-    for (mono, _), coeff in stored_parts(a).items():
-        for s in scalar_parts(value ** mono.t_deg):
-            _acc_part(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * s)
+    for p in 0, 1:
+        for (mono, _), coeff in stored_parts(a).items():
+            s = part_of(value ** mono.t_deg, p)
+            if s:
+                _acc_part(acc, Monomial(mono.odd_mask, mono.even, 0), coeff * s)
     return PartTerms(acc)
 
 

@@ -1006,8 +1006,8 @@ def tuple_terms(x: GradedElement) -> PartTerms:
     parts = {}
     for key in x._nums:
         mono, c = monos[key & ~i]
-        part = Scalar(0, c.im, c.two_pi) if key & i else Scalar(c.re, 0, c.two_pi)
-        parts[to_tuple_mono(mono), 1 if key & i else 0] = part
+        p = 1 if key & i else 0
+        parts[to_tuple_mono(mono), p] = part_of(c, p)
     return PartTerms(parts)
 
 

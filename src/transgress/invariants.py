@@ -231,18 +231,22 @@ def evaluate(P: InvariantPolynomial, args) -> GradedElement:
     slots = args[:-1] if n == 1 else [f for f in args if f is not last]
 
     vden, power, table = P._numerator_table()
+    pden, ppower = _common([pre])
     frame = _Frame(ctx, [(list(cs.values()), count)
                          for cs, (_, count) in zip(comps, forms.values())],
-                   (power + pre.two_pi, vden * pre._den, 0))
+                   (power + ppower, vden * pden, 0))
     layout = frame.layout
     ys = {i: {a: frame.align(c, gi) for a, c in cs.items()}
           for gi, (i, cs) in enumerate(zip(forms, comps))}
 
-    ikey, scale = layout.i, pre._re  # a real prefactor scales the last products
+    ikey = layout.i
+    factor = {ikey * p: k for p, k in _numerators(pre, pden)}
     residuals = {stup: {ikey * p: v for p, v in parts} for stup, parts in table.items()}
-    if pre._im:  # a Gaussian one multiplies each value first
-        factor, scale = {ikey * p: k for p, k in _numerators(pre, pre._den)}, 1
+    scale = 1
+    if ikey in factor:  # a Gaussian prefactor multiplies each value first
         residuals = {stup: _product(r, factor, layout) for stup, r in residuals.items()}
+    else:  # a real one is the integer scale of the last products
+        scale = factor[0]
     for f in slots:
         y, grown = ys[id(f)], {}
         for rest in list(residuals):

@@ -291,7 +291,7 @@ class LieAlgebra:
 
     def has_imaginary_data(self) -> bool:
         r = self._realization
-        return (any(v._im for v in self.structure.values())
+        return (any(p for entries in self._constants[1].values() for _, p, _ in entries)
                 or bool(r and any(p for M in r.mats for _, _, p in M)))
 
     def __repr__(self) -> str:

@@ -308,10 +308,10 @@ class ReductiveSplit:
     @staticmethod
     def from_h(dim: int, h_indices: Sequence[int]) -> "ReductiveSplit":
         h = tuple(sorted(h_indices))
-        if any(not 0 <= i < dim for i in h) or len(set(h)) != len(h):
+        in_h = set(h)
+        if any(not 0 <= i < dim for i in h) or len(in_h) != len(h):
             raise ContractError(f"bad subalgebra indices {h_indices}")
-        p = tuple(i for i in range(dim) if i not in set(h))
-        return ReductiveSplit(h, p)
+        return ReductiveSplit(h, tuple(i for i in range(dim) if i not in in_h))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from transgress.algebra import (
     ONE,
     Scalar,
     ZERO,
+    _BLOCK,
     _acc_add,
     permutation_sign,
 )
@@ -1065,43 +1066,54 @@ def tuple_product(a, b) -> PartTerms:
 
 def tuple_derivation_apply(images: dict, x) -> PartTerms:
     """``Derivation.__call__`` on term dicts; ``images`` maps a generator id
-    to the term dict of its image."""
+    to the term dict of its image.  A factor g of a term contributes
+    prefix * D(g) * suffix at each of its positions, signed by the odd
+    factors of the prefix that D moves past, and the contributions are added
+    in the kernel's order: blocks of ``_BLOCK`` stored parts of x, then the
+    generators in the order a block first meets them, then the terms of
+    D(g), then the parts of x that hold g."""
     images = {gid: stored_parts(img) for gid, img in images.items()}
+    parts = list(stored_parts(x).items())
     acc = {}
-    for (mono, _), coeff in stored_parts(x).items():
-        odd, even, t_deg = mono
-        n_odd = len(odd)
-        for pos in range(n_odd):
-            img = images.get(odd[pos])
-            if img is None:
-                continue
-            prefix = TupleMonomial(odd[:pos], (), 0)
-            suffix = TupleMonomial(odd[pos + 1:], even, t_deg)
-            sign0 = -1 if pos & 1 else 1
-            _acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
-        sign0 = -1 if n_odd & 1 else 1
-        for pos in range(len(even)):
-            img = images.get(even[pos])
-            if img is None:
-                continue
-            prefix = TupleMonomial(odd, even[:pos], 0)
-            suffix = TupleMonomial((), even[pos + 1:], t_deg)
-            _acc_sandwich(prefix, img, suffix, coeff, sign0, acc)
+    for start in range(0, len(parts), _BLOCK):
+        found = {}  # generator -> [(part of x, [(prefix, suffix, sign)])]
+        for (mono, _), coeff in parts[start:start + _BLOCK]:
+            odd, even, t_deg = mono
+            n_odd = len(odd)
+            sandwiches = {}
+            for pos in range(n_odd):
+                prefix = TupleMonomial(odd[:pos], (), 0)
+                suffix = TupleMonomial(odd[pos + 1:], even, t_deg)
+                sandwiches.setdefault(odd[pos], []).append((prefix, suffix, -1 if pos & 1 else 1))
+            for pos in range(len(even)):
+                prefix = TupleMonomial(odd, even[:pos], 0)
+                suffix = TupleMonomial((), even[pos + 1:], t_deg)
+                sandwiches.setdefault(even[pos], []).append(
+                    (prefix, suffix, -1 if n_odd & 1 else 1))
+            for g, at in sandwiches.items():
+                if g in images:
+                    found.setdefault(g, []).append((coeff, at))
+        for g, held in found.items():
+            for (m2, _), c2 in images[g].items():
+                for coeff, at in held:
+                    _acc_sandwich(at, m2, coeff * c2, acc)
     return PartTerms(acc)
 
 
-def _acc_sandwich(prefix, img, suffix, coeff, sign0, acc) -> None:
-    for (m2, _), c2 in img.items():
+def _acc_sandwich(at, m2, c, acc) -> None:
+    """Add c times the sum of sign * prefix * m2 * suffix over the
+    (prefix, suffix, sign) of ``at``, one monomial, into acc."""
+    total = mono = None
+    for prefix, suffix, sign0 in at:
         s1, ma = tuple_mono_mul(prefix, m2)
         if ma is None:
             continue
-        s2, mb = tuple_mono_mul(ma, suffix)
-        if mb is None:
+        s2, mono = tuple_mono_mul(ma, suffix)
+        if mono is None:
             continue
-        c = coeff * c2
-        if sign0 * s1 * s2 < 0:
-            c = -c
-        _acc_part(acc, mb, c)
+        total = (c if sign0 * s1 * s2 > 0 else -c) + (total or ZERO)
+    if total:
+        _acc_part(acc, mono, total)
 
 
 def tuple_bracket(x: LieValuedForm, y: LieValuedForm) -> LieValuedForm:

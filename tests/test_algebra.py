@@ -501,6 +501,65 @@ def derivations(draw, ctx):
     return Derivation(ctx, images, degree)
 
 
+@st.composite
+def derivation_cases(draw):
+    """A drawn derivation and an element of up to six terms it applies to."""
+    ctx = draw(contexts())
+    return draw(derivations(ctx)), draw(elements(ctx, max_terms=6))
+
+
+def even_powers_case():
+    """d on terms with an even generator at exponents 2 and 3, the
+    generator having an image, beside odd factors with images."""
+    ctx = make_ctx(3, 2)
+    (w0, w1, w2), (W0, W1) = [ctx.gen(g) for g in ctx.odd_ids], [ctx.gen(g) for g in ctx.even_ids]
+    D = Derivation(ctx, {1: W0 + (w0 * w2).scale(3), 100: w0 * w1 * w2 - (w1 * W1).scale(2)},
+                   +1)
+    x = (w1 * W0 * W0 * W0 + (w0 * W0 * W0 * W1).scale(Scalar(Fraction(-2, 3))).times_t(1)
+         + W0 * W0 - w0 * w1 * W0 * W0)
+    return D, x
+
+
+def long_input_case():
+    """d on an element of more stored terms than one block of the kernel,
+    whose images meet across the blocks."""
+    ctx = make_ctx(8, 2)
+    terms = {}
+    for mask in range(256):
+        terms[Monomial(mask, (), mask % 2)] = Scalar(Fraction(mask % 11 - 5 or 7, 1 + mask % 3))
+        if mask.bit_count() <= 2:
+            terms[Monomial(mask, (100,), 0)] = Scalar(mask % 5 + 1)
+    w = [ctx.gen(g) for g in ctx.odd_ids]
+    W0, W1 = (ctx.gen(g) for g in ctx.even_ids)
+    D = Derivation(ctx, {0: W0 - w[1] * w[2], 3: W1 + w[0] * w[5], 6: w[2] * w[7].times_t(1),
+                         100: w[1] * w[3] * w[4] + w[2] * W1}, +1)
+    return D, GradedElement(ctx, terms)
+
+
+def interior_on_even_case():
+    """A degree -1 derivation with images on an even generator, at
+    exponents 1 and 2, and on an odd one."""
+    ctx = make_ctx(3, 2)
+    w0, w1, w2 = (ctx.gen(g) for g in ctx.odd_ids)
+    W0, W1 = (ctx.gen(g) for g in ctx.even_ids)
+    D = Derivation(ctx, {100: w1 - w2.times_t(1).scale(2), 0: ctx.one()}, -1)
+    x = w0 * w2 * W0 * W0 + (w1 * W0 * W1).scale(5) - w0 * w1 * W1 + W0.times_t(2)
+    return D, x
+
+
+def gaussian_case():
+    """Gaussian images on a Gaussian input, so that i parts meet on both
+    sides."""
+    ctx = make_ctx(3, 2)
+    w0, w1, w2 = (ctx.gen(g) for g in ctx.odd_ids)
+    W0, W1 = (ctx.gen(g) for g in ctx.even_ids)
+    D = Derivation(ctx, {0: W0.scale(Scalar(1, 2)) + (w1 * w2).scale(Scalar(0, -1)),
+                         2: W1.scale(Scalar(0, 1)),
+                         101: (w0 * W0).scale(Scalar(Fraction(1, 2), -3))}, +1)
+    x = (w0 * w2).scale(Scalar(2, 1)) + (w0 * W1).scale(Scalar(0, 3)) + w2 * W1 * W1 - W1
+    return D, x
+
+
 class TestBitmaskOracles:
     """Bitmask monomials, ``mono_mul``, products and derivations against
     the tuple-monomial code in ``helpers``: the same signs, monomials and
@@ -526,12 +585,14 @@ class TestBitmaskOracles:
         want = tuple_product(tuple_terms(a), tuple_terms(b))
         assert list(tuple_terms(a * b).items()) == list(want.items())
 
-    @given(st.data())
+    @given(derivation_cases())
+    @example(even_powers_case())
+    @example(long_input_case())
+    @example(interior_on_even_case())
+    @example(gaussian_case())
     @settings(max_examples=100, deadline=None)
-    def test_derivation(self, data):
-        ctx = data.draw(contexts())
-        D = data.draw(derivations(ctx))
-        x = data.draw(elements(ctx, max_terms=6))
+    def test_derivation(self, case):
+        D, x = case
         images = {gid: tuple_terms(img) for gid, img in D.images.items()}
         want = tuple_derivation_apply(images, tuple_terms(x))
         assert list(tuple_terms(D(x)).items()) == list(want.items())

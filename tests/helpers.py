@@ -1076,7 +1076,7 @@ def tuple_derivation_apply(images: dict, x) -> PartTerms:
     parts = list(stored_parts(x).items())
     acc = {}
     for start in range(0, len(parts), _BLOCK):
-        found = {}  # generator -> [(part of x, [(prefix, suffix, sign)])]
+        found = {}  # generator -> [(a part of x, [(prefix, suffix, sign)] of g in it)]
         for (mono, _), coeff in parts[start:start + _BLOCK]:
             odd, even, t_deg = mono
             n_odd = len(odd)
@@ -1111,7 +1111,8 @@ def _acc_sandwich(at, m2, c, acc) -> None:
         s2, mono = tuple_mono_mul(ma, suffix)
         if mono is None:
             continue
-        total = (c if sign0 * s1 * s2 > 0 else -c) + (total or ZERO)
+        signed = c if sign0 * s1 * s2 > 0 else -c
+        total = signed if total is None else total + signed
     if total:
         _acc_part(acc, mono, total)
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Bytes per term of P(F_t, ..., F_t) and of d(integrand) for the Pfaffian
 on so(2k) over so(2k-1), with F_t the deformed curvature and the integrand
-P(x, F_t, ..., F_t), and the peak RSS of the process.
+P(x, F_t, ..., F_t), and the peak RSS of the process.  d(integrand) is
+measured twice: with the full d, and through ``d_basic``, the restricted
+derivation the derivative identity uses on the h-basic integrand.
 
     PYTHONPATH=<checkout>/src python3 scripts/term_memory.py
 
@@ -45,12 +47,13 @@ def steps(n: int) -> dict:
     P = pfaffian(algebra)
     integrand = setup.transgression_integrand(P)
     return {"P(F_t, ..., F_t)": lambda: evaluate(P, [setup.deformed_curvature] * P.degree),
-            "d(integrand)": lambda: setup.d(integrand)}
+            "d(integrand)": lambda: setup.d(integrand),
+            "d_basic(integrand)": lambda: setup.d_basic(integrand)}
 
 
 def main() -> int:
     rungs = {n: steps(n) for n in (8, 10)}
-    for name in ("P(F_t, ..., F_t)", "d(integrand)"):
+    for name in rungs[8]:
         for n, rung in rungs.items():
             terms, retained, peak = traced(rung[name])
             print(f"so{n}/so{n - 1} {name}: {terms} terms, "

@@ -245,9 +245,13 @@ def verify_transgression(result: TransgressionResult, setup: UniversalSetup,
                          P: InvariantPolynomial = None) -> dict:
     """d(form) = P(curvature) - P(sub-curvature), plus basic-ness along h.
 
-    Invariance is certified by Cartan's formula on the d(form) the first
-    check already computed: L_x(form) = iota_x(d form) + d(iota_x form),
-    where the second term is needed only when horizontality fails at x.
+    ``setup.d_basic`` gives d(form) when the form is h-basic, which
+    certifies horizontality and invariance with it.  Otherwise, or when its
+    preconditions fail, d(form) is the full d, and the loops over x in h
+    find the first witness.  Horizontality is iota_x(form) = 0.  Invariance
+    is Cartan's formula on the d(form) the first check computed:
+    L_x(form) = iota_x(d form) + d(iota_x form), where the second term is
+    needed only when horizontality fails at x.
 
     Returns {name: CheckResult} and stores it on the result.  A failing check
     carries a nonzero witness term.
@@ -256,8 +260,16 @@ def verify_transgression(result: TransgressionResult, setup: UniversalSetup,
     _check_poly_setup(setup, P)
     checks = {}
 
-    lhs = setup.d(result.form)
     rhs = setup.curvature_difference(P)
+    lhs = setup.d_basic(result.form)
+    if lhs is not None:
+        checks["transgression"] = _zero_check("transgression", lhs - rhs)
+        checks["horizontality"] = CheckResult("horizontality", True)
+        checks["invariance"] = CheckResult("invariance", True)
+        result.checks.update(checks)
+        return checks
+
+    lhs = setup.d(result.form)
     checks["transgression"] = _zero_check("transgression", lhs - rhs)
 
     contracted = [(x, setup.interior(x)(result.form)) for x in setup.split.h]
@@ -285,12 +297,18 @@ def verify_transgression(result: TransgressionResult, setup: UniversalSetup,
 def derivative_identity_check(setup: UniversalSetup,
                               P: InvariantPolynomial) -> CheckResult:
     """d/dt P(family, ..., family) = k d P(tensor, family, ..., family),
-    exactly as polynomials in t."""
+    exactly as polynomials in t.  The integrand is h-basic when P is
+    ad-invariant, and then ``setup.d_basic`` gives its d; the full d runs
+    otherwise."""
     _check_poly_setup(setup, P)
     k = P.degree
     family = setup.deformed_curvature
     # the derivation first, while no other large form is alive
-    rhs = setup.d(setup.transgression_integrand(P)).scale(Scalar(k))
+    integrand = setup.transgression_integrand(P)
+    rhs = setup.d_basic(integrand)
+    if rhs is None:
+        rhs = setup.d(integrand)
+    rhs = rhs.scale(Scalar(k))
     lhs = t_derivative(evaluate(P, [family] * k))
     return _zero_check("derivative-identity", lhs - rhs)
 

@@ -34,7 +34,7 @@ from .algebra import (
     _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
-from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, bracket, project
+from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, _GeneratedSpan, bracket, project
 
 __all__ = ["UniversalSetup"]
 
@@ -176,15 +176,61 @@ class UniversalSetup:
             self._interior_cache[h_index] = cached
         return cached
 
-    def lie_derivative(self, h_index: int):
-        """Cartan formula d(iota(x)) + iota(d(x)) along an h-basis element."""
-        iota = self.interior(h_index)
-        d = self.d
+    # -- d on h-basic forms --------------------------------------------------
 
-        def L(x: GradedElement) -> GradedElement:
-            return d(iota(x)) + iota(d(x))
+    @cached_property
+    def _basic_mask(self):
+        """The key bits of the h-connection factors w[a], a in h (the odd
+        bits of a key are the ids of its odd factors), when the table is a
+        Lie bracket and h is closed under it; None otherwise, and then
+        ``d_basic`` never applies."""
+        algebra, h = self.algebra, set(self.split.h)
+        if algebra._bracket_failures or any(
+                b in h and c in h and a not in h for a, b, c in algebra.structure):
+            return None
+        return sum(1 << a for a in h)
 
-        return L
+    @cached_property
+    def d_S(self) -> Derivation:
+        """d less every image term with a factor w[a], a in h outside S,
+        for S the Lie-generating set of h that the gate's ``_GeneratedSpan``
+        finds walking h in basis order; ``d`` itself when S is all of h.
+        Only ``d_basic`` reads it, after its preconditions."""
+        h = self.split.h
+        span = _GeneratedSpan(self.algebra)
+        drop = 0  # the bits of h outside S
+        for x in h:
+            if len(span.pivots) == len(h) or x in span:
+                drop |= 1 << x
+            else:
+                span.add(x)
+        if not drop:
+            return self.d
+        images = {gid: _element(self.context, img._layout,
+                                {k: v for k, v in img._nums.items() if not k & drop},
+                                img._den, img._power, img._most, img._deg)
+                  for gid, img in self.d.images.items()}
+        return Derivation(self.context, images, +1)
+
+    def d_basic(self, y: GradedElement):
+        """d(y) for an h-basic y through the one derivation ``d_S``, or None
+        when y is not h-basic or the shortcut does not hold for the set-up.
+
+        It holds when the table is a Lie bracket and h is closed under it.
+        Then each term of d(y) has at most one h-connection factor, and for
+        y without one, d(y) = d'(y) + sum over a in h of w[a] L_a(y), d'
+        being d less every image term with an h-connection factor and L_a
+        the Lie derivative iota_a d + d iota_a.  ``d_S`` forms d'(y) and
+        the w[a] L_a(y) for a in S, so an h-bit in d_S(y) means some L_a(y)
+        is nonzero.  Without one, L_a(y) = 0 on S, hence on all of h, as
+        a -> L_a is a Lie-algebra action (Jacobi), and d_S(y) is d(y)."""
+        mask = self._basic_mask
+        if mask is None or any(k & mask for k in y._nums):
+            return None
+        out = self.d_S(y)
+        if any(k & mask for k in out._nums):
+            return None
+        return out
 
     # -- soundness probes ----------------------------------------------------
 

@@ -11,6 +11,7 @@ from typing import NamedTuple, Union
 from transgress.algebra import (
     ContextError,
     ContractError,
+    Derivation,
     GradedElement,
     HALF,
     Monomial,
@@ -327,13 +328,71 @@ def dense_ad_invariance_witness(P):
     return None
 
 
+def lie_derivative(setup, h_index: int):
+    """Cartan's formula d(iota(x)) + iota(d(x)) along an h-basis element,
+    with the full d."""
+    iota = setup.interior(h_index)
+    d = setup.d
+
+    def L(x: GradedElement) -> GradedElement:
+        return d(iota(x)) + iota(d(x))
+
+    return L
+
+
+def without_factors(x: GradedElement, ids) -> GradedElement:
+    """The terms of x with none of the odd factors ``ids``."""
+    mask = sum(1 << g for g in ids)
+    return GradedElement(x.ctx, {m: c for m, c in x.terms.items() if not m.odd_mask & mask})
+
+
+def cut_differential(setup) -> Derivation:
+    """d': d less every image term with an h-connection factor w[a], a in h."""
+    return Derivation(setup.context, {g: without_factors(img, setup.split.h)
+                                      for g, img in setup.d.images.items()}, +1)
+
+
+def generated_dimension(algebra, directions) -> int:
+    """The dimension of the subalgebra generated by the basis directions:
+    their span closed under brackets, by exact Gaussian elimination."""
+    rows = []  # (pivot index, row {index: Scalar} with 1 at its pivot)
+
+    def reduce(vec):
+        vec = dict(vec)
+        for pivot, row in rows:
+            f = vec.get(pivot)
+            if f:
+                for i, v in row.items():
+                    _acc_add(vec, i, -f * v)
+        return vec
+
+    todo = [{x: ONE} for x in directions]
+    added = []
+    while todo:
+        vec = reduce(todo.pop())
+        if not vec:
+            continue
+        pivot = min(vec)
+        inv = vec[pivot].inverse()
+        rows.append((pivot, {i: v * inv for i, v in vec.items()}))
+        for u in added:
+            out = {}
+            for b, ub in u.items():
+                for c, vc in vec.items():
+                    for a, k in algebra.bracket_on_basis(b, c):
+                        _acc_add(out, a, ub * vc * k)
+            todo.append(out)
+        added.append(vec)
+    return len(rows)
+
+
 def literal_basicness(setup, form):
     """(horizontality, invariance) verdicts and witnesses from the literal
     loops: iota_x(form) and L_x(form) = d(iota_x form) + iota_x(d form) for
     every x in h, each stopping at the first nonzero image."""
     verdicts = []
     for name, label, op in (("horizontality", "iota", setup.interior),
-                            ("invariance", "L", setup.lie_derivative)):
+                            ("invariance", "L", lambda x: lie_derivative(setup, x))):
         verdict = (name, True, "")
         for x in setup.split.h:
             image = op(x)(form)

@@ -15,6 +15,7 @@ from helpers import (
     covariant_d_tensor,
     deformed_curvature_expanded,
     deformed_curvature_interpolated,
+    lie_derivative,
     make_matrix,
     pfaffian_permutation_sum,
     skew_coordinates,
@@ -143,7 +144,7 @@ def test_05_basicness(main_configs, integral_results):
         for x in setup.split.h:
             contracted = setup.interior(x)(form)
             assert contracted.is_zero, (name, x)
-            moved = setup.lie_derivative(x)(form)
+            moved = lie_derivative(setup, x)(form)
             assert moved.is_zero, (name, x)
     _report(5, "interior products and Lie derivatives along the subalgebra "
                "kill every TP")

@@ -616,6 +616,8 @@ def test_scripts_run():
     assert out["term_memory"][1].startswith("so10/so9 P(F_t, ..., F_t): 15228 terms,")
     assert out["term_memory"][2].startswith("so8/so7 d(integrand): 1078 terms,")
     assert out["term_memory"][3].startswith("so10/so9 d(integrand): 15228 terms,")
+    assert out["term_memory"][4].startswith("so8/so7 d_basic(integrand): 1078 terms,")
+    assert out["term_memory"][5].startswith("so10/so9 d_basic(integrand): 15228 terms,")
 
 
 SO4 = ("--algebra", "so4", "--sub", "so3", "--poly", "pfaffian")

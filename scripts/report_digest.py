@@ -68,6 +68,8 @@ CONFIGS = [
      + TRACE_ROUTES),
     ("gl3:noninvariant", ("--algebra", "gl3", "--sub", "gl2", "--poly",
                           "perfbench/noninvariant_gl3.json") + TRACE_ROUTES),
+    ("gl3:nonbasic", ("--algebra", "gl3", "--sub", "gl2", "--poly",
+                      "tests/nonbasic_gl3.json") + TRACE_ROUTES),
 ]
 
 # the pinned custom algebra files, each run as --algebra <label>.json FILE_ARGS

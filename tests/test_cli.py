@@ -403,6 +403,12 @@ class TestSameReports:
             ("--algebra", "gl3", "--sub", "gl2", "--poly",
              "perfbench/noninvariant_gl3.json", "--method", "integral,johnson"),
             "98193bb1ca18e98f401d50d1c860049795f021a06cbbcdf9b77e91d1baad651c"),
+        # a tensor valued at (2, 2), in p: TP is horizontal but not
+        # h-invariant, so the certificate takes its non-basic path
+        "gl3:nonbasic": (
+            ("--algebra", "gl3", "--sub", "gl2", "--poly",
+             "tests/nonbasic_gl3.json", "--method", "integral,johnson"),
+            "7b3186d953ca2f4bc110cd22d9db42bebf851eed8723c687b64b1e2f1d72acda"),
     }
 
     @pytest.mark.parametrize("label", DIGESTS)

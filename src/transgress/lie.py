@@ -313,6 +313,10 @@ class ReductiveSplit:
             raise ContractError(f"bad subalgebra indices {h_indices}")
         return ReductiveSplit(h, tuple(i for i in range(dim) if i not in in_h))
 
+    def partitions(self, dim: int) -> bool:
+        """Whether h and p together hold each basis index 0..dim-1 once."""
+        return sorted((*self.h, *self.p)) == list(range(dim))
+
 
 @dataclass
 class ValidationFailure:
@@ -452,26 +456,24 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 
 def validate_split(algebra: LieAlgebra, split: ReductiveSplit) -> ValidationReport:
     """Check that h is a subalgebra and [h, p] lands in p."""
+    if not split.partitions(algebra.dim):
+        return ValidationReport(False, [ValidationFailure(
+            "partition", (tuple(split.h), tuple(split.p)),
+            "indices must partition the basis")])
+
     failures = []
     h, p = set(split.h), set(split.p)
-    if h & p or h | p != set(range(algebra.dim)):
-        failures.append(ValidationFailure(
-            "partition", (tuple(split.h), tuple(split.p)),
-            "indices must partition the basis"))
-        return ValidationReport(False, failures)
-
-    for (a, b, c), v in sorted(algebra.structure.items()):
-        if b in h and c in h and a in p:
+    structure = algebra.structure
+    for invariant, (in_b, in_c, in_a), detail in (
+            ("subalgebra", (h, h, p), "leaks into the complement"),
+            ("reductive", (h, p, h), "breaks ad-invariance of the complement")):
+        # the first key c[a,b,c], in sorted order, with b, c and a in these parts
+        key = min(((a, b, c) for a, b, c in structure
+                   if b in in_b and c in in_c and a in in_a), default=None)
+        if key is not None:
+            a, b, c = key
             failures.append(ValidationFailure(
-                "subalgebra", (a, b, c),
-                f"c[{a},{b},{c}] = {v.render()} leaks into the complement"))
-            break
-    for (a, b, c), v in sorted(algebra.structure.items()):
-        if b in h and c in p and a in h:
-            failures.append(ValidationFailure(
-                "reductive", (a, b, c),
-                f"c[{a},{b},{c}] = {v.render()} breaks ad-invariance of the complement"))
-            break
+                invariant, key, f"c[{a},{b},{c}] = {structure[key].render()} {detail}"))
     return ValidationReport(not failures, failures)
 
 

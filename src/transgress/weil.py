@@ -19,7 +19,8 @@ exact polynomial statement.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .algebra import (
     Context,
@@ -34,7 +35,15 @@ from .algebra import (
     _t_block,
 )
 from .invariants import InvariantPolynomial, evaluate
-from .lie import LieAlgebra, LieValuedForm, ReductiveSplit, _GeneratedSpan, bracket, project
+from .lie import (
+    LieAlgebra,
+    LieValuedForm,
+    ReductiveSplit,
+    _GeneratedSpan,
+    bracket,
+    project,
+    validate_split,
+)
 
 __all__ = ["UniversalSetup"]
 
@@ -50,7 +59,7 @@ class UniversalSetup:
     def __init__(self, algebra: LieAlgebra, split: ReductiveSplit = None):
         if split is None:
             split = ReductiveSplit.from_h(algebra.dim, ())
-        if set(split.h) | set(split.p) != set(range(algebra.dim)) or set(split.h) & set(split.p):
+        if not split.partitions(algebra.dim):
             raise ContractError("split does not partition the basis")
         self.algebra = algebra
         self.split = split
@@ -70,7 +79,6 @@ class UniversalSetup:
         self.d = Derivation(ctx, images, +1)
 
         self.sub_connection, self.tensor_form = project(split, self.connection)
-        self._interior_cache = {}
         self._difference_cache = {}
         self._integrand_cache = {}
 
@@ -163,32 +171,22 @@ class UniversalSetup:
             self._integrand_cache[P] = cached
         return cached
 
-    # -- equivariant derivations --------------------------------------------
-
-    def interior(self, h_index: int) -> Derivation:
-        """Contraction with the vertical direction of an h-basis element."""
-        if h_index not in self.split.h:
-            raise ContractError(f"index {h_index} is not in the subalgebra")
-        cached = self._interior_cache.get(h_index)
-        if cached is None:
-            ctx = self.context
-            cached = Derivation(ctx, {h_index: ctx.one()}, -1)
-            self._interior_cache[h_index] = cached
-        return cached
-
     # -- d on h-basic forms --------------------------------------------------
 
+    def h_bits(self, y: GradedElement) -> int:
+        """The key bits of the h-connection factors w[a], a in h, that some
+        key of y has (the odd bits of a key are the ids of its odd factors).
+        The contraction iota_a, the partial derivative in w[a], sends
+        distinct keys to distinct keys, so iota_a(y) = 0 exactly when bit a
+        is not set."""
+        return reduce(or_, y._nums, 0) & sum(1 << a for a in self.split.h)
+
     @cached_property
-    def _basic_mask(self):
-        """The key bits of the h-connection factors w[a], a in h (the odd
-        bits of a key are the ids of its odd factors), when the table is a
-        Lie bracket and h is closed under it; None otherwise, and then
-        ``d_basic`` never applies."""
-        algebra, h = self.algebra, set(self.split.h)
-        if algebra._bracket_failures or any(
-                b in h and c in h and a not in h for a, b, c in algebra.structure):
-            return None
-        return sum(1 << a for a in h)
+    def _basic_shortcut(self) -> bool:
+        """Whether the table is a Lie bracket and the split is reductive,
+        so that h is closed under it; ``d_basic`` applies only then."""
+        return (not self.algebra._bracket_failures
+                and validate_split(self.algebra, self.split).passed)
 
     @cached_property
     def d_S(self) -> Derivation:
@@ -216,21 +214,19 @@ class UniversalSetup:
         """d(y) for an h-basic y through the one derivation ``d_S``, or None
         when y is not h-basic or the shortcut does not hold for the set-up.
 
-        It holds when the table is a Lie bracket and h is closed under it.
-        Then each term of d(y) has at most one h-connection factor, and for
-        y without one, d(y) = d'(y) + sum over a in h of w[a] L_a(y), d'
-        being d less every image term with an h-connection factor and L_a
-        the Lie derivative iota_a d + d iota_a.  ``d_S`` forms d'(y) and
-        the w[a] L_a(y) for a in S, so an h-bit in d_S(y) means some L_a(y)
-        is nonzero.  Without one, L_a(y) = 0 on S, hence on all of h, as
-        a -> L_a is a Lie-algebra action (Jacobi), and d_S(y) is d(y)."""
-        mask = self._basic_mask
-        if mask is None or any(k & mask for k in y._nums):
+        It holds when the table is a Lie bracket and the split is reductive,
+        so h is closed under it.  Then each term of d(y) has at most one
+        h-connection factor, and for y without one, d(y) = d'(y) + sum over
+        a in h of w[a] L_a(y), d' being d less every image term with an
+        h-connection factor and L_a the Lie derivative iota_a d + d iota_a.
+        ``d_S`` forms d'(y) and the w[a] L_a(y) for a in S, so an h-bit in
+        d_S(y) (``h_bits``) means some L_a(y) is nonzero.  Without one,
+        L_a(y) = 0 on S, hence on all of h, as a -> L_a is a Lie-algebra
+        action (Jacobi), and d_S(y) is d(y)."""
+        if not self._basic_shortcut or self.h_bits(y):
             return None
         out = self.d_S(y)
-        if any(k & mask for k in out._nums):
-            return None
-        return out
+        return None if self.h_bits(out) else out
 
     # -- soundness probes ----------------------------------------------------
 

@@ -22,12 +22,21 @@ from transgress.algebra import (
     _acc_add,
     permutation_sign,
 )
-from transgress.invariants import InvariantPolynomial, _orderings, evaluate, pfaffian
+from transgress.invariants import (
+    InvariantPolynomial,
+    _orderings,
+    evaluate,
+    pfaffian,
+    symmetrized_trace,
+)
 from transgress.lie import (
     LieAlgebra,
     LieValuedForm,
+    ReductiveSplit,
     ValidationFailure,
     ValidationReport,
+    so_algebra,
+    so_subalgebra_split,
     structure_from_matrices,
 )
 from transgress.transgression import (
@@ -36,6 +45,7 @@ from transgress.transgression import (
     coefficient_A,
     double_factorial,
 )
+from transgress.weil import UniversalSetup
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +338,18 @@ def dense_ad_invariance_witness(P):
     return None
 
 
+def interior(setup, h_index: int) -> Derivation:
+    """Contraction with the vertical direction of an h-basis element."""
+    if h_index not in setup.split.h:
+        raise ContractError(f"index {h_index} is not in the subalgebra")
+    ctx = setup.context
+    return Derivation(ctx, {h_index: ctx.one()}, -1)
+
+
 def lie_derivative(setup, h_index: int):
     """Cartan's formula d(iota(x)) + iota(d(x)) along an h-basis element,
     with the full d."""
-    iota = setup.interior(h_index)
+    iota = interior(setup, h_index)
     d = setup.d
 
     def L(x: GradedElement) -> GradedElement:
@@ -391,7 +409,7 @@ def literal_basicness(setup, form):
     loops: iota_x(form) and L_x(form) = d(iota_x form) + iota_x(d form) for
     every x in h, each stopping at the first nonzero image."""
     verdicts = []
-    for name, label, op in (("horizontality", "iota", setup.interior),
+    for name, label, op in (("horizontality", "iota", lambda x: interior(setup, x)),
                             ("invariance", "L", lambda x: lie_derivative(setup, x))):
         verdict = (name, True, "")
         for x in setup.split.h:
@@ -402,6 +420,30 @@ def literal_basicness(setup, form):
                 break
         verdicts.append(verdict)
     return verdicts
+
+
+def jacobi_broken_so4():
+    """(set-up, P, y) for so4/so3 with c[2,2,3] raised by 1 and c[2,3,2]
+    lowered by 1: still antisymmetric and h still closed, but the Jacobi
+    identity fails; P is the trace form and y is P(F) - P(F_h)."""
+    algebra = so_algebra(4)
+    structure = dict(algebra.structure)
+    structure[(2, 2, 3)] = structure.get((2, 2, 3), Scalar(0)) + Scalar(1)
+    structure[(2, 3, 2)] = -structure[(2, 2, 3)]
+    broken = LieAlgebra(algebra.dim, algebra.labels, structure, algebra.matrices,
+                        meta=algebra.meta)
+    setup = UniversalSetup(broken, so_subalgebra_split(broken, 3))
+    P = symmetrized_trace(broken, 2)
+    return setup, P, setup.curvature_difference(P)
+
+
+def unclosed_so4():
+    """(set-up, P, y) for so4 with h = (E01, E02, E03), whose bracket
+    [E01, E02] is E12, outside h; P is the trace form and y is the single
+    generator w[4]."""
+    algebra = so_algebra(4)
+    setup = UniversalSetup(algebra, ReductiveSplit.from_h(algebra.dim, (0, 1, 2)))
+    return setup, symmetrized_trace(algebra, 2), setup.context.gen(4)
 
 
 def perm_sign_by_swaps(perm):

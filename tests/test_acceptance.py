@@ -15,6 +15,7 @@ from helpers import (
     covariant_d_tensor,
     deformed_curvature_expanded,
     deformed_curvature_interpolated,
+    interior,
     lie_derivative,
     make_matrix,
     pfaffian_permutation_sum,
@@ -142,7 +143,7 @@ def test_05_basicness(main_configs, integral_results):
     for name, setup, P in main_configs:
         form = integral_results[name].form
         for x in setup.split.h:
-            contracted = setup.interior(x)(form)
+            contracted = interior(setup, x)(form)
             assert contracted.is_zero, (name, x)
             moved = lie_derivative(setup, x)(form)
             assert moved.is_zero, (name, x)

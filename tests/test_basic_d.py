@@ -14,15 +14,16 @@ from helpers import (
     cut_differential,
     generated_dimension,
     hermitian_su2,
+    jacobi_broken_so4,
     lie_derivative,
     literal_basicness,
     random_homogeneous,
+    unclosed_so4,
     without_factors,
 )
 from transgress.algebra import Scalar
 from transgress.invariants import invariant_from_dict, symmetrized_trace
 from transgress.lie import (
-    LieAlgebra,
     ReductiveSplit,
     named_algebra,
     named_split,
@@ -154,25 +155,19 @@ class TestRestrictedDerivation:
 
 def counted_checks(monkeypatch, setup, P, result):
     """verify_transgression and derivative_identity_check with every call of
-    ``setup.d`` and ``setup.interior`` counted; what they read is built
-    first, with the full d.  ``d_S`` is built before the count too, so where
+    ``setup.d`` counted; what they read is built first, with the full d.  ``d_S`` is built before the count too, so where
     S is all of h and ``d_S`` is ``d`` itself, the basic path's calls are not
     counted: the count is that of the full path."""
     _ = (setup.d_S, setup.deformed_curvature, setup.curvature_difference(P),
          setup.transgression_integrand(P))
     calls = []
-    d, interior = setup.d, setup.interior
+    d = setup.d
 
     def counted_d(x):
         calls.append("d")
         return d(x)
 
-    def counted_interior(x):
-        calls.append("interior")
-        return interior(x)
-
     monkeypatch.setattr(setup, "d", counted_d)
-    monkeypatch.setattr(setup, "interior", counted_interior)
     checks = verify_transgression(result, setup, P)
     identity = derivative_identity_check(setup, P)
     monkeypatch.undo()
@@ -227,7 +222,6 @@ class TestPaths:
         assert gl3_setup.d_basic(gl3_setup.transgression_integrand(P)) is None
         calls, checks, identity = counted_checks(monkeypatch, gl3_setup, P, result)
         assert calls.count("d") == 2  # d(TP), then d(integrand)
-        assert "interior" in calls
         assert verdicts(checks) == literal_checks(gl3_setup, P, result.form)
         assert not checks["invariance"].passed and not identity.passed
 
@@ -249,29 +243,6 @@ class TestPaths:
 # ---------------------------------------------------------------------------
 # Preconditions: a Lie bracket, and h closed under it
 # ---------------------------------------------------------------------------
-
-def jacobi_broken_so4():
-    """so4/so3 with c[2,2,3] raised by 1 and c[2,3,2] lowered by 1: still
-    antisymmetric and h still closed, but the Jacobi identity fails, and y
-    is P(F) - P(F_h) for the trace form."""
-    algebra = so_algebra(4)
-    structure = dict(algebra.structure)
-    structure[(2, 2, 3)] = structure.get((2, 2, 3), Scalar(0)) + Scalar(1)
-    structure[(2, 3, 2)] = -structure[(2, 2, 3)]
-    broken = LieAlgebra(algebra.dim, algebra.labels, structure, algebra.matrices,
-                        meta=algebra.meta)
-    setup = UniversalSetup(broken, so_subalgebra_split(broken, 3))
-    P = symmetrized_trace(broken, 2)
-    return setup, P, setup.curvature_difference(P)
-
-
-def unclosed_so4():
-    """so4 with h = (E01, E02, E03), whose bracket [E01, E02] is E12, outside
-    h; y is the single generator w[4]."""
-    algebra = so_algebra(4)
-    setup = UniversalSetup(algebra, ReductiveSplit.from_h(algebra.dim, (0, 1, 2)))
-    return setup, symmetrized_trace(algebra, 2), setup.context.gen(4)
-
 
 class TestPreconditions:
     @pytest.mark.parametrize("build", [jacobi_broken_so4, unclosed_so4],

@@ -8,6 +8,7 @@ from helpers import (
     d_squared_witness_by_generator,
     deformed_curvature_expanded,
     deformed_curvature_interpolated,
+    interior,
     lie_derivative,
 )
 from transgress.algebra import Scalar, ZERO, ONE, substitute_t
@@ -60,7 +61,7 @@ class TestInterior:
     def test_defining_images(self, so4_setup):
         s = so4_setup
         x = s.split.h[0]
-        iota = s.interior(x)
+        iota = interior(s, x)
         assert iota(s.connection.components[x]) == s.context.one()
         for a in range(s.algebra.dim):
             assert iota(s.curvature.components[a]).is_zero
@@ -69,7 +70,7 @@ class TestInterior:
 
     def test_rejects_complement_index(self, so4_setup):
         with pytest.raises(ContractError):
-            so4_setup.interior(so4_setup.split.p[0])
+            interior(so4_setup, so4_setup.split.p[0])
 
     def test_square_zero_and_anticommute(self, so4_setup):
         s = so4_setup
@@ -78,13 +79,13 @@ class TestInterior:
         for _ in range(30):
             e = s.context.random_element(rng, terms=3, max_odd=3, max_even=2)
             for x in xs:
-                ix = s.interior(x)
+                ix = interior(s, x)
                 assert ix(ix(e)).is_zero
             for x in xs:
                 for y in xs:
                     if x >= y:
                         continue
-                    ix, iy = s.interior(x), s.interior(y)
+                    ix, iy = interior(s, x), interior(s, y)
                     assert (ix(iy(e)) + iy(ix(e))).is_zero
 
 

@@ -314,8 +314,9 @@ class ReductiveSplit:
         return ReductiveSplit(h, tuple(i for i in range(dim) if i not in in_h))
 
     def partitions(self, dim: int) -> bool:
-        """Whether h and p together hold each basis index 0..dim-1 once."""
-        return sorted((*self.h, *self.p)) == list(range(dim))
+        """Whether h and p partition the basis indices 0..dim-1."""
+        h, p = set(self.h), set(self.p)
+        return not h & p and h | p == set(range(dim))
 
 
 @dataclass

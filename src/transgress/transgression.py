@@ -246,15 +246,14 @@ def verify_transgression(result: TransgressionResult, setup: UniversalSetup,
                          P: InvariantPolynomial = None) -> dict:
     """d(form) = P(curvature) - P(sub-curvature), plus basic-ness along h.
 
-    d(form) is ``setup.d_basic(form)`` where that applies and the full d
-    otherwise.  Basic-ness is read off the h-connection bits of the form
-    and of d(form) (``setup.h_bits``): the contraction iota_x, the partial
-    derivative in w[x], is nonzero on y exactly when y has bit x, so it is
-    formed only there.  Horizontality fails at the first x in h whose bit
-    the form has.  Invariance is Cartan's formula on the d(form) the first
-    check computed: L_x(form) = iota_x(d form) + d(iota_x form), zero at
-    every x whose bit neither has; the second term is formed only where the
-    form has bit x.
+    d(form) is ``setup.d_basic(form)`` where that applies, else the full d.
+    Basic-ness is read off the h-connection bits of the form and of d(form)
+    (``setup.h_bits``), as iota_x, the partial derivative in w[x], is
+    nonzero on y exactly when y has bit x.  Horizontality fails at the
+    first x in h whose bit the form has.  Invariance is Cartan's formula on
+    the d(form) already computed, L_x = iota_x(d form) + d(iota_x form),
+    formed only at the x whose bit one of them has; d(iota_x form) only
+    where the form has it.
 
     Returns {name: CheckResult} and stores it on the result.  A failing check
     carries a nonzero witness term.

@@ -8,13 +8,12 @@ checkouts and compare the outputs:
 
     PYTHONPATH=<checkout>/src python3 scripts/report_digest.py [--large]
 
-With ``--large`` the configurations are exactly the report pins
-``TestSameReports.DIGESTS`` in ``tests/test_cli.py``, and a test there keeps
-the two lists equal.  The custom algebra files of ``TestSameReports.FILES``
-follow, read from ``tests/algebra_files.json`` as the test reads them: each
-is written to a temporary directory as ``<label>.json`` and run there with
-``FILE_ARGS``.  ``--large`` adds so10/so9 with three routes; README.md gives
-its cost.
+This is the one list of pinned reports: ``TestSameReports`` in
+``tests/test_cli.py`` reads ``CONFIGS``, ``LARGE``, ``FILES``, ``FILE_ARGS``
+and ``digest`` from here and holds only the label -> SHA-256 pins.  The
+custom algebra files of ``FILES`` follow ``CONFIGS``: each is written to a
+temporary directory as ``<label>.json`` and run there with ``FILE_ARGS``.
+``--large`` adds so10/so9 with three routes; README.md gives its cost.
 """
 
 import argparse
@@ -40,14 +39,18 @@ CONFIGS = [
     ("so8/so7", ("--algebra", "so8", "--sub", "so7") + SO_ROUTES),
     ("u3:trace^4", ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4")
      + TRACE_ROUTES),
+    # all 19 tensor values are imaginary: the Gaussian evaluate path
     ("u3:trace^3", ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^3")
      + TRACE_ROUTES),
+    # degree 1: the only pinned reports whose evaluations have no
+    # product before the last group; the u2 one is Gaussian
     ("gl3/gl2:trace^1", ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^1")
      + TRACE_ROUTES),
     ("u2:trace^1", ("--algebra", "u2", "--sub", "none", "--poly", "trace^1")
      + TRACE_ROUTES),
     ("gl4/gl3:trace^3", ("--algebra", "gl4", "--sub", "gl3", "--poly", "trace^3")
      + TRACE_ROUTES),
+    # dim 16 over the Gaussian field: the heaviest config on brackets
     ("u4:trace^2", ("--algebra", "u4", "--sub", "0,1,2,3", "--poly", "trace^2")
      + TRACE_ROUTES),
     ("su2/u1", ("--algebra", "su2", "--sub", "u1", "--poly", "trace^2")
@@ -56,6 +59,7 @@ CONFIGS = [
                              "--corrupt", "structure=0,1,2") + SO_ROUTES),
     ("so4:structure=5,3,4", ("--algebra", "so4", "--sub", "so3",
                              "--corrupt", "structure=5,3,4") + SO_ROUTES),
+    # two routes agree and one does not, so there are two certificates
     ("so6:aij=0,0", ("--algebra", "so6", "--sub", "so5", "--corrupt", "aij=0,0")
      + SO_ROUTES),
     ("so6:prefactor", ("--algebra", "so6", "--sub", "so5", "--corrupt", "prefactor")
@@ -66,17 +70,26 @@ CONFIGS = [
     ("u2:structure=1,2,3", ("--algebra", "u2", "--sub", "0,1", "--poly",
                             "trace^2", "--corrupt", "structure=1,2,3")
      + TRACE_ROUTES),
+    # a tensor file that is not ad-invariant, named relative to the root
     ("gl3:noninvariant", ("--algebra", "gl3", "--sub", "gl2", "--poly",
                           "perfbench/noninvariant_gl3.json") + TRACE_ROUTES),
+    # a tensor valued at (2, 2), in p: TP is horizontal but not
+    # h-invariant, so the certificate takes its non-basic path
     ("gl3:nonbasic", ("--algebra", "gl3", "--sub", "gl2", "--poly",
                       "tests/nonbasic_gl3.json") + TRACE_ROUTES),
 ]
 
-# the pinned custom algebra files, each run as --algebra <label>.json FILE_ARGS
+# The pinned custom algebra files, each run as --algebra <label>.json
+# FILE_ARGS: su2, su2 with one matrix entry wrong, and a cyclic so3 table
+# with a spurious constant that breaks the Jacobi identity, pinned at the
+# commit before the set-up read integer numerators; and su2 in the
+# Hermitian basis of the Pauli matrices, whose constants 2i eps multiply
+# Gaussian factors on both sides.
 FILES = json.loads((ROOT / "tests" / "algebra_files.json").read_text())
 FILE_ARGS = ("--sub", "2", "--poly", "trace^2", "--method", "integral,johnson")
 
 LARGE = [
+    # the largest pin: polarized evaluation merges the most residuals here
     ("so10/so9", ("--algebra", "so10", "--sub", "so9") + SO_ROUTES),
 ]
 

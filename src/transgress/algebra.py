@@ -19,6 +19,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import islice
 from math import gcd as _gcd, lcm as _lcm
+from types import MappingProxyType
 from typing import NamedTuple, Sequence, Union
 
 __all__ = [
@@ -731,8 +732,8 @@ def _product(a: dict, b: dict, layout: _Layout, acc: dict = None, scale: int = 1
 
 
 def _decode(x) -> dict:
-    """{Monomial: Scalar} of the stored form of x, an element or its
-    ``_Terms``, each monomial at the position of its first part."""
+    """{Monomial: Scalar} of the stored form of x, a GradedElement, each
+    monomial at the position of its first part."""
     layout, den, power = x._layout, x._den, x._power
     odd, emask, ts, i = layout.odd, layout.even_mask, layout.tshift, layout.i
     parts = {}  # key of a monomial -> [re, im]
@@ -747,43 +748,6 @@ def _decode(x) -> dict:
             even = evens[fields] = layout.even(fields)
         out[_tuple_new(Monomial, (key & odd, even, key >> ts))] = _scalar(re, im, den, power)
     return out
-
-
-def _count(x) -> int:
-    """The number of monomials of x, an element or its ``_Terms``: an i part
-    whose real part is stored too adds none."""
-    i, nums = x._layout.i, x._nums
-    return len(nums) - sum(1 for key in nums if key & i and key ^ i in nums)
-
-
-class _Terms(Mapping):
-    """The terms of an element as {Monomial: Scalar}: decoded on first use
-    and kept, while ``len`` counts the monomials without decoding.  It holds
-    the stored fields of its element, not the element, so that the two hold
-    no reference cycle."""
-
-    __slots__ = ("_layout", "_nums", "_den", "_power", "_dict")
-
-    def __init__(self, x: "GradedElement"):
-        self._layout, self._nums, self._den, self._power, self._dict = (
-            x._layout, x._nums, x._den, x._power, None)
-
-    def _decoded(self) -> dict:
-        if self._dict is None:
-            self._dict = _decode(self)
-        return self._dict
-
-    def __len__(self) -> int:
-        return _count(self)
-
-    def __getitem__(self, mono):
-        return self._decoded()[mono]
-
-    def __iter__(self):
-        return iter(self._decoded())
-
-    def items(self):
-        return self._decoded().items()
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +765,8 @@ class GradedElement:
     term, and the layout's field width holds it.  ``_deg`` is the form
     degree once known to be one.
 
-    ``terms`` is the decoded view {Monomial: Scalar}, for rendering,
-    witnesses and tests, each monomial at the position of its first part.
+    ``terms`` is the decoded {Monomial: Scalar}, read-only, built on first
+    read and kept, each monomial at the position of its first part.
     Values are immutable by convention, so elements are safe to share.
     """
 
@@ -827,7 +791,7 @@ class GradedElement:
     @property
     def terms(self) -> Mapping:
         if self._terms is None:
-            self._terms = _Terms(self)
+            self._terms = MappingProxyType(_decode(self))
         return self._terms
 
     def _check(self, other: "GradedElement") -> None:
@@ -867,7 +831,10 @@ class GradedElement:
 
     @property
     def term_count(self) -> int:
-        return _count(self)
+        """The number of monomials: an i part whose real part is stored too
+        adds none.  Nothing is decoded."""
+        i, nums = self._layout.i, self._nums
+        return len(nums) - sum(1 for key in nums if key & i and key ^ i in nums)
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self.terms.get(mono, ZERO)
@@ -940,7 +907,7 @@ class GradedElement:
         raise TypeError("GradedElement is not hashable")
 
     def sorted_terms(self):
-        # decoded for this call only, unless the view already holds them
+        # decoded for this call only, unless terms was read and kept
         terms = self._terms if self._terms is not None else _decode(self)
         return sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 

@@ -78,7 +78,7 @@ def _one_of(*allowed):
         if _text(key, value) not in allowed:
             raise UsageError(f"unknown {key} {value!r}")
         return value
-    return read, " | ".join(filter(None, allowed))
+    return read, " | ".join(allowed)
 
 
 def _names(allowed: tuple, what: str, every: str = ""):
@@ -172,8 +172,6 @@ class RunConfig:
     checks: tuple = _key("--check", _names(CHECK_NAMES, "check", "all"),
                          "'all' or comma list from: " + ",".join(CHECK_NAMES),
                          default=CHECK_NAMES)
-    # "" infers the field from the algebra data
-    field: str = _key("--field", *_one_of("", "rational", "gaussian"), default="")
     seed: int = _key("--seed", _seed, "seed for the randomized d2 probe", default=0)
     # testing hook: ("aij", i, j) | ("structure", a, b, c) | ("prefactor",)
     corrupt: tuple = _key("--corrupt", _corrupt, "regression hook: aij=i,j | "
@@ -454,12 +452,7 @@ def run(config: RunConfig) -> Report:
     timing = {}
     with _stage(timing, "algebra"):
         algebra = _resolve_algebra(config)
-        needs_gaussian = algebra.has_imaginary_data()
-        field_resolved = config.field or ("gaussian" if needs_gaussian else "rational")
-        if field_resolved == "rational" and needs_gaussian:
-            raise UsageError(
-                f"algebra {algebra.name!r} needs the gaussian field "
-                "(imaginary entries present)")
+        number_field = "gaussian" if algebra.has_imaginary_data() else "rational"
         try:
             split = named_split(algebra, config.subalgebra)
             if "chern" in config.methods:
@@ -467,9 +460,12 @@ def run(config: RunConfig) -> Report:
         except ContractError as exc:
             raise UsageError(str(exc)) from None
 
+    # the field the algebra's data needs, shown between the checks and the seed
+    shown = list(asdict(config).items())
+    shown.insert([key for key, _ in shown].index("seed"), ("field", number_field))
     report = Report(config={
-        **asdict(config), "methods": ",".join(config.methods),
-        "checks": ",".join(config.checks), "field": field_resolved,
+        **dict(shown), "methods": ",".join(config.methods),
+        "checks": ",".join(config.checks),
         "corrupt": "=".join(str(x) for x in config.corrupt[:1])
                    + (":" + ",".join(str(x) for x in config.corrupt[1:])
                       if len(config.corrupt) > 1 else "") if config.corrupt else "",

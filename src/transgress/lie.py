@@ -780,7 +780,7 @@ def named_split(algebra: LieAlgebra, spec: Optional[str]) -> ReductiveSplit:
     if spec in ("u1", "u1-line") and algebra.meta.get("family") == "su2":
         return su2_diagonal_split(algebra)
     try:
-        indices = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+        indices = [int(tok) for tok in spec.split(",")]
     except ValueError:
         raise ContractError(f"cannot resolve subalgebra {spec!r}") from None
     return ReductiveSplit.from_h(algebra.dim, indices)

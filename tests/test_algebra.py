@@ -1,3 +1,4 @@
+import gc
 import operator
 import random
 from fractions import Fraction
@@ -1086,12 +1087,30 @@ class TestIntegerOperations:
         x = w0 * w1 * W2 + (w2 * W0).times_t(1)
         got = d(x)
         assert len(got.terms) == got.term_count
-        assert got.terms._dict is None  # counted without decoding
         images = {gid: tuple_terms(img) for gid, img in d.images.items()}
         want = tuple_derivation_apply(images, tuple_terms(x))
         assert [to_tuple_mono(m) for m in got.terms] == list(want)
         assert list(tuple_terms(x * got).items()) == list(
             tuple_product(tuple_terms(x), tuple_terms(got)).items())
+
+    def test_terms_is_one_decoded_dict(self):
+        # term_count counts without decoding; terms is decoded on first read,
+        # kept and read-only, and refers to no element, so it makes no cycle
+        ctx = make_ctx(2, 2)
+        w0, w1, W0 = ctx.gen(0), ctx.gen(1), ctx.gen(100)
+        x = w0 * W0 + (w0 * w1).scale(Scalar(1, 2)) + (w1 * W0).scale(Scalar(0, 1)).times_t(1)
+        assert x.term_count == 3 and x._terms is None
+        terms = x.terms
+        assert x.terms is terms and len(terms) == 3
+        with pytest.raises(TypeError):
+            terms[Monomial(1, (), 0)] = ONE
+        seen, todo = set(), [terms]
+        while todo:
+            obj = todo.pop()
+            assert not isinstance(obj, GradedElement)
+            if id(obj) not in seen and not isinstance(obj, type):
+                seen.add(id(obj))
+                todo.extend(gc.get_referents(obj))
 
 
 class TestRandomElements:

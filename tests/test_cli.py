@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import importlib.util
 import io
 import json
@@ -38,9 +37,11 @@ from transgress.weil import UniversalSetup
 
 # the repository root, which some configurations name files relative to
 ROOT = Path(__file__).resolve().parents[1]
-# the custom algebra files of TestSameReports.FILES, which
-# scripts/report_digest.py reads as well
-FILE_DATA = json.loads((ROOT / "tests" / "algebra_files.json").read_text())
+# the pinned configurations, their algebra files and digest()
+_SPEC = importlib.util.spec_from_file_location(
+    "report_digest", ROOT / "scripts" / "report_digest.py")
+REPORT_DIGEST = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(REPORT_DIGEST)
 
 
 def parse(args):
@@ -159,7 +160,6 @@ class TestParseConfig:
         path.write_text(json.dumps({
             "algebra": "su2", "subalgebra": "u1", "polynomial": "trace^2",
             "methods": ["integral", "johnson"], "checks": "all",
-            "field": "gaussian",
         }))
         config = parse(["--config", str(path)])
         assert config.algebra == "su2"
@@ -311,136 +311,50 @@ class TestRun:
                      "pfaffian", "--method", method]) == 0
         assert "result: PASS (11/11 checks)" in capsys.readouterr().out
 
-    def test_field_mismatch_is_usage_error(self):
-        config = parse(["--algebra", "su2", "--sub", "u1",
-                        "--poly", "trace^2", "--field", "rational"])
-        with pytest.raises(UsageError):
-            run(config)
-
 
 class TestSameReports:
-    """SHA-256 of the JSON report without ``stats.timing``, computed as
-    ``scripts/report_digest.py`` does.  A change that alters a form, a
-    verdict, a witness or the order of terms changes a digest."""
+    """SHA-256 of the JSON report without ``stats.timing``, computed by
+    ``digest`` of ``scripts/report_digest.py`` for each of its
+    configurations.  A change that alters a form, a verdict, a witness or
+    the order of terms changes a digest.  A label that the script runs and
+    this class does not pin, or the other way round, fails as well."""
 
-    SO_ROUTES = ("--poly", "pfaffian", "--method", "integral,johnson,chern")
+    ARGV = dict(REPORT_DIGEST.CONFIGS + REPORT_DIGEST.LARGE)
     DIGESTS = {
-        "paper-so4": (
-            ("--preset", "paper-so4"),
-            "ff42e65733d9fd4549fef7d917af576abb0caeb5dceda0c6ad7235f8327df6b1"),
-        "paper-so6": (
-            ("--preset", "paper-so6"),
-            "5f60fb62c57185d8e40649b577f5d02970869097c9545b602f45b904a81e204d"),
-        "paper-gl3": (
-            ("--preset", "paper-gl3"),
-            "b823001adaf725fca73d7df1492599efedd5faeb1b6e5464d781bcb23f277049"),
-        "so4:structure=0,1,2": (
-            ("--algebra", "so4", "--sub", "so3", "--corrupt", "structure=0,1,2")
-            + SO_ROUTES,
-            "28ef242b6eb6a34a978c623ee00ef011ab57fa93b53a7c27ece4fe17383c098f"),
-        "u2:structure=1,2,3": (
-            ("--algebra", "u2", "--sub", "0,1", "--poly", "trace^2",
-             "--corrupt", "structure=1,2,3", "--method", "integral,johnson"),
-            "e5a6900ddeae7d17a1786d264ac7afbbf43a5bdbdaefc919240e7a50b53cb499"),
-        "so8/so7": (
-            ("--algebra", "so8", "--sub", "so7") + SO_ROUTES,
-            "6f094bfe6cc65f3f9fd7874c8cbdfae1f6d6ae5534b367ec1b25566266f42a33"),
-        # the largest pin: polarized evaluation merges the most residuals here
-        "so10/so9": (
-            ("--algebra", "so10", "--sub", "so9") + SO_ROUTES,
-            "e2fd961e9837f7975526a579e952c856a67b454812af23dac363b5f615852a05"),
-        "u3:trace^4": (
-            ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^4",
-             "--method", "integral,johnson"),
-            "4df4e76c4047e42cdbee3979a1ca0ca9bd9b77018a915f4d581b33629a10f892"),
-        # all 19 tensor values are imaginary: the Gaussian evaluate path
-        "u3:trace^3": (
-            ("--algebra", "u3", "--sub", "0,1,2", "--poly", "trace^3",
-             "--method", "integral,johnson"),
-            "8b2bf61a4b8582bf41f4e3cb7b5e49c01e2fc1bfaebcb617f099fb21623331e1"),
-        # dim 16 over the Gaussian field: the heaviest config on brackets
-        "u4:trace^2": (
-            ("--algebra", "u4", "--sub", "0,1,2,3", "--poly", "trace^2",
-             "--method", "integral,johnson"),
-            "ff0925c6094a97cb35046813ee7d2a8b88e6c2b0fb85ad8f857bbbc15afa43e3"),
-        "gl4/gl3:trace^3": (
-            ("--algebra", "gl4", "--sub", "gl3", "--poly", "trace^3",
-             "--method", "integral,johnson"),
-            "d3633dfd38a91a2a3817f578f07d7c9f92f53dd396fcb9e793098391d05c035c"),
-        # two routes agree and one does not, so there are two certificates
-        "so6:aij=0,0": (
-            ("--algebra", "so6", "--sub", "so5", "--corrupt", "aij=0,0")
-            + SO_ROUTES,
-            "f969bad0a7cf54407411e3a49a8b52325c84f192c75bd75c86e5a87d7975cb2b"),
-        "so6:prefactor": (
-            ("--algebra", "so6", "--sub", "so5", "--corrupt", "prefactor")
-            + SO_ROUTES,
-            "73047cc55e4a7a375c7a3b56c4ae39696019cbe6ac81cf08e28b03a56d9269c0"),
-        # degree 1: the only pinned reports whose evaluations have no
-        # product before the last group; the u2 one is Gaussian
-        "gl3/gl2:trace^1": (
-            ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^1",
-             "--method", "integral,johnson"),
-            "1ddb4967da13fa0768b9b6ac68a45b52816e94c84696a05e12518ba00d63f3b3"),
-        "u2:trace^1": (
-            ("--algebra", "u2", "--sub", "none", "--poly", "trace^1",
-             "--method", "integral,johnson"),
-            "23bbe89406b4756afc1c63861bbfce2fc0e3fce4050ea71465fb118a743c570f"),
-        "su2/u1": (
-            ("--algebra", "su2", "--sub", "u1", "--poly", "trace^2",
-             "--method", "integral,johnson"),
-            "b2c90868054cf4fa1cbe7093f8d50c1d6ba72bcee79014685515e73fc2a7eaec"),
-        "so4:structure=5,3,4": (
-            ("--algebra", "so4", "--sub", "so3", "--corrupt", "structure=5,3,4")
-            + SO_ROUTES,
-            "adbaf92415388e358b815f7e34a404408346fd9314ffd3563298c664954cb927"),
-        "gl3:structure=0,1,3": (
-            ("--algebra", "gl3", "--sub", "gl2", "--poly", "trace^2",
-             "--corrupt", "structure=0,1,3", "--method", "integral,johnson"),
-            "0b8a4bdb86ecf4934bca8901b45087c8c9d31d7fb4873df9deede32b55ca507d"),
-        # a tensor file that is not ad-invariant, named relative to the root
-        "gl3:noninvariant": (
-            ("--algebra", "gl3", "--sub", "gl2", "--poly",
-             "perfbench/noninvariant_gl3.json", "--method", "integral,johnson"),
-            "98193bb1ca18e98f401d50d1c860049795f021a06cbbcdf9b77e91d1baad651c"),
-        # a tensor valued at (2, 2), in p: TP is horizontal but not
-        # h-invariant, so the certificate takes its non-basic path
-        "gl3:nonbasic": (
-            ("--algebra", "gl3", "--sub", "gl2", "--poly",
-             "tests/nonbasic_gl3.json", "--method", "integral,johnson"),
-            "7b3186d953ca2f4bc110cd22d9db42bebf851eed8723c687b64b1e2f1d72acda"),
+        "paper-so4": "ff42e65733d9fd4549fef7d917af576abb0caeb5dceda0c6ad7235f8327df6b1",
+        "paper-so6": "5f60fb62c57185d8e40649b577f5d02970869097c9545b602f45b904a81e204d",
+        "paper-gl3": "b823001adaf725fca73d7df1492599efedd5faeb1b6e5464d781bcb23f277049",
+        "so4:structure=0,1,2":
+            "28ef242b6eb6a34a978c623ee00ef011ab57fa93b53a7c27ece4fe17383c098f",
+        "u2:structure=1,2,3":
+            "e5a6900ddeae7d17a1786d264ac7afbbf43a5bdbdaefc919240e7a50b53cb499",
+        "so8/so7": "6f094bfe6cc65f3f9fd7874c8cbdfae1f6d6ae5534b367ec1b25566266f42a33",
+        "so10/so9": "e2fd961e9837f7975526a579e952c856a67b454812af23dac363b5f615852a05",
+        "u3:trace^4": "4df4e76c4047e42cdbee3979a1ca0ca9bd9b77018a915f4d581b33629a10f892",
+        "u3:trace^3": "8b2bf61a4b8582bf41f4e3cb7b5e49c01e2fc1bfaebcb617f099fb21623331e1",
+        "u4:trace^2": "ff0925c6094a97cb35046813ee7d2a8b88e6c2b0fb85ad8f857bbbc15afa43e3",
+        "gl4/gl3:trace^3":
+            "d3633dfd38a91a2a3817f578f07d7c9f92f53dd396fcb9e793098391d05c035c",
+        "so6:aij=0,0": "f969bad0a7cf54407411e3a49a8b52325c84f192c75bd75c86e5a87d7975cb2b",
+        "so6:prefactor": "73047cc55e4a7a375c7a3b56c4ae39696019cbe6ac81cf08e28b03a56d9269c0",
+        "gl3/gl2:trace^1":
+            "1ddb4967da13fa0768b9b6ac68a45b52816e94c84696a05e12518ba00d63f3b3",
+        "u2:trace^1": "23bbe89406b4756afc1c63861bbfce2fc0e3fce4050ea71465fb118a743c570f",
+        "su2/u1": "b2c90868054cf4fa1cbe7093f8d50c1d6ba72bcee79014685515e73fc2a7eaec",
+        "so4:structure=5,3,4":
+            "adbaf92415388e358b815f7e34a404408346fd9314ffd3563298c664954cb927",
+        "gl3:structure=0,1,3":
+            "0b8a4bdb86ecf4934bca8901b45087c8c9d31d7fb4873df9deede32b55ca507d",
+        "gl3:noninvariant":
+            "98193bb1ca18e98f401d50d1c860049795f021a06cbbcdf9b77e91d1baad651c",
+        "gl3:nonbasic": "7b3186d953ca2f4bc110cd22d9db42bebf851eed8723c687b64b1e2f1d72acda",
     }
 
-    @pytest.mark.parametrize("label", DIGESTS)
+    @pytest.mark.parametrize("label", {**DIGESTS, **ARGV})
     def test_report_digest(self, label, monkeypatch):
         monkeypatch.chdir(ROOT)
-        argv, digest = self.DIGESTS[label]
-        config = parse(list(argv) + ["--check", "all", "--output", "json"])
-        report = run(config).to_dict()
-        del report["stats"]["timing"]
-        text = json.dumps(report, indent=2, sort_keys=True)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        assert REPORT_DIGEST.digest(self.ARGV[label]) == self.DIGESTS[label]
 
-    def test_digest_script_prints_the_pinned_reports(self):
-        # scripts/report_digest.py --large runs exactly the configurations
-        # pinned here
-        spec = importlib.util.spec_from_file_location(
-            "report_digest", ROOT / "scripts" / "report_digest.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert {label: tuple(argv) for label, argv in script.CONFIGS + script.LARGE} == {
-            label: tuple(argv) for label, (argv, _) in self.DIGESTS.items()}
-        # and every pinned algebra file, read from the same data
-        assert script.FILE_ARGS == self.FILE_ARGS
-        assert script.FILES == FILE_DATA and list(FILE_DATA) == list(self.FILES)
-
-    # Custom algebra files, the data in tests/algebra_files.json, each run
-    # as FILE_ARGS: su2, su2 with one matrix entry wrong, and a cyclic so3
-    # table with a spurious constant that breaks the Jacobi identity, pinned
-    # at the commit before the set-up read integer numerators; and su2 in
-    # the Hermitian basis of the Pauli matrices, whose constants 2i eps
-    # multiply Gaussian factors on both sides.
-    FILE_ARGS = ("--sub", "2", "--poly", "trace^2", "--method", "integral,johnson")
     FILES = {
         "su2-file": "d83e9cf3c7bde3f3000153dcaab352048a593b4229f2cdaa671da697ff7b4642",
         "su2-bad-matrix-file":
@@ -450,17 +364,13 @@ class TestSameReports:
             "f4545270c602e037023af7a19d83118264fe3e691300d942e467963833e36260",
     }
 
-    @pytest.mark.parametrize("label", FILES)
+    @pytest.mark.parametrize("label", {**FILES, **REPORT_DIGEST.FILES})
     def test_file_report_digest(self, label, tmp_path, monkeypatch):
         # the report names the file, so it is read by a path relative to tmp_path
         monkeypatch.chdir(tmp_path)
-        (tmp_path / f"{label}.json").write_text(json.dumps(FILE_DATA[label]))
-        config = parse(["--algebra", f"{label}.json", *self.FILE_ARGS,
-                        "--check", "all", "--output", "json"])
-        report = run(config).to_dict()
-        del report["stats"]["timing"]
-        text = json.dumps(report, indent=2, sort_keys=True)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.FILES[label]
+        (tmp_path / f"{label}.json").write_text(json.dumps(REPORT_DIGEST.FILES[label]))
+        argv = ("--algebra", f"{label}.json") + REPORT_DIGEST.FILE_ARGS
+        assert REPORT_DIGEST.digest(argv) == self.FILES[label]
 
 
 @pytest.mark.parametrize("argv", [
@@ -580,6 +490,17 @@ class TestMain:
         assert data["config"]["field"] == "gaussian"
         assert all(e["status"] == "pass" for e in data["checks"])
 
+    @pytest.mark.parametrize("algebra, sub, field", [("su2", "u1", "gaussian"),
+                                                     ("gl3", "gl2", "rational")])
+    def test_report_shows_the_field_of_the_data(self, algebra, sub, field):
+        # the field the algebra's data needs, between the checks and the seed
+        report = run(parse(["--algebra", algebra, "--sub", sub, "--poly", "trace^2",
+                            "--check", "d2"]))
+        assert list(report.config) == ["algebra", "subalgebra", "polynomial", "methods",
+                                       "checks", "field", "seed", "corrupt", "output"]
+        assert report.config["field"] == field
+        assert f" checks=d2 field={field} seed=0 output=text" in report.to_text()
+
     def test_high_degree_trace(self):
         # deep enough to overflow the interpreter stack if the trace walk or
         # a group product recursed once per factor
@@ -658,15 +579,26 @@ class TestUsageErrors:
         ("--algebra", "so\u00b2"),
         ("--algebra", "so4", "--sub", "so\u00b2"),
         ("--algebra", "so4", "--poly", "trace^\u00b2"),
+        # the field is read off the algebra's data, not given
+        SO4 + ("--field", "rational"),
     ], ids=["out", "aij-range", "aij-far", "aij-no-johnson",
             "structure-range", "structure-one-off", "check-repeated",
             "method-repeated", "check-empty", "check-commas", "method-empty",
             "so-sub-too-large", "gl-sub-too-large", "algebra-superscript",
-            "sub-superscript", "trace-superscript"])
+            "sub-superscript", "trace-superscript", "field-flag"])
     def test_exit_2_without_traceback(self, args):
         code, err = run_cli(*args)
         assert code == 2, err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", [",,,", "0,,1", "1,"])
+    def test_sub_index_list_with_an_empty_token(self, spec):
+        # an empty token is no index: ",,," would run with no subalgebra
+        # and "0,,1" as "0,1"
+        code, err = run_cli("--algebra", "so4", "--sub", spec, "--poly", "pfaffian")
+        assert code == 2, err
+        assert err.startswith("error: ") and repr(spec) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, payload, names", [
@@ -688,14 +620,14 @@ class TestUsageErrors:
         ("--config", {"algebra": "so4", "checks": []}, "at least one check"),
         ("--config", {"algebra": "so4", "methods": []}, "at least one method"),
         # a key whose flag takes text takes a JSON string, not a bool or number
-        ("--config", {**SO4_CONFIG, "field": False}, "field"),
+        ("--config", {**SO4_CONFIG, "output": False}, "output"),
         ("--config", {**SO4_CONFIG, "corrupt": 0}, "corrupt"),
         ("--config", {**SO4_CONFIG, "corrupt": False}, "corrupt"),
         ("--config", {**SO4_CONFIG, "subalgebra": 0}, "subalgebra"),
     ], ids=["entries-int", "entry-float", "entry-bool", "matrix-float",
             "matrix-ragged", "algebra-list", "value-float", "prefactor-float", "index-bool",
             "value-duplicate", "seed-str", "seed-float", "config-list", "checks-empty",
-            "methods-empty", "field-bool", "corrupt-zero", "corrupt-bool", "subalgebra-int"])
+            "methods-empty", "output-bool", "corrupt-zero", "corrupt-bool", "subalgebra-int"])
     def test_bad_input_file(self, tmp_path, flag, payload, names):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
@@ -829,7 +761,6 @@ _FILE_TEXT = {
              ["integral", "johnson", "chern", "integral,johnson,chern", ""])),
          "checks": _mostly(st.sampled_from(["all", "d2", "agreement", "bogus"])),
          "output": _mostly(st.sampled_from(["json", "text"])),
-         "field": _mostly(st.sampled_from(["rational", "gaussian", ""])),
          "seed": _mostly(st.integers(-2, 2)),
          "corrupt": _mostly(st.sampled_from(
              ["prefactor", "aij=0,0", "aij=x", "structure=0,1,2",

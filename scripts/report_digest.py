@@ -82,9 +82,10 @@ CONFIGS = [
 # The pinned custom algebra files, each run as --algebra <label>.json
 # FILE_ARGS: su2, su2 with one matrix entry wrong, and a cyclic so3 table
 # with a spurious constant that breaks the Jacobi identity, pinned at the
-# commit before the set-up read integer numerators; and su2 in the
-# Hermitian basis of the Pauli matrices, whose constants 2i eps multiply
-# Gaussian factors on both sides.
+# commit before the set-up read integer numerators; that table over three
+# 1x1 zero matrices, which realize it but are dependent, so the Jacobi scan
+# still runs; and su2 in the Hermitian basis of the Pauli matrices, whose
+# constants 2i eps multiply Gaussian factors on both sides.
 FILES = json.loads((ROOT / "tests" / "algebra_files.json").read_text())
 FILE_ARGS = ("--sub", "2", "--poly", "trace^2", "--method", "integral,johnson")
 

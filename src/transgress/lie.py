@@ -78,14 +78,15 @@ class _Realization(NamedTuple):
 def _realization(matrices, dim: int = None) -> Optional[_Realization]:
     """The realization of matrices given as rows of exact scalars (a
     ``_Realization`` is taken as it is), checked to be ``dim`` square
-    matrices of one size with no entry at a (2pi) power."""
-    if isinstance(matrices, _Realization) or not matrices:
-        return matrices or None
+    matrices of one size with no entry at a (2pi) power.  Only None means
+    no matrices."""
+    if matrices is None or isinstance(matrices, _Realization):
+        return matrices
     rows = [[[v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in M]
             for M in matrices]
-    n = len(rows[0])
     if dim is not None and len(rows) != dim:
         raise ContractError("need one matrix per basis element")
+    n = len(rows[0]) if rows else 0
     if n == 0 or any(len(M) != n or any(len(row) != n for row in M) for M in rows):
         raise ContractError("matrices must be square and of one size")
     den, power = _common([v for M in rows for row in M for v in row if v])
@@ -156,13 +157,27 @@ def _pivot(pivots: dict, vec: dict, comb: dict) -> bool:
     return True
 
 
+def _reduced_basis(r: _Realization) -> Optional[dict]:
+    """The matrices of r as fully reduced pivots {(row, column): (vector,
+    combination)} over Q(i), each combination of basis indices standing for
+    its vector; None when the matrices are linearly dependent over Q(i)."""
+    pivots: dict = {}
+    for b, M in enumerate(r.mats):
+        entries = {}
+        for (i, j, p), v in M.items():
+            entries.setdefault((i, j), [0, 0])[p] = v
+        if not _pivot(pivots, {e: _scalar(re, im, 1, 0) for e, (re, im) in entries.items()},
+                      {b: ONE}):
+            return None
+    return pivots
+
+
 def structure_from_matrices(matrices) -> dict:
     """Structure constants of the span of independent matrices, exactly.
 
-    The basis is reduced once to fully reduced pivots, each carrying its
-    combination of basis indices.  A commutator's coefficient on a pivot is
-    then its entry there, and whatever the pivots leave over is outside the
-    span.
+    The basis is reduced once to fully reduced pivots (``_reduced_basis``).
+    A commutator's coefficient on a pivot is then its entry there, and
+    whatever the pivots leave over is outside the span.
 
     The pivots are reduced from the numerators N_b of the matrices, over
     their denominator D, and are then put over one denominator Q.  The
@@ -173,14 +188,9 @@ def structure_from_matrices(matrices) -> dict:
     r = _realization(matrices)
     if r is None:
         return {}
-    pivots: dict = {}
-    for b, M in enumerate(r.mats):
-        entries = {}
-        for (i, j, p), v in M.items():
-            entries.setdefault((i, j), [0, 0])[p] = v
-        if not _pivot(pivots, {e: _scalar(re, im, 1, 0) for e, (re, im) in entries.items()},
-                      {b: ONE}):
-            raise ContractError("matrix basis is linearly dependent")
+    pivots = _reduced_basis(r)
+    if pivots is None:
+        raise ContractError("matrix basis is linearly dependent")
     q, _ = _common([v for pair in pivots.values() for part in pair for v in part.values()])
     # each pivot's vector keyed (row, column, part) and its combination
     # keyed (index, part), as numerators over q
@@ -259,13 +269,33 @@ class LieAlgebra:
         return den, table
 
     @cached_property
-    def _bracket_failures(self) -> tuple:
-        """The first antisymmetry and the first Jacobi failure of the table,
-        each only if there is one.  ``validate`` reports them, and the
-        ad-invariance gate prunes its directions only when there are none,
-        so the scan runs once per algebra."""
-        return tuple(failure for failure in (_antisymmetry_witness(self), _jacobi_witness(self))
+    def _failures(self) -> tuple:
+        """The first antisymmetry, Jacobi and matrix-realization failure of
+        the table, in that order, each only if there is one; ``validate``
+        reports them, and each check runs once per algebra.
+
+        The Jacobi scan runs only where no theorem gives its verdict.  When
+        the table is antisymmetric and matrices M_a independent over Q(i)
+        realize it, [M_b, M_c] = sum_a c[a,b,c] M_a, the Jacobi identity of
+        the commutator, [[M_b, M_c], M_d] summed over the rotations of
+        (b, c, d) is 0, reads sum_a J[a,b,c,d] M_a = 0 for the table's cyclic
+        sums J[a,b,c,d], so every J is zero and the scan would find nothing.
+        """
+        antisymmetry = _antisymmetry_witness(self)
+        realization = _realization_witness(self, antisymmetry is None)
+        realized = (antisymmetry is None and realization is None and self._realization is not None
+                    and _reduced_basis(self._realization) is not None)
+        jacobi = None if realized else _jacobi_witness(self)
+        return tuple(failure for failure in (antisymmetry, jacobi, realization)
                      if failure is not None)
+
+    @property
+    def _bracket_failures(self) -> tuple:
+        """The antisymmetry and Jacobi failures: the ad-invariance gate
+        prunes its directions, and ``d_basic`` applies, only when there are
+        none."""
+        return tuple(failure for failure in self._failures
+                     if failure.invariant != "matrix-realization")
 
     @cached_property
     def matrices(self) -> Optional[tuple]:
@@ -409,7 +439,8 @@ def _jacobi_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     return None
 
 
-def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
+def _realization_witness(algebra: LieAlgebra,
+                         antisymmetric: bool) -> Optional[ValidationFailure]:
     """First (b, c) whose matrix commutator differs from the table's
     sum_a c[a,b,c] M_a.
 
@@ -426,10 +457,10 @@ def _realization_witness(algebra: LieAlgebra) -> Optional[ValidationFailure]:
     if r is None:
         return None
     den, constants = algebra._constants
-    if any(failure.invariant == "antisymmetry" for failure in algebra._bracket_failures):
-        pairs = itertools.product(range(algebra.dim), repeat=2)
-    else:
+    if antisymmetric:
         pairs = itertools.combinations(range(algebra.dim), 2)
+    else:
+        pairs = itertools.product(range(algebra.dim), repeat=2)
     for b, c in pairs:
         residual = _commutator(r.mats[b], r.mats[c])
         if den != 1:
@@ -448,10 +479,7 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 
     Each invariant reports at most its first violating index tuple.
     """
-    failures = list(algebra._bracket_failures)
-    failure = _realization_witness(algebra)
-    if failure is not None:
-        failures.append(failure)
+    failures = list(algebra._failures)
     return ValidationReport(not failures, failures)
 
 

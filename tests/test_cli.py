@@ -360,6 +360,8 @@ class TestSameReports:
         "su2-bad-matrix-file":
             "9125f0588807e5f6d1e15ef174612505cc0bc17a987ca34b54506af69580a308",
         "so3-broken-file": "eaac8fc20a8d32da78dbb0c8515a8114eb9c4aee7f492055575c6989c1d77031",
+        "so3-broken-zero-matrices-file":
+            "dbb35793f374f4cb5d9d7ded273d44cb91a733cf3d55aa187c8427cc4b246528",
         "su2-hermitian-file":
             "f4545270c602e037023af7a19d83118264fe3e691300d942e467963833e36260",
     }
@@ -608,6 +610,9 @@ class TestUsageErrors:
         ("--algebra", {"dim": 1, "entries": [], "matrices": [[[0.5]]]}, "0.5"),
         ("--algebra", {"dim": 2, "entries": [],
                        "matrices": [[["1"]], [["1", "0"], ["0", "1"]]]}, "square"),
+        # no matrices is a missing key or null, not an empty list
+        ("--algebra", {"dim": 2, "entries": [], "matrices": []},
+         "one matrix per basis element"),
         ("--algebra", [1, 2], "JSON object"),
         ("--poly", {"degree": 2, "values": [[[0, 0], 0.1]]}, "0.1"),
         ("--poly", {"degree": 2, "values": [[[0, 0], "1"]], "prefactor": 0.5},
@@ -625,7 +630,7 @@ class TestUsageErrors:
         ("--config", {**SO4_CONFIG, "corrupt": False}, "corrupt"),
         ("--config", {**SO4_CONFIG, "subalgebra": 0}, "subalgebra"),
     ], ids=["entries-int", "entry-float", "entry-bool", "matrix-float",
-            "matrix-ragged", "algebra-list", "value-float", "prefactor-float", "index-bool",
+            "matrix-ragged", "matrices-empty", "algebra-list", "value-float", "prefactor-float", "index-bool",
             "value-duplicate", "seed-str", "seed-float", "config-list", "checks-empty",
             "methods-empty", "output-bool", "corrupt-zero", "corrupt-bool", "subalgebra-int"])
     def test_bad_input_file(self, tmp_path, flag, payload, names):

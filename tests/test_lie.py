@@ -1,5 +1,8 @@
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,7 +265,9 @@ class TestSparseSetupOracles:
         assert report == dense_validate(algebra)
 
     def test_jacobi_scan_runs_once(self, monkeypatch):
-        # validate and the ad-invariance gate read one cached verdict
+        # validate and the ad-invariance gate read one cached verdict: gl3's
+        # realization decides it with no scan, and a table without matrices
+        # is scanned once
         calls = []
         scan = lie._jacobi_witness
 
@@ -271,11 +276,55 @@ class TestSparseSetupOracles:
             return scan(algebra)
 
         monkeypatch.setattr(lie, "_jacobi_witness", spy)
-        algebra = named_algebra("gl3")
-        assert validate(algebra).passed
-        assert symmetrized_trace(algebra, 2).ad_invariance_witness() is None
-        assert validate(algebra).passed
-        assert calls == [algebra]
+        gl3, so3 = named_algebra("gl3"), cyclic_so3()
+        bare = LieAlgebra(3, so3.labels, so3.structure)
+        # the bare table's trace form is read off the realized one
+        for algebra, realized, scans in ((gl3, gl3, []), (bare, so3, [bare])):
+            P = InvariantPolynomial(algebra, 2, symmetrized_trace(realized, 2).values)
+            assert validate(algebra).passed
+            assert P.ad_invariance_witness() is None
+            assert validate(algebra).passed
+            assert calls == scans
+
+
+ALGEBRA_FILES = json.loads((Path(__file__).parent / "algebra_files.json").read_text())
+
+
+def single_bumps(name):
+    """The built-in algebra with one c[a,b,c] raised by 1 and its mirror set
+    to the negative, as ``--corrupt structure=a,b,c`` makes it, for every
+    (a, b, c): the realization is kept, so it no longer matches."""
+    dim = named_algebra(name).dim
+    return [bumped_table(name, (a, b, c, Scalar(1), True))
+            for a, b, c in itertools.product(range(dim), repeat=3)]
+
+
+class TestRealizedJacobi:
+    """The Jacobi verdict that a verified realization by independent
+    matrices gives without a scan, against the dense validation and the
+    scan itself, on the tables it decides and the ones it leaves to the
+    scan."""
+
+    @staticmethod
+    def assert_scan_verdict(algebra):
+        assert validate(algebra) == dense_validate(algebra)
+        jacobi = [f for f in algebra._bracket_failures if f.invariant == "jacobi"]
+        assert jacobi == [f for f in [lie._jacobi_witness(algebra)] if f is not None]
+
+    @pytest.mark.parametrize("name", [
+        "so2", "so3", "so4", "so5", "so6", "gl1", "gl2", "gl3", "gl4",
+        "u1", "u2", "u3", "u4", "su2", "abelian1", "abelian2", "abelian3"])
+    def test_builtins(self, name):
+        self.assert_scan_verdict(named_algebra(name))
+
+    @pytest.mark.parametrize("label", ALGEBRA_FILES)
+    def test_algebra_files(self, label):
+        self.assert_scan_verdict(algebra_from_dict(ALGEBRA_FILES[label]))
+
+    @pytest.mark.parametrize("name", ["so4", "gl2", "u2", "su2"])
+    def test_single_bumps(self, name):
+        for algebra in single_bumps(name):
+            self.assert_scan_verdict(algebra)
 
 
 def outcome(f, *args):

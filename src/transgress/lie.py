@@ -511,14 +511,20 @@ class _GeneratedSpan:
     far, for an antisymmetric table that satisfies the Jacobi identity.
 
     The span is held as fully reduced pivots, so a vector reduces to zero
-    exactly when it lies in the span.  Each added vector is bracketed with
-    every one added before it, which closes the span under brackets.
+    exactly when it lies in the span.  Each vector the span takes is
+    bracketed with every direction added so far.  So ad_s maps the span
+    into itself for each direction s, by induction over the directions: a
+    vector u taken before s was added is generated by the earlier
+    directions, and by the Jacobi identity (ad_[u,v] = [ad_u, ad_v]) ad_u
+    maps the span into itself, so [s, u] = -ad_u(e_s) lies in it.  The y
+    with [y, span] in the span form a subalgebra (Jacobi again), which
+    holds the directions and so the span: it is closed under brackets.
     """
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
         self.pivots = {}  # entry -> (reduced vector {basis index: Scalar}, {})
-        self.added = []  # the vectors as added, each bracketed with the later ones
+        self.directions = []  # the directions added, as vectors
 
     def __contains__(self, x: int) -> bool:
         # e_x reduces to zero exactly when the pivot at x is e_x itself
@@ -530,12 +536,12 @@ class _GeneratedSpan:
 
     def add(self, x: int) -> None:
         """Add e_x and close the span under brackets."""
+        self.directions.append({x: ONE})
         todo = [{x: ONE}]
         while todo and not self.full:
             vec = todo.pop()
             if _pivot(self.pivots, vec, {}):  # vec is left reduced
-                self.added.append(vec)
-                todo += [self._bracket(vec, u) for u in self.added[:-1]]
+                todo += [self._bracket(e, vec) for e in self.directions]
 
     def _bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}

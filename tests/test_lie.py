@@ -12,6 +12,7 @@ from helpers import (
     dense_structure_from_matrices,
     dense_validate,
     direction_residues_by_scalars,
+    generated_dimension,
     hermitian_su2,
     jacobi_witness_by_triples,
     make_matrix,
@@ -325,6 +326,37 @@ class TestRealizedJacobi:
     def test_single_bumps(self, name):
         for algebra in single_bumps(name):
             self.assert_scan_verdict(algebra)
+
+
+class TestGeneratedSpan:
+    """The span the ad-invariance gate and ``d_S`` grow, closed under the
+    brackets with its directions only, against the closure under the
+    brackets of every pair of vectors (``generated_dimension``)."""
+
+    @staticmethod
+    def assert_span(algebra, directions):
+        span, walked = lie._GeneratedSpan(algebra), []
+        for x in directions:
+            if x not in span:
+                span.add(x)
+                walked.append(x)
+            assert len(span.pivots) == generated_dimension(algebra, walked)
+        dim = len(span.pivots)
+        for y in range(algebra.dim):
+            assert (y in span) == (generated_dimension(algebra, walked + [y]) == dim)
+
+    @pytest.mark.parametrize("name", ["so4", "gl2", "u2", "su2"])
+    def test_every_direction_set(self, name):
+        algebra = named_algebra(name)
+        for size in range(algebra.dim + 1):
+            for directions in itertools.combinations(range(algebra.dim), size):
+                self.assert_span(algebra, directions)
+
+    @pytest.mark.parametrize("name", ["so5", "gl3", "u3"])
+    def test_random_direction_sets(self, name):
+        algebra, rng = named_algebra(name), random.Random(name)
+        for _ in range(20):
+            self.assert_span(algebra, rng.sample(range(algebra.dim), rng.randint(1, 4)))
 
 
 def outcome(f, *args):

@@ -291,15 +291,6 @@ class TestSparseSetupOracles:
 ALGEBRA_FILES = json.loads((Path(__file__).parent / "algebra_files.json").read_text())
 
 
-def single_bumps(name):
-    """The built-in algebra with one c[a,b,c] raised by 1 and its mirror set
-    to the negative, as ``--corrupt structure=a,b,c`` makes it, for every
-    (a, b, c): the realization is kept, so it no longer matches."""
-    dim = named_algebra(name).dim
-    return [bumped_table(name, (a, b, c, Scalar(1), True))
-            for a, b, c in itertools.product(range(dim), repeat=3)]
-
-
 class TestRealizedJacobi:
     """The Jacobi verdict that a verified realization by independent
     matrices gives without a scan, against the dense validation and the
@@ -324,8 +315,11 @@ class TestRealizedJacobi:
 
     @pytest.mark.parametrize("name", ["so4", "gl2", "u2", "su2"])
     def test_single_bumps(self, name):
-        for algebra in single_bumps(name):
-            self.assert_scan_verdict(algebra)
+        # each c[a,b,c] raised by 1, as --corrupt structure=a,b,c does: the
+        # realization is kept, so it no longer matches and the scan runs
+        dim = named_algebra(name).dim
+        for a, b, c in itertools.product(range(dim), repeat=3):
+            self.assert_scan_verdict(bumped_table(name, (a, b, c, Scalar(1), True)))
 
 
 class TestGeneratedSpan:
